@@ -9,7 +9,7 @@ BENCH_DIFF := _build/default/tools/bench_diff.exe
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
 	bench-baseline serve-smoke bench-serve-gate bench-serve-baseline \
 	rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
-	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline ci clean
+	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline perf-check ci clean
 
 all: build
 
@@ -161,6 +161,20 @@ bench-fuzz-baseline: build
 	$(BENCH) fuzz --jobs 2 --out bench/fuzz_baseline.json > /dev/null
 	@echo "wrote bench/fuzz_baseline.json -- commit it with the explaining change"
 
+# the benchmark's own output checks: a short untraced run of each
+# BENCHMARK.json workload must end with "correct": true and
+# "failed": 0 (hardened runs and Memcheck match the baseline, fuzz
+# finds its planted bugs, rewrites verify); timings are not checked
+perf-check:
+	@mkdir -p _build
+	@set -e; for w in table1 fuzz rewrite serve; do \
+	  sh bench/perf/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 \
+	    > _build/perf-check-$$w.out; \
+	  tail -1 _build/perf-check-$$w.out \
+	    | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,'; \
+	  echo "workload $$w: perf check OK"; \
+	done
+
 # everything CI runs, in one local command (mirrors .github/workflows/ci.yml)
 ci: build test lint doc-check
 	@set -e; for b in redzone lowfat temporal; do \
@@ -181,6 +195,7 @@ ci: build test lint doc-check
 	$(MAKE) bench-rebuild-gate
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-fuzz-gate
+	$(MAKE) perf-check
 
 clean:
 	dune clean

@@ -21,7 +21,9 @@ type error = { addr : int; len : int; write : bool; rip : int }
 
 type t = {
   mem : Vm.Mem.t;
-  shadow : (int, Bytes.t) Hashtbl.t; (* page -> A bits, 1 = addressable *)
+  shadow : (int, Bytes.t) Hashtbl.t;
+  (* page -> A bits, 1 = addressable; an absent page is wholly
+     unaddressable *)
   mutable brk : int;
   sizes : (int, int) Hashtbl.t;
   mutable quarantine : int list;
@@ -45,24 +47,62 @@ let create mem =
 let page_bits = Vm.Mem.page_bits
 let page_size = Vm.Mem.page_size
 
-let shadow_page t no =
+(* The A bits of every wholly addressable page.  Shared, so it is never
+   written: a partial mark copies it first. *)
+let full_page = Bytes.make page_size '\001'
+
+(* the page's own A bits for a partial mark, or [None] when the mark
+   cannot change them *)
+let own_page t no ~accessible =
   match Hashtbl.find_opt t.shadow no with
-  | Some p -> p
+  | Some p when p != full_page -> Some p
+  | Some _ when accessible -> None
+  | None when not accessible -> None
+  | Some _ ->
+    let p = Bytes.copy full_page in
+    Hashtbl.replace t.shadow no p;
+    Some p
   | None ->
     let p = Bytes.make page_size '\000' in
-    Hashtbl.add t.shadow no p;
-    p
+    Hashtbl.replace t.shadow no p;
+    Some p
 
 let mark t ~addr ~len ~(accessible : bool) =
   let v = if accessible then '\001' else '\000' in
-  for a = addr to addr + len - 1 do
-    Bytes.set (shadow_page t (a lsr page_bits)) (a land (page_size - 1)) v
-  done
+  let stop = addr + len in
+  let rec go a =
+    if a < stop then begin
+      let no = a lsr page_bits and off = a land (page_size - 1) in
+      let n = min (stop - a) (page_size - off) in
+      (if n = page_size then
+         if accessible then Hashtbl.replace t.shadow no full_page
+         else Hashtbl.remove t.shadow no
+       else
+         Option.iter (fun p -> Bytes.fill p off n v) (own_page t no ~accessible));
+      go (a + n)
+    end
+  in
+  go addr
 
 let accessible t addr =
   match Hashtbl.find_opt t.shadow (addr lsr page_bits) with
   | None -> false
   | Some p -> Bytes.get p (addr land (page_size - 1)) = '\001'
+
+let rec all_set p i stop =
+  i >= stop || (Bytes.unsafe_get p i = '\001' && all_set p (i + 1) stop)
+
+(* every byte of [addr, stop) addressable: one shadow lookup per page
+   the range touches *)
+let rec addressable t addr stop =
+  if addr >= stop then true
+  else
+    let off = addr land (page_size - 1) in
+    let n = min (stop - addr) (page_size - off) in
+    (match Hashtbl.find_opt t.shadow (addr lsr page_bits) with
+     | None -> false
+     | Some p -> p == full_page || all_set p off (off + n))
+    && addressable t (addr + n) stop
 
 (* --- the replacement allocator -------------------------------------- *)
 
@@ -92,31 +132,26 @@ let free t p =
 
 let on_mem t (cpu : Vm.Cpu.t) ~addr ~len ~write =
   cpu.cycles <- cpu.cycles + access_cost;
-  let bad = ref false in
-  for a = addr to addr + len - 1 do
-    if not (accessible t a) then bad := true
-  done;
-  if !bad && not (Hashtbl.mem t.seen cpu.rip) then begin
+  if (not (addressable t addr (addr + len))) && not (Hashtbl.mem t.seen cpu.rip)
+  then begin
     Hashtbl.add t.seen cpu.rip ();
     t.errors <- { addr; len; write; rip = cpu.rip } :: t.errors
   end
 
 let errors t = List.rev t.errors
 
-(** Prepare a VM to run [binary] under the simulated Memcheck: loads
-    the binary, marks statics/stack addressable, installs hooks.
-    Returns the runtime to pass to [Cpu.run]. *)
+(** Put a VM that already holds [binary] and a mapped stack (see
+    [Redfat.prepare]) under the simulated Memcheck: marks statics and
+    the stack addressable, installs hooks.  Returns the runtime to pass
+    to [Cpu.run]. *)
 let install (t : t) (cpu : Vm.Cpu.t) (binary : Binfmt.Relf.t) :
     Vm.Cpu.runtime =
-  Binfmt.Relf.load_into cpu.mem binary;
   List.iter
     (fun (s : Binfmt.Relf.section) ->
       mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
     binary.sections;
-  Vm.Mem.map cpu.mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
   mark t ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size
     ~accessible:true;
-  cpu.regs.(X64.Isa.rsp) <- Lowfat.Layout.stack_top - 64;
   cpu.dispatch_cost <- dispatch_cost;
   cpu.on_mem <- Some (fun cpu ~addr ~len ~write -> on_mem t cpu ~addr ~len ~write);
   {

@@ -27,6 +27,7 @@ val errors : t -> error list
     tool's deduplication), in discovery order. *)
 
 val install : t -> Vm.Cpu.t -> Binfmt.Relf.t -> Vm.Cpu.runtime
-(** Load the binary, mark statics/stack addressable, set the dispatch
+(** For a VM that already holds the binary and a mapped stack (see
+    [Redfat.prepare]): mark statics/stack addressable, set the dispatch
     cost and the per-access hook; returns the runtime dispatch table
     for [Cpu.run]. *)

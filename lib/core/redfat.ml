@@ -142,7 +142,7 @@ let run_hardened ?(options = Runtime.default_options) ?(profiling = false)
 (** Run the original binary under the simulated Valgrind Memcheck. *)
 let run_memcheck ?(inputs = []) ?max_steps (binary : Binfmt.Relf.t) :
     run_result * verdict * Baselines.Memcheck.t =
-  let cpu = Vm.Cpu.create ?max_steps () in
+  let cpu = prepare ?max_steps binary in
   cpu.inputs <- inputs;
   let mc = Baselines.Memcheck.create cpu.mem in
   let rt = Baselines.Memcheck.install mc cpu binary in

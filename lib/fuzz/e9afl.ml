@@ -28,10 +28,7 @@ type run = {
 
 (** Run the instrumented binary, collecting the edge map. *)
 let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
-  let cpu = Vm.Cpu.create ~max_steps () in
-  Binfmt.Relf.load_into cpu.mem t.binary;
-  Vm.Mem.map cpu.mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
-  cpu.regs.(X64.Isa.rsp) <- Lowfat.Layout.stack_top - 64;
+  let cpu = Redfat.prepare ~max_steps t.binary in
   cpu.inputs <- inputs;
   List.iter
     (fun (a, tgt) -> Hashtbl.replace cpu.trap_table a tgt)

@@ -1,18 +1,23 @@
 (** Sparse paged memory over a simulated 64-bit virtual address space.
 
-    Pages are 4 KiB and materialized on [map]; accessing an unmapped
-    page faults, like the MMU would.  Addresses are OCaml [int]s: the
-    simulated layout tops out at a few TiB (see {!Lowfat.Layout}),
-    comfortably inside 62 bits. *)
+    Pages are 4 KiB.  The mapped address space is a set of disjoint
+    page ranges, and a mapped page gets its backing bytes on first
+    touch.  Accessing an unmapped page faults, like the MMU would.
+    Addresses are OCaml [int]s: the simulated layout tops out at a few
+    TiB (see {!Lowfat.Layout}), comfortably inside 62 bits. *)
 
 exception Segfault of int
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+module Imap = Map.Make (Int)
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;     (* materialized pages *)
-  reserved : (int, unit) Hashtbl.t;     (* mapped but untouched pages *)
+  mutable ranges : int Imap.t;
+  (* mapped pages, first page -> last page; ranges neither overlap nor
+     touch, and every materialized page lies inside one *)
   (* one-entry cache: page lookups dominate the interpreter profile *)
   mutable last_page_no : int;
   mutable last_page : Bytes.t;
@@ -23,14 +28,20 @@ let none = Bytes.create 0
 let create () =
   {
     pages = Hashtbl.create 4096;
-    reserved = Hashtbl.create 4096;
+    ranges = Imap.empty;
     last_page_no = -1;
     last_page = none;
   }
 
-(* Demand-zero paging: [map] only reserves; the backing bytes appear on
-   first touch.  This keeps huge sparse allocations (the legacy heap
-   serves multi-hundred-MB requests) cheap on the host. *)
+(* the range with the largest first page <= [no], if any *)
+let range_at t no = Imap.find_last_opt (fun first -> first <= no) t.ranges
+
+let in_ranges t no =
+  match range_at t no with Some (_, last) -> no <= last | None -> false
+
+(* Demand-zero paging: [map] only records the range; the backing bytes
+   appear on first touch.  This keeps huge sparse allocations (the
+   legacy heap serves multi-hundred-MB requests) cheap on the host. *)
 let page_of t addr =
   let no = addr lsr page_bits in
   if no = t.last_page_no then t.last_page
@@ -41,10 +52,9 @@ let page_of t addr =
       t.last_page <- p;
       p
     | None ->
-      if Hashtbl.mem t.reserved no then begin
+      if in_ranges t no then begin
         let p = Bytes.make page_size '\000' in
         Hashtbl.add t.pages no p;
-        Hashtbl.remove t.reserved no;
         t.last_page_no <- no;
         t.last_page <- p;
         p
@@ -53,28 +63,49 @@ let page_of t addr =
 
 let is_mapped t addr =
   let no = addr lsr page_bits in
-  Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no
+  Hashtbl.mem t.pages no || in_ranges t no
 
-(** Reserve (demand-zero) every page covering [addr, addr+len). *)
+(** Map (demand-zero) every page covering [addr, addr+len), merging
+    with any range it overlaps or touches. *)
 let map t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
-    for no = first to last do
-      if not (Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no) then
-        Hashtbl.add t.reserved no ()
-    done
+    match range_at t first with
+    | Some (_, l) when l >= last -> ()
+    | prev ->
+      let lo = match prev with Some (f, l) when l + 1 >= first -> f | _ -> first in
+      let rec absorb hi =
+        match Imap.find_first_opt (fun f -> f > lo) t.ranges with
+        | Some (f, l) when f <= hi + 1 ->
+          t.ranges <- Imap.remove f t.ranges;
+          absorb (max hi l)
+        | _ -> hi
+      in
+      let hi = absorb last in
+      t.ranges <- Imap.add lo hi t.ranges
   end
 
-(** Remove the mapping; later access faults.  Used to model redzone
-    poisoning of never-reused areas and by tests. *)
+(** Remove the mapping, splitting any range that straddles an end;
+    later access faults.  Used to model redzone poisoning of
+    never-reused areas and by tests. *)
 let unmap t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
     for no = first to last do
       Hashtbl.remove t.pages no;
-      Hashtbl.remove t.reserved no;
       if t.last_page_no = no then t.last_page_no <- -1
-    done
+    done;
+    (* keep the parts of every overlapping range outside [first, last] *)
+    let rec cut () =
+      match range_at t last with
+      | Some (f, l) when l >= first ->
+        t.ranges <- Imap.remove f t.ranges;
+        if l > last then t.ranges <- Imap.add (last + 1) l t.ranges;
+        if f < first then t.ranges <- Imap.add f (first - 1) t.ranges
+        else cut ()
+      | _ -> ()
+    in
+    cut ()
   end
 
 let read_u8 t addr =
@@ -142,12 +173,20 @@ let write_string t ~addr s =
   String.iteri (fun k c -> write_u8 t (addr + k) (Char.code c)) s
 
 (** Read up to [len] bytes starting at [addr], stopping early at the
-    first unmapped page.  Used by the instruction fetcher. *)
+    first unmapped page.  Used by the instruction fetcher; copies a
+    page slice at a time. *)
 let read_string t ~addr ~len =
-  let b = Buffer.create len in
-  (try
-     for k = 0 to len - 1 do
-       Buffer.add_char b (Char.chr (read_u8 t (addr + k)))
-     done
-   with Segfault _ -> ());
-  Buffer.contents b
+  let b = Bytes.create (max len 0) in
+  let rec fill k =
+    if k >= len then k
+    else
+      match page_of t (addr + k) with
+      | p ->
+        let off = (addr + k) land (page_size - 1) in
+        let n = min (len - k) (page_size - off) in
+        Bytes.blit p off b k n;
+        fill (k + n)
+      | exception Segfault _ -> k
+  in
+  let n = fill 0 in
+  if n = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 n

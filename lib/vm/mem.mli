@@ -1,6 +1,7 @@
 (** Sparse paged memory over a simulated 64-bit virtual address space.
 
-    Pages are 4 KiB and materialized by {!map}; accessing an unmapped
+    Pages are 4 KiB.  {!map} records page ranges, and a mapped page is
+    materialized (zero-filled) on first touch; accessing an unmapped
     page raises {!Segfault}, like the MMU would.  Addresses are OCaml
     [int]s (the simulated layout tops out at a few TiB). *)
 
@@ -16,10 +17,12 @@ type t
 val create : unit -> t
 
 val map : t -> addr:int -> len:int -> unit
-(** Materialize (zero-filled) every page covering [addr, addr+len). *)
+(** Map every page covering [addr, addr+len), zero-filled on first
+    touch.  Costs the same whatever [len] is. *)
 
 val unmap : t -> addr:int -> len:int -> unit
-(** Remove the mapping; later access faults. *)
+(** Remove the mapping of every page covering [addr, addr+len); later
+    access faults. *)
 
 val is_mapped : t -> int -> bool
 

@@ -144,9 +144,121 @@ let test_dispatch_overhead_charged () =
   Alcotest.(check bool) "DBI is much slower" true
     (mc_run.cycles > base.cycles * 4)
 
+let page = Vm.Mem.page_size
+
+(* the A bits agree with a plain byte array over a 64-page heap window
+   under random marks (whole pages and slices), mallocs and frees *)
+let test_shadow_matches_byte_oracle () =
+  let rng = Random.State.make [| 7 |] in
+  let mc = Mc.create (Vm.Mem.create ()) in
+  let first = Mc.malloc mc 8 in
+  let lo = (first land lnot (page - 1)) - (2 * page) in
+  let size = 64 * page in
+  let oracle = Bytes.make size '\000' in
+  let mark_oracle a len ok =
+    Bytes.fill oracle (a - lo) len (if ok then '\001' else '\000')
+  in
+  mark_oracle first 8 true;
+  let live = ref [ (first, 8) ] in
+  let check_window step =
+    for k = 0 to size - 1 do
+      if Mc.accessible mc (lo + k) <> (Bytes.get oracle k = '\001') then
+        Alcotest.failf "step %d: A bit of %#x differs from the oracle" step
+          (lo + k)
+    done
+  in
+  for step = 1 to 600 do
+    (match Random.State.int rng 4 with
+     | 0 ->
+       let n = 1 + Random.State.int rng 1000 in
+       let a = Mc.malloc mc n in
+       mark_oracle a n true;
+       live := (a, n) :: !live
+     | 1 -> (
+       match !live with
+       | [] -> ()
+       | l ->
+         let k = Random.State.int rng (List.length l) in
+         let a, n = List.nth l k in
+         Mc.free mc a;
+         mark_oracle a n false;
+         live := List.filteri (fun j _ -> j <> k) l)
+     | _ ->
+       let a, len =
+         if Random.State.bool rng then
+           (lo + (page * Random.State.int rng 60),
+            page * (1 + Random.State.int rng 3))
+         else
+           (lo + Random.State.int rng (60 * page),
+            1 + Random.State.int rng (2 * page))
+       in
+       let ok = Random.State.bool rng in
+       Mc.mark mc ~addr:a ~len ~accessible:ok;
+       mark_oracle a len ok);
+    if step mod 100 = 0 then check_window step
+  done
+
+(* a partial mark inside one wholly addressable page leaves every other
+   wholly addressable page as it was: the shared page is never written *)
+let test_partial_mark_keeps_other_pages () =
+  let mc = Mc.create (Vm.Mem.create ()) in
+  let lo = 0x40_0000 in
+  Mc.mark mc ~addr:lo ~len:(4 * page) ~accessible:true;
+  Mc.mark mc ~addr:(lo + page + 100) ~len:50 ~accessible:false;
+  Mc.mark mc ~addr:(lo + (6 * page)) ~len:page ~accessible:true;
+  for k = 0 to (8 * page) - 1 do
+    let hole = k >= page + 100 && k < page + 150 in
+    let expect = (k < 4 * page && not hole) || (k >= 6 * page && k < 7 * page) in
+    if Mc.accessible mc (lo + k) <> expect then
+      Alcotest.failf "A bit of page %d offset %d" (k / page) (k mod page)
+  done
+
+(* an 8-byte access straddling from an addressable page into an
+   unaddressable one is one error, however many pages it touches *)
+let test_straddling_access_logged_once () =
+  let bin = Minic.Codegen.compile (simple [ return_ (i 0) ]) in
+  let cpu = Redfat.prepare bin in
+  let mc = Mc.create cpu.mem in
+  let (_ : Vm.Cpu.runtime) = Mc.install mc cpu bin in
+  let hook = Option.get cpu.on_mem in
+  let lo = 0x40_0000 in
+  Mc.mark mc ~addr:lo ~len:page ~accessible:true;
+  cpu.rip <- 0x1000;
+  hook cpu ~addr:(lo + page - 8) ~len:8 ~write:false;
+  Alcotest.(check int) "in-page access is clean" 0 (List.length (Mc.errors mc));
+  hook cpu ~addr:(lo + page - 4) ~len:8 ~write:true;
+  (match Mc.errors mc with
+   | [ e ] ->
+     Alcotest.(check int) "error address" (lo + page - 4) e.addr;
+     Alcotest.(check int) "error length" 8 e.len;
+     Alcotest.(check bool) "write" true e.write
+   | es -> Alcotest.failf "%d errors, expected 1" (List.length es));
+  (* the second page partly addressable, its first two bytes not *)
+  Mc.mark mc ~addr:(lo + page + 2) ~len:100 ~accessible:true;
+  cpu.rip <- 0x1008;
+  hook cpu ~addr:(lo + page - 4) ~len:8 ~write:false;
+  Alcotest.(check int) "second straddle logged once" 2
+    (List.length (Mc.errors mc))
+
+let test_stack_bounds_addressable () =
+  let _, _, mc = run (simple [ return_ (i 0) ]) [] in
+  let lo = Lowfat.Layout.stack_lo in
+  let hi = lo + Lowfat.Layout.stack_size in
+  Alcotest.(check bool) "first stack byte" true (Mc.accessible mc lo);
+  Alcotest.(check bool) "last stack byte" true (Mc.accessible mc (hi - 1));
+  Alcotest.(check bool) "byte below stack_lo" false (Mc.accessible mc (lo - 1))
+
 let tests =
   [
     Alcotest.test_case "clean program" `Quick test_clean_program_no_errors;
+    Alcotest.test_case "shadow matches byte oracle" `Quick
+      test_shadow_matches_byte_oracle;
+    Alcotest.test_case "partial mark keeps other pages" `Quick
+      test_partial_mark_keeps_other_pages;
+    Alcotest.test_case "straddling access logged once" `Quick
+      test_straddling_access_logged_once;
+    Alcotest.test_case "stack bounds addressable" `Quick
+      test_stack_bounds_addressable;
     Alcotest.test_case "overflow into redzone" `Quick
       test_detects_overflow_into_redzone;
     Alcotest.test_case "underflow" `Quick test_detects_underflow;

@@ -55,6 +55,163 @@ let test_mem_sparse_far_addresses () =
   Vm.Mem.write m ~addr:far ~len:8 99;
   Alcotest.(check int) "far address" 99 (Vm.Mem.read m ~addr:far ~len:8)
 
+(* A per-page reservation table: one entry per mapped page.  The
+   reference semantics that [Mem]'s range bookkeeping must reproduce. *)
+module Page_table = struct
+  let page_bits = Vm.Mem.page_bits
+  let page_size = Vm.Mem.page_size
+
+  type t = {
+    pages : (int, Bytes.t) Hashtbl.t;  (* materialized pages *)
+    reserved : (int, unit) Hashtbl.t;  (* mapped but untouched pages *)
+  }
+
+  let create () = { pages = Hashtbl.create 64; reserved = Hashtbl.create 64 }
+
+  let page_of t addr =
+    let no = addr lsr page_bits in
+    match Hashtbl.find_opt t.pages no with
+    | Some p -> p
+    | None ->
+      if Hashtbl.mem t.reserved no then begin
+        let p = Bytes.make page_size '\000' in
+        Hashtbl.add t.pages no p;
+        Hashtbl.remove t.reserved no;
+        p
+      end
+      else raise (Vm.Mem.Segfault addr)
+
+  let is_mapped t addr =
+    let no = addr lsr page_bits in
+    Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no
+
+  let map t ~addr ~len =
+    if len > 0 then
+      for no = addr lsr page_bits to (addr + len - 1) lsr page_bits do
+        if not (Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no) then
+          Hashtbl.add t.reserved no ()
+      done
+
+  let unmap t ~addr ~len =
+    if len > 0 then
+      for no = addr lsr page_bits to (addr + len - 1) lsr page_bits do
+        Hashtbl.remove t.pages no;
+        Hashtbl.remove t.reserved no
+      done
+
+  let read_u8 t addr =
+    Char.code (Bytes.get (page_of t addr) (addr land (page_size - 1)))
+
+  (* byte by byte from the lowest address, so an access faults on its
+     first unmapped byte *)
+  let read t ~addr ~len =
+    let v = ref 0 in
+    for k = 0 to len - 1 do
+      v := !v lor (read_u8 t (addr + k) lsl (8 * k))
+    done;
+    !v
+
+  let write t ~addr ~len v =
+    for k = 0 to len - 1 do
+      let a = addr + k in
+      Bytes.set (page_of t a) (a land (page_size - 1))
+        (Char.chr ((v lsr (8 * k)) land 0xff))
+    done
+
+  let read_string t ~addr ~len =
+    let b = Buffer.create len in
+    (try
+       for k = 0 to len - 1 do
+         Buffer.add_char b (Char.chr (read_u8 t (addr + k)))
+       done
+     with Vm.Mem.Segfault _ -> ());
+    Buffer.contents b
+end
+
+(* seeded random map/unmap/read/write/is_mapped/read_string over three
+   16-page windows: maps of up to 6 pages land adjacent to, across and
+   inside earlier ones, and unmaps of up to 3 pages split ranges *)
+let test_mem_matches_page_table () =
+  let rng = Random.State.make [| 2022 |] in
+  let m = Vm.Mem.create () and r = Page_table.create () in
+  let ps = Vm.Mem.page_size in
+  let windows = [| 0x10000; 0x7f0000; 86 lsl 35 |] in
+  let pick () =
+    let base = windows.(Random.State.int rng (Array.length windows)) in
+    let page = Random.State.int rng 18 - 1 in
+    let off =
+      match Random.State.int rng 3 with
+      | 0 -> 0
+      | 1 -> ps - 1 - Random.State.int rng 8
+      | _ -> Random.State.int rng ps
+    in
+    base + (page * ps) + off
+  in
+  let outcome f =
+    match f () with v -> Ok v | exception Vm.Mem.Segfault a -> Error a
+  in
+  (* after every map and unmap, the mapped set of all 54 pages *)
+  let same_pages what =
+    Array.iter
+      (fun base ->
+        for page = -1 to 16 do
+          let a = base + (page * ps) in
+          if Vm.Mem.is_mapped m a <> Page_table.is_mapped r a then
+            Alcotest.failf "%s: page %#x mapped %b, reference %b" what a
+              (Vm.Mem.is_mapped m a) (Page_table.is_mapped r a)
+        done)
+      windows
+  in
+  for step = 1 to 4000 do
+    let addr = pick () in
+    let what op = Printf.sprintf "step %d: %s %#x" step op addr in
+    match Random.State.int rng 8 with
+    | 0 | 1 ->
+      let len = 1 + Random.State.int rng (6 * ps) in
+      Vm.Mem.map m ~addr ~len;
+      Page_table.map r ~addr ~len;
+      same_pages (what (Printf.sprintf "map %#x bytes at" len))
+    | 2 ->
+      let len = 1 + Random.State.int rng (3 * ps) in
+      Vm.Mem.unmap m ~addr ~len;
+      Page_table.unmap r ~addr ~len;
+      same_pages (what (Printf.sprintf "unmap %#x bytes at" len))
+    | 3 ->
+      Alcotest.(check bool) (what "is_mapped")
+        (Page_table.is_mapped r addr) (Vm.Mem.is_mapped m addr)
+    | 4 | 5 ->
+      let len = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
+      Alcotest.(check (result int int)) (what "read")
+        (outcome (fun () -> Page_table.read r ~addr ~len))
+        (outcome (fun () -> Vm.Mem.read m ~addr ~len))
+    | 6 ->
+      let len = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
+      let v = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+      Alcotest.(check (result unit int)) (what "write")
+        (outcome (fun () -> Page_table.write r ~addr ~len v))
+        (outcome (fun () -> Vm.Mem.write m ~addr ~len v))
+    | _ ->
+      Alcotest.(check string) (what "read_string")
+        (Page_table.read_string r ~addr ~len:40)
+        (Vm.Mem.read_string m ~addr ~len:40)
+  done
+
+let test_mem_map_512mib () =
+  let m = Vm.Mem.create () in
+  let addr = 0x4000_0000 and len = 512 lsl 20 in
+  Vm.Mem.map m ~addr ~len;
+  List.iter
+    (fun (what, a, expect) ->
+      Alcotest.(check bool) what expect (Vm.Mem.is_mapped m a))
+    [
+      ("first byte", addr, true);
+      ("last byte", addr + len - 1, true);
+      ("byte below", addr - 1, false);
+      ("byte above", addr + len, false);
+    ];
+  Alcotest.(check int) "demand-zero" 0
+    (Vm.Mem.read m ~addr:(addr + len - 8) ~len:8)
+
 (* --- Cpu ------------------------------------------------------------- *)
 
 let null_rt =
@@ -379,6 +536,9 @@ let tests =
     Alcotest.test_case "mem unmap" `Quick test_mem_unmap;
     Alcotest.test_case "mem sparse far addresses" `Quick
       test_mem_sparse_far_addresses;
+    Alcotest.test_case "mem matches page-table model" `Quick
+      test_mem_matches_page_table;
+    Alcotest.test_case "mem 512 MiB map" `Quick test_mem_map_512mib;
     Alcotest.test_case "arithmetic" `Quick test_arith;
     Alcotest.test_case "logic" `Quick test_logic;
     Alcotest.test_case "condition codes" `Quick test_conditions;
