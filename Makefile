@@ -9,7 +9,8 @@ BENCH_DIFF := _build/default/tools/bench_diff.exe
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
 	bench-baseline serve-smoke bench-serve-gate bench-serve-baseline \
 	rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
-	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline perf-check ci clean
+	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline perf-check vm-golden ci \
+	clean
 
 all: build
 
@@ -160,6 +161,14 @@ bench-fuzz-gate: build
 bench-fuzz-baseline: build
 	$(BENCH) fuzz --jobs 2 --out bench/fuzz_baseline.json > /dev/null
 	@echo "wrote bench/fuzz_baseline.json -- commit it with the explaining change"
+
+# after an INTENTIONAL cost-model change: rewrite the exact VM results
+# table that test/test_vm_golden.ml pins (cycles, steps, accesses,
+# verdicts, outputs, per-site check accounting) and commit it with the
+# change that explains it
+vm-golden: build
+	_build/default/test/golden/gen.exe > test/golden/vm_golden.expected
+	@echo "wrote test/golden/vm_golden.expected -- commit it with the explaining change"
 
 # the benchmark's own output checks: a short untraced run of each
 # BENCHMARK.json workload must end with "correct": true and
