@@ -10,7 +10,7 @@ type batch = {
   deques : int list ref array; (* per-worker pending task indices *)
   run : int -> unit;           (* never raises *)
   mutable remaining : int;     (* tasks not yet finished *)
-  mutable cancelled : bool;    (* a task failed: skip the rest *)
+  mutable cancelled : bool;    (* a task failed: drain without stealing *)
 }
 
 type t = {
@@ -146,9 +146,12 @@ let map t f tasks =
     let batch_cell = ref None in
     let run_task i =
       let b = Option.get !batch_cell in
+      (* after a failure, still run the tasks below it: one of them
+         may fail too, and the lowest index must win whatever the
+         schedule *)
       let skip =
         Mutex.lock t.lock;
-        let c = b.cancelled in
+        let c = match !fail with Some (j, _, _) -> j < i | None -> false in
         Mutex.unlock t.lock;
         c
       in

@@ -88,6 +88,11 @@ type t = {
       computes pointer values, and masking there would strip tags. *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
   icache : (int, X64.Isa.instr * int) Hashtbl.t;
+  dcache_tag : int array;
+  dcache : (X64.Isa.instr * int) array;
+  (* direct-mapped decoded-instruction cache in front of [icache]: slot
+     [addr land (dcache_size - 1)] holds the instruction at [addr] when
+     its tag is [addr] *)
   (* scripted I/O *)
   mutable inputs : int list;
   mutable outputs : int list;  (** reverse order *)
@@ -96,6 +101,10 @@ type t = {
 }
 
 let halt_sentinel = 0x0dead_f00d
+
+(* a power of two of at most 256 entries, so a fresh CPU allocates the
+   cache on the minor heap *)
+let dcache_size = 256
 
 let create ?(max_steps = 200_000_000) () =
   {
@@ -113,7 +122,12 @@ let create ?(max_steps = 200_000_000) () =
     acct = None;
     addr_mask = -1;
     trap_table = Hashtbl.create 64;
-    icache = Hashtbl.create 4096;
+    (* small: see Mem.create *)
+    icache = Hashtbl.create 16;
+    (* slot [s] starts with tag [lnot s], which no address mapping to
+       slot [s] can equal, so an empty slot never hits *)
+    dcache_tag = Array.init dcache_size lnot;
+    dcache = Array.make dcache_size (X64.Isa.Hlt, 0);
     inputs = [];
     outputs = [];
     mem_reads = 0;
@@ -134,17 +148,34 @@ let ea t (m : X64.Isa.mem) =
    installed an addr_mask) *)
 let ea_data t m = ea t m land t.addr_mask
 
+(* Decoded instructions are never invalidated: no workload writes
+   code. *)
+let fetch_slow t addr slot =
+  let v =
+    match Hashtbl.find_opt t.icache addr with
+    | Some v -> v
+    | None ->
+      let raw = Mem.read_string t.mem ~addr ~len:40 in
+      if raw = "" then raise (Mem.Segfault addr);
+      let v = X64.Decode.decode ~addr raw 0 in
+      Hashtbl.add t.icache addr v;
+      v
+  in
+  Array.unsafe_set t.dcache_tag slot addr;
+  Array.unsafe_set t.dcache slot v;
+  v
+
 let fetch t addr =
-  match Hashtbl.find_opt t.icache addr with
-  | Some v -> v
-  | None ->
-    let raw = Mem.read_string t.mem ~addr ~len:40 in
-    if raw = "" then raise (Mem.Segfault addr);
-    let v = X64.Decode.decode ~addr raw 0 in
-    Hashtbl.add t.icache addr v;
-    v
+  let slot = addr land (dcache_size - 1) in
+  if Array.unsafe_get t.dcache_tag slot = addr then
+    Array.unsafe_get t.dcache slot
+  else fetch_slow t addr slot
 
 let far_jump_penalty t target = if abs (target - t.rip) > 0x1_0000 then 2 else 0
+
+let jump_to t target =
+  t.cycles <- t.cycles + 1 + far_jump_penalty t target;
+  t.rip <- target
 
 let mem_access t addr len write =
   (match t.on_mem with
@@ -184,10 +215,6 @@ let step t (rt : runtime) =
   t.steps <- t.steps + 1;
   t.cycles <- t.cycles + 1 + t.dispatch_cost;
   let next = t.rip + len in
-  let jump_to target =
-    t.cycles <- t.cycles + 1 + far_jump_penalty t target;
-    t.rip <- target
-  in
   let open X64.Isa in
   match i with
   | Mov_rr (d, s) ->
@@ -288,29 +315,29 @@ let step t (rt : runtime) =
   | Setcc (cc, r) ->
     t.regs.(r) <- (if eval_cc t cc then 1 else 0);
     t.rip <- next
-  | Jmp target -> jump_to target
+  | Jmp target -> jump_to t target
   | Jcc (cc, target) ->
-    if eval_cc t cc then jump_to target else t.rip <- next
+    if eval_cc t cc then jump_to t target else t.rip <- next
   | Call target ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;
     Mem.write t.mem ~addr:t.regs.(rsp) ~len:8 next;
-    jump_to target
+    jump_to t target
   | Call_ind r ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;
     Mem.write t.mem ~addr:t.regs.(rsp) ~len:8 next;
     t.cycles <- t.cycles + 1; (* indirect-branch prediction cost *)
-    jump_to t.regs.(r)
+    jump_to t t.regs.(r)
   | Jmp_ind r ->
     t.cycles <- t.cycles + 1;
-    jump_to t.regs.(r)
+    jump_to t t.regs.(r)
   | Ret ->
     mem_access t t.regs.(rsp) 8 false;
     let target = Mem.read t.mem ~addr:t.regs.(rsp) ~len:8 in
     t.regs.(rsp) <- t.regs.(rsp) + 8;
     if target = halt_sentinel then raise Halt;
-    jump_to target
+    jump_to t target
   | Push r ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;

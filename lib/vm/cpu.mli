@@ -65,6 +65,12 @@ type t = {
           computes pointer {e values}, which must keep their tags *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
   icache : (int, X64.Isa.instr * int) Hashtbl.t;
+      (** every decoded instruction, by address; never invalidated *)
+  dcache_tag : int array;
+  dcache : (X64.Isa.instr * int) array;
+      (** direct-mapped decode cache in front of [icache]: slot
+          [addr land 255] holds the instruction at [addr] when its tag
+          is [addr] *)
   mutable inputs : int list;          (** script for the Input runtime fn *)
   mutable outputs : int list;         (** Print results, reverse order *)
   mutable mem_reads : int;

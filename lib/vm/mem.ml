@@ -13,24 +13,31 @@ let page_size = 1 lsl page_bits
 
 module Imap = Map.Make (Int)
 
+(* A direct-mapped TLB over materialized pages: slot [no land
+   (tlb_size - 1)] holds page [no] when its tag is [no].  Page lookups
+   dominate the interpreter profile; a hit costs two array loads.  Tags
+   start at -1, which no page number ([addr lsr page_bits] >= 0)
+   matches.  Only materialized pages enter, and [unmap] evicts what it
+   removes, so a hit always names a mapped page. *)
+let tlb_size = 64 (* a power of two *)
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;     (* materialized pages *)
   mutable ranges : int Imap.t;
   (* mapped pages, first page -> last page; ranges neither overlap nor
      touch, and every materialized page lies inside one *)
-  (* one-entry cache: page lookups dominate the interpreter profile *)
-  mutable last_page_no : int;
-  mutable last_page : Bytes.t;
+  tlb_tag : int array;
+  tlb_page : Bytes.t array;
 }
-
-let none = Bytes.create 0
 
 let create () =
   {
-    pages = Hashtbl.create 4096;
+    (* small: a fresh machine's tables stay on the minor heap, which
+       matters to workloads made of thousands of short runs *)
+    pages = Hashtbl.create 16;
     ranges = Imap.empty;
-    last_page_no = -1;
-    last_page = none;
+    tlb_tag = Array.make tlb_size (-1);
+    tlb_page = Array.make tlb_size Bytes.empty;
   }
 
 (* the range with the largest first page <= [no], if any *)
@@ -42,28 +49,33 @@ let in_ranges t no =
 (* Demand-zero paging: [map] only records the range; the backing bytes
    appear on first touch.  This keeps huge sparse allocations (the
    legacy heap serves multi-hundred-MB requests) cheap on the host. *)
-let page_of t addr =
-  let no = addr lsr page_bits in
-  if no = t.last_page_no then t.last_page
-  else
+let page_miss t addr no slot =
+  let p =
     match Hashtbl.find_opt t.pages no with
-    | Some p ->
-      t.last_page_no <- no;
-      t.last_page <- p;
-      p
+    | Some p -> p
     | None ->
       if in_ranges t no then begin
         let p = Bytes.make page_size '\000' in
         Hashtbl.add t.pages no p;
-        t.last_page_no <- no;
-        t.last_page <- p;
         p
       end
       else raise (Segfault addr)
+  in
+  Array.unsafe_set t.tlb_tag slot no;
+  Array.unsafe_set t.tlb_page slot p;
+  p
+
+let page_of t addr =
+  let no = addr lsr page_bits in
+  let slot = no land (tlb_size - 1) in
+  if Array.unsafe_get t.tlb_tag slot = no then
+    Array.unsafe_get t.tlb_page slot
+  else page_miss t addr no slot
 
 let is_mapped t addr =
   let no = addr lsr page_bits in
-  Hashtbl.mem t.pages no || in_ranges t no
+  Array.unsafe_get t.tlb_tag (no land (tlb_size - 1)) = no
+  || Hashtbl.mem t.pages no || in_ranges t no
 
 (** Map (demand-zero) every page covering [addr, addr+len), merging
     with any range it overlaps or touches. *)
@@ -93,7 +105,8 @@ let unmap t ~addr ~len =
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
     for no = first to last do
       Hashtbl.remove t.pages no;
-      if t.last_page_no = no then t.last_page_no <- -1
+      let slot = no land (tlb_size - 1) in
+      if t.tlb_tag.(slot) = no then t.tlb_tag.(slot) <- -1
     done;
     (* keep the parts of every overlapping range outside [first, last] *)
     let rec cut () =
@@ -116,13 +129,12 @@ let write_u8 t addr v =
   let p = page_of t addr in
   Bytes.unsafe_set p (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xff))
 
-(** Little-endian read of [len] in {1,2,4,8} bytes, zero-extended.
-    An 8-byte read reconstructs the stored 63-bit int. *)
-(* explicit lets fix the evaluation (and hence faulting) order at the
-   first byte of the access, like hardware would *)
-let read t ~addr ~len =
+(* The byte path, for accesses that straddle a page boundary: explicit
+   lets fix the evaluation (and hence faulting) order at the first
+   byte, like hardware would, so the fault names the first unmapped
+   byte and a write stores every byte before it. *)
+let read_bytes t ~addr ~len =
   match len with
-  | 1 -> read_u8 t addr
   | 2 ->
     let b0 = read_u8 t addr in
     let b1 = read_u8 t (addr + 1) in
@@ -146,9 +158,8 @@ let read t ~addr ~len =
     lor (b5 lsl 40) lor (b6 lsl 48) lor (b7 lsl 56)
   | _ -> invalid_arg "Mem.read"
 
-let write t ~addr ~len v =
+let write_bytes t ~addr ~len v =
   match len with
-  | 1 -> write_u8 t addr v
   | 2 ->
     write_u8 t addr v;
     write_u8 t (addr + 1) (v lsr 8)
@@ -168,9 +179,50 @@ let write t ~addr ~len v =
     write_u8 t (addr + 7) (v lsr 56)
   | _ -> invalid_arg "Mem.write"
 
+(** Little-endian read of [len] in {1,2,4,8} bytes, zero-extended.
+    An 8-byte read reconstructs the stored 63-bit int. *)
+(* An access inside one page is one page lookup and one word load; it
+   must equal the byte path bit for bit: a 4-byte read zero-extends
+   (hence the mask), and an 8-byte read drops bit 63 (Int64.to_int). *)
+let read t ~addr ~len =
+  let off = addr land (page_size - 1) in
+  if off + len > page_size then read_bytes t ~addr ~len
+  else
+    match len with
+    | 1 -> Char.code (Bytes.unsafe_get (page_of t addr) off)
+    | 2 -> Bytes.get_uint16_le (page_of t addr) off
+    | 4 ->
+      Int32.to_int (Bytes.get_int32_le (page_of t addr) off) land 0xffff_ffff
+    | 8 -> Int64.to_int (Bytes.get_int64_le (page_of t addr) off)
+    | _ -> invalid_arg "Mem.read"
+
+(* The byte path stores bits 56-62 in byte 7 and leaves its top bit 0,
+   while Int64.of_int sign-extends bit 62 into bit 63: mask it off. *)
+let write t ~addr ~len v =
+  let off = addr land (page_size - 1) in
+  if off + len > page_size then write_bytes t ~addr ~len v
+  else
+    match len with
+    | 1 -> Bytes.unsafe_set (page_of t addr) off (Char.unsafe_chr (v land 0xff))
+    | 2 -> Bytes.set_uint16_le (page_of t addr) off v
+    | 4 -> Bytes.set_int32_le (page_of t addr) off (Int32.of_int v)
+    | 8 ->
+      Bytes.set_int64_le (page_of t addr) off
+        (Int64.logand (Int64.of_int v) Int64.max_int)
+    | _ -> invalid_arg "Mem.write"
+
 let write_string t ~addr s =
-  map t ~addr ~len:(String.length s);
-  String.iteri (fun k c -> write_u8 t (addr + k) (Char.code c)) s
+  let len = String.length s in
+  map t ~addr ~len;
+  let rec fill k =
+    if k < len then begin
+      let off = (addr + k) land (page_size - 1) in
+      let n = min (len - k) (page_size - off) in
+      Bytes.blit_string s k (page_of t (addr + k)) off n;
+      fill (k + n)
+    end
+  in
+  fill 0
 
 (** Read up to [len] bytes starting at [addr], stopping early at the
     first unmapped page.  Used by the instruction fetcher; copies a

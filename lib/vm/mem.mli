@@ -36,7 +36,8 @@ val read : t -> addr:int -> len:int -> int
 val write : t -> addr:int -> len:int -> int -> unit
 
 val write_string : t -> addr:int -> string -> unit
-(** Map and copy a byte string (used by the loader). *)
+(** Map and copy a byte string (used by the loader); copies a page
+    slice at a time. *)
 
 val read_string : t -> addr:int -> len:int -> string
 (** Read up to [len] bytes, stopping early at the first unmapped page

@@ -128,14 +128,31 @@ module Page_table = struct
     Buffer.contents b
 end
 
-(* seeded random map/unmap/read/write/is_mapped/read_string over three
-   16-page windows: maps of up to 6 pages land adjacent to, across and
-   inside earlier ones, and unmaps of up to 3 pages split ranges *)
+(* Values a word store must round-trip exactly.  Bit 62 is OCaml's
+   sign bit, which [Int64.of_int] copies into bit 63 while the byte
+   path leaves it 0, so negative values are the interesting ones. *)
+let word_values =
+  [|
+    0; 1; -1; min_int; max_int; min_int lor 0xabcdef; 0x1122_3344_5566_7788;
+    -0x0102_0304_0506_0708; 0xffff_ffff; 0x8000_0000; 0xffff; 0x80;
+  |]
+
+(* Pages this far apart share a slot in any power-of-two TLB of up to
+   1024 entries. *)
+let tlb_alias_pages = 1024
+
+(* seeded random map/unmap/read/write/is_mapped/read_string over four
+   16-page windows (the first and last share every TLB slot): maps of
+   up to 6 pages land adjacent to, across and inside earlier ones, and
+   unmaps of up to 3 pages split ranges; then deterministic sweeps of
+   the word path, TLB aliasing and unmapping a page the TLB holds *)
 let test_mem_matches_page_table () =
   let rng = Random.State.make [| 2022 |] in
   let m = Vm.Mem.create () and r = Page_table.create () in
   let ps = Vm.Mem.page_size in
-  let windows = [| 0x10000; 0x7f0000; 86 lsl 35 |] in
+  let windows =
+    [| 0x10000; 0x7f0000; 86 lsl 35; 0x10000 + (tlb_alias_pages * ps) |]
+  in
   let pick () =
     let base = windows.(Random.State.int rng (Array.length windows)) in
     let page = Random.State.int rng 18 - 1 in
@@ -186,7 +203,12 @@ let test_mem_matches_page_table () =
         (outcome (fun () -> Vm.Mem.read m ~addr ~len))
     | 6 ->
       let len = [| 1; 2; 4; 8 |].(Random.State.int rng 4) in
-      let v = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+      let v =
+        match Random.State.int rng 3 with
+        | 0 -> word_values.(Random.State.int rng (Array.length word_values))
+        | 1 -> Random.State.bits rng lor (Random.State.bits rng lsl 30)
+        | _ -> lnot (Random.State.bits rng lor (Random.State.bits rng lsl 33))
+      in
       Alcotest.(check (result unit int)) (what "write")
         (outcome (fun () -> Page_table.write r ~addr ~len v))
         (outcome (fun () -> Vm.Mem.write m ~addr ~len v))
@@ -194,7 +216,89 @@ let test_mem_matches_page_table () =
       Alcotest.(check string) (what "read_string")
         (Page_table.read_string r ~addr ~len:40)
         (Vm.Mem.read_string m ~addr ~len:40)
-  done
+  done;
+  (* the same operation on a fresh pair of models, outcome compared *)
+  let m = Vm.Mem.create () and r = Page_table.create () in
+  let show = function
+    | Ok v -> Printf.sprintf "%#x" v
+    | Error a -> Printf.sprintf "Segfault %#x" a
+  in
+  let same what f g =
+    let a = outcome f and b = outcome g in
+    if a <> b then Alcotest.failf "%s: %s, reference %s" what (show a) (show b)
+  in
+  let write what ~addr ~len v =
+    same what
+      (fun () -> Vm.Mem.write m ~addr ~len v; 0)
+      (fun () -> Page_table.write r ~addr ~len v; 0)
+  in
+  let read what ~addr ~len =
+    same what
+      (fun () -> Vm.Mem.read m ~addr ~len)
+      (fun () -> Page_table.read r ~addr ~len)
+  in
+  let same_bytes what ~addr ~len =
+    Alcotest.(check string) what
+      (Page_table.read_string r ~addr ~len)
+      (Vm.Mem.read_string m ~addr ~len)
+  in
+  let map ~addr ~len =
+    Vm.Mem.map m ~addr ~len;
+    Page_table.map r ~addr ~len
+  in
+  let unmap ~addr ~len =
+    Vm.Mem.unmap m ~addr ~len;
+    Page_table.unmap r ~addr ~len
+  in
+  let widths = [ 1; 2; 4; 8 ] in
+  (* every width at every offset of a page followed by a hole: in-page
+     accesses take the word path; the last [len - 1] offsets straddle
+     into the hole and must fault on its first byte, after writing the
+     bytes before it *)
+  let base = 0x200000 in
+  map ~addr:base ~len:ps;
+  List.iter
+    (fun len ->
+      for off = 0 to ps - 1 do
+        let addr = base + off in
+        let v = word_values.(off mod Array.length word_values) in
+        let what op = Printf.sprintf "%s %d bytes at +%#x" op len off in
+        write (what "write") ~addr ~len v;
+        List.iter
+          (fun rlen ->
+            read (what (Printf.sprintf "read %d of" rlen)) ~addr ~len:rlen)
+          widths
+      done;
+      same_bytes
+        (Printf.sprintf "page after %d-byte sweep" len)
+        ~addr:base ~len:ps)
+    widths;
+  (* two pages that share a TLB slot, touched alternately *)
+  let a = 0x300000 and b = 0x300000 + (tlb_alias_pages * ps) in
+  map ~addr:a ~len:ps;
+  map ~addr:b ~len:ps;
+  Array.iteri
+    (fun k v ->
+      let off = k * 8 in
+      write "write a" ~addr:(a + off) ~len:8 v;
+      write "write b" ~addr:(b + off) ~len:8 (lnot v);
+      List.iter
+        (fun len ->
+          read "read a" ~addr:(a + off) ~len;
+          read "read b" ~addr:(b + off) ~len)
+        widths)
+    word_values;
+  (* unmap the page the TLB holds: later accesses fault, is_mapped
+     says no, and a remap brings back a zero page *)
+  read "touch a" ~addr:a ~len:8;
+  unmap ~addr:a ~len:ps;
+  Alcotest.(check bool) "unmapped page not mapped" false (Vm.Mem.is_mapped m a);
+  read "read unmapped a" ~addr:a ~len:8;
+  write "write unmapped a" ~addr:(a + 16) ~len:4 7;
+  read "b survives" ~addr:b ~len:8;
+  map ~addr:a ~len:ps;
+  read "remapped a is zero" ~addr:a ~len:8;
+  same_bytes "remapped page" ~addr:a ~len:ps
 
 let test_mem_map_512mib () =
   let m = Vm.Mem.create () in
@@ -466,6 +570,61 @@ let test_trap_table () =
   let (_ : int) = Vm.Cpu.run cpu null_rt ~entry:0x400000 in
   Alcotest.(check int) "trampoline ran" 0xfeed cpu.regs.(Isa.rax)
 
+(* A loop whose trap-patched head and its trampoline lie exactly 256
+   bytes apart, so they share a decode-cache slot and evict each other
+   on every iteration:
+
+     loop:   trap                  ; -> tramp, +10 cycles
+     resume: add rcx, 1
+             cmp rcx, 5
+             jl loop               ; +1 when taken
+             mov rdi, rax
+             callrt print          ; +8
+             ret                   ; pops the halt sentinel
+             nop ...               ; padding, never executed
+     tramp:  add rax, rcx          ; loop + 256
+             jmp resume            ; +1
+
+   Five iterations sum rcx = 0..4 into rax.  Steps: 2 set-up + 5 x 6
+   + 3 tail = 35.  Cycles: 2 + 4 x 18 (taken jl) + 17 + (1 + 9 + 1)
+   = 102. *)
+let test_decode_cache_aliasing () =
+  let program pad =
+    [
+      i (Isa.Mov_ri (Isa.rax, 0));
+      i (Isa.Mov_ri (Isa.rcx, 0));
+      Asm.Label "loop";
+      i Isa.Trap;
+      Asm.Label "resume";
+      i (Isa.Alu_ri (Isa.Add, Isa.rcx, 1));
+      i (Isa.Cmp_ri (Isa.rcx, 5));
+      Asm.Jcc_l (Isa.Lt, "loop");
+      i (Isa.Mov_rr (Isa.rdi, Isa.rax));
+      i (Isa.Callrt Isa.Print);
+      i Isa.Ret;
+      i (Isa.Nop pad);
+      Asm.Label "tramp";
+      i (Isa.Alu_rr (Isa.Add, Isa.rax, Isa.rcx));
+      Asm.Jmp_l "resume";
+    ]
+  in
+  let gap labels = Hashtbl.find labels "tramp" - Hashtbl.find labels "loop" in
+  let _, labels = Asm.assemble ~origin:0x400000 (program 1) in
+  let code, labels =
+    Asm.assemble ~origin:0x400000 (program (1 + 256 - gap labels))
+  in
+  Alcotest.(check int) "trap and trampoline 256 bytes apart" 256 (gap labels);
+  let cpu = Vm.Cpu.create () in
+  Vm.Mem.write_string cpu.mem ~addr:0x400000 code;
+  Vm.Mem.map cpu.mem ~addr:0x7f0000 ~len:0x10000;
+  cpu.regs.(Isa.rsp) <- 0x7fff00;
+  Hashtbl.replace cpu.trap_table (Hashtbl.find labels "loop")
+    (Hashtbl.find labels "tramp");
+  let (_ : int) = Vm.Cpu.run cpu null_rt ~entry:0x400000 in
+  Alcotest.(check (list int)) "outputs" [ 10 ] (Vm.Cpu.outputs cpu);
+  Alcotest.(check int) "steps" 35 cpu.steps;
+  Alcotest.(check int) "cycles" 102 cpu.cycles
+
 let test_trap_without_entry_faults () =
   Alcotest.check_raises "invalid opcode" (Vm.Cpu.Invalid_opcode 0x400000)
     (fun () -> ignore (exec [ i Isa.Trap; i Isa.Ret ]))
@@ -552,6 +711,8 @@ let tests =
     Alcotest.test_case "indirect call/jump" `Quick
       test_indirect_call_and_jump;
     Alcotest.test_case "trap table" `Quick test_trap_table;
+    Alcotest.test_case "decode cache aliasing" `Quick
+      test_decode_cache_aliasing;
     Alcotest.test_case "trap without entry" `Quick
       test_trap_without_entry_faults;
     Alcotest.test_case "timeout" `Quick test_timeout;
