@@ -3,7 +3,7 @@
    argument for everything, or with one of:
 
      table1 table2 table2x fig1 fig2 fig3 fig4 fig5 fig67 fig8
-     fps detected uaf stats sec74 ablation serve rebuild fuzz bechamel
+     fps detected uaf stats sec74 ablation serve rebuild fuzz
 
    Flags (anywhere on the command line):
 
@@ -965,76 +965,6 @@ let ablation () =
   pf " within noise of the deterministic allocator.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-time micro-benchmarks (one Test.make per experiment)  *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  hr "Bechamel wall-time benchmarks (one test per table/figure)";
-  let open Bechamel in
-  let open Toolkit in
-  let spec_bench = Workloads.Spec.find "mcf" in
-  let spec_bin = Pl.compile eng (Workloads.Spec.program spec_bench) in
-  let spec_hard = Pl.harden eng spec_bin in
-  let juliet_case = List.hd Workloads.Juliet.all in
-  let juliet_bin = Pl.compile eng juliet_case.program in
-  let juliet_hard = Pl.harden eng juliet_bin in
-  let kraken_bench = Workloads.Kraken.find "crypto-aes" in
-  let kraken_bin = Pl.compile eng (Workloads.Kraken.program kraken_bench) in
-  let kraken_hard = Pl.harden eng ~opts:chrome_opts kraken_bin in
-  let small = [ 0; 2 ] in
-  let t_table1 =
-    Test.make ~name:"table1-harden-run-mcf"
-      (Staged.stage (fun () ->
-           let hrun =
-             Redfat.run_hardened ~options:log_opts ~inputs:small
-               spec_hard.binary
-           in
-           ignore hrun.run.cycles))
-  in
-  let t_table2 =
-    Test.make ~name:"table2-attack-detect-juliet"
-      (Staged.stage (fun () ->
-           let hrun =
-             Redfat.run_hardened ~inputs:juliet_case.attack_inputs
-               juliet_hard.binary
-           in
-           ignore hrun.verdict))
-  in
-  let t_fig8 =
-    Test.make ~name:"fig8-kraken-crypto-aes"
-      (Staged.stage (fun () ->
-           let hrun =
-             Redfat.run_hardened ~options:chrome_rt ~inputs:[ 5 ]
-               kraken_hard.binary
-           in
-           ignore hrun.run.cycles))
-  in
-  let t_rewrite =
-    Test.make ~name:"fig8-rewrite-speed"
-      (Staged.stage (fun () -> ignore (Redfat.harden spec_bin)))
-  in
-  let tests =
-    Test.make_grouped ~name:"redfat" [ t_table1; t_table2; t_fig8; t_rewrite ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> pf "%-36s %12.0f ns/run (%s)\n" name est measure
-          | _ -> pf "%-36s (no estimate)\n" name)
-        tbl)
-    merged
-
-(* ------------------------------------------------------------------ *)
 (* serve: synthetic-fleet traffic through the hardening daemon         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1460,54 +1390,42 @@ let fuzz () =
 
 (* ------------------------------------------------------------------ *)
 
-let all () =
-  fig2 ();
-  fig3 ();
-  fig4 ();
-  fig67 ();
-  fig5 ();
-  fig1 ();
-  table2 ();
-  table2x ();
-  uaf ();
-  fps ();
-  detected ();
-  table1 ();
-  fig8 ();
-  stats ();
-  sec74 ();
-  ablation ();
-  serve ();
-  rebuild ();
-  fuzz ();
-  bechamel ()
+(* the experiment registry, in the order `all` runs them *)
+let experiments =
+  [
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("fig67", fig67);
+    ("fig5", fig5);
+    ("fig1", fig1);
+    ("table2", table2);
+    ("table2x", table2x);
+    ("uaf", uaf);
+    ("fps", fps);
+    ("detected", detected);
+    ("table1", table1);
+    ("fig8", fig8);
+    ("stats", stats);
+    ("sec74", sec74);
+    ("ablation", ablation);
+    ("serve", serve);
+    ("rebuild", rebuild);
+    ("fuzz", fuzz);
+  ]
 
 let () =
   (match experiment with
-  | "table1" -> table1 ()
-  | "table2" -> table2 ()
-  | "table2x" -> table2x ()
-  | "fig1" -> fig1 ()
-  | "fig2" -> fig2 ()
-  | "fig3" -> fig3 ()
-  | "fig4" -> fig4 ()
-  | "fig5" -> fig5 ()
-  | "fig67" -> fig67 ()
-  | "fig8" -> fig8 ()
-  | "fps" -> fps ()
-  | "detected" -> detected ()
-  | "ablation" -> ablation ()
-  | "sec74" -> sec74 ()
-  | "uaf" -> uaf ()
-  | "stats" -> stats ()
-  | "serve" -> serve ()
-  | "rebuild" -> rebuild ()
-  | "fuzz" -> fuzz ()
-  | "bechamel" -> bechamel ()
-  | "all" -> all ()
-  | other ->
-    prerr_endline ("unknown experiment: " ^ other);
-    exit 1);
+  | "all" -> List.iter (fun (_, run) -> run ()) experiments
+  | name -> (
+    match List.assoc_opt name experiments with
+    | Some run -> run ()
+    | None ->
+      prerr_endline
+        ("unknown experiment: " ^ name ^ " (one of: all "
+        ^ String.concat " " (List.map fst experiments)
+        ^ ")");
+      exit 1));
   (match opt_out with
   | Some file ->
     let json =

@@ -50,13 +50,22 @@ let () =
   Printf.printf "naive test suite (one input): %d allow-listed sites\n"
     (List.length naive_allow);
 
-  (* fuzzed: grow the suite first *)
-  let stats = Fuzz.Fuzzer.fuzz ~seeds:[ [ 0; 0 ] ] ~budget:400 ~seed:11 binary in
+  (* fuzzed: grow the suite first (the budget counts the seed) *)
+  let eng = Engine.Pipeline.create ~jobs:1 ~cache:false () in
+  let config = { Fuzz.Campaign.default_config with budget = 401; seed = 11 } in
+  let report, suite =
+    Fuzz.Campaign.run_profile eng ~config ~target:"gated" ~seeds:[ [ 0; 0 ] ]
+      binary
+  in
+  Engine.Pipeline.close eng;
+  let total_sites =
+    (Redfat.Rewrite.rewrite Redfat.Rewrite.profiling_build binary).stats
+      .checks_emitted
+  in
   Printf.printf
     "fuzzer: %d executions, corpus of %d inputs, %d/%d sites reached\n"
-    stats.executions (List.length stats.corpus) stats.sites_covered
-    stats.total_sites;
-  let fuzzed_allow = Redfat.profile ~test_suite:stats.corpus binary in
+    report.r_execs (List.length suite) report.r_cov_sites total_sites;
+  let fuzzed_allow = Redfat.profile ~test_suite:suite binary in
   Printf.printf "fuzzed test suite: %d allow-listed sites\n"
     (List.length fuzzed_allow);
 

@@ -19,9 +19,11 @@
     {e before} they are fanned out over [Pipeline.map] (whose result
     order is deterministic), so the report is byte-identical for any
     [--jobs] — the property test/test_fuzz.ml locks in.  Edge coverage
-    is the classic AFL hash over consecutive {e check sites}
-    ([hash(prev, cur)]), computed by wrapping the VM's [on_check]
-    accounting hook around the installed backend check. *)
+    is the classic AFL hash ({!E9afl.edge}) over consecutive {e check
+    sites}, computed by wrapping the VM's [on_check] accounting hook
+    around the installed backend check, and over consecutive
+    {!E9afl} probe ids, so the same loop is the edge-guided fuzzer on
+    a block-instrumented binary. *)
 
 module Pl = Engine.Pipeline
 module Runtime = Redfat_rt.Runtime
@@ -48,7 +50,7 @@ type bug = {
 
 type report = {
   r_target : string;
-  r_mode : string;          (** ["exec"] or ["parse"] *)
+  r_mode : string;          (** ["exec"], ["profile"] or ["parse"] *)
   r_backend : string;
   r_seed : int;
   r_budget : int;
@@ -74,9 +76,11 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
 
 (** Run [inputs] through the hardened binary with the backend the
     binary itself records, collecting edge/site coverage and the
-    oracle's verdict.  Pure per call (fresh VM and runtime), so
+    oracle's verdict.  [profiling] runs a Log-mode profiling runtime
+    instead, as {!Redfat.profile_run} does: a failed check is recorded
+    and the run continues.  Pure per call (fresh VM and runtime), so
     executions fan out over domains safely. *)
-let execute ?(max_steps = default_config.max_steps)
+let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
     (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
   let cpu = Redfat.prepare ~max_steps binary in
   cpu.inputs <- inputs;
@@ -84,12 +88,18 @@ let execute ?(max_steps = default_config.max_steps)
     (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
     (Redfat.Rewrite.traps_of_binary binary);
   let options =
-    { Runtime.default_options with backend = Redfat.backend_of_binary binary }
+    { Runtime.default_options with
+      backend = Redfat.backend_of_binary binary;
+      mode = (if profiling then Runtime.Log else Runtime.Harden) }
   in
-  let rt = Runtime.create ~options cpu.mem in
+  let rt = Runtime.create ~options ~profiling cpu.mem in
   let vmrt = Runtime.install rt cpu in
   let edges = Hashtbl.create 64 and sites = Hashtbl.create 64 in
   let prev = ref 0 in
+  let visit id =
+    Hashtbl.replace edges (E9afl.edge !prev id) ();
+    prev := id
+  in
   (match cpu.on_check with
   | None -> ()
   | Some inner ->
@@ -98,9 +108,14 @@ let execute ?(max_steps = default_config.max_steps)
         (fun c (ck : X64.Isa.check) ->
           let s = ck.X64.Isa.ck_site in
           Hashtbl.replace sites s ();
-          Hashtbl.replace edges (((!prev lsr 1) lxor s) land (E9afl.map_size - 1)) ();
-          prev := s;
+          visit s;
           inner c ck));
+  (* hardened binaries carry no probes; an {!E9afl} build is all probes *)
+  cpu.on_probe <-
+    Some
+      (fun _ id ->
+        visit id;
+        3 (* what the VM charges a probe with no hook: cycles unchanged *));
   let crash =
     match Vm.Cpu.run cpu vmrt ~entry:binary.entry with
     | (_ : int) -> None
@@ -169,7 +184,7 @@ let campaign_loop (eng : Pl.t) (config : config) ~target ~mode ~backend
     ~(seeds : 'a list) ~(run_one : 'a -> exec_result)
     ~(det : 'a -> 'a list) ~(havoc : Mutate.Rng.t -> 'a -> 'a)
     ~(empty : 'a) ~(render : 'a -> string)
-    ~(minimize : (('a -> bool) -> 'a -> 'a) option) : report =
+    ~(minimize : ('a -> bool) -> 'a -> 'a) : report * 'a list =
   let obs = Pl.obs eng in
   let rng = Mutate.Rng.create config.seed in
   let corpus = Corpus.create () in
@@ -230,22 +245,19 @@ let campaign_loop (eng : Pl.t) (config : config) ~target ~mode ~backend
   done;
   (* minimization: sequential, oldest bug first, bounded per bug *)
   let min_execs = ref 0 in
-  (match minimize with
-  | None -> ()
-  | Some minimize ->
-    List.iter
-      (fun b ->
-        match Hashtbl.find_opt raw (b.b_code, b.b_site) with
-        | None -> ()
-        | Some input ->
-          let still cand =
-            incr min_execs;
-            match (run_one cand).x_crash with
-            | Some c -> c.c_code = b.b_code && c.c_site = b.b_site
-            | None -> false
-          in
-          b.b_min_input <- render (minimize still input))
-      (List.rev !bugs));
+  List.iter
+    (fun b ->
+      match Hashtbl.find_opt raw (b.b_code, b.b_site) with
+      | None -> ()
+      | Some input ->
+        let still cand =
+          incr min_execs;
+          match (run_one cand).x_crash with
+          | Some c -> c.c_code = b.b_code && c.c_site = b.b_site
+          | None -> false
+        in
+        b.b_min_input <- render (minimize still input))
+    (List.rev !bugs);
   let r_bugs = List.rev !bugs in
   Obs.add obs ~n:!execs "fuzz.execs";
   Obs.add obs ~n:!crashes "fuzz.crashes";
@@ -254,20 +266,21 @@ let campaign_loop (eng : Pl.t) (config : config) ~target ~mode ~backend
   Obs.add obs ~n:(List.length r_bugs) "fuzz.unique_bugs";
   Obs.add obs ~n:(Corpus.size corpus) "fuzz.corpus_entries";
   Obs.add obs ~n:!min_execs "fuzz.min_execs";
-  {
-    r_target = target;
-    r_mode = mode;
-    r_backend = backend;
-    r_seed = config.seed;
-    r_budget = config.budget;
-    r_execs = !execs;
-    r_crashes = !crashes;
-    r_cov_edges = Corpus.n_edges corpus;
-    r_cov_sites = Corpus.n_sites corpus;
-    r_corpus = Corpus.size corpus;
-    r_min_execs = !min_execs;
-    r_bugs;
-  }
+  ( {
+      r_target = target;
+      r_mode = mode;
+      r_backend = backend;
+      r_seed = config.seed;
+      r_budget = config.budget;
+      r_execs = !execs;
+      r_crashes = !crashes;
+      r_cov_edges = Corpus.n_edges corpus;
+      r_cov_sites = Corpus.n_sites corpus;
+      r_corpus = Corpus.size corpus;
+      r_min_execs = !min_execs;
+      r_bugs;
+    },
+    Corpus.entries corpus )
 
 (* --- minimizers ------------------------------------------------------ *)
 
@@ -292,13 +305,12 @@ let minimize_inputs (still : int list -> bool) (input : int list) : int list =
       end
     done
   done;
-  let shrink v = if v > 0 then v / 2 else if v < 0 then v / 2 else v in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iteri
       (fun i v ->
-        let v' = shrink v in
+        let v' = v / 2 in
         if v' <> v then begin
           let cand = List.mapi (fun j x -> if j = i then v' else x) !cur in
           if still cand then begin
@@ -341,17 +353,33 @@ let minimize_bytes (still : string -> bool) (input : string) : string =
 
 (* --- exec campaigns -------------------------------------------------- *)
 
+let input_campaign eng config ~target ~mode ~profiling ~seeds binary =
+  campaign_loop eng config ~target ~mode
+    ~backend:(Backend.Check_backend.name (Redfat.backend_of_binary binary))
+    ~seeds ~run_one:(execute ~max_steps:config.max_steps ~profiling binary)
+    ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
+    ~render:render_inputs ~minimize:minimize_inputs
+
 (** Fuzz a hardened binary: inputs are VM input scripts, the oracle is
-    the backend recorded in the binary itself. *)
+    the backend recorded in the binary itself.  On a binary carrying
+    {!E9afl} probes, coverage is the probe-edge map. *)
 let run_exec (eng : Pl.t) ?(config = default_config) ~target
     ?(seeds = [ []; [ 0 ] ]) (hard : Binfmt.Relf.t) : report =
-  let backend =
-    Backend.Check_backend.name (Redfat.backend_of_binary hard)
-  in
-  campaign_loop eng config ~target ~mode:"exec" ~backend ~seeds
-    ~run_one:(execute ~max_steps:config.max_steps hard)
-    ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
-    ~render:render_inputs ~minimize:(Some minimize_inputs)
+  fst
+    (input_campaign eng config ~target ~mode:"exec" ~profiling:false ~seeds
+       hard)
+
+(** Grow a profiling test suite (paper §5's coverage booster): fuzz the
+    profiling build of [binary] under a Log-mode profiling runtime, so
+    coverage is the check sites reached.  Returns the report and the
+    kept corpus, oldest first, as a [test_suite] for
+    {!Redfat.profile}. *)
+let run_profile (eng : Pl.t) ?(config = default_config) ~target
+    ?(seeds = [ []; [ 0 ] ]) (binary : Binfmt.Relf.t) :
+    report * int list list =
+  let prof = Pl.harden eng ~opts:Redfat.Rewrite.profiling_build binary in
+  input_campaign eng config ~target ~mode:"profile" ~profiling:true ~seeds
+    prof.binary
 
 (* --- parser campaigns ------------------------------------------------ *)
 
@@ -412,11 +440,12 @@ let parse_once (which : parser_target) (bytes : string) : exec_result =
     fault; any other exception is a parser bug ([run.fault]). *)
 let run_parse (eng : Pl.t) ?(config = default_config)
     ~(which : parser_target) ~(seeds : string list) () : report =
-  campaign_loop eng config ~target:(parser_name which) ~mode:"parse"
-    ~backend:"none" ~seeds
-    ~run_one:(parse_once which)
-    ~det:Mutate.deterministic_stage_bytes ~havoc:Mutate.havoc_bytes ~empty:""
-    ~render:render_bytes ~minimize:(Some minimize_bytes)
+  fst
+    (campaign_loop eng config ~target:(parser_name which) ~mode:"parse"
+       ~backend:"none" ~seeds
+       ~run_one:(parse_once which)
+       ~det:Mutate.deterministic_stage_bytes ~havoc:Mutate.havoc_bytes
+       ~empty:"" ~render:render_bytes ~minimize:minimize_bytes)
 
 (* --- report rendering ------------------------------------------------ *)
 

@@ -27,7 +27,7 @@ type bug = {
 
 type report = {
   r_target : string;
-  r_mode : string;          (** ["exec"] or ["parse"] *)
+  r_mode : string;          (** ["exec"], ["profile"] or ["parse"] *)
   r_backend : string;
   r_seed : int;
   r_budget : int;
@@ -48,10 +48,14 @@ type exec_result = {
 }
 
 val execute :
-  ?max_steps:int -> Binfmt.Relf.t -> int list -> exec_result
+  ?max_steps:int -> ?profiling:bool -> Binfmt.Relf.t -> int list ->
+  exec_result
 (** One execution of a hardened binary under the backend it records,
-    with AFL edge/site coverage and the oracle's verdict.  Pure per
-    call, so executions fan out over domains safely. *)
+    with AFL edge/site coverage and the oracle's verdict.  Edges hash
+    consecutive check sites and consecutive {!E9afl} probe ids.
+    [profiling] swaps in a Log-mode profiling runtime, as
+    {!Redfat.profile_run} uses, so a failed check does not stop the
+    run.  Pure per call, so executions fan out over domains safely. *)
 
 val run_exec :
   Engine.Pipeline.t ->
@@ -62,7 +66,21 @@ val run_exec :
   report
 (** Fuzz a hardened binary (inputs = VM input scripts).  Records
     [fuzz.*] campaign counters and the [fuzz.exec_cycles] histogram
-    into the engine's collector. *)
+    into the engine's collector.  On [(E9afl.instrument b).binary]
+    this is the probe-edge-guided fuzzer. *)
+
+val run_profile :
+  Engine.Pipeline.t ->
+  ?config:config ->
+  target:string ->
+  ?seeds:int list list ->
+  Binfmt.Relf.t ->
+  report * int list list
+(** Grow a profiling test suite for an {e unhardened} binary (paper
+    §5's coverage booster): fuzz its [Rewrite.profiling_build] under a
+    Log-mode profiling runtime, with the check sites reached as
+    coverage.  Returns the report (mode ["profile"]) and the kept
+    corpus, oldest first, as a [test_suite] for {!Redfat.profile}. *)
 
 type parser_target = Relf_parser | Minic_parser
 

@@ -6,19 +6,24 @@
     AFL-style edge map [hash(prev_block, cur_block)].  Unlike the
     redfat profiling build, this works on binaries with {e no} memory
     accesses in the interesting branches, and it is what a fuzzer
-    would actually use for guidance. *)
+    would actually use for guidance: {!Campaign.run_exec} on the
+    instrumented binary is the edge-guided fuzzer. *)
 
 type t = {
   binary : Binfmt.Relf.t;   (** the coverage-instrumented binary *)
   blocks : int;             (** basic blocks instrumented *)
-  map_size : int;
 }
 
 let map_size = 1 lsl 16
 
+(** AFL's classic edge hash: the transition [prev -> cur] as a slot of
+    the [map_size] coverage map.  {!Campaign.execute} hashes check
+    sites and probe ids with it too. *)
+let edge prev cur = ((prev lsr 1) lxor cur) land (map_size - 1)
+
 let instrument (binary : Binfmt.Relf.t) : t =
   let r, blocks = Rewriter.Generic.instrument_blocks binary in
-  { binary = r.binary; blocks; map_size }
+  { binary = r.binary; blocks }
 
 type run = {
   edges : (int, int) Hashtbl.t;  (** edge hash -> hit count *)
@@ -38,8 +43,7 @@ let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
   cpu.on_probe <-
     Some
       (fun _ id ->
-        (* AFL's classic edge hash *)
-        let e = (!prev lsr 1) lxor id land (t.map_size - 1) in
+        let e = edge !prev id in
         Hashtbl.replace edges e (1 + Option.value ~default:0 (Hashtbl.find_opt edges e));
         prev := id;
         3 (* shared-memory counter update *));
@@ -51,42 +55,3 @@ let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
     | exception _ -> false
   in
   { edges; outputs = Vm.Cpu.outputs cpu; verdict_ok = ok }
-
-(** Edge-coverage-guided corpus growth, mirroring {!Fuzzer.fuzz} but
-    guided by the AFL map of the {e original} binary rather than the
-    redfat profiling build's site coverage. *)
-let fuzz ?(seeds = [ [] ]) ?(budget = 300) ?(seed = 1)
-    (binary : Binfmt.Relf.t) : Fuzzer.stats =
-  let t = instrument binary in
-  let r = { Fuzzer.s = max 1 seed } in
-  let covered = Hashtbl.create 256 in
-  let corpus = ref [] in
-  let executions = ref 0 in
-  let try_input inputs =
-    incr executions;
-    let res = run t ~inputs () in
-    let fresh = ref false in
-    Hashtbl.iter
-      (fun e _ ->
-        if not (Hashtbl.mem covered e) then begin
-          Hashtbl.replace covered e ();
-          fresh := true
-        end)
-      res.edges;
-    if !fresh then corpus := inputs :: !corpus
-  in
-  List.iter try_input seeds;
-  for _ = 1 to budget do
-    let c = Array.of_list !corpus in
-    let parent =
-      if Array.length c = 0 then []
-      else c.(Fuzzer.rand r (Array.length c))
-    in
-    try_input (Fuzzer.mutate r parent)
-  done;
-  {
-    Fuzzer.corpus = List.rev !corpus;
-    sites_covered = Hashtbl.length covered;
-    total_sites = t.blocks;
-    executions = !executions;
-  }

@@ -13,10 +13,6 @@ module Rng : sig
   (** [int t n] draws uniformly from [0, n)]; 0 when [n <= 0]. *)
 end
 
-val interesting : int array
-(** Boundary-prone constants tried at every position by the
-    deterministic stage (gate thresholds, powers of two, extremes). *)
-
 val max_stage : int
 (** Upper bound on the candidate count of one deterministic stage. *)
 

@@ -412,17 +412,6 @@ let allowlist t : int list =
       tbl []
     |> List.sort compare
 
-(** All instrumentation sites that executed at least once during a
-    profiling run (used by the coverage-guided profiling fuzzer). *)
-let executed_sites t : int list =
-  match t.profile with
-  | None -> []
-  | Some tbl ->
-    Hashtbl.fold
-      (fun site e acc -> if e.executed > 0 then site :: acc else acc)
-      tbl []
-    |> List.sort compare
-
 (** Sites observed to fail the (LowFat) component at least once: the
     would-be false positives (paper §7.1). *)
 let lowfat_failing_sites t : int list =

@@ -121,8 +121,6 @@ val allowlist : t -> int list
 (** After a profiling run: sites that executed and never failed the
     (LowFat) component (paper §5). *)
 
-val executed_sites : t -> int list
-
 val lowfat_failing_sites : t -> int list
 (** Sites that failed the (LowFat) component at least once: the
     would-be false positives (paper §7.1). *)

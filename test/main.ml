@@ -15,7 +15,7 @@ let () =
       ("shard", Test_shard.tests);
       ("shared-objects", Test_shared_objects.tests);
       ("profile", Test_profile.tests);
-      ("fuzzer", Test_fuzzer.tests);
+      ("fuzzer", Test_fuzz.profile_tests);
       ("fuzz", Test_fuzz.tests);
       ("e9afl", Test_e9afl.tests);
       ("uaf", Test_uaf.tests);

@@ -74,16 +74,27 @@ let test_edge_map_distinguishes_paths () =
 
 let test_edge_fuzzer_explores_branches () =
   (* edge-guided fuzzing discovers the branch structure even though the
-     branches contain no heap accesses *)
-  let seed_only = Fuzz.E9afl.fuzz ~seeds:[ [ 0 ] ] ~budget:0 binary in
-  let fuzzed = Fuzz.E9afl.fuzz ~seeds:[ [ 0 ] ] ~budget:300 ~seed:5 binary in
+     branches contain no heap accesses: a campaign on the probe build
+     is guided by the probe-edge map *)
+  let probed = (Fuzz.E9afl.instrument binary).binary in
+  let eng = Engine.Pipeline.create ~jobs:1 ~cache:false () in
+  Fun.protect ~finally:(fun () -> Engine.Pipeline.close eng) @@ fun () ->
+  let campaign budget =
+    Fuzz.Campaign.run_exec eng
+      ~config:{ Fuzz.Campaign.default_config with budget; seed = 5 }
+      ~target:"branchy" ~seeds:[ [ 0 ] ] probed
+  in
+  (* the budget counts the seed *)
+  let seed_only = campaign 1 and fuzzed = campaign 301 in
   Alcotest.(check bool)
-    (Printf.sprintf "edges grew (%d -> %d)" seed_only.sites_covered
-       fuzzed.sites_covered)
+    (Printf.sprintf "edges grew (%d -> %d)" seed_only.r_cov_edges
+       fuzzed.r_cov_edges)
     true
-    (fuzzed.sites_covered > seed_only.sites_covered);
+    (fuzzed.r_cov_edges > seed_only.r_cov_edges);
   Alcotest.(check bool) "corpus has several inputs" true
-    (List.length fuzzed.corpus >= 3)
+    (fuzzed.r_corpus >= 3);
+  Alcotest.(check (list string)) "no bugs on benign branches" []
+    (List.map (fun (b : Fuzz.Campaign.bug) -> b.b_code) fuzzed.r_bugs)
 
 let test_generic_on_spec_binary () =
   (* block coverage of a real benchmark binary round-trips *)
