@@ -109,7 +109,7 @@ let e9afl name =
 
 (* a store right before a jump target cannot take a jump patch, so the
    rewriter falls back to a trap patch *)
-let trap () =
+let trap_binary () =
   let open X64 in
   let i x = Asm.I x in
   let items =
@@ -131,19 +131,19 @@ let trap () =
     ]
   in
   let code, _ = Asm.assemble ~origin:Lowfat.Layout.code_base items in
-  let bin =
-    {
-      Binfmt.Relf.entry = Lowfat.Layout.code_base;
-      pic = false;
-      stripped = true;
-      sections =
-        [
-          Binfmt.Relf.section ~executable:true ~name:".text"
-            ~addr:Lowfat.Layout.code_base code;
-        ];
-    }
-  in
-  let hard = Rw.rewrite Rw.optimized bin in
+  {
+    Binfmt.Relf.entry = Lowfat.Layout.code_base;
+    pic = false;
+    stripped = true;
+    sections =
+      [
+        Binfmt.Relf.section ~executable:true ~name:".text"
+          ~addr:Lowfat.Layout.code_base code;
+      ];
+  }
+
+let trap () =
+  let hard = Rw.rewrite Rw.optimized (trap_binary ()) in
   let r = Redfat.run_hardened hard.binary in
   line "asm:trap" (Printf.sprintf "traps=%d" hard.stats.trap_patches) r.run
     r.verdict

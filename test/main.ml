@@ -4,6 +4,7 @@ let () =
       ("x64", Test_x64.tests);
       ("vm", Test_vm.tests);
       ("vm-golden", Test_vm_golden.tests);
+      ("digest-golden", Test_digest_golden.tests);
       ("binfmt", Test_binfmt.tests);
       ("lowfat", Test_lowfat.tests);
       ("runtime", Test_runtime.tests);
