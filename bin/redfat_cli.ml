@@ -808,7 +808,7 @@ let trace_cmd =
     cpu.inputs <- parse_inputs inputs;
     List.iter
       (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-      (Redfat.Rewrite.traps_of_binary bin);
+      (Rewriter.Patch.traps_of_binary bin);
     let rt = Redfat_rt.Runtime.create cpu.mem in
     let vmrt = Redfat_rt.Runtime.install rt cpu in
     cpu.rip <- bin.entry;

@@ -132,7 +132,7 @@ let run_hardened ?(options = Runtime.default_options) ?(profiling = false)
     (fun b ->
       List.iter
         (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-        (Rewrite.traps_of_binary b))
+        (Rewriter.Patch.traps_of_binary b))
     (binary :: libs);
   let rt = Runtime.create ~options ~profiling ?random cpu.mem in
   let vmrt = Runtime.install rt cpu in

@@ -51,7 +51,7 @@ val run :
 (** [Error _] for a structurally unauditable binary (no text, not
     hardened, malformed [.elimtab]); otherwise a report whose
     [failures] list the proof obligations that did not discharge.
-    [traps] is the binary's trap table (see [Rewrite.traps_of_binary]);
+    [traps] is the binary's trap table (its [.traptab] section);
     [allow] lists instruction addresses accepted without proof. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -86,7 +86,7 @@ let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
   cpu.inputs <- inputs;
   List.iter
     (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-    (Redfat.Rewrite.traps_of_binary binary);
+    (Rewriter.Patch.traps_of_binary binary);
   let options =
     { Runtime.default_options with
       backend = Redfat.backend_of_binary binary;

@@ -1,9 +1,11 @@
 (** E9AFL-style coverage instrumentation (the paper's §5 cites E9AFL as
     the way to boost profiling coverage on binaries).
 
-    The original binary's basic-block leaders are instrumented with
-    {!Rewriter.Generic} probes; at runtime each probe updates the
-    AFL-style edge map [hash(prev_block, cur_block)].  Unlike the
+    E9AFL is E9Patch's other client: it selects the original binary's
+    basic-block leaders itself and patches each through the same
+    {!Rewriter.Patch} layer as the hardening rewriter, with a [Probe]
+    payload; at runtime each probe updates the AFL-style edge map
+    [hash(prev_block, cur_block)].  Unlike the
     redfat profiling build, this works on binaries with {e no} memory
     accesses in the interesting branches, and it is what a fuzzer
     would actually use for guidance: {!Campaign.run_exec} on the
@@ -21,9 +23,38 @@ let map_size = 1 lsl 16
     sites and probe ids with it too. *)
 let edge prev cur = ((prev lsr 1) lxor cur) land (map_size - 1)
 
+(** Probe every recovered basic-block leader.  Probe ids are dense,
+    numbered from the last block down to 0 at the first.  The
+    trampolines go to an [.e9tool] section: backend detection and
+    [Rewrite.is_hardened] key on [.redfat], which this is not. *)
 let instrument (binary : Binfmt.Relf.t) : t =
-  let r, blocks = Rewriter.Generic.instrument_blocks binary in
-  { binary = r.binary; blocks }
+  let module Cfg = Rewriter.Cfg in
+  let module Patch = Rewriter.Patch in
+  let text = Binfmt.Relf.text_exn binary in
+  let cfg = Cfg.recover ~text_addr:text.addr text.bytes in
+  let leaders =
+    List.filter
+      (fun i ->
+        let a, _, _ = cfg.instrs.(i) in
+        Cfg.is_leader cfg a)
+      (List.init (Cfg.num_instrs cfg) Fun.id)
+  in
+  let blocks = List.length leaders in
+  let p =
+    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text cfg.instrs
+  in
+  List.iteri
+    (fun rank i ->
+      (* every patch start is a leader, which is never evicted anyway *)
+      let tactic, displaced = Patch.decide cfg ~is_start:(fun _ -> false) i in
+      let tramp =
+        Patch.trampoline p
+          ~payload:[ X64.Isa.Probe (blocks - 1 - rank) ]
+          ~displaced
+      in
+      Patch.patch p tactic ~displaced ~tramp)
+    leaders;
+  { binary = Patch.finish p ~name:".e9tool" binary; blocks }
 
 type run = {
   edges : (int, int) Hashtbl.t;  (** edge hash -> hit count *)
@@ -37,7 +68,7 @@ let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
   cpu.inputs <- inputs;
   List.iter
     (fun (a, tgt) -> Hashtbl.replace cpu.trap_table a tgt)
-    (Rewriter.Rewrite.traps_of_binary t.binary);
+    (Rewriter.Patch.traps_of_binary t.binary);
   let edges = Hashtbl.create 256 in
   let prev = ref 0 in
   cpu.on_probe <-

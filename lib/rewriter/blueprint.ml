@@ -2,8 +2,6 @@
    half of a rewrite, interned process-globally by text shape.  See
    blueprint.mli for the sharing/soundness argument. *)
 
-type tactic = Jump | Trap
-
 type bgroup = {
   bg_variant : X64.Isa.variant;
   bg_mem : X64.Isa.mem;
@@ -16,7 +14,7 @@ type bgroup = {
 
 type bplan = {
   bp_first : int;
-  bp_tactic : tactic;
+  bp_tactic : Patch.tactic;
   bp_displaced : int list;
   bp_nsaves : int;
   bp_save_flags : bool;

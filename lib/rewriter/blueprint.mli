@@ -28,13 +28,6 @@
     deterministic result; the duplicate work is observable only via
     the [blueprint.miss] counter, mirroring {!Engine.Cache.memo}). *)
 
-(** Patch tactic at a plan's first member, decided at planning time
-    (it depends only on instruction lengths, leaders and other patch
-    starts). [Jump] covers E9Patch tactics T1/T3: the 5-byte
-    [jmp rel32], with successors evicted into the trampoline when the
-    patched instruction is shorter.  [Trap] is the 1-byte fallback. *)
-type tactic = Jump | Trap
-
 (** One merged check group.  [bg_members] are the guarded sites as
     [(instruction index, planned variant)]; the empty list marks a
     hoisted (loop-preheader) group, whose covered sites are recorded
@@ -50,13 +43,15 @@ type bgroup = {
 }
 
 (** One trampoline-and-patch plan, anchored at instruction index
-    [bp_first].  [bp_displaced] lists the indices re-encoded into the
-    trampoline ([bp_first] plus any evicted successors);
+    [bp_first].  [bp_tactic]/[bp_displaced] are {!Patch.decide}'s
+    decision at planning time (it depends only on instruction lengths,
+    leaders and other patch starts): the tactic and the indices
+    re-encoded into the trampoline;
     [bp_nsaves]/[bp_save_flags] is the save-specialization spec of the
     first emitted group. *)
 type bplan = {
   bp_first : int;
-  bp_tactic : tactic;
+  bp_tactic : Patch.tactic;
   bp_displaced : int list;
   bp_nsaves : int;
   bp_save_flags : bool;

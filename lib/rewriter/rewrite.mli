@@ -148,10 +148,6 @@ val rewrite :
     the text partially patched: all fallible work goes to the
     trampoline buffer first and is rolled back on error. *)
 
-val traps_of_binary : Binfmt.Relf.t -> (int * int) list
-(** Recover the trap table from a hardened binary's [.traptab]
-    section (hardened binaries are self-contained on disk). *)
-
 val is_hardened : Binfmt.Relf.t -> bool
 
 val verify :

@@ -118,35 +118,23 @@ let assemble ~(binary : Binfmt.Relf.t) ~tramp_base (parts : Rewrite.t list) :
   (match parts with
   | [] -> invalid_arg "Shard.assemble: no parts"
   | _ -> ());
-  let patched_text =
-    String.concat "" (List.map (fun p -> part_section p ".text") parts)
-  in
-  let tramp_bytes =
-    String.concat "" (List.map (fun p -> part_section p ".redfat") parts)
+  let concat name =
+    String.concat "" (List.map (fun p -> part_section p name) parts)
   in
   let traps = List.concat_map (fun (p : Rewrite.t) -> p.traps) parts in
-  let traptab =
-    String.concat ""
-      (List.map (fun (a, t) -> Printf.sprintf "%x %x\n" a t) traps)
-  in
-  let elimtab = merge_elimtabs parts in
-  let sections =
-    List.map
-      (fun (s : Binfmt.Relf.section) ->
-        if s.name = ".text" then { s with bytes = patched_text } else s)
-      binary.sections
-    @ [
-        Binfmt.Relf.section ~executable:true ~name:".redfat" ~addr:tramp_base
-          tramp_bytes;
-        Binfmt.Relf.section ~name:Dataflow.Elimtab.section_name ~addr:0 elimtab;
-      ]
-    @
-    if traptab = "" then []
-    else [ Binfmt.Relf.section ~name:".traptab" ~addr:0 traptab ]
+  let binary =
+    Patch.assemble binary ~text:(concat ".text") ~name:".redfat" ~tramp_base
+      ~tramp:(concat ".redfat")
+      ~extra:
+        [
+          Binfmt.Relf.section ~name:Dataflow.Elimtab.section_name ~addr:0
+            (merge_elimtabs parts);
+        ]
+      traps
   in
   let stats =
     match List.map (fun (p : Rewrite.t) -> p.stats) parts with
     | [] -> assert false
     | s :: rest -> List.fold_left add_stats s rest
   in
-  { Rewrite.binary = { binary with sections }; traps; stats }
+  { Rewrite.binary; traps; stats }

@@ -179,14 +179,13 @@ let encode_at b (addr : int) (i : Isa.instr) : unit =
      put_i32 b c.ck_site);
   ignore start
 
-let scratch = Buffer.create 64
-
 (** Encoded length of [i] in bytes.  Independent of the address for
-    every instruction (rel32 fields are fixed-width). *)
+    every instruction (rel32 fields are fixed-width).  The buffer is
+    per call, so domains may encode concurrently. *)
 let length (i : Isa.instr) : int =
-  Buffer.clear scratch;
-  encode_at scratch 0 i;
-  Buffer.length scratch
+  let b = Buffer.create 32 in
+  encode_at b 0 i;
+  Buffer.length b
 
 (** Encode a straight-line sequence starting at [addr]; returns bytes. *)
 let encode_seq ~(addr : int) (is : Isa.instr list) : string =

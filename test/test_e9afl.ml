@@ -1,64 +1,68 @@
-(* The generic instrumentation layer (E9Tool) and E9AFL-style edge
-   coverage. *)
+(* Probe instrumentation through the shared patch layer, and E9AFL-style
+   edge coverage. *)
 
-open Minic.Ast
-open Minic.Build
+module Patch = Rewriter.Patch
 
 (* a program with branch-only behaviour differences: no heap access in
    the gated branches, so redfat site coverage cannot distinguish them
    but edge coverage can *)
-let branchy =
-  Minic.Ast.program
-    [
-      func ~name:"main"
-        [
-          let_ "x" Input;
-          let_ "s" (i 1);
-          if_ (v "x" >: i 10) [ assign "s" (v "s" *: i 3) ] [];
-          if_ (v "x" >: i 100) [ assign "s" (v "s" *: i 5) ] [];
-          if_
-            (v "x" &: i 1 =: i 1)
-            [ assign "s" (v "s" *: i 7) ]
-            [ assign "s" (v "s" +: i 1) ];
-          print_ (v "s");
-          return_ (i 0);
-        ];
-    ]
+let binary = Minic.Codegen.compile Digest_golden.branchy
 
-let binary = Minic.Codegen.compile branchy
+let run_probed (b : Binfmt.Relf.t) inputs =
+  let cpu = Redfat.prepare b in
+  cpu.inputs <- inputs;
+  List.iter
+    (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
+    (Patch.traps_of_binary b);
+  let alloc = Baselines.Sysalloc.create cpu.mem in
+  let (_ : int) =
+    Vm.Cpu.run cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:b.entry
+  in
+  Vm.Cpu.outputs cpu
 
 let test_generic_instrumentation_preserves () =
-  (* instrument EVERY instruction with a probe: outputs unchanged *)
-  let counter = ref 0 in
-  let r =
-    Rewriter.Generic.instrument
-      ~select:(fun _ ->
-        incr counter;
-        Some !counter)
-      binary
-  in
-  Alcotest.(check bool) "many probes" true (r.probes > 20);
+  (* a probe at EVERY instruction: outputs unchanged.  Every instruction
+     is then a patch start, so none can be evicted; the second build
+     patches every instruction no earlier patch displaced, so between
+     them the probe client takes all three tactics the hardening
+     client uses *)
+  let every, every_bin = Digest_golden.probe_build ~evict:false binary in
+  let greedy, greedy_bin = Digest_golden.probe_build ~evict:true binary in
+  Alcotest.(check bool) "many probes" true
+    (Patch.jump_patches every + Patch.trap_patches every > 20);
+  Alcotest.(check int) "no eviction past a patch start" 0
+    (Patch.evictions every);
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ ": jump patch") true
+        (Patch.jump_patches p > 0);
+      Alcotest.(check bool) (name ^ ": trap patch") true
+        (Patch.trap_patches p > 0))
+    [ ("every", every); ("greedy", greedy) ];
+  Alcotest.(check bool) "greedy: eviction" true (Patch.evictions greedy > 0);
   List.iter
     (fun inputs ->
       let base, _ = Redfat.run_baseline ~inputs binary in
-      let cpu = Redfat.prepare r.binary in
-      cpu.inputs <- inputs;
       List.iter
-        (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-        r.traps;
-      let alloc = Baselines.Sysalloc.create cpu.mem in
-      let (_ : int) =
-        Vm.Cpu.run cpu (Baselines.Sysalloc.vm_runtime alloc)
-          ~entry:r.binary.entry
-      in
-      Alcotest.(check (list int)) "outputs preserved" base.outputs
-        (Vm.Cpu.outputs cpu))
+        (fun b ->
+          Alcotest.(check (list int)) "outputs preserved" base.outputs
+            (run_probed b inputs))
+        [ every_bin; greedy_bin ])
     [ [ 0 ]; [ 11 ]; [ 101 ]; [ 7 ] ]
 
 let test_block_instrumentation_counts () =
-  let r, blocks = Rewriter.Generic.instrument_blocks binary in
-  Alcotest.(check bool) "several blocks" true (blocks >= 6);
-  Alcotest.(check int) "one probe per block" blocks r.probes
+  let t = Fuzz.E9afl.instrument binary in
+  let probes =
+    match Binfmt.Relf.find_section t.binary ".e9tool" with
+    | None -> 0
+    | Some s ->
+      List.length
+        (List.filter
+           (fun (_, i, _) -> match i with X64.Isa.Probe _ -> true | _ -> false)
+           (X64.Disasm.sweep ~addr:s.addr s.bytes))
+  in
+  Alcotest.(check bool) "several blocks" true (t.blocks >= 6);
+  Alcotest.(check int) "one probe per block" t.blocks probes
 
 let test_edge_map_distinguishes_paths () =
   let t = Fuzz.E9afl.instrument binary in
