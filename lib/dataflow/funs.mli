@@ -23,8 +23,8 @@
     availability transfer kills all facts at calls while every region
     start is an analysis root (boundary = no facts) — so facts,
     dominance queries and liveness restricted to a region are equal in
-    both graphs.  [None] means "rewrite monolithically"; it is always
-    sound to fall back. *)
+    both graphs.  [None] means "keep the text as one region"; that is
+    always sound. *)
 
 type fn = {
   f_first : int;  (** index of the region's first instruction *)

@@ -29,7 +29,9 @@ val create :
   ?enabled:bool -> ?dir:string -> ?notify:(string -> unit) -> unit -> t
 (** [dir]: enable the disk tier in that directory (created on
     demand).  [enabled = false] turns the cache into a pass-through
-    that counts every lookup as a miss.  [notify]: called with
+    that touches no stats and calls no [notify]: {!find_opt} answers
+    [None], {!put} stores nothing and {!memo} always computes.
+    [notify]: called with
     ["hit.mem"], ["hit.disk"], ["miss"], ["store"], ["stale"],
     ["corrupt"], or ["store-failed"] per lookup outcome (outside the
     cache lock, from the calling domain — e.g. to bump lock-free [Obs]

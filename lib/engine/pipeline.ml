@@ -6,36 +6,25 @@ type t = {
   rep : Report.t;
   strict : bool;
   inject : Faultinject.t;
-  mutable closed : bool;
 }
 
 let create ?(jobs = 1) ?(cache = true) ?cache_dir ?(strict = false)
     ?(inject = Faultinject.none) () =
   let rep = Report.create () in
   let obs = Report.obs rep in
-  let t =
-    {
-      pool = Pool.create ~jobs ~obs ();
-      cache =
-        Cache.create ~enabled:cache ?dir:cache_dir
-          ~notify:(fun ev -> Obs.add obs ("cache." ^ ev))
-          ();
-      rep;
-      strict;
-      inject;
-      closed = false;
-    }
-  in
-  Report.set_jobs t.rep (max 1 jobs);
-  at_exit (fun () -> if not t.closed then Pool.close t.pool);
-  t
+  Report.set_jobs rep (max 1 jobs);
+  {
+    pool = Pool.create ~jobs ~obs ();
+    cache =
+      Cache.create ~enabled:cache ?dir:cache_dir
+        ~notify:(fun ev -> Obs.add obs ("cache." ^ ev))
+        ();
+    rep;
+    strict;
+    inject;
+  }
 
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    Pool.close t.pool
-  end
-
+let close t = Pool.close t.pool
 let jobs t = Pool.jobs t.pool
 let report t = t.rep
 let obs t = Report.obs t.rep
@@ -122,119 +111,75 @@ let compile t (prog : Minic.Ast.program) =
   in
   memo t ~key (fun () -> Minic.Codegen.compile prog)
 
-(* the whole-binary harden path: one artifact keyed by the serialized
-   input *)
-let harden_monolithic t ?tramp_base ~opts bin =
-  let key =
-    Cache.key ~kind:"harden"
-      [
-        Binfmt.Relf.serialize bin;
-        Rw.options_key opts;
-        string_of_int (Option.value tramp_base ~default:(-1));
-        inject_key t;
-        (if t.strict then "abort" else "degrade");
-      ]
-  in
-  memo t ~key (fun () ->
-      Rw.rewrite ?tramp_base ~obs:(obs t)
-        ~on_fault:(if t.strict then Rw.Abort else Rw.Degrade)
-        ?fault_hook:
-          (Faultinject.hook_fn t.inject ~label:(Domain.DLS.get target_key))
-        opts bin)
-
-(* the function-granular harden path: each slice is rewritten with a
-   chained trampoline base and cached by its own content digest, so a
-   one-function edit re-plans exactly the functions whose (base,
-   address, bytes) triple changed; the spliced result is byte-identical
-   to [harden_monolithic]'s (see Shard's contract and the shard parity
-   tests).  A binary-level manifest keyed by every slice digest serves
-   the fully-unchanged case without touching per-function artifacts. *)
-let harden_sharded t ~base ~opts ~fixed bin slices =
-  let o = obs t in
-  let fault_hook =
-    Faultinject.hook_fn t.inject ~label:(Domain.DLS.get target_key)
-  in
-  (* sequential: slice k's cache key depends on the chained base,
-     i.e. on the trampoline sizes of slices 0..k-1.  Slices sharing
-     (base, address, bytes) alias on purpose: identical functions at
-     identical placements rewrite identically even across binaries *)
-  let next_base = ref base in
-  let parts =
-    List.map
-      (fun (sl : Redfat.Shard.slice) ->
-        let fkey =
-          Cache.key ~kind:"fnart"
-            (fixed
-            @ [
-                string_of_int !next_base;
-                string_of_int sl.sl_addr;
-                sl.sl_digest;
-              ])
-        in
-        let part =
-          match Cache.find_opt t.cache ~key:fkey with
-          | Some (p : Rw.t) ->
-            Obs.add o "harden.fn.hit";
-            p
-          | None ->
-            Obs.add o "harden.fn.miss";
-            let p =
-              Rw.rewrite ~tramp_base:!next_base ~obs:o
-                ~on_fault:(if t.strict then Rw.Abort else Rw.Degrade)
-                ?fault_hook opts
-                (Redfat.Shard.slice_binary bin sl)
-            in
-            Cache.put t.cache ~key:fkey p;
-            p
-        in
-        next_base := !next_base + part.Rw.stats.tramp_bytes;
-        part)
-      slices
-  in
-  Redfat.Shard.assemble ~binary:bin ~tramp_base:base parts
-
+(* one path for every harden.  The manifest is keyed by the whole
+   input, so an unchanged binary is served without even sweeping its
+   text.  On a miss each slice is rewritten with a chained trampoline
+   base and cached by its own content digest, so a one-function edit
+   re-plans exactly the functions whose (base, address, bytes) triple
+   changed; slices sharing that triple alias on purpose, as identical
+   functions at identical placements rewrite identically even across
+   binaries.  The spliced result is byte-identical to a whole-binary
+   rewrite (see Shard's contract and the shard parity tests).  With
+   the cache off nothing can be reused and sharding would only add
+   splice work, so the text is one slice. *)
 let harden t ?tramp_base ?(opts = Rw.optimized) bin =
   Report.timed t.rep "harden" @@ fun () ->
   hook t "harden";
-  if not (Cache.enabled t.cache) then
-    (* without a cache there is nothing to reuse and sharding only
-       adds splice work: rewrite whole *)
-    harden_monolithic t ?tramp_base ~opts bin
-  else begin
-    let o = obs t in
-    let base = Option.value tramp_base ~default:Rw.default_tramp_base in
-    let fixed =
-      [
-        Rw.options_key opts;
-        inject_key t;
-        (if t.strict then "abort" else "degrade");
-      ]
+  hook t "cache";
+  let o = obs t in
+  let base = Option.value tramp_base ~default:Rw.default_tramp_base in
+  let fixed =
+    [
+      Rw.options_key opts;
+      inject_key t;
+      (if t.strict then "abort" else "degrade");
+    ]
+  in
+  let mkey =
+    Cache.key ~kind:"manifest"
+      (Binfmt.Relf.serialize bin :: string_of_int base :: fixed)
+  in
+  match Cache.find_opt t.cache ~key:mkey with
+  | Some ((r : Rw.t), nfns) ->
+    Obs.add o "harden.manifest.hit";
+    Obs.add o ~n:nfns "harden.fn.hit";
+    r
+  | None ->
+    Obs.add o "harden.manifest.miss";
+    let slices =
+      if Cache.enabled t.cache then Redfat.Shard.slices bin
+      else [ Redfat.Shard.whole bin ]
     in
-    (* the manifest is keyed by the whole input, so an unchanged
-       binary is served without even sweeping its text; any edit
-       misses here and falls through to the per-function tier, where
-       every untouched function still hits *)
-    let mkey =
-      Cache.key ~kind:"manifest"
-        (Binfmt.Relf.serialize bin :: string_of_int base :: fixed)
+    let fault_hook =
+      Faultinject.hook_fn t.inject ~label:(Domain.DLS.get target_key)
     in
-    match Cache.find_opt t.cache ~key:mkey with
-    | Some ((r : Rw.t), nfns) ->
-      Obs.add o "harden.manifest.hit";
-      Obs.add o ~n:nfns "harden.fn.hit";
-      r
-    | None -> (
-      Obs.add o "harden.manifest.miss";
-      match Redfat.Shard.slices bin with
+    let part ~tramp_base (sl : Redfat.Shard.slice) slice_bin =
+      let fkey =
+        Cache.key ~kind:"fnart"
+          (fixed
+          @ [
+              string_of_int tramp_base;
+              string_of_int sl.sl_addr;
+              sl.sl_digest;
+            ])
+      in
+      match Cache.find_opt t.cache ~key:fkey with
+      | Some (p : Rw.t) ->
+        Obs.add o "harden.fn.hit";
+        p
       | None ->
-        (* not shardable (single function, or an isolation condition
-           failed): the whole-binary artifact is the unit of reuse *)
-        harden_monolithic t ?tramp_base ~opts bin
-      | Some slices ->
-        let r = harden_sharded t ~base ~opts ~fixed bin slices in
-        Cache.put t.cache ~key:mkey (r, List.length slices);
-        r)
-  end
+        Obs.add o "harden.fn.miss";
+        let p =
+          Rw.rewrite ~tramp_base ~obs:o
+            ~on_fault:(if t.strict then Rw.Abort else Rw.Degrade)
+            ?fault_hook opts slice_bin
+        in
+        Cache.put t.cache ~key:fkey p;
+        p
+    in
+    let r = Redfat.Shard.rewrite ~tramp_base:base bin slices part in
+    Cache.put t.cache ~key:mkey (r, List.length slices);
+    r
 
 let profile t ?max_steps ~test_suite bin =
   let prof = harden t ~opts:Rw.profiling_build bin in

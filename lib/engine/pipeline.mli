@@ -25,7 +25,10 @@ val create :
     artifacts. *)
 
 val close : t -> unit
-(** Join the worker domains.  Also registered [at_exit]; idempotent. *)
+(** Join the worker domains ({!Pool.close}): idempotent, and also run
+    [at_exit] once the pool has spawned them.  Nothing else holds an
+    engine, so a dropped one is collected with its cache's memory
+    tier. *)
 
 val jobs : t -> int
 val report : t -> Report.t
@@ -85,8 +88,10 @@ val compile : t -> Minic.Ast.program -> Binfmt.Relf.t
 val harden :
   t -> ?tramp_base:int -> ?opts:Redfat.Rewrite.options -> Binfmt.Relf.t ->
   Redfat.Rewrite.t
-(** Statically rewrite; cached on Digest(RELF bytes) + options key +
-    trampoline base. *)
+(** Statically rewrite through {!Redfat.Shard.rewrite}: a manifest
+    keyed by Digest(RELF bytes) + options key + trampoline base, then
+    one artifact per slice ({!Redfat.Shard.slices} when the cache is
+    enabled, the whole text when it is not). *)
 
 val profile :
   t -> ?max_steps:int -> test_suite:int list list -> Binfmt.Relf.t ->

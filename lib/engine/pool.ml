@@ -122,10 +122,25 @@ let worker t w () =
   in
   loop ()
 
+let close t =
+  Mutex.lock t.lock;
+  while t.batch <> None do
+    Condition.wait t.cond t.lock
+  done;
+  t.closing <- true;
+  Condition.broadcast t.cond;
+  let ds = t.domains in
+  t.domains <- [];
+  Mutex.unlock t.lock;
+  List.iter Domain.join ds
+
+(* the exit hook captures only the pool, so a dropped engine is never
+   pinned by it *)
 let ensure_started t =
   if not t.started then begin
     t.started <- true;
-    t.domains <- List.init t.n (fun w -> Domain.spawn (worker t w))
+    t.domains <- List.init t.n (fun w -> Domain.spawn (worker t w));
+    at_exit (fun () -> close t)
   end
 
 let map t f tasks =
@@ -201,15 +216,3 @@ let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
    builds per-target records from these *)
 let map_result t f xs =
   map_list t (fun x -> try Ok (f x) with e -> Error e) xs
-
-let close t =
-  Mutex.lock t.lock;
-  while t.batch <> None do
-    Condition.wait t.cond t.lock
-  done;
-  t.closing <- true;
-  Condition.broadcast t.cond;
-  let ds = t.domains in
-  t.domains <- [];
-  Mutex.unlock t.lock;
-  List.iter Domain.join ds

@@ -39,4 +39,5 @@ val map_result : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
 val close : t -> unit
 (** Join all worker domains.  Idempotent; the pool is unusable for
-    parallel batches afterwards (maps fall back to sequential). *)
+    parallel batches afterwards (maps fall back to sequential).  Also
+    registered [at_exit] by the first batch that spawns the domains. *)

@@ -8,37 +8,33 @@ type slice = {
   sl_digest : string;
 }
 
-let slices (b : Binfmt.Relf.t) : slice list option =
-  match Binfmt.Relf.find_section b ".text" with
-  | None -> None
-  | Some text -> (
-    let instrs =
-      Array.of_list (X64.Disasm.sweep ~addr:text.addr text.bytes)
-    in
-    match Dataflow.Funs.partition ~text_addr:text.addr instrs with
-    | None -> None
-    | Some fns ->
-      (* the partition is gapless from the text base, but a
-         desynchronized sweep can still stop short of the section end;
-         bytes no slice owns would be lost on reassembly *)
-      let covered =
-        List.fold_left (fun s (f : Dataflow.Funs.fn) -> s + f.f_len) 0 fns
-      in
-      if covered <> String.length text.bytes then None
-      else
-        Some
-          (List.map
-             (fun (f : Dataflow.Funs.fn) ->
-               let bytes =
-                 String.sub text.bytes (f.f_addr - text.addr) f.f_len
-               in
-               {
-                 sl_addr = f.f_addr;
-                 sl_len = f.f_len;
-                 sl_bytes = bytes;
-                 sl_digest = Digest.to_hex (Digest.string bytes);
-               })
-             fns))
+let slice_of (text : Binfmt.Relf.section) addr len =
+  let bytes = String.sub text.bytes (addr - text.addr) len in
+  {
+    sl_addr = addr;
+    sl_len = len;
+    sl_bytes = bytes;
+    sl_digest = Digest.to_hex (Digest.string bytes);
+  }
+
+let whole (b : Binfmt.Relf.t) : slice =
+  let text = Binfmt.Relf.text_exn b in
+  slice_of text text.addr (String.length text.bytes)
+
+(* the partition is gapless from the text base, but a desynchronized
+   sweep can still stop short of the section end; bytes no slice owns
+   would be lost on reassembly, so such a text stays whole *)
+let covers (text : Binfmt.Relf.section) fns =
+  List.fold_left (fun s (f : Dataflow.Funs.fn) -> s + f.f_len) 0 fns
+  = String.length text.bytes
+
+let slices (b : Binfmt.Relf.t) : slice list =
+  let text = Binfmt.Relf.text_exn b in
+  let instrs = Array.of_list (X64.Disasm.sweep ~addr:text.addr text.bytes) in
+  match Dataflow.Funs.partition ~text_addr:text.addr instrs with
+  | Some fns when covers text fns ->
+    List.map (fun (f : Dataflow.Funs.fn) -> slice_of text f.f_addr f.f_len) fns
+  | _ -> [ whole b ]
 
 let slice_binary (b : Binfmt.Relf.t) (s : slice) : Binfmt.Relf.t =
   {
@@ -65,11 +61,11 @@ let merge_elimtabs (parts : Rewrite.t list) : string =
             (part_section p Dataflow.Elimtab.section_name)
         with
         | Ok t -> t
-        | Error e -> invalid_arg ("Shard.assemble: bad part elimtab: " ^ e))
+        | Error e -> invalid_arg ("Shard.rewrite: bad part elimtab: " ^ e))
       parts
   in
   match tabs with
-  | [] -> invalid_arg "Shard.assemble: no parts"
+  | [] -> invalid_arg "Shard.rewrite: no slices"
   | first :: _ ->
     (* each part sorted its own entries; the monolithic table is the
        sort of their union, and the policy line is uniform across
@@ -108,16 +104,13 @@ let add_stats (a : Rewrite.stats) (b : Rewrite.stats) : Rewrite.stats =
       (* every rewrite carries the same fixed kind list, in order *)
       List.map2
         (fun (k, va) (k', vb) ->
-          if k <> k' then invalid_arg "Shard.assemble: kind mismatch";
+          if k <> k' then invalid_arg "Shard.rewrite: kind mismatch";
           (k, va + vb))
         a.checks_by_kind b.checks_by_kind;
   }
 
 let assemble ~(binary : Binfmt.Relf.t) ~tramp_base (parts : Rewrite.t list) :
     Rewrite.t =
-  (match parts with
-  | [] -> invalid_arg "Shard.assemble: no parts"
-  | _ -> ());
   let concat name =
     String.concat "" (List.map (fun p -> part_section p name) parts)
   in
@@ -138,3 +131,15 @@ let assemble ~(binary : Binfmt.Relf.t) ~tramp_base (parts : Rewrite.t list) :
     | s :: rest -> List.fold_left add_stats s rest
   in
   { Rewrite.binary; traps; stats }
+
+(* sequential: slice k's trampoline base is the global base plus the
+   trampoline bytes of slices 0..k-1 *)
+let rewrite ~tramp_base binary slices part =
+  let _, parts =
+    List.fold_left_map
+      (fun base sl ->
+        let p = part ~tramp_base:base sl (slice_binary binary sl) in
+        (base + p.Rewrite.stats.tramp_bytes, p))
+      tramp_base slices
+  in
+  assemble ~binary ~tramp_base parts

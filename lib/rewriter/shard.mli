@@ -1,20 +1,18 @@
 (** Function-granular sharding of a rewrite.
 
     [slices] splits a binary's text into the function regions of
-    {!Dataflow.Funs.partition} (each with a content digest, the unit
-    of incremental caching); [slice_binary] wraps one region as a
-    self-contained single-section binary the rewriter accepts; and
-    [assemble] splices the per-region rewrites back into the original
-    binary.
+    {!Dataflow.Funs.partition}, each with a content digest (the unit
+    of incremental caching); [rewrite] rewrites the slices one by one
+    with chained trampoline bases and splices the parts back into the
+    original binary.
 
     The contract — enforced by the partition's isolation conditions
-    and the chained trampoline bases — is that the assembled result is
-    {e byte-identical} to a monolithic {!Rewrite.rewrite} of the whole
-    binary: same patched text, same trampoline section, same trap
-    table, same [.elimtab], same stats.  [slices] returns [None]
-    whenever that guarantee cannot be established (non-contiguous
-    sweep, fewer than two regions, or any isolation condition fails),
-    and callers fall back to the monolithic path. *)
+    and the chained trampoline bases — is that the result is
+    {e byte-identical} to {!Rewrite.rewrite} of the whole binary: same
+    patched text, same trampoline section, same trap table, same
+    [.elimtab], same stats.  Where the partition cannot establish that
+    (non-contiguous sweep, fewer than two regions, or any isolation
+    condition fails), the text is one slice, {!whole}. *)
 
 type slice = {
   sl_addr : int;     (** load address of the region *)
@@ -25,20 +23,25 @@ type slice = {
           cache-key component *)
 }
 
-val slices : Binfmt.Relf.t -> slice list option
-(** Partition the binary's text.  [None]: shard-rewriting cannot be
-    proven equivalent; rewrite monolithically. *)
+val whole : Binfmt.Relf.t -> slice
+(** The whole text as one slice.  Raises [Invalid_argument] when the
+    binary has no [.text]. *)
 
-val slice_binary : Binfmt.Relf.t -> slice -> Binfmt.Relf.t
-(** A single-[.text] binary holding just the slice (entry at the
-    slice base; [pic]/[stripped] inherited), suitable for
-    {!Rewrite.rewrite} with a chained [tramp_base]. *)
+val slices : Binfmt.Relf.t -> slice list
+(** Partition the binary's text into slices that tile it in address
+    order; [[whole b]] when the partition declines. *)
 
-val assemble :
-  binary:Binfmt.Relf.t -> tramp_base:int -> Rewrite.t list -> Rewrite.t
-(** Splice per-slice rewrites (in slice order, rewritten with chained
-    trampoline bases starting at [tramp_base]) back into [binary]:
-    concatenated patched texts replace [.text], concatenated
-    trampolines form [.redfat] at [tramp_base], trap tables
-    concatenate, elimination tables merge (entries re-sorted, policy
-    from the first part), stats sum pointwise. *)
+val rewrite :
+  tramp_base:int -> Binfmt.Relf.t -> slice list ->
+  (tramp_base:int -> slice -> Binfmt.Relf.t -> Rewrite.t) -> Rewrite.t
+(** [rewrite ~tramp_base binary slices part]: call [part ~tramp_base
+    slice slice_bin] on each slice in order, where [slice_bin] is a
+    single-[.text] binary holding just the slice (entry at the slice
+    base) and [tramp_base] is the global base plus the trampoline
+    bytes of the slices before it; [part] returns that slice's
+    rewrite, e.g. {!Rewrite.rewrite} at that base or a cached copy of
+    one.  The parts are then spliced into [binary]: patched texts
+    concatenate into [.text], trampolines into [.redfat] at the global
+    [tramp_base], trap tables concatenate, elimination tables merge
+    (entries re-sorted, policy from the first part), stats sum
+    pointwise.  Raises [Invalid_argument] on an empty slice list. *)

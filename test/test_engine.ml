@@ -107,13 +107,8 @@ let test_disk_cache_warm_start () =
     let bin = Pl.compile eng (Workloads.Spec.program spec) in
     let hard = Pl.harden eng bin in
     let st = Pl.cache_stats eng in
-    (* compile + (sharded: one artifact per function and a manifest;
-       monolithic fallback: one harden blob) *)
-    let expected =
-      match Redfat.Shard.slices bin with
-      | Some sls -> 2 + List.length sls
-      | None -> 2
-    in
+    (* compile + a manifest + one artifact per slice *)
+    let expected = 2 + List.length (Redfat.Shard.slices bin) in
     Alcotest.(check int) "cold run stores artifacts" expected
       st.Engine.Cache.stores;
     Binfmt.Relf.serialize hard.Rw.binary
@@ -194,6 +189,51 @@ let test_sharded_harden_concurrent () =
   ignore (Pl.harden eng bin);
   Alcotest.(check bool) "manifest serves repeat lookups" true
     ((Pl.cache_stats eng).Engine.Cache.hits > st0)
+
+(* binaries the partitioner declines take the same manifest/slice path
+   as one whole-text slice: byte-identical to a whole-binary rewrite,
+   and served from the manifest on the next harden *)
+let test_unpartitionable_harden () =
+  List.iter
+    (fun (c : Workloads.Fuzzbugs.case) ->
+      let bin = Workloads.Fuzzbugs.binary c in
+      with_engine @@ fun eng ->
+      let harden backend =
+        let opts = { Rw.optimized with backend } in
+        let name = c.id ^ "/" ^ Backend.Check_backend.name backend in
+        let mono = Rw.rewrite opts bin and hard = Pl.harden eng ~opts bin in
+        Alcotest.(check bool) (name ^ ": == Rewrite.rewrite") true
+          (Binfmt.Relf.serialize mono.Rw.binary
+           = Binfmt.Relf.serialize hard.Rw.binary
+          && mono.Rw.traps = hard.Rw.traps
+          && mono.Rw.stats = hard.Rw.stats)
+      in
+      List.iter harden Backend.Check_backend.all;
+      harden (List.hd Backend.Check_backend.all);
+      Alcotest.(check int) (c.id ^ ": manifest hit") 1
+        (Obs.counter (Pl.obs eng) "harden.manifest.hit"))
+    Workloads.Fuzzbugs.all
+
+(* nothing outside an engine holds it: once dropped it is collected,
+   whether or not its pool has spawned worker domains *)
+let test_dropped_engine_collected () =
+  let collected jobs =
+    let w = Weak.create 1 in
+    let[@inline never] use () =
+      let eng = Pl.create ~jobs () in
+      let bin =
+        Pl.compile eng (Workloads.Spec.program (Workloads.Spec.find "mcf"))
+      in
+      ignore (Pl.harden eng bin);
+      if jobs > 1 then ignore (Pl.map eng Fun.id [ 1; 2; 3; 4 ]);
+      Weak.set w 0 (Some eng)
+    in
+    use ();
+    Gc.full_major ();
+    not (Weak.check w 0)
+  in
+  Alcotest.(check bool) "jobs:1 engine collected" true (collected 1);
+  Alcotest.(check bool) "jobs:2 engine collected" true (collected 2)
 
 (* --- parallel == sequential on the paper's experiments --------------- *)
 
@@ -340,6 +380,10 @@ let tests =
       test_cache_memo_concurrent;
     Alcotest.test_case "cache: concurrent sharded harden converges" `Quick
       test_sharded_harden_concurrent;
+    Alcotest.test_case "harden: unpartitionable binaries" `Quick
+      test_unpartitionable_harden;
+    Alcotest.test_case "lifecycle: dropped engine is collected" `Quick
+      test_dropped_engine_collected;
     Alcotest.test_case "table1 subset: parallel == sequential" `Slow
       test_table1_parallel_eq_sequential;
     Alcotest.test_case "juliet subset: parallel == sequential" `Slow

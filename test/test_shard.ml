@@ -10,57 +10,62 @@ module Rw = Rewriter.Rewrite
 module Shard = Rewriter.Shard
 module CB = Backend.Check_backend
 
-(* Rewrite each slice with the chained base, then reassemble. *)
-let shard_rewrite opts binary =
-  match Shard.slices binary with
-  | None -> None
-  | Some sls ->
-    let base = ref Rw.default_tramp_base in
-    let parts =
-      List.map
-        (fun sl ->
-          let p =
-            Rw.rewrite ~tramp_base:!base opts (Shard.slice_binary binary sl)
-          in
-          base := !base + p.Rw.stats.tramp_bytes;
-          p)
-        sls
-    in
-    Some (List.length sls, Shard.assemble ~binary ~tramp_base:Rw.default_tramp_base parts)
+(* The slices of a binary the partitioner must accept. *)
+let partitioned name binary =
+  let sls = Shard.slices binary in
+  if List.length sls < 2 then Alcotest.failf "%s: expected >= 2 slices" name;
+  sls
 
-let check_parity name opts binary =
+let check_parity name opts binary slices =
   let mono = Rw.rewrite opts binary in
-  match shard_rewrite opts binary with
-  | None -> Alcotest.failf "%s: expected a shardable binary" name
-  | Some (nslices, sharded) ->
-    if nslices < 2 then Alcotest.failf "%s: expected >= 2 slices" name;
-    Alcotest.(check bool)
-      (name ^ ": serialized binary byte-identical")
-      true
-      (Binfmt.Relf.serialize mono.Rw.binary
-      = Binfmt.Relf.serialize sharded.Rw.binary);
-    Alcotest.(check (list (pair int int)))
-      (name ^ ": trap table") mono.Rw.traps sharded.Rw.traps;
-    Alcotest.(check int)
-      (name ^ ": checks emitted")
-      mono.Rw.stats.checks_emitted sharded.Rw.stats.checks_emitted;
-    Alcotest.(check int)
-      (name ^ ": eliminated (global)")
-      mono.Rw.stats.eliminated_global sharded.Rw.stats.eliminated_global;
-    Alcotest.(check (list (pair string int)))
-      (name ^ ": checks by kind")
-      mono.Rw.stats.checks_by_kind sharded.Rw.stats.checks_by_kind;
-    match Rw.verify sharded.Rw.binary with
-    | Ok r ->
-      Alcotest.(check bool) (name ^ ": verifies") true (Df.Verify.ok r)
-    | Error e -> Alcotest.fail (name ^ ": " ^ e)
+  let sharded =
+    Shard.rewrite ~tramp_base:Rw.default_tramp_base binary slices
+      (fun ~tramp_base _ bin -> Rw.rewrite ~tramp_base opts bin)
+  in
+  Alcotest.(check bool)
+    (name ^ ": serialized binary byte-identical")
+    true
+    (Binfmt.Relf.serialize mono.Rw.binary
+    = Binfmt.Relf.serialize sharded.Rw.binary);
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": trap table") mono.Rw.traps sharded.Rw.traps;
+  Alcotest.(check int)
+    (name ^ ": checks emitted")
+    mono.Rw.stats.checks_emitted sharded.Rw.stats.checks_emitted;
+  Alcotest.(check int)
+    (name ^ ": eliminated (global)")
+    mono.Rw.stats.eliminated_global sharded.Rw.stats.eliminated_global;
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": checks by kind")
+    mono.Rw.stats.checks_by_kind sharded.Rw.stats.checks_by_kind;
+  match Rw.verify sharded.Rw.binary with
+  | Ok r ->
+    Alcotest.(check bool) (name ^ ": verifies") true (Df.Verify.ok r)
+  | Error e -> Alcotest.fail (name ^ ": " ^ e)
 
 (* Every bench in the suite, default optimized preset. *)
 let test_corpus_optimized () =
   List.iter
     (fun (b : Workloads.Spec.bench) ->
-      check_parity b.name Rw.optimized (Workloads.Spec.binary b))
+      let bin = Workloads.Spec.binary b in
+      check_parity b.name Rw.optimized bin (partitioned b.name bin))
     Workloads.Spec.all
+
+(* The one-slice layout a declined partition (or a disabled cache)
+   falls back to: every SPEC binary, and a seeded-bug binary the
+   partitioner declines. *)
+let test_whole_slice () =
+  List.iter
+    (fun (b : Workloads.Spec.bench) ->
+      let bin = Workloads.Spec.binary b in
+      check_parity (b.name ^ "/whole") Rw.optimized bin [ Shard.whole bin ])
+    Workloads.Spec.all;
+  let c = List.hd Workloads.Fuzzbugs.all in
+  let bin = Workloads.Fuzzbugs.binary c in
+  Alcotest.(check int)
+    (c.id ^ ": partition declined") 1
+    (List.length (Shard.slices bin));
+  check_parity (c.id ^ "/whole") Rw.optimized bin [ Shard.whole bin ]
 
 (* A slice of the corpus across every preset x backend combination
    (the full product over 29 benches would dominate the suite's
@@ -83,7 +88,7 @@ let test_presets_and_backends () =
               let name =
                 Printf.sprintf "%s/%s/%s" b.name pname (CB.name backend)
               in
-              check_parity name opts bin)
+              check_parity name opts bin (partitioned name bin))
             CB.all)
         [
           ("unoptimized", Rw.unoptimized);
@@ -106,41 +111,38 @@ let test_allowlist_parity () =
   let sites = List.mapi (fun i (a, _) -> (i, a)) probe.Rw.traps in
   let allow = List.filter_map (fun (i, a) -> if i mod 2 = 0 then Some a else None) sites in
   check_parity "gcc/production" (Rw.production ~allowlist:allow) bin
+    (partitioned "gcc" bin)
 
 (* Slices are stable: same binary, same partition, same digests. *)
 let test_slices_deterministic () =
   let b = List.hd Workloads.Spec.all in
   let bin = Workloads.Spec.binary b in
-  match (Shard.slices bin, Shard.slices bin) with
-  | Some a, Some b ->
-    Alcotest.(check int) "slice count" (List.length a) (List.length b);
-    List.iter2
-      (fun (x : Shard.slice) (y : Shard.slice) ->
-        Alcotest.(check string) "digest" x.sl_digest y.sl_digest;
-        Alcotest.(check int) "addr" x.sl_addr y.sl_addr)
-      a b
-  | _ -> Alcotest.fail "expected shardable binary"
+  let first = partitioned b.name bin and again = Shard.slices bin in
+  Alcotest.(check int) "slice count" (List.length first) (List.length again);
+  List.iter2
+    (fun (x : Shard.slice) (y : Shard.slice) ->
+      Alcotest.(check string) "digest" x.sl_digest y.sl_digest;
+      Alcotest.(check int) "addr" x.sl_addr y.sl_addr)
+    first again
 
 (* Slice byte ranges tile the text exactly. *)
 let test_slices_cover_text () =
   List.iter
     (fun (b : Workloads.Spec.bench) ->
       let bin = Workloads.Spec.binary b in
-      match Shard.slices bin with
-      | None -> Alcotest.failf "%s: expected shardable" b.name
-      | Some sls ->
-        let text = Binfmt.Relf.text_exn bin in
-        let total =
-          List.fold_left (fun s (sl : Shard.slice) -> s + sl.sl_len) 0 sls
-        in
-        Alcotest.(check int)
-          (b.name ^ ": coverage")
-          (String.length text.bytes) total;
-        let joined =
-          String.concat "" (List.map (fun (sl : Shard.slice) -> sl.sl_bytes) sls)
-        in
-        Alcotest.(check bool)
-          (b.name ^ ": bytes tile") true (joined = text.bytes))
+      let sls = partitioned b.name bin in
+      let text = Binfmt.Relf.text_exn bin in
+      let total =
+        List.fold_left (fun s (sl : Shard.slice) -> s + sl.sl_len) 0 sls
+      in
+      Alcotest.(check int)
+        (b.name ^ ": coverage")
+        (String.length text.bytes) total;
+      let joined =
+        String.concat "" (List.map (fun (sl : Shard.slice) -> sl.sl_bytes) sls)
+      in
+      Alcotest.(check bool)
+        (b.name ^ ": bytes tile") true (joined = text.bytes))
     Workloads.Spec.all
 
 let tests =
@@ -152,4 +154,5 @@ let tests =
       test_presets_and_backends;
     Alcotest.test_case "parity: production allow-list" `Quick
       test_allowlist_parity;
+    Alcotest.test_case "parity: whole-text slice" `Quick test_whole_slice;
   ]

@@ -1,5 +1,5 @@
 (* doc_check: fail the build when the documentation drifts from the
-   code.  Five checks:
+   code.  Six checks:
 
    1. every CLI flag declared in bin/redfat_cli.ml appears in
       docs/MANUAL.md (and the manual doesn't document flags that no
@@ -15,7 +15,11 @@
    5. every `fuzz.*` counter or histogram docs/INTERNALS.md names in
       backticks is recorded in bench/fuzz_baseline.json — the fuzzing
       smoke campaign's committed report — so §16 can never document
-      observability the fleet stopped emitting.
+      observability the fleet stopped emitting;
+   6. the set of `Cache.key ~kind:"..."` literals under lib/ equals the
+      backticked kinds on docs/INTERNALS.md's one "Artifact kinds:"
+      line, so §15 can never list a kind the cache no longer stores
+      (or miss a new one).
 
    Run from the repository root (make check / make doc-check / the CI
    docs job): exits 1 listing every violation. *)
@@ -42,6 +46,17 @@ let contains hay needle =
     && (String.sub hay i n = needle || go (i + 1))
   in
   go 0
+
+(* group 1 of every non-overlapping match of [re] in [s], in order *)
+let matches re s =
+  let rec go i acc =
+    match Str.search_forward re s i with
+    | _ ->
+      let m = Str.matched_group 1 s in
+      go (Str.match_end ()) (m :: acc)
+    | exception Not_found -> List.rev acc
+  in
+  go 0 []
 
 (* --- 1. CLI flags vs the manual ------------------------------------- *)
 
@@ -247,12 +262,60 @@ let check_fuzz_counters () =
            not record -- the smoke campaign stopped emitting it" c)
     (List.rev !seen)
 
+(* --- 6. cache artifact kinds vs INTERNALS ------------------------- *)
+
+let rec ml_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if Sys.is_directory path then ml_files path
+         else if Filename.check_suffix path ".ml" then [ path ]
+         else [])
+
+let check_artifact_kinds () =
+  let re = Str.regexp "Cache\\.key[ \n]+~kind:\"\\([^\"]*\\)\"" in
+  let code =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun f -> matches re (read_file_exn "a library source" f))
+         (ml_files "lib"))
+  in
+  if code = [] then
+    err "no Cache.key ~kind literals scraped under lib/ (scraper broken?)";
+  let internals = read_file_exn "the internals doc" "docs/INTERNALS.md" in
+  match
+    List.filter
+      (String.starts_with ~prefix:"Artifact kinds:")
+      (String.split_on_char '\n' internals)
+  with
+  | [ line ] ->
+    let documented =
+      List.sort_uniq compare (matches (Str.regexp "`\\([^`]+\\)`") line)
+    in
+    List.iter
+      (fun k ->
+        if not (List.mem k documented) then
+          err
+            "lib/ stores cache artifacts of kind %S, which the \"Artifact \
+             kinds:\" line of docs/INTERNALS.md does not list" k)
+      code;
+    List.iter
+      (fun k ->
+        if not (List.mem k code) then
+          err
+            "docs/INTERNALS.md lists artifact kind `%s`, which no Cache.key \
+             ~kind literal under lib/ uses" k)
+      documented
+  | _ ->
+    err "docs/INTERNALS.md needs exactly one line starting \"Artifact kinds:\""
+
 let () =
   check_flags ();
   check_verbs ();
   check_taxonomy ();
   check_links ();
   check_fuzz_counters ();
+  check_artifact_kinds ();
   match List.rev !errors with
   | [] -> print_endline "doc_check: docs/MANUAL.md and markdown links are in sync"
   | es ->
