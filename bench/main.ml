@@ -1224,6 +1224,7 @@ let rebuild () =
       let name, rbin = fleet.(k) in
       rbin := bin';
       let h0 = counter "harden.fn.hit" and m0 = counter "harden.fn.miss" in
+      let p0 = counter "harden.slices.miss" in
       let tw = wall () in
       let warm_perturbed = ref 0.0 in
       Array.iteri
@@ -1291,7 +1292,16 @@ let rebuild () =
       pf "\n";
       pf "         perturbed target alone: incremental %.1f ms vs %.1f ms \
           cold monolithic\n"
-        (!warm_perturbed *. 1000.) (!cold_direct *. 1000.)
+        (!warm_perturbed *. 1000.) (!cold_direct *. 1000.);
+      (* the partition is memoised per binary: the perturbed binary is
+         swept once, and its hardens under the other backends reuse it *)
+      let partitions = counter "harden.slices.miss" - p0 in
+      pf "         partitions: %d (harden.slices.miss)\n" partitions;
+      if partitions <> 1 then begin
+        pf "rebuild: night %d partitioned %d times, expected 1\n" night
+          partitions;
+        exit 1
+      end
   done;
   if !failures > 0 then begin
     pf "rebuild: %d equivalence failure(s)\n" !failures;

@@ -119,9 +119,12 @@ let compile t (prog : Minic.Ast.program) =
    changed; slices sharing that triple alias on purpose, as identical
    functions at identical placements rewrite identically even across
    binaries.  The spliced result is byte-identical to a whole-binary
-   rewrite (see Shard's contract and the shard parity tests).  With
-   the cache off nothing can be reused and sharding would only add
-   splice work, so the text is one slice. *)
+   rewrite (see Shard's contract and the shard parity tests).  The
+   partition depends only on the binary, so it is itself an artifact:
+   every other preset hardening the same binary, in this engine or a
+   later process, skips the whole-text sweep.  With the cache off
+   nothing can be reused and sharding would only add splice work, so
+   the text is one slice. *)
 let harden t ?tramp_base ?(opts = Rw.optimized) bin =
   Report.timed t.rep "harden" @@ fun () ->
   hook t "harden";
@@ -135,10 +138,8 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
       (if t.strict then "abort" else "degrade");
     ]
   in
-  let mkey =
-    Cache.key ~kind:"manifest"
-      (Binfmt.Relf.serialize bin :: string_of_int base :: fixed)
-  in
+  let ser = Binfmt.Relf.serialize bin in
+  let mkey = Cache.key ~kind:"manifest" (ser :: string_of_int base :: fixed) in
   match Cache.find_opt t.cache ~key:mkey with
   | Some ((r : Rw.t), nfns) ->
     Obs.add o "harden.manifest.hit";
@@ -147,8 +148,18 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
   | None ->
     Obs.add o "harden.manifest.miss";
     let slices =
-      if Cache.enabled t.cache then Redfat.Shard.slices bin
-      else [ Redfat.Shard.whole bin ]
+      if not (Cache.enabled t.cache) then [ Redfat.Shard.whole bin ]
+      else
+        let skey = Cache.key ~kind:"slices" [ ser; inject_key t ] in
+        match Cache.find_opt t.cache ~key:skey with
+        | Some (sls : Redfat.Shard.slice list) ->
+          Obs.add o "harden.slices.hit";
+          sls
+        | None ->
+          Obs.add o "harden.slices.miss";
+          let sls = Redfat.Shard.slices bin in
+          Cache.put t.cache ~key:skey sls;
+          sls
     in
     let fault_hook =
       Faultinject.hook_fn t.inject ~label:(Domain.DLS.get target_key)

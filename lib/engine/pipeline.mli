@@ -90,8 +90,12 @@ val harden :
   Redfat.Rewrite.t
 (** Statically rewrite through {!Redfat.Shard.rewrite}: a manifest
     keyed by Digest(RELF bytes) + options key + trampoline base, then
-    one artifact per slice ({!Redfat.Shard.slices} when the cache is
-    enabled, the whole text when it is not). *)
+    one artifact per slice.  On a manifest miss with the cache
+    enabled, the slices are themselves an artifact keyed by
+    Digest(RELF bytes) + injection spec ([harden.slices.hit] /
+    [harden.slices.miss]), so {!Redfat.Shard.slices} runs once per
+    distinct binary however many option sets harden it; with the
+    cache disabled the text is one slice and is never partitioned. *)
 
 val profile :
   t -> ?max_steps:int -> test_suite:int list list -> Binfmt.Relf.t ->

@@ -132,9 +132,35 @@ let assemble ~(binary : Binfmt.Relf.t) ~tramp_base (parts : Rewrite.t list) :
   in
   { Rewrite.binary; traps; stats }
 
+(* the slices may come from a cache, and a list that unmarshals but
+   does not tile this binary's text would splice a wrong binary; each
+   slice must start where the previous one ended, hold the text's
+   bytes at its range under their digest, and the last must end the
+   text *)
+let check_tiling (text : Binfmt.Relf.section) slices =
+  let bad what = invalid_arg ("Shard.rewrite: " ^ what) in
+  let size = String.length text.bytes in
+  let stop =
+    List.fold_left
+      (fun pos (sl : slice) ->
+        let off = sl.sl_addr - text.addr in
+        let at = Printf.sprintf "slice 0x%x: %s" sl.sl_addr in
+        if sl.sl_addr <> pos then bad (at "gap or overlap");
+        if sl.sl_len <> String.length sl.sl_bytes || off + sl.sl_len > size
+        then bad (at "overruns the text");
+        if String.sub text.bytes off sl.sl_len <> sl.sl_bytes then
+          bad (at "bytes differ from the text");
+        if Digest.to_hex (Digest.string sl.sl_bytes) <> sl.sl_digest then
+          bad (at "digest mismatch");
+        pos + sl.sl_len)
+      text.addr slices
+  in
+  if stop <> text.addr + size then bad "slices stop short of the text end"
+
 (* sequential: slice k's trampoline base is the global base plus the
    trampoline bytes of slices 0..k-1 *)
 let rewrite ~tramp_base binary slices part =
+  check_tiling (Binfmt.Relf.text_exn binary) slices;
   let _, parts =
     List.fold_left_map
       (fun base sl ->

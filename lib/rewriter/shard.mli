@@ -44,4 +44,12 @@ val rewrite :
     concatenate into [.text], trampolines into [.redfat] at the global
     [tramp_base], trap tables concatenate, elimination tables merge
     (entries re-sorted, policy from the first part), stats sum
-    pointwise.  Raises [Invalid_argument] on an empty slice list. *)
+    pointwise.
+
+    Precondition, checked before any [part] runs: [slices] tile
+    [binary]'s text — the first starts at the text base, each starts
+    where the previous one ended, the last ends the text, each
+    [sl_bytes] equals the text at its range and each [sl_digest] is
+    the digest of its [sl_bytes].  A list read back from a cache that
+    breaks it raises [Invalid_argument] instead of splicing a wrong
+    binary; so does an empty list. *)

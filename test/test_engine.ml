@@ -107,8 +107,8 @@ let test_disk_cache_warm_start () =
     let bin = Pl.compile eng (Workloads.Spec.program spec) in
     let hard = Pl.harden eng bin in
     let st = Pl.cache_stats eng in
-    (* compile + a manifest + one artifact per slice *)
-    let expected = 2 + List.length (Redfat.Shard.slices bin) in
+    (* compile + the slices + a manifest + one artifact per slice *)
+    let expected = 3 + List.length (Redfat.Shard.slices bin) in
     Alcotest.(check int) "cold run stores artifacts" expected
       st.Engine.Cache.stores;
     Binfmt.Relf.serialize hard.Rw.binary
@@ -213,6 +213,55 @@ let test_unpartitionable_harden () =
       Alcotest.(check int) (c.id ^ ": manifest hit") 1
         (Obs.counter (Pl.obs eng) "harden.manifest.hit"))
     Workloads.Fuzzbugs.all
+
+(* the partition depends only on the binary: one engine partitions each
+   binary once for all six presets of the rewrite benchmark, and a later
+   process hardening the same binaries under a new preset reads every
+   partition from the disk tier *)
+let test_one_partition_per_binary () =
+  with_temp_dir @@ fun dir ->
+  let mcf = Workloads.Spec.binary (Workloads.Spec.find "mcf") in
+  let bins = [ ("mcf", mcf); ("chrome", Workloads.Chrome.binary ~copies:1 ()) ] in
+  let counter eng name = Obs.counter (Pl.obs eng) name in
+  let check_harden eng name opts bin =
+    let mono = Rw.rewrite opts bin and hard = Pl.harden eng ~opts bin in
+    Alcotest.(check bool) (name ^ ": == Rewrite.rewrite") true
+      (Binfmt.Relf.serialize mono.Rw.binary
+       = Binfmt.Relf.serialize hard.Rw.binary
+      && mono.Rw.traps = hard.Rw.traps
+      && mono.Rw.stats = hard.Rw.stats)
+  in
+  let presets =
+    List.concat_map
+      (fun backend ->
+        let b = Backend.Check_backend.name backend in
+        [ (b ^ "/optimized", { Rw.optimized with Rw.backend });
+          (b ^ "/with_hoist", { Rw.with_hoist with Rw.backend }) ])
+      Backend.Check_backend.all
+  in
+  Alcotest.(check int) "six presets" 6 (List.length presets);
+  with_engine ~cache_dir:dir (fun eng ->
+      List.iter
+        (fun (name, bin) ->
+          let h0 = counter eng "harden.slices.hit"
+          and m0 = counter eng "harden.slices.miss" in
+          List.iter
+            (fun (pname, opts) -> check_harden eng (name ^ "/" ^ pname) opts bin)
+            presets;
+          Alcotest.(check int) (name ^ ": one partition") 1
+            (counter eng "harden.slices.miss" - m0);
+          Alcotest.(check int) (name ^ ": five reuses") 5
+            (counter eng "harden.slices.hit" - h0))
+        bins);
+  with_engine ~cache_dir:dir @@ fun eng ->
+  List.iter
+    (fun (name, bin) ->
+      check_harden eng (name ^ "/unoptimized") Rw.unoptimized bin)
+    bins;
+  Alcotest.(check int) "new process: partitions from disk" 2
+    (counter eng "harden.slices.hit");
+  Alcotest.(check int) "new process: no partition" 0
+    (counter eng "harden.slices.miss")
 
 (* nothing outside an engine holds it: once dropped it is collected,
    whether or not its pool has spawned worker domains *)
@@ -382,6 +431,8 @@ let tests =
       test_sharded_harden_concurrent;
     Alcotest.test_case "harden: unpartitionable binaries" `Quick
       test_unpartitionable_harden;
+    Alcotest.test_case "harden: one partition per binary" `Quick
+      test_one_partition_per_binary;
     Alcotest.test_case "lifecycle: dropped engine is collected" `Quick
       test_dropped_engine_collected;
     Alcotest.test_case "table1 subset: parallel == sequential" `Slow

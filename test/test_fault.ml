@@ -365,7 +365,37 @@ let test_cache_selfheal () =
   let c5 = Cache.create ~dir () in
   Alcotest.(check int) "healed artifact hits" 44
     (Cache.memo c5 ~key:"k1" (fun () -> 99));
-  Alcotest.(check int) "hit counted" 1 (Cache.stats c5).Cache.hits
+  Alcotest.(check int) "hit counted" 1 (Cache.stats c5).Cache.hits;
+  (* a damaged partition artifact: each engine hardens under a preset
+     the dir has no manifest for, so it must consult the slices *)
+  let slices_file () =
+    match
+      List.filter
+        (String.starts_with ~prefix:"slices-")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one slices artifact, found %d" (List.length fs)
+  in
+  let harden_fresh name opts =
+    with_engine ~cache:true ~cache_dir:dir @@ fun eng ->
+    let bin = synth_bin eng in
+    let hard = Pl.harden eng ~opts bin in
+    Alcotest.(check bool) (name ^ ": cold bytes") true
+      (Binfmt.Relf.serialize hard.Rw.binary
+       = Binfmt.Relf.serialize (Rw.rewrite opts bin).Rw.binary);
+    (Pl.cache_stats eng).Cache.corrupt
+  in
+  Alcotest.(check int) "clean slices" 0 (harden_fresh "clean" Rw.optimized);
+  overwrite (slices_file ()) "garbage";
+  Alcotest.(check int) "garbage slices counted corrupt" 1
+    (harden_fresh "garbage slices" Rw.unoptimized);
+  let file = slices_file () in
+  let art = In_channel.with_open_bin file In_channel.input_all in
+  let m = String.length art_magic in
+  overwrite file (String.sub art 0 (m + ((String.length art - m) / 2)));
+  Alcotest.(check int) "truncated slices counted corrupt" 1
+    (harden_fresh "truncated slices" Rw.with_hoist)
 
 let test_injected_runs_do_not_pollute_cache () =
   with_temp_dir @@ fun dir ->

@@ -145,6 +145,57 @@ let test_slices_cover_text () =
         (b.name ^ ": bytes tile") true (joined = text.bytes))
     Workloads.Spec.all
 
+(* Shard.rewrite takes its slices on trust from a cache, so a list that
+   does not tile the text must be refused before any part is
+   rewritten: a gap, an overlap, an edited byte, a wrong digest. *)
+let test_rewrite_rejects_bad_tiling () =
+  let b = Workloads.Spec.find "mcf" in
+  let bin = Workloads.Spec.binary b in
+  let text = Binfmt.Relf.text_exn bin in
+  let sls = partitioned b.name bin in
+  let mk addr bytes =
+    { Shard.sl_addr = addr; sl_len = String.length bytes; sl_bytes = bytes;
+      sl_digest = Digest.to_hex (Digest.string bytes) }
+  in
+  let s0, s1, rest =
+    match sls with
+    | s0 :: s1 :: rest -> (s0, s1, rest)
+    | _ -> assert false
+  in
+  let widened =
+    mk s0.sl_addr (String.sub text.bytes (s0.sl_addr - text.addr) (s0.sl_len + 1))
+  in
+  let edited =
+    let by = Bytes.of_string s1.sl_bytes in
+    Bytes.set by 0 (Char.chr ((Char.code (Bytes.get by 0) + 1) land 0xff));
+    mk s1.sl_addr (Bytes.to_string by)
+  in
+  let misdigested = { s1 with sl_digest = s0.sl_digest } in
+  List.iter
+    (fun (name, bad) ->
+      let called = ref false in
+      let raised =
+        match
+          Shard.rewrite ~tramp_base:Rw.default_tramp_base bin bad
+            (fun ~tramp_base _ sbin ->
+              called := true;
+              Rw.rewrite ~tramp_base Rw.optimized sbin)
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) (name ^ ": Invalid_argument") true raised;
+      Alcotest.(check bool) (name ^ ": no part rewritten") false !called)
+    [
+      ("gap", s0 :: rest);
+      ("overlap", widened :: s1 :: rest);
+      ("edited byte", s0 :: edited :: rest);
+      ("wrong digest", s0 :: misdigested :: rest);
+      ("stops short", [ s0 ]);
+      ("empty", []);
+    ];
+  check_parity "mcf/accepted" Rw.optimized bin sls
+
 let tests =
   [
     Alcotest.test_case "slices: deterministic" `Quick test_slices_deterministic;
@@ -155,4 +206,6 @@ let tests =
     Alcotest.test_case "parity: production allow-list" `Quick
       test_allowlist_parity;
     Alcotest.test_case "parity: whole-text slice" `Quick test_whole_slice;
+    Alcotest.test_case "rewrite: rejects slices that do not tile" `Quick
+      test_rewrite_rejects_bad_tiling;
   ]
