@@ -1,15 +1,14 @@
 (** Explicit basic-block graph over a recovered instruction stream.
 
-    The rewriter's [Cfg] is an instruction array plus a leader set —
-    enough for block-local scans, not for global reasoning.  This
-    module turns the same data into a proper graph: blocks with
+    An instruction array plus a leader set is enough for the
+    rewriter's block-local scans; this module adds blocks with
     successor/predecessor edges, a reverse-postorder numbering, and a
     root set, which the dominator, liveness and availability analyses
     consume.
 
-    Leader recovery lives here (see {!leaders}) so the rewriter's CFG
-    and the soundness linter's re-disassembly provably agree on block
-    structure: both call the same function.
+    Leader recovery lives here (see {!leaders}) so the rewriter's
+    graph and the soundness linter's re-disassembly provably agree on
+    block structure: both call the same function.
 
     Edge policy (documented assumptions, all conservative for the
     analyses built on top):
@@ -178,6 +177,9 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   let rpo_index = Array.make nb (-1) in
   Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   { instrs; index_of; leaders; roots; blocks; block_of; rpo; rpo_index }
+
+let recover ~entry code =
+  of_instrs ~entry (Array.of_list (X64.Disasm.sweep ~addr:entry code))
 
 let num_blocks t = Array.length t.blocks
 let block t b = t.blocks.(b)

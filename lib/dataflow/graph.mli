@@ -1,9 +1,10 @@
 (** Explicit basic-block graph over a recovered instruction stream.
 
-    Shared substrate of the dominator, liveness and availability
-    analyses, and of the rewrite-soundness linter.  Leader recovery is
-    exposed so the rewriter's CFG uses the exact same block structure
-    as the linter's re-disassembly. *)
+    Shared substrate of the rewriter's planning (batching, patch
+    tactics, save specialization), of the dominator, liveness and
+    availability analyses, and of the rewrite-soundness linter.  Leader
+    recovery is exposed so the rewriter plans over the exact same
+    block structure as the linter's re-disassembly. *)
 
 type block = {
   id : int;
@@ -35,10 +36,20 @@ val leaders :
   (int * X64.Isa.instr * int) array ->
   (int, unit) Hashtbl.t * (int, unit) Hashtbl.t
 (** [leaders ~entry instrs]: (all leaders, potential indirect-transfer
-    targets).  The single source of truth for block boundaries — the
-    rewriter's [Cfg.recover] delegates here. *)
+    targets).  The single source of truth for block boundaries: the
+    rewriter's graph and the linter's re-disassembly both come from
+    here. *)
 
 val of_instrs : entry:int -> (int * X64.Isa.instr * int) array -> t
+(** The graph over an already-swept instruction array (the rewriter
+    sweeps once and reuses the array for blueprint keying and
+    emission). *)
+
+val recover : entry:int -> string -> t
+(** Linear-sweep [code] loaded at [entry] and build its graph.
+    Recovery over-approximates leaders (paper §6): a spurious leader
+    only splits a batch, while a missed one could move a check onto a
+    path that never runs it. *)
 
 val num_blocks : t -> int
 val block : t -> int -> block

@@ -28,25 +28,25 @@ let edge prev cur = ((prev lsr 1) lxor cur) land (map_size - 1)
     trampolines go to an [.e9tool] section: backend detection and
     [Rewrite.is_hardened] key on [.redfat], which this is not. *)
 let instrument (binary : Binfmt.Relf.t) : t =
-  let module Cfg = Rewriter.Cfg in
+  let module Graph = Dataflow.Graph in
   let module Patch = Rewriter.Patch in
   let text = Binfmt.Relf.text_exn binary in
-  let cfg = Cfg.recover ~text_addr:text.addr text.bytes in
+  let g = Graph.recover ~entry:text.addr text.bytes in
   let leaders =
     List.filter
       (fun i ->
-        let a, _, _ = cfg.instrs.(i) in
-        Cfg.is_leader cfg a)
-      (List.init (Cfg.num_instrs cfg) Fun.id)
+        let a, _, _ = g.instrs.(i) in
+        Graph.is_leader g a)
+      (List.init (Array.length g.instrs) Fun.id)
   in
   let blocks = List.length leaders in
   let p =
-    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text cfg.instrs
+    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text g.instrs
   in
   List.iteri
     (fun rank i ->
       (* every patch start is a leader, which is never evicted anyway *)
-      let tactic, displaced = Patch.decide cfg ~is_start:(fun _ -> false) i in
+      let tactic, displaced = Patch.decide g ~is_start:(fun _ -> false) i in
       let tramp =
         Patch.trampoline p
           ~payload:[ X64.Isa.Probe (blocks - 1 - rank) ]

@@ -47,19 +47,19 @@ let conservative = { nsaves = scratch_needed; save_flags = true }
    clobbers freely); anything still unknown falls back to the
    interblock liveness fact at the stop point when [live] is supplied,
    or stays conservatively live. *)
-let clobbers ?(live : Dataflow.Live.t option) (cfg : Cfg.t) ~(start : int)
-    ~(limit : int) : spec =
+let clobbers ?(live : Dataflow.Live.t option) (g : Dataflow.Graph.t)
+    ~(start : int) ~(limit : int) : spec =
   let read = Array.make X64.Isa.num_regs false in
   let dead = Array.make X64.Isa.num_regs false in
   let flags = ref `Unknown in
-  let n = Cfg.num_instrs cfg in
+  let n = Array.length g.instrs in
   let stop = ref None in
   let i = ref start and steps = ref 0 in
   while !stop = None do
     if !i >= n then stop := Some `End
     else begin
-      let addr, instr, _len = cfg.instrs.(!i) in
-      if !i > start && Cfg.is_leader cfg addr then stop := Some `Edge
+      let addr, instr, _len = g.instrs.(!i) in
+      if !i > start && Dataflow.Graph.is_leader g addr then stop := Some `Edge
       else if !steps >= limit then stop := Some `Edge
       else
         match X64.Isa.flow_of instr with

@@ -21,15 +21,11 @@ type bplan = {
   bp_groups : bgroup list;
 }
 
-type reason = Clear | Dom of int | Hoist of int * int * int
-
 type t = {
   b_plans : bplan list;
-  b_records : (int * reason) list;
+  b_records : (int * Dataflow.Elimtab.reason) list;
+  b_dropped : int list;
   b_mem_ops : int;
-  b_eliminated : int;
-  b_eliminated_global : int;
-  b_hoisted_members : int;
 }
 
 (* --- the shape key --------------------------------------------------- *)

@@ -5,17 +5,17 @@ type tactic = Jump | Trap
 
 let jmp_len = 5
 
-let decide (cfg : Cfg.t) ~is_start i =
-  let n = Cfg.num_instrs cfg in
-  let _, _, l0 = cfg.instrs.(i) in
+let decide (g : Dataflow.Graph.t) ~is_start i =
+  let n = Array.length g.instrs in
+  let _, _, l0 = g.instrs.(i) in
   (* successor eviction (E9Patch tactic T3) until the run spans a jump *)
   let rec evict k span run =
     if span >= jmp_len then (Jump, List.rev run)
     else if k >= n then (Trap, [ i ])
     else
-      let ak, ik, lk = cfg.instrs.(k) in
+      let ak, ik, lk = g.instrs.(k) in
       if
-        Cfg.is_leader cfg ak || is_start k
+        Dataflow.Graph.is_leader g ak || is_start k
         || X64.Isa.flow_of ik <> X64.Isa.Fall
       then (Trap, [ i ])
       else evict (k + 1) (span + lk) (k :: run)

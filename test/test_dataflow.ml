@@ -192,7 +192,7 @@ let test_clobbers_call_boundary () =
       ]
   in
   let text = Binfmt.Relf.text_exn bin in
-  let cfg = Rewriter.Cfg.recover ~text_addr:text.addr text.bytes in
+  let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   let spec = Rewriter.Analysis.clobbers cfg ~start:0 ~limit:24 in
   Alcotest.(check int) "no saves needed before a call" 0 spec.nsaves;
   Alcotest.(check bool) "no flags save either" false spec.save_flags

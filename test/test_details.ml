@@ -69,13 +69,13 @@ let test_index_at () =
     [ Asm.I (Isa.Mov_ri (Isa.rax, 1)); Asm.I (Isa.Nop 1); Asm.I Isa.Ret ]
   in
   let code, _ = Asm.assemble ~origin:0x400000 items in
-  let cfg = Rewriter.Cfg.recover ~text_addr:0x400000 code in
+  let cfg = Dataflow.Graph.recover ~entry:0x400000 code in
   Alcotest.(check (option int)) "first" (Some 0)
-    (Rewriter.Cfg.index_at cfg 0x400000);
+    (Dataflow.Graph.index_at cfg 0x400000);
   Alcotest.(check (option int)) "second" (Some 1)
-    (Rewriter.Cfg.index_at cfg 0x400006);
+    (Dataflow.Graph.index_at cfg 0x400006);
   Alcotest.(check (option int)) "misaligned" None
-    (Rewriter.Cfg.index_at cfg 0x400003)
+    (Dataflow.Graph.index_at cfg 0x400003)
 
 (* --- hardened binaries disassemble ----------------------------------- *)
 

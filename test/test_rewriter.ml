@@ -38,10 +38,10 @@ let test_cfg_leaders () =
       ]
   in
   let text = Binfmt.Relf.text_exn bin in
-  let cfg = Rewriter.Cfg.recover ~text_addr:text.addr text.bytes in
+  let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   let leaders =
     Array.to_list cfg.instrs
-    |> List.filter (fun (a, _, _) -> Rewriter.Cfg.is_leader cfg a)
+    |> List.filter (fun (a, _, _) -> Dataflow.Graph.is_leader cfg a)
     |> List.length
   in
   Alcotest.(check int) "leader count" 5 leaders
@@ -62,7 +62,7 @@ let test_eliminable () =
 let clobber_spec items =
   let bin = assemble_binary items in
   let text = Binfmt.Relf.text_exn bin in
-  let cfg = Rewriter.Cfg.recover ~text_addr:text.addr text.bytes in
+  let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   Rewriter.Analysis.clobbers cfg ~start:0 ~limit:16
 
 let test_clobbers_dead_registers () =
@@ -355,11 +355,11 @@ let test_code_pointer_constants_are_leaders () =
   in
   let bin = assemble_binary items in
   let text = Binfmt.Relf.text_exn bin in
-  let cfg = Rewriter.Cfg.recover ~text_addr:text.addr text.bytes in
+  let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   (* find the address of the "taken" store *)
   let _, labels = Asm.assemble ~origin:Lowfat.Layout.code_base items in
   Alcotest.(check bool) "taken entry is a leader" true
-    (Rewriter.Cfg.is_leader cfg (Hashtbl.find labels "taken"))
+    (Dataflow.Graph.is_leader cfg (Hashtbl.find labels "taken"))
 
 let test_indirect_call_breaks_batch () =
   let items =
