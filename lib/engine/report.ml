@@ -97,6 +97,9 @@ let escape s =
     s;
   Buffer.contents b
 
+(* a JSON string literal *)
+let str s = "\"" ^ escape s ^ "\""
+
 let json_float x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.1f" x
@@ -106,7 +109,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
-  List.iter (fun (k, v) -> add "  %S: %S,\n" k v) extra;
+  List.iter (fun (k, v) -> add "  %s: %s,\n" (str k) (str v)) extra;
   add "  \"jobs\": %d,\n" t.njobs;
   add "  \"wall_seconds\": %s,\n" (json_float (wall t));
   (match cache with
@@ -120,7 +123,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
   let stages = stage_summary t in
   List.iteri
     (fun i (name, calls, secs) ->
-      add "    %S: { \"calls\": %d, \"seconds\": %s }%s\n" (escape name)
+      add "    %s: { \"calls\": %d, \"seconds\": %s }%s\n" (str name)
         calls (json_float secs)
         (if i = List.length stages - 1 then "" else ","))
     stages;
@@ -131,7 +134,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
   let cs = Obs.counters t.obs in
   List.iteri
     (fun i (name, v) ->
-      add "%s %S: %d" (if i = 0 then "" else ",") (escape name) v)
+      add "%s %s: %d" (if i = 0 then "" else ",") (str name) v)
     cs;
   add " },\n";
   (* omitted entirely when no histogrammed path ran: experiments like
@@ -143,9 +146,9 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
     List.iteri
       (fun i (name, (h : Obs.hist)) ->
         add
-          "    %S: { \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \
+          "    %s: { \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \
            \"buckets\": [%s] }%s\n"
-          (escape name) h.Obs.h_count h.Obs.h_sum
+          (str name) h.Obs.h_count h.Obs.h_sum
           (if h.Obs.h_count = 0 then 0 else h.Obs.h_min)
           (if h.Obs.h_count = 0 then 0 else h.Obs.h_max)
           (String.concat ", "
@@ -160,7 +163,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
   let tgs = targets t in
   List.iteri
     (fun i tg ->
-      add "    { \"name\": %S," (escape tg.tg_name);
+      add "    { \"name\": %s," (str tg.tg_name);
       (* omitted for synthetic targets (a serve fleet, a rebuild
          night) that have no baseline execution: a literal 0 reads as
          "infinitely fast baseline" to ratio-computing consumers *)
@@ -173,7 +176,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
         add "%s"
           (String.concat ", "
              (List.map
-                (fun (k, v) -> Printf.sprintf "%S: %s" (escape k) (json_float v))
+                (fun (k, v) -> Printf.sprintf "%s: %s" (str k) (json_float v))
                 tg.tg_overheads));
         add " }"
       end;
@@ -182,7 +185,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
         add "%s"
           (String.concat ", "
              (List.map
-                (fun (k, v) -> Printf.sprintf "%S: %d" (escape k) v)
+                (fun (k, v) -> Printf.sprintf "%s: %d" (str k) v)
                 tg.tg_counters));
         add " }"
       end;

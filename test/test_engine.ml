@@ -382,6 +382,42 @@ let test_stage_chain () =
       | None -> Alcotest.failf "stage %s missing from report" stage)
     [ "Compile"; "Profile"; "Harden"; "Run"; "Report" ]
 
+let test_report_json_strings () =
+  (* names and values with quotes, backslashes and UTF-8 bytes read
+     back unchanged *)
+  let r = Engine.Report.create () in
+  let target = "caf\xc3\xa9.mc" and counter = "x\\y" in
+  let note = "a \"quoted\" \\ value\tcaf\xc3\xa9" in
+  Obs.add (Engine.Report.obs r) counter;
+  Engine.Report.add_target r ~name:target ~counters:[ (counter, 3) ]
+    ~overheads:[ (counter, 2.0) ] ~wall:0.1 ();
+  let json = Engine.Report.to_json ~extra:[ ("note", note) ] r in
+  let module J = Obs.Json in
+  let v =
+    match J.parse json with Ok v -> v | Error e -> Alcotest.fail e
+  in
+  let get path v =
+    List.fold_left
+      (fun v k ->
+        match J.member k v with
+        | Some v -> v
+        | None -> Alcotest.failf "no field %S" k)
+      v path
+  in
+  Alcotest.(check (option string)) "extra value" (Some note)
+    (J.to_str (get [ "note" ] v));
+  Alcotest.(check (option (float 0.))) "counter" (Some 1.)
+    (J.to_num (get [ "counters"; counter ] v));
+  match J.to_arr (get [ "targets" ] v) with
+  | Some [ tg ] ->
+    Alcotest.(check (option string)) "target name" (Some target)
+      (J.to_str (get [ "name" ] tg));
+    Alcotest.(check (option (float 0.))) "target counter" (Some 3.)
+      (J.to_num (get [ "counters"; counter ] tg));
+    Alcotest.(check (option (float 0.))) "target overhead" (Some 2.)
+      (J.to_num (get [ "overheads"; counter ] tg))
+  | _ -> Alcotest.fail "one target expected"
+
 let test_report_json_shape () =
   with_engine ~jobs:2 @@ fun eng ->
   let bin = Pl.compile eng (Workloads.Spec.program (Workloads.Spec.find "mcf")) in
@@ -443,4 +479,6 @@ let tests =
       test_compile_deterministic_across_domains;
     Alcotest.test_case "typed stage chain" `Quick test_stage_chain;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
+    Alcotest.test_case "report JSON strings round-trip" `Quick
+      test_report_json_strings;
   ]
