@@ -1,5 +1,5 @@
 (* doc_check: fail the build when the documentation drifts from the
-   code.  Six checks:
+   code.  Seven checks:
 
    1. every CLI flag declared in bin/redfat_cli.ml appears in
       docs/MANUAL.md (and the manual doesn't document flags that no
@@ -19,7 +19,12 @@
    6. the set of `Cache.key ~kind:"..."` literals under lib/ equals the
       backticked kinds on docs/INTERNALS.md's one "Artifact kinds:"
       line, so §15 can never list a kind the cache no longer stores
-      (or miss a new one).
+      (or miss a new one);
+   7. every backticked `Lib.Module` path in README, DESIGN, EXPERIMENTS
+      and docs/*.md whose first part names a dune library under lib/
+      resolves: to lib/<dir>/<module>.ml, or to a `module Module`
+      declaration in that library (ROADMAP and CHANGES narrate history
+      and are not checked).
 
    Run from the repository root (make check / make doc-check / the CI
    docs job): exits 1 listing every violation. *)
@@ -309,6 +314,69 @@ let check_artifact_kinds () =
   | _ ->
     err "docs/INTERNALS.md needs exactly one line starting \"Artifact kinds:\""
 
+(* --- 7. module paths in the docs ------------------------------------ *)
+
+(* (module name, directory) of every dune library under lib/ *)
+let libraries () =
+  Sys.readdir "lib" |> Array.to_list |> List.sort compare
+  |> List.filter_map (fun d ->
+         let dir = Filename.concat "lib" d in
+         match read_file (Filename.concat dir "dune") with
+         | None -> None
+         | Some dune -> (
+           match matches (Str.regexp "(name \\([a-z_0-9]+\\))") dune with
+           | name :: _ -> Some (String.capitalize_ascii name, dir)
+           | [] -> None))
+
+let resolves dir m =
+  Sys.file_exists
+    (Filename.concat dir (String.uncapitalize_ascii m ^ ".ml"))
+  || List.exists
+       (fun f ->
+         let re = Str.regexp ("module " ^ m ^ "[ :=\n]") in
+         match Str.search_forward re (read_file_exn "a library source" f) 0 with
+         | _ -> true
+         | exception Not_found -> false)
+       (ml_files dir)
+
+let check_module_paths () =
+  let libs = libraries () in
+  if libs = [] then err "no dune libraries found under lib/ (scanner broken?)";
+  let docs =
+    [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ]
+    @ List.filter (String.starts_with ~prefix:"docs/") (md_files ())
+  in
+  let span = Str.regexp "`\\([^`\n]+\\)`" in
+  let path = Str.regexp "\\([A-Z][A-Za-z0-9_]*\\)\\.\\([A-Z][A-Za-z0-9_]*\\)" in
+  List.iter
+    (fun file ->
+      List.iter
+        (fun code ->
+          let rec scan i =
+            match Str.search_forward path code i with
+            | p ->
+              let lib = Str.matched_group 1 code
+              and m = Str.matched_group 2 code in
+              let next = Str.match_end () in
+              let qualified =
+                p > 0
+                &&
+                match code.[p - 1] with
+                | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true
+                | _ -> false
+              in
+              (match List.assoc_opt lib libs with
+               | Some dir when (not qualified) && not (resolves dir m) ->
+                 err "%s names `%s.%s`, which %s does not define" file lib m
+                   dir
+               | _ -> ());
+              scan next
+            | exception Not_found -> ()
+          in
+          scan 0)
+        (matches span (read_file_exn "a markdown file" file)))
+    docs
+
 let () =
   check_flags ();
   check_verbs ();
@@ -316,6 +384,7 @@ let () =
   check_links ();
   check_fuzz_counters ();
   check_artifact_kinds ();
+  check_module_paths ();
   match List.rev !errors with
   | [] -> print_endline "doc_check: docs/MANUAL.md and markdown links are in sync"
   | es ->
