@@ -8,9 +8,12 @@
 
     Each hardening line is followed by a [<name> stats <md5>] line
     pinning the rewrite's numbers: the MD5 of its {!Rw.pp_stats}
-    rendering and its [checks_by_kind] breakdown.  A few builds under a
-    fixed site-keyed fault hook pin the bytes of the degrade and skip
-    paths (their stats are left unpinned). *)
+    rendering and its [checks_by_kind] breakdown — and by a
+    [<name> verify <md5>] line pinning the soundness linter's verdict on
+    it: the MD5 of its {!Dataflow.Verify.pp_report} rendering and every
+    failure's address and reason, or of the [Error] text.  A few builds
+    under a fixed site-keyed fault hook pin the bytes of the degrade and
+    skip paths (their stats are left unpinned). *)
 
 module Rw = Redfat.Rewrite
 module CB = Backend.Check_backend
@@ -78,8 +81,23 @@ let stats name (s : Rw.stats) =
   in
   Printf.sprintf "%s stats %s" name (Digest.to_hex (Digest.string text))
 
-(* the byte line and the stats line of one hardening build *)
-let hardened name (r : Rw.t) = [ digest name r.binary; stats name r.stats ]
+let verify name (b : Binfmt.Relf.t) =
+  let text =
+    match Rw.verify b with
+    | Error e -> "error|" ^ e
+    | Ok r ->
+      Format.asprintf "%a|%s" Dataflow.Verify.pp_report r
+        (String.concat ","
+           (List.map
+              (fun (f : Dataflow.Verify.failure) ->
+                Printf.sprintf "%#x:%s" f.f_addr f.f_reason)
+              r.failures))
+  in
+  Printf.sprintf "%s verify %s" name (Digest.to_hex (Digest.string text))
+
+(* the byte, stats and verify lines of one hardening build *)
+let hardened name (r : Rw.t) =
+  [ digest name r.binary; stats name r.stats; verify name r.binary ]
 
 (* a fixed site-keyed fault: two thirds of the plans fault on their
    first attempt, and half of those again on the Redzone retry, so a
@@ -122,13 +140,15 @@ let faulted name =
     [ ("optimized", Rw.optimized); ("with_hoist", Rw.with_hoist) ]
 
 let lines () =
+  let chrome = Workloads.Chrome.binary ~copies:1 () in
   List.concat_map spec Workloads.Spec.all
   @ hardened "chrome:1 optimized/noreads"
-      (Rw.rewrite
-         { Rw.optimized with instrument_reads = false }
-         (Workloads.Chrome.binary ~copies:1 ()))
+      (Rw.rewrite { Rw.optimized with instrument_reads = false } chrome)
   @ hardened "asm:trap optimized"
       (Rw.rewrite Rw.optimized (Vm_golden.trap_binary ()))
+  (* reads on: the batch path whose linter verdict still lists
+     unaccounted operands; its report, failures included, is pinned *)
+  @ hardened "chrome:1 optimized" (Rw.rewrite Rw.optimized chrome)
   @ [
       digest "branchy probe-every"
         (snd (probe_build ~evict:false (Minic.Codegen.compile branchy)));
