@@ -6,9 +6,12 @@
     root set, which the dominator, liveness and availability analyses
     consume.
 
-    Leader recovery lives here (see {!leaders}) so the rewriter's
+    Leader recovery lives here, in {!of_instrs}, so the rewriter's
     graph and the soundness linter's re-disassembly provably agree on
-    block structure: both call the same function.
+    block structure: both build their graph with the same function.
+    The address index is one dense array over the stream's address
+    span, built once; leaders, indirect targets, edges and roots are
+    all resolved through it.
 
     Edge policy (documented assumptions, all conservative for the
     analyses built on top):
@@ -38,8 +41,9 @@ type block = {
 
 type t = {
   instrs : (int * X64.Isa.instr * int) array;
-  index_of : (int, int) Hashtbl.t;   (* addr -> instr index *)
-  leaders : (int, unit) Hashtbl.t;   (* block start addresses *)
+  base : int;                        (* lowest instruction address *)
+  index_of : int array;              (* addr - base -> instr index; -1 if none *)
+  leader : bool array;               (* instr index -> starts a leader *)
   roots : int list;                  (* root block ids (entry + indirect targets) *)
   blocks : block array;
   block_of : int array;              (* instr index -> block id *)
@@ -47,60 +51,66 @@ type t = {
   rpo_index : int array;             (* block id -> rpo position; -1 unreachable *)
 }
 
-(** Leader recovery shared by the rewriter and the linter: the entry,
-    direct branch/call targets, fall-throughs of branches, calls and
-    block-ending transfers, and every code-pointer constant.  Returns
-    the leader set and the subset that are potential indirect-transfer
-    targets (code-pointer constants). *)
-let leaders ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) :
-    (int, unit) Hashtbl.t * (int, unit) Hashtbl.t =
-  let index_of = Hashtbl.create (Array.length instrs) in
-  Array.iteri (fun i (a, _, _) -> Hashtbl.replace index_of a i) instrs;
-  let leaders = Hashtbl.create 256 and indirect = Hashtbl.create 16 in
-  let mark a = if Hashtbl.mem index_of a then Hashtbl.replace leaders a () in
-  mark entry;
-  Array.iter
-    (fun (_, i, _) ->
-      match i with
-      | X64.Isa.Mov_ri (_, v) when Hashtbl.mem index_of v ->
-        Hashtbl.replace leaders v ();
-        Hashtbl.replace indirect v ()
-      | _ -> ())
-    instrs;
-  Array.iter
-    (fun (a, i, len) ->
-      match X64.Isa.flow_of i with
-      | Fall -> ()
-      | Goto t -> mark t
-      | Branch t ->
-        mark t;
-        mark (a + len)
-      | To_call t ->
-        mark t;
-        mark (a + len)
-      | Dyn_call | Dyn_goto | Stop -> mark (a + len))
-    instrs;
-  (leaders, indirect)
+let lookup ~base index_of addr =
+  let o = addr - base in
+  if o >= 0 && o < Array.length index_of then index_of.(o) else -1
 
+(** Leaders are the entry, direct branch/call targets, fall-throughs of
+    branches, calls and block-ending transfers, and every code-pointer
+    constant; the constants are also potential indirect-transfer
+    targets, hence roots.  An address only counts when an instruction
+    starts there. *)
 let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   let n = Array.length instrs in
-  let index_of = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i (a, _, _) -> Hashtbl.replace index_of a i) instrs;
-  let leaders, indirect = leaders ~entry instrs in
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun (a, _, len) ->
+      if a < !lo then lo := a;
+      if a + len > !hi then hi := a + len)
+    instrs;
+  let base = if n = 0 then 0 else !lo in
+  let index_of = Array.make (if n = 0 then 0 else !hi - base) (-1) in
+  Array.iteri (fun i (a, _, _) -> index_of.(a - base) <- i) instrs;
+  let at addr = lookup ~base index_of addr in
+  (* one pass: leaders, indirect targets, and which instructions end a
+     block by their own flow *)
+  let leader = Array.make n false and indirect = Array.make n false in
+  let ends = Array.make n false in
+  let mark a =
+    let i = at a in
+    if i >= 0 then leader.(i) <- true
+  in
+  mark entry;
+  Array.iteri
+    (fun k (a, ins, len) ->
+      (match ins with
+      | X64.Isa.Mov_ri (_, v) ->
+        let i = at v in
+        if i >= 0 then begin
+          leader.(i) <- true;
+          indirect.(i) <- true
+        end
+      | _ -> ());
+      match X64.Isa.flow_of ins with
+      | Fall -> ()
+      | Goto t ->
+        ends.(k) <- true;
+        mark t
+      | Branch t | To_call t ->
+        ends.(k) <- true;
+        mark t;
+        mark (a + len)
+      | Dyn_call | Dyn_goto | Stop ->
+        ends.(k) <- true;
+        mark (a + len))
+    instrs;
   (* block boundaries: a block starts at a leader or after a
      terminator (so unreachable straight-line code still forms blocks) *)
   let starts = ref [] in
-  Array.iteri
-    (fun i (a, _, _) ->
-      let after_term =
-        i > 0
-        &&
-        let _, p, _ = instrs.(i - 1) in
-        X64.Isa.flow_of p <> X64.Isa.Fall
-      in
-      if i = 0 || Hashtbl.mem leaders a || after_term then starts := i :: !starts)
-    instrs;
-  let starts = Array.of_list (List.rev !starts) in
+  for i = n - 1 downto 0 do
+    if i = 0 || leader.(i) || ends.(i - 1) then starts := i :: !starts
+  done;
+  let starts = Array.of_list !starts in
   let nb = Array.length starts in
   let block_of = Array.make n (-1) in
   let blocks =
@@ -124,9 +134,8 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
         })
   in
   let block_at addr =
-    match Hashtbl.find_opt index_of addr with
-    | Some i -> Some block_of.(i)
-    | None -> None
+    let i = at addr in
+    if i >= 0 then Some block_of.(i) else None
   in
   Array.iter
     (fun b ->
@@ -143,7 +152,7 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
         | Dyn_goto | Stop -> ([], [])
       in
       let dedup l =
-        List.sort_uniq compare (List.filter_map (fun x -> x) l)
+        List.sort_uniq Int.compare (List.filter_map (fun x -> x) l)
       in
       b.fall_succs <- dedup fall;
       b.succs <- dedup (fall @ call_only))
@@ -152,16 +161,16 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
     (fun b -> List.iter (fun s -> blocks.(s).preds <- b.id :: blocks.(s).preds) b.succs)
     blocks;
   Array.iter (fun b -> b.preds <- List.rev b.preds) blocks;
-  (* roots: the entry block plus every indirect-target block *)
+  (* roots: the entry block plus every indirect-target block, collected
+     per block so the list comes out sorted and duplicate-free *)
+  let is_root = Array.make nb false in
+  (match block_at entry with Some b -> is_root.(b) <- true | None -> ());
+  Array.iteri (fun i ind -> if ind then is_root.(block_of.(i)) <- true) indirect;
   let roots = ref [] in
-  (match block_at entry with Some b -> roots := [ b ] | None -> ());
-  Hashtbl.iter
-    (fun a () ->
-      match block_at a with
-      | Some b when not (List.mem b !roots) -> roots := b :: !roots
-      | _ -> ())
-    indirect;
-  let roots = List.sort compare !roots in
+  for b = nb - 1 downto 0 do
+    if is_root.(b) then roots := b :: !roots
+  done;
+  let roots = !roots in
   (* reverse postorder over [succs] from all roots *)
   let visited = Array.make nb false in
   let post = ref [] in
@@ -176,7 +185,7 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   let rpo = Array.of_list !post in
   let rpo_index = Array.make nb (-1) in
   Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  { instrs; index_of; leaders; roots; blocks; block_of; rpo; rpo_index }
+  { instrs; base; index_of; leader; roots; blocks; block_of; rpo; rpo_index }
 
 let recover ~entry code =
   of_instrs ~entry (Array.of_list (X64.Disasm.sweep ~addr:entry code))
@@ -184,8 +193,14 @@ let recover ~entry code =
 let num_blocks t = Array.length t.blocks
 let block t b = t.blocks.(b)
 let block_of_instr t i = t.block_of.(i)
-let index_at t addr = Hashtbl.find_opt t.index_of addr
-let is_leader t addr = Hashtbl.mem t.leaders addr
+
+let index_at t addr =
+  let i = lookup ~base:t.base t.index_of addr in
+  if i >= 0 then Some i else None
+
+let is_leader t addr =
+  let i = lookup ~base:t.base t.index_of addr in
+  i >= 0 && t.leader.(i)
 let roots t = t.roots
 let rpo t = t.rpo
 

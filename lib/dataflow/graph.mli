@@ -2,9 +2,10 @@
 
     Shared substrate of the rewriter's planning (batching, patch
     tactics, save specialization), of the dominator, liveness and
-    availability analyses, and of the rewrite-soundness linter.  Leader
-    recovery is exposed so the rewriter plans over the exact same
-    block structure as the linter's re-disassembly. *)
+    availability analyses, and of the rewrite-soundness linter.  The
+    rewriter and the linter's re-disassembly both build their graph
+    with {!of_instrs}, so they plan and audit over the exact same block
+    structure. *)
 
 type block = {
   id : int;
@@ -22,8 +23,11 @@ type block = {
 
 type t = {
   instrs : (int * X64.Isa.instr * int) array;
-  index_of : (int, int) Hashtbl.t;
-  leaders : (int, unit) Hashtbl.t;
+  base : int;  (** lowest instruction address *)
+  index_of : int array;
+      (** [addr - base] -> instruction index, [-1] where no instruction
+          starts *)
+  leader : bool array;  (** instruction index -> starts a leader *)
   roots : int list;
   blocks : block array;
   block_of : int array;
@@ -31,19 +35,18 @@ type t = {
   rpo_index : int array;
 }
 
-val leaders :
-  entry:int ->
-  (int * X64.Isa.instr * int) array ->
-  (int, unit) Hashtbl.t * (int, unit) Hashtbl.t
-(** [leaders ~entry instrs]: (all leaders, potential indirect-transfer
-    targets).  The single source of truth for block boundaries: the
-    rewriter's graph and the linter's re-disassembly both come from
-    here. *)
-
 val of_instrs : entry:int -> (int * X64.Isa.instr * int) array -> t
 (** The graph over an already-swept instruction array (the rewriter
     sweeps once and reuses the array for blueprint keying and
-    emission). *)
+    emission).  Leaders are the entry, direct branch and call targets,
+    the fall-throughs of branches, calls and block-ending transfers,
+    and every code-pointer constant; the constants' blocks are roots.
+
+    Precondition: the stream comes from one blob, as
+    {!X64.Disasm.sweep} produces it.  The address index is one [int]
+    per byte of the stream's address span (lowest address to the end
+    of the highest instruction), so instructions scattered far apart
+    would make it as large as the gap. *)
 
 val recover : entry:int -> string -> t
 (** Linear-sweep [code] loaded at [entry] and build its graph.
