@@ -43,6 +43,52 @@ type fact = Top | Facts of (key * info) list  (* sorted by key *)
 let key_of_mem (m : X64.Isa.mem) : key =
   { seg = m.seg; base = m.base; idx = m.idx; scale = m.scale }
 
+(* Field-by-field comparisons: the transfers below run once per
+   instruction, and polymorphic [compare]/[=] on these records and
+   options costs a C call each.  [compare_key] orders exactly as
+   polymorphic [compare] does (fields in declaration order, [None]
+   before [Some]), so fact lists keep their order and the rewriter's
+   output its bytes. *)
+let compare_reg (a : X64.Isa.reg option) (b : X64.Isa.reg option) =
+  match (a, b) with
+  | None, None -> 0
+  | None, Some _ -> -1
+  | Some _, None -> 1
+  | Some x, Some y -> Int.compare x y
+
+let compare_key (a : key) (b : key) =
+  let c = Int.compare a.seg b.seg in
+  if c <> 0 then c
+  else
+    let c = compare_reg a.base b.base in
+    if c <> 0 then c
+    else
+      let c = compare_reg a.idx b.idx in
+      if c <> 0 then c else Int.compare a.scale b.scale
+
+let equal_key (a : key) (b : key) = compare_key a b = 0
+
+let equal_variant (a : X64.Isa.variant) (b : X64.Isa.variant) =
+  match (a, b) with
+  | Full, Full | Redzone, Redzone | Temporal, Temporal -> true
+  | _ -> false
+
+let equal_info (a : info) (b : info) =
+  a.lo = b.lo && a.hi = b.hi && a.site = b.site
+  && equal_variant a.variant b.variant
+
+let equal_fact (a : fact) (b : fact) =
+  match (a, b) with
+  | Top, Top -> true
+  | Facts xs, Facts ys ->
+    List.equal (fun (k, i) (k', i') -> equal_key k k' && equal_info i i') xs ys
+  | _ -> false
+
+let rec find (fs : (key * info) list) (k : key) : info option =
+  match fs with
+  | [] -> None
+  | (k', i) :: rest -> if equal_key k k' then Some i else find rest k
+
 (** Does [i] justify skipping a check of [variant] over [lo, hi)?  A
     [Redzone]-only fact cannot stand in for a [Full] check (it misses
     the low-fat bounds half of the complementary check), and the
@@ -51,10 +97,10 @@ let key_of_mem (m : X64.Isa.mem) : key =
     vice versa), so only an equal-variant fact covers it. *)
 let covers (i : info) ~(variant : X64.Isa.variant) ~(lo : int) ~(hi : int) =
   i.lo <= lo && i.hi >= hi
-  && (match (i.variant, variant) with
-     | a, b when a = b -> true
-     | X64.Isa.Full, X64.Isa.Redzone -> true
-     | _ -> false)
+  && (equal_variant i.variant variant
+     || match (i.variant, variant) with
+        | X64.Isa.Full, X64.Isa.Redzone -> true
+        | _ -> false)
 
 let join (a : fact) (b : fact) : fact =
   match (a, b) with
@@ -63,7 +109,7 @@ let join (a : fact) (b : fact) : fact =
     Facts
       (List.filter
          (fun (k, i) ->
-           match List.assoc_opt k ys with Some j -> i = j | None -> false)
+           match find ys k with Some j -> equal_info i j | None -> false)
          xs)
 
 (* insert keeping the list sorted by key; an established wider fact
@@ -71,7 +117,7 @@ let join (a : fact) (b : fact) : fact =
 let rec insert (k : key) (i : info) = function
   | [] -> [ (k, i) ]
   | ((k', i') :: rest) as l ->
-    let c = compare k k' in
+    let c = compare_key k k' in
     if c < 0 then (k, i) :: l
     else if c = 0 then
       if covers i' ~variant:i.variant ~lo:i.lo ~hi:i.hi then l
@@ -79,7 +125,8 @@ let rec insert (k : key) (i : info) = function
     else (k', i') :: insert k i rest
 
 let kills_key (defs : X64.Isa.reg list) (k : key) =
-  List.exists (fun r -> k.base = Some r || k.idx = Some r) defs
+  let names r = function Some x -> Int.equal x r | None -> false in
+  List.exists (fun r -> names r k.base || names r k.idx) defs
 
 let transfer_instr ~(gen : int -> (key * info) list) (index : int)
     (instr : X64.Isa.instr) (f : fact) : fact =
@@ -125,7 +172,7 @@ let solve (g : Graph.t) ~(gen : int -> (key * info) list) : t =
   let module P = struct
     type nonrec fact = fact
 
-    let equal (a : fact) (b : fact) = a = b
+    let equal = equal_fact
     let direction = `Forward
     let init = Top
     let boundary = Facts []  (* nothing is available at a root *)
@@ -149,5 +196,3 @@ let available_before (t : t) (index : int) : (key * info) list =
     f := transfer_instr ~gen:t.gen i instr !f
   done;
   match !f with Top -> [] | Facts fs -> fs
-
-let find (fs : (key * info) list) (k : key) : info option = List.assoc_opt k fs

@@ -27,6 +27,16 @@ type fact = Top | Facts of (key * info) list
 val key_of_mem : X64.Isa.mem -> key
 (** The address expression of a memory operand (displacement dropped). *)
 
+val compare_key : key -> key -> int
+(** The order fact lists are kept in: polymorphic [compare]'s order
+    (seg, then base with [None] first, then idx, then scale), without
+    its C call. *)
+
+val equal_key : key -> key -> bool
+
+val equal_fact : fact -> fact -> bool
+(** Structural equality, as [(=)]. *)
+
 val covers : info -> variant:X64.Isa.variant -> lo:int -> hi:int -> bool
 (** Does the fact justify skipping a check of [variant] over [lo, hi)?
     A [Redzone]-only fact never stands in for a [Full] check. *)

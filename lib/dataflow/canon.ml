@@ -43,7 +43,11 @@ let canon_reg (st : state) (r : X64.Isa.reg) : X64.Isa.reg =
 let invalidate (st : state) (r : X64.Isa.reg) =
   st.copy.(r) <- None;
   st.konst.(r) <- None;
-  Array.iteri (fun x c -> if c = Some r then st.copy.(x) <- None) st.copy
+  for x = 0 to X64.Isa.num_regs - 1 do
+    match st.copy.(x) with
+    | Some c when Int.equal c r -> st.copy.(x) <- None
+    | _ -> ()
+  done
 
 let step (st : state) (instr : X64.Isa.instr) =
   match instr with
@@ -68,22 +72,23 @@ let operand (g : Graph.t) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
   done;
   (* constant-fold first (a register holding a known constant becomes
      displacement), then rename what remains to canonical copies *)
+  let konst = function Some r -> st.konst.(r) | None -> None in
   let m =
-    match m.X64.Isa.base with
-    | Some r when st.konst.(r) <> None ->
-      let d = m.X64.Isa.disp + Option.get st.konst.(r) in
+    match konst m.X64.Isa.base with
+    | Some k ->
+      let d = m.X64.Isa.disp + k in
       if X64.Encode.fits_i32 d then { m with X64.Isa.base = None; disp = d }
       else m
-    | _ -> m
+    | None -> m
   in
   let m =
-    match m.X64.Isa.idx with
-    | Some r when st.konst.(r) <> None ->
-      let d = m.X64.Isa.disp + (Option.get st.konst.(r) * m.X64.Isa.scale) in
+    match konst m.X64.Isa.idx with
+    | Some k ->
+      let d = m.X64.Isa.disp + (k * m.X64.Isa.scale) in
       if X64.Encode.fits_i32 d then
         { m with X64.Isa.idx = None; disp = d; scale = 1 }
       else m
-    | _ -> m
+    | None -> m
   in
   let m =
     match m.X64.Isa.base with
