@@ -62,7 +62,10 @@ let shape_key ~opts_key ~text_addr ~text_end
         (tag, instr', len))
       instrs
   in
-  Marshal.to_string (opts_key, !pinned, abstract) []
+  (* the abstracted stream is acyclic, so marshalling it without
+     sharing terminates and makes the key a function of its structure
+     alone; the key never leaves this process's table *)
+  Marshal.to_string (opts_key, !pinned, abstract) [ Marshal.No_sharing ]
 
 (* --- the interning table --------------------------------------------- *)
 
