@@ -610,7 +610,7 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
   let (module B) = Backend.Check_backend.of_id opts.backend in
   (* the plan: interned by text shape, built on a miss (a blueprint
      hit skips every analysis — graph recovery included) *)
-  let bkey =
+  let bkey = sp "rw.shape" @@ fun () ->
     Blueprint.shape_key
       ~opts_key:(shape_opts_key opts ~text_addr:text.addr ~text_end)
       ~text_addr:text.addr ~text_end instrs
@@ -692,6 +692,9 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
     sp "rw.emit" (fun () ->
         List.map (fun p -> (p, emit p)) bp.Blueprint.b_plans)
   in
+  (* what follows — the tally, the final records, the [.elimtab] and
+     the patched binary — is the rewriter's own work too *)
+  sp "rw.finish" @@ fun () ->
   (* one pass over the outcomes tallies what was emitted *)
   let sites = Array.make 3 0 and emitted = Array.make 3 0 in
   let trampolines = ref 0 and zero_save_sites = ref 0 in
