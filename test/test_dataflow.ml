@@ -218,6 +218,195 @@ let test_canon_operand () =
   Alcotest.(check bool) "constant index folded away" true (m.Isa.idx = None);
   Alcotest.(check int) "into the displacement" 40 m.Isa.disp
 
+(* --- the dense address index ----------------------------------------- *)
+
+(* the structural invariants every graph keeps: [index_at] agrees with
+   a reference table on every address of the span and one past either
+   end, [is_leader] holds only at instruction starts, the blocks tile
+   the stream in order with [block_of] matching their ranges, and the
+   roots are sorted and duplicate-free *)
+let index_ok (g : Df.Graph.t) =
+  let instrs = g.Df.Graph.instrs in
+  let reference = Hashtbl.create 64 in
+  Array.iteri (fun i (a, _, _) -> Hashtbl.replace reference a i) instrs;
+  let lo, hi =
+    Array.fold_left
+      (fun (lo, hi) (a, _, l) -> (min lo a, max hi (a + l)))
+      (if instrs = [||] then (0, 0) else (max_int, min_int))
+      instrs
+  in
+  let ok = ref true in
+  for a = lo - 2 to hi + 2 do
+    let want = Hashtbl.find_opt reference a in
+    if Df.Graph.index_at g a <> want then ok := false;
+    if want = None && Df.Graph.is_leader g a then ok := false
+  done;
+  !ok
+
+let blocks_ok (g : Df.Graph.t) =
+  let n = Array.length g.Df.Graph.instrs in
+  let next = ref 0 and ok = ref true in
+  for b = 0 to Df.Graph.num_blocks g - 1 do
+    let blk = Df.Graph.block g b in
+    if blk.Df.Graph.first <> !next || blk.last < blk.first then ok := false;
+    for i = blk.first to blk.last do
+      if Df.Graph.block_of_instr g i <> b then ok := false
+    done;
+    next := blk.last + 1
+  done;
+  !ok && !next = n
+
+let roots_ok (g : Df.Graph.t) =
+  let r = Df.Graph.roots g in
+  List.sort_uniq compare r = r
+
+let graph_ok g = index_ok g && blocks_ok g && roots_ok g
+
+(* hand-built streams: lengths are taken as given, so a gap between
+   two instructions is just an address span no instruction covers *)
+let test_dense_index_gap () =
+  let instrs =
+    [|
+      (0x1000, Isa.Mov_ri (Isa.rax, 0x1010), 10);  (* code pointer *)
+      (0x100a, Isa.Jcc (Isa.Eq, 0x1014), 2);  (* falls into the gap *)
+      (0x1010, Isa.Nop 4, 4);
+      (0x1014, Isa.Ret, 1);
+    |]
+  in
+  let g = Df.Graph.of_instrs ~entry:0x1000 instrs in
+  Array.iteri
+    (fun k (a, _, _) ->
+      Alcotest.(check (option int)) "start maps to its index" (Some k)
+        (Df.Graph.index_at g a))
+    instrs;
+  List.iter
+    (fun a ->
+      Alcotest.(check (option int)) (Printf.sprintf "%#x is no start" a) None
+        (Df.Graph.index_at g a);
+      Alcotest.(check bool) (Printf.sprintf "%#x is no leader" a) false
+        (Df.Graph.is_leader g a))
+    [ 0; 0xfff; 0x1001; 0x1009; 0x100b; 0x100c; 0x100f; 0x1011; 0x1015; 0x2000 ];
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Printf.sprintf "%#x leads" a) true
+        (Df.Graph.is_leader g a))
+    [ 0x1000; 0x1010; 0x1014 ];
+  Alcotest.(check (list int)) "entry and code-pointer blocks are roots"
+    [ 0; 1 ] (Df.Graph.roots g);
+  Alcotest.(check bool) "graph invariants" true (graph_ok g)
+
+let test_dense_index_single () =
+  let g = Df.Graph.of_instrs ~entry:0x2000 [| (0x2000, Isa.Ret, 1) |] in
+  Alcotest.(check (option int)) "the instruction" (Some 0)
+    (Df.Graph.index_at g 0x2000);
+  Alcotest.(check (option int)) "before it" None (Df.Graph.index_at g 0x1fff);
+  Alcotest.(check (option int)) "at its end" None (Df.Graph.index_at g 0x2001);
+  Alcotest.(check (list int)) "one root" [ 0 ] (Df.Graph.roots g);
+  Alcotest.(check bool) "graph invariants" true (graph_ok g)
+
+let test_dense_index_empty () =
+  let g = Df.Graph.of_instrs ~entry:0x3000 [||] in
+  Alcotest.(check int) "no blocks" 0 (Df.Graph.num_blocks g);
+  Alcotest.(check (list int)) "no roots" [] (Df.Graph.roots g);
+  List.iter
+    (fun a ->
+      Alcotest.(check (option int)) "nothing indexed" None
+        (Df.Graph.index_at g a);
+      Alcotest.(check bool) "nothing leads" false (Df.Graph.is_leader g a))
+    [ 0; 0x2fff; 0x3000; 0x3001 ]
+
+let prop_graph_invariants =
+  QCheck.Test.make ~count:100 ~name:"graph: dense index and block tiling"
+    Test_asm_properties.arb_program
+    (fun accs ->
+      let text =
+        Binfmt.Relf.text_exn (Test_asm_properties.program_of accs)
+      in
+      graph_ok (Df.Graph.recover ~entry:text.addr text.bytes))
+
+let test_graph_invariants_workloads () =
+  List.iter
+    (fun (b : Workloads.Spec.bench) ->
+      let text = Binfmt.Relf.text_exn (Workloads.Spec.binary b) in
+      Alcotest.(check bool) b.name true
+        (graph_ok (Df.Graph.recover ~entry:text.addr text.bytes)))
+    Workloads.Spec.all
+
+(* --- monomorphic comparisons ------------------------------------------ *)
+
+(* small domains, so equal keys and equal fact lists come up often *)
+let gen_key =
+  QCheck.Gen.(
+    let reg = oneofl [ None; Some 0; Some 3; Some 15 ] in
+    let* seg = int_range 0 1 in
+    let* base = reg in
+    let* idx = reg in
+    let* scale = oneofl [ 1; 8 ] in
+    return { Df.Avail.seg; base; idx; scale })
+
+let gen_info =
+  QCheck.Gen.(
+    let* lo = int_range 0 1 in
+    let* hi = int_range 1 2 in
+    let* site = int_range 0 1 in
+    let* variant = oneofl [ Isa.Full; Isa.Redzone; Isa.Temporal ] in
+    return { Df.Avail.lo; hi; site; variant })
+
+let gen_facts = QCheck.Gen.(list_size (int_range 0 4) (pair gen_key gen_info))
+
+(* a fact and a second one: a structural copy, the copy with one info
+   redrawn, or an independent draw *)
+let gen_fact_pair =
+  QCheck.Gen.(
+    let fact =
+      frequency
+        [ (1, return Df.Avail.Top);
+          (5, map (fun l -> Df.Avail.Facts l) gen_facts) ]
+    in
+    let* f = fact in
+    let copy =
+      match f with
+      | Df.Avail.Top -> Df.Avail.Top
+      | Facts l ->
+        Facts
+          (List.map
+             (fun ((k : Df.Avail.key), (i : Df.Avail.info)) ->
+               ({ k with seg = k.seg }, { i with lo = i.lo }))
+             l)
+    in
+    let* g =
+      frequency
+        [ (2, return copy);
+          ( 2,
+            match copy with
+            | Facts ((k, _) :: rest) ->
+              map (fun i -> Df.Avail.Facts ((k, i) :: rest)) gen_info
+            | _ -> fact );
+          (1, fact) ]
+    in
+    return (f, g))
+
+let sign c = compare c 0
+
+let prop_compare_key =
+  QCheck.Test.make ~count:2000 ~name:"avail: key compare is polymorphic compare"
+    (QCheck.make QCheck.Gen.(pair gen_key gen_key))
+    (fun (a, b) ->
+      sign (Df.Avail.compare_key a b) = sign (compare a b)
+      && Df.Avail.equal_key a b = (a = b))
+
+let prop_equal_fact =
+  QCheck.Test.make ~count:2000 ~name:"avail: fact equality is (=)"
+    (QCheck.make gen_fact_pair)
+    (fun (f, g) -> Df.Avail.equal_fact f g = (f = g))
+
+let prop_fact_order =
+  QCheck.Test.make ~count:500 ~name:"avail: facts sort as under compare"
+    (QCheck.make gen_facts)
+    (fun l ->
+      let by cmp = List.stable_sort (fun (a, _) (b, _) -> cmp a b) l in
+      by Df.Avail.compare_key = by compare)
+
 (* --- elimination table ---------------------------------------------- *)
 
 let test_elimtab_roundtrip () =
@@ -419,6 +608,18 @@ let tests =
     Alcotest.test_case "clobbers at a call boundary" `Quick
       test_clobbers_call_boundary;
     Alcotest.test_case "operand canonicalization" `Quick test_canon_operand;
+    Alcotest.test_case "dense index: stream with a gap" `Quick
+      test_dense_index_gap;
+    Alcotest.test_case "dense index: one instruction" `Quick
+      test_dense_index_single;
+    Alcotest.test_case "dense index: empty stream" `Quick
+      test_dense_index_empty;
+    Alcotest.test_case "dense index: SPEC kernels" `Quick
+      test_graph_invariants_workloads;
+    QCheck_alcotest.to_alcotest prop_graph_invariants;
+    QCheck_alcotest.to_alcotest prop_compare_key;
+    QCheck_alcotest.to_alcotest prop_equal_fact;
+    QCheck_alcotest.to_alcotest prop_fact_order;
     Alcotest.test_case "elimtab round-trip" `Quick test_elimtab_roundtrip;
     Alcotest.test_case "options_key pairwise distinct" `Quick
       test_options_key_distinct;

@@ -449,6 +449,22 @@ let test_report_json_shape () =
       "\"wall_seconds\":";
     ]
 
+(* the rewriter's whole pass is in its own spans: the shape key and the
+   finishing work (tally, .elimtab, patched binary) included *)
+let test_harden_rewriter_spans () =
+  with_engine ~cache:false @@ fun eng ->
+  let bin = Workloads.Spec.binary (Workloads.Spec.find "mcf") in
+  ignore (Pl.harden eng bin);
+  let o = Pl.obs eng in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " recorded as a rewrite span") true
+        (List.exists
+           (fun (s : Obs.span) -> s.sp_name = name && s.sp_cat = "rewrite")
+           (Obs.spans o)))
+    [ "rw.shape"; "rw.finish" ];
+  Alcotest.(check bool) "spans well-formed" true (Obs.well_formed o)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_pool_matches_list_map;
@@ -478,6 +494,8 @@ let tests =
     Alcotest.test_case "compile deterministic across domains" `Quick
       test_compile_deterministic_across_domains;
     Alcotest.test_case "typed stage chain" `Quick test_stage_chain;
+    Alcotest.test_case "harden: rewriter spans" `Quick
+      test_harden_rewriter_spans;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
     Alcotest.test_case "report JSON strings round-trip" `Quick
       test_report_json_strings;
