@@ -274,16 +274,54 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
           let a, _, _ = instrs.(idx) in
           a
         in
+        (* the same-block fallback.  [Avail] keeps one fact per address
+           key: of an unmerged batch's several checks on one key only
+           one survives, and an older covering fact beats a fresh one
+           even when its site does not dominate (a block no graph root
+           reaches has no dominator).  Control enters a block only at
+           its first instruction, so a unit earlier in the operand's
+           own block whose check covers it, with no kill in between
+           under {!Avail.transfer_instr}'s rule, covers it on every
+           path. *)
+        let covered_in_block idx key (m : X64.Isa.mem) ~bytes =
+          let first =
+            (Graph.block graph (Graph.block_of_instr graph idx)).Graph.first
+          in
+          let probe =
+            let info =
+              { Avail.lo = 0; hi = 0; site = -1; variant = X64.Isa.Full }
+            in
+            Avail.Facts [ (key, info) ]
+          in
+          let rec back j =
+            if j < first then None
+            else
+              let _, instr, _ = instrs.(j) in
+              let after =
+                Avail.transfer_instr ~gen:(fun _ -> []) j instr probe
+              in
+              if not (Avail.equal_fact after probe) then None
+              else if
+                List.exists
+                  (fun (k, (i : Avail.info)) ->
+                    Avail.equal_key k key
+                    && i.lo <= m.disp
+                    && i.hi >= m.disp + bytes)
+                  (gen j)
+              then Some (site_addr j)
+              else back (j - 1)
+          in
+          back (idx - 1)
+        in
         let covered_by idx (m : X64.Isa.mem) ~bytes =
-          match
-            Avail.find (Avail.available_before avail idx) (Avail.key_of_mem m)
-          with
+          let key = Avail.key_of_mem m in
+          match Avail.find (Avail.available_before avail idx) key with
           | Some info
             when info.Avail.lo <= m.disp
                  && info.hi >= m.disp + bytes
                  && Dom.dominates_instr dom ~def:info.site ~use:idx ->
             Some (site_addr info.site)
-          | _ -> None
+          | _ -> covered_in_block idx key m ~bytes
         in
         let unit_checks_cover (u : tunit) (m : X64.Isa.mem) ~bytes =
           let key = Avail.key_of_mem m in

@@ -532,6 +532,183 @@ let test_verify_workloads_ok () =
           (Df.Verify.ok r))
     spec_subset
 
+(* every preset under every backend and read policy, over Chrome x1
+   and the 29 kernels (the profiling build, which only ever runs under
+   the default backend, with both read policies).  Chrome's clones sit
+   in blocks no graph root reaches, and presets that batch without
+   merging emit several checks on one key, of which the availability
+   facts keep one: both need the linter's same-block fallback *)
+let test_verify_presets_clean () =
+  let builds =
+    List.concat_map
+      (fun (pname, preset) ->
+        List.map
+          (fun backend ->
+            ( pname ^ "/" ^ Backend.Check_backend.name backend,
+              { preset with Rw.backend } ))
+          Backend.Check_backend.all)
+      [ ("unoptimized", Rw.unoptimized); ("with_elim", Rw.with_elim);
+        ("with_batch", Rw.with_batch); ("optimized", Rw.optimized);
+        ("with_hoist", Rw.with_hoist) ]
+    @ [ ("profiling_build", Rw.profiling_build) ]
+  in
+  let bins =
+    ("chrome:1", Workloads.Chrome.binary ~copies:1 ())
+    :: List.map
+         (fun (b : Workloads.Spec.bench) ->
+           ("spec:" ^ b.name, Workloads.Spec.binary b))
+         Workloads.Spec.all
+  in
+  let bad = ref [] in
+  List.iter
+    (fun (name, bin) ->
+      List.iter
+        (fun (bname, opts) ->
+          List.iter
+            (fun instrument_reads ->
+              let what =
+                Printf.sprintf "%s %s reads=%b" name bname instrument_reads
+              in
+              let hard = Rw.rewrite { opts with instrument_reads } bin in
+              match Rw.verify hard.Rw.binary with
+              | Ok r when Df.Verify.ok r -> ()
+              | Ok r ->
+                bad :=
+                  Printf.sprintf "%s: %d unaccounted" what
+                    (List.length r.Df.Verify.failures)
+                  :: !bad
+              | Error e -> bad := (what ^ ": " ^ e) :: !bad)
+            [ true; false ])
+        builds)
+    bins;
+  Alcotest.(check (list string)) "every build verifies" [] (List.rev !bad)
+
+(* a batch in a block no root reaches: the member after the patched
+   span is covered by its unit's check, until its base register is
+   redefined in between *)
+let test_verify_same_block_kill () =
+  let items =
+    [
+      i Isa.Ret;
+      i (Isa.Store (Isa.W8, Isa.mem ~base:Isa.r9 (), Isa.r10));
+      i (Isa.Mov_ri (Isa.r11, 1));
+      i (Isa.Mov_ri (Isa.r11, 2));
+      i (Isa.Alu_ri (Isa.Add, Isa.r11, 3));
+      i (Isa.Store (Isa.W8, Isa.mem ~disp:8 ~base:Isa.r9 (), Isa.r10));
+      i Isa.Ret;
+    ]
+  in
+  let hard = Rw.rewrite Rw.with_batch (assemble_binary items) in
+  let verifies bin =
+    match Rw.verify bin with Ok r -> Df.Verify.ok r | Error _ -> false
+  in
+  Alcotest.(check bool) "batched unreachable block verifies" true
+    (verifies hard.Rw.binary);
+  (* overwrite the last filler with a same-length redefinition of the
+     base (an add, which operand canonicalization cannot fold away):
+     the second store is no longer covered *)
+  let text = Binfmt.Relf.text_exn hard.Rw.binary in
+  let filler, kill =
+    match
+      List.filter
+        (fun (_, ins, _) ->
+          match ins with Isa.Alu_ri (Isa.Add, r, 3) -> r = Isa.r11 | _ -> false)
+        (Disasm.sweep ~addr:text.addr text.bytes)
+    with
+    | [ (a, _, _) ] ->
+      (a, Encode.encode_seq ~addr:a [ Isa.Alu_ri (Isa.Add, Isa.r9, 3) ])
+    | _ -> Alcotest.fail "filler not found in the hardened text"
+  in
+  let bytes = Bytes.of_string text.bytes in
+  Bytes.blit_string kill 0 bytes (filler - text.addr) (String.length kill);
+  let tampered =
+    {
+      hard.Rw.binary with
+      Binfmt.Relf.sections =
+        List.map
+          (fun (s : Binfmt.Relf.section) ->
+            if s.name = ".text" then
+              { s with Binfmt.Relf.bytes = Bytes.to_string bytes }
+            else s)
+          hard.Rw.binary.Binfmt.Relf.sections;
+    }
+  in
+  Alcotest.(check bool) "a kill in between fails the lint" false
+    (verifies tampered)
+
+(* the dynamic side of the fallback: [f] runs, but only through a
+   pointer computed at run time ([&g] plus an input), so no code-pointer
+   constant names it and no graph root reaches its batch.  Each batch
+   member's check must run, and an out-of-bounds index planted at each
+   member must be detected at that member *)
+let test_verify_unreachable_batch_runs () =
+  let open Minic.Build in
+  let prog =
+    Minic.Ast.program
+      [
+        Minic.Ast.func ~name:"g" ~params:[ "a"; "j" ] [ return_ (i 0) ];
+        Minic.Ast.func ~name:"f" ~params:[ "a"; "j" ]
+          [ setk (v "a") (v "j") 0 (i 1); setk (v "a") (v "j") 1 (i 2);
+            setk (v "a") (v "j") 2 (i 3); return_ (i 0) ];
+        Minic.Ast.func ~name:"main"
+          [ let_ "a" (alloc_elems (i 8));
+            let_ "p" (addr_of "g" +: Minic.Ast.Input);
+            expr (call_ptr (v "p") [ v "a"; Minic.Ast.Input ]);
+            return_ (i 0) ];
+      ]
+  in
+  let bin, syms = Minic.Codegen.compile_with_symbols prog in
+  let f = List.assoc "fn_f" syms in
+  let delta = f - List.assoc "fn_g" syms in
+  let text = Binfmt.Relf.text_exn bin in
+  let instrs = Array.of_list (Disasm.sweep ~addr:text.addr text.bytes) in
+  let g = Df.Graph.of_instrs ~entry:bin.Binfmt.Relf.entry instrs in
+  let block_at a =
+    Df.Graph.block_of_instr g (Option.get (Df.Graph.index_at g a))
+  in
+  let members =
+    Array.to_list instrs
+    |> List.filter_map (fun (a, ins, _) ->
+           if a > f && Isa.mem_operand ins <> None then Some a else None)
+  in
+  Alcotest.(check int) "three batch members" 3 (List.length members);
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "member unreachable from every root" false
+        (Df.Graph.reachable g (block_at a)))
+    members;
+  List.iter
+    (fun (pname, opts) ->
+      let hard = (Rw.rewrite opts bin).Rw.binary in
+      (match Rw.verify hard with
+      | Ok r ->
+        Alcotest.(check bool) (pname ^ " verifies") true (Df.Verify.ok r)
+      | Error e -> Alcotest.fail e);
+      let acct = Vm.Cpu.new_acct () in
+      let run j = Redfat.run_hardened ~acct ~inputs:[ delta; j ] hard in
+      (match (run 0).verdict with
+      | Redfat.Finished 0 -> ()
+      | v -> Alcotest.failf "%s benign: %s" pname (Redfat.verdict_to_string v));
+      let checked = List.map (fun (s, _, _) -> s) (Vm.Cpu.acct_sites acct) in
+      (* a merged check is accounted to the first member only *)
+      let expect = if opts.Rw.merge then [ List.hd members ] else members in
+      Alcotest.(check (list int)) (pname ^ " member checks ran") expect checked;
+      (* index 8 - k puts member k just past the 8-element array *)
+      List.iteri
+        (fun k a ->
+          match (run (8 - k)).verdict with
+          | Redfat.Detected e ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s member %d detected at its site" pname k)
+              (if opts.Rw.merge then List.hd members else a)
+              e.Redfat_rt.Runtime.site
+          | v ->
+            Alcotest.failf "%s member %d: %s" pname k
+              (Redfat.verdict_to_string v))
+        members)
+    [ ("unoptimized", Rw.unoptimized); ("with_batch", Rw.with_batch);
+      ("optimized", Rw.optimized) ]
+
 let heap_fixture =
   (* one heap access, one eliminated rsp access *)
   [
@@ -631,6 +808,12 @@ let tests =
       test_global_elim_preserves_verdicts;
     Alcotest.test_case "verify: workloads lint clean" `Quick
       test_verify_workloads_ok;
+    Alcotest.test_case "verify: every preset, backend and policy" `Quick
+      test_verify_presets_clean;
+    Alcotest.test_case "verify: same-block cover stops at a kill" `Quick
+      test_verify_same_block_kill;
+    Alcotest.test_case "verify: unreachable batch runs and detects" `Quick
+      test_verify_unreachable_batch_runs;
     Alcotest.test_case "verify: tampered elimtab fails" `Quick
       test_verify_detects_tampering;
     Alcotest.test_case "verify: rogue text access fails" `Quick
