@@ -33,4 +33,5 @@ let () =
       ("obs", Test_obs.tests);
       ("fault", Test_fault.tests);
       ("serve", Test_serve.tests);
+      ("bench-diff", Test_bench_diff.tests);
     ]

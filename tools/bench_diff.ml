@@ -1,14 +1,14 @@
 (* bench_diff: the bench-regression gate.
 
-   Compares a freshly generated bench report (bench/main.exe table1
-   --out BENCH_table1.json) against the committed baseline
-   (bench/baseline.json) and fails when hardening quality regresses:
+   Compares a freshly generated bench report (make bench-gate writes
+   BENCH_gate.json) against the committed baseline (bench/baseline.json)
+   and fails, exiting 1, when hardening quality regresses:
 
      - a baseline target disappeared from the fresh report;
      - a target's deterministic baseline cycle count grew by more
-       than the threshold (default 10%);
+       than 10%;
      - any overhead ratio (unopt/elim/batch/merge/...) grew by more
-       than the threshold;
+       than 10%, or disappeared;
      - the emitted-check counters went up: checks_emitted, any
        per-check-kind emit.* counter, any per-backend backend.*
        counter, or hoist.checks_emitted (more emitted checks means
@@ -23,42 +23,35 @@
        partition or cache keys lost precision);
      - any *unique_bugs counter went down (a fuzz smoke campaign
        stopped finding a seeded bug it used to find: the oracle,
-       scheduler or mutators regressed).
+       scheduler or mutators regressed);
+     - a baseline counter named by these rules is missing from the
+       fresh report.
 
-   New targets and improvements are fine.  wall_seconds is ignored
-   everywhere: it is the only machine-dependent field; cycles come
-   from the deterministic VM cost model.
+   New targets and improvements are fine.  wall_seconds and every
+   other counter (serve latencies and throughput, rebuild.*_ms) are
+   ignored: they are the machine-dependent figures; cycles come from
+   the deterministic VM cost model.
 
    Re-baselining after an intentional change:
      make bench-baseline   # regenerates bench/baseline.json
    then commit the new baseline together with the change that
    explains it.
 
-   usage: bench_diff baseline.json fresh.json [--max-regress PCT] *)
+   usage: bench_diff baseline.json fresh.json  (exit 2 on a bad argument
+   or an unreadable report) *)
 
 module J = Obs.Json
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
-let baseline_path, fresh_path, max_regress =
-  let pos = ref [] and pct = ref 10.0 in
-  let rec parse = function
-    | [] -> ()
-    | "--max-regress" :: p :: rest ->
-      (match float_of_string_opt p with
-      | Some x when x >= 0.0 -> pct := x
-      | _ -> die "--max-regress: expected a percentage, got %s" p);
-      parse rest
-    | x :: _ when String.length x > 0 && x.[0] = '-' ->
-      die "usage: bench_diff baseline.json fresh.json [--max-regress PCT]"
-    | x :: rest ->
-      pos := x :: !pos;
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  match List.rev !pos with
-  | [ b; f ] -> (b, f, !pct)
-  | _ -> die "usage: bench_diff baseline.json fresh.json [--max-regress PCT]"
+(* the most a cycle count or overhead may grow, in percent *)
+let max_regress = 10.0
+
+let baseline_path, fresh_path =
+  let flag = String.starts_with ~prefix:"-" in
+  match List.tl (Array.to_list Sys.argv) with
+  | [ b; f ] when not (flag b || flag f) -> (b, f)
+  | _ -> die "usage: bench_diff baseline.json fresh.json"
 
 let load path =
   let src =
