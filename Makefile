@@ -6,11 +6,12 @@ EXAMPLES := $(wildcard examples/*.mc)
 
 BENCH_DIFF := _build/default/tools/bench_diff.exe
 
+# the gated experiments, run in this order into one report
+GATED := table1 serve rebuild fuzz fig4
+
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
-	bench-baseline serve-smoke bench-serve-gate bench-serve-baseline \
-	rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
-	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline perf-check vm-golden digest-golden determinism ci \
-	clean
+	bench-baseline serve-smoke fuzz-smoke perf-check vm-golden \
+	digest-golden determinism ci clean
 
 all: build
 
@@ -60,18 +61,24 @@ bench-json: build
 	$(BENCH) table1 --jobs 4 --out BENCH_table1.json
 	@echo "wrote BENCH_table1.json"
 
-# the bench-regression gate: regenerate Table 1 and diff it against
-# the committed baseline.  Cycle counts come from the deterministic VM
-# cost model, so any regression is a code change, not machine noise.
-# Fails on emitted-check-count increases or >10% cycle regressions.
+# the bench-regression gate: one run of the gated experiments, one
+# diff against the one committed baseline.  Table 1's cycles come from
+# the deterministic VM cost model, so any regression is a code change,
+# not machine noise.  The run itself exits 1 when the nightly rebuild
+# shares no blueprint cold, diverges from a cold rewrite, partitions
+# more than once a night or reuses under 900 permille; tools/bench_diff
+# then fails on a missing target, >10% cycle or overhead regressions,
+# emitted-check increases, and falls in hoisted checks, the serve warm
+# hit rate, rebuild reuse or fuzz unique bugs.  Wall-clock counters are
+# reported, never gated.
 bench-gate: build
-	$(BENCH) table1 --jobs 2 --out BENCH_table1.json > /dev/null
-	$(BENCH_DIFF) bench/baseline.json BENCH_table1.json
+	$(BENCH) $(GATED) --jobs 2 --out BENCH_gate.json > /dev/null
+	$(BENCH_DIFF) bench/baseline.json BENCH_gate.json
 
-# after an INTENTIONAL hardening/cost change: refresh the baseline and
-# commit it together with the change that explains it
+# after an INTENTIONAL hardening/cost/cache/fuzzing change: refresh the
+# baseline and commit it together with the change that explains it
 bench-baseline: build
-	$(BENCH) table1 --jobs 2 --out bench/baseline.json > /dev/null
+	$(BENCH) $(GATED) --jobs 2 --out bench/baseline.json > /dev/null
 	@echo "wrote bench/baseline.json -- commit it with the explaining change"
 
 # serving-tier smoke: start the daemon on a Unix socket, drive a
@@ -98,40 +105,6 @@ serve-smoke: build
 	  echo "backend $$b: serve smoke OK"; \
 	done
 
-# the serving-tier regression gate: the Zipf traffic simulation through
-# the daemon's request path; gates the warm-phase hit rate
-# (serve.warm.hit_permille must not decrease) and the emitted-check
-# counters.  Throughput and latency are reported but never gated.
-bench-serve-gate: build
-	$(BENCH) serve --out BENCH_serve.json > /dev/null
-	$(BENCH_DIFF) bench/serve_baseline.json BENCH_serve.json
-
-# after an INTENTIONAL serving/cache change: refresh the fleet baseline
-bench-serve-baseline: build
-	$(BENCH) serve --out bench/serve_baseline.json > /dev/null
-	@echo "wrote bench/serve_baseline.json -- commit it with the explaining change"
-
-# incremental-reuse smoke: harden a small fleet cold, perturb one
-# function, re-harden.  Fails unless blueprints were shared on the
-# cold pass, >= 900 permille of per-function artifacts were reused,
-# and every incremental result is byte-identical (binary, .elimtab,
-# verify verdict) to a cold monolithic rewrite on every backend
-rebuild-smoke: build
-	$(BENCH) rebuild --benches perlbench,gcc,calculix --nights 1 \
-	  --min-reuse 900
-
-# the incremental-rebuild regression gate: the full 29-kernel nightly
-# scenario; gates rebuild.fns_reused_permille (may never decrease).
-# Wall-clock rebuild times are reported but never gated.
-bench-rebuild-gate: build
-	$(BENCH) rebuild --out BENCH_rebuild.json > /dev/null
-	$(BENCH_DIFF) bench/rebuild_baseline.json BENCH_rebuild.json
-
-# after an INTENTIONAL partition/cache-key change: refresh the baseline
-bench-rebuild-baseline: build
-	$(BENCH) rebuild --out bench/rebuild_baseline.json > /dev/null
-	@echo "wrote bench/rebuild_baseline.json -- commit it with the explaining change"
-
 # fuzzing-fleet smoke: a bounded deterministic campaign (fixed seed and
 # budget) over the seeded-bug suite on every backend, plus both parser
 # campaigns; each must find and deduplicate at least one planted bug
@@ -147,20 +120,6 @@ fuzz-smoke: build
 	$(REDFAT) fuzz relf minic --mode parse --budget 400 --seed 7 \
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
-
-# the fuzzing regression gate: regenerate the smoke matrix through the
-# bench harness and diff it against the committed baseline; any
-# fuzz.unique_bugs decrease (a campaign stopped finding a seeded bug)
-# fails the build
-bench-fuzz-gate: build
-	$(BENCH) fuzz --jobs 2 --out BENCH_fuzz.json > /dev/null
-	$(BENCH_DIFF) bench/fuzz_baseline.json BENCH_fuzz.json
-
-# after an INTENTIONAL oracle/scheduler/mutator change: refresh the
-# fuzzing baseline and commit it with the change that explains it
-bench-fuzz-baseline: build
-	$(BENCH) fuzz --jobs 2 --out bench/fuzz_baseline.json > /dev/null
-	@echo "wrote bench/fuzz_baseline.json -- commit it with the explaining change"
 
 # after an INTENTIONAL cost-model change: rewrite the exact VM results
 # table that test/test_vm_golden.ml pins (cycles, steps, accesses,
@@ -224,14 +183,9 @@ ci: build test determinism lint doc-check
 	    --no-cache > /dev/null; \
 	  echo "backend $$b: hoist pipeline smoke OK"; \
 	done
-	$(BENCH) fig4 --jobs 2
 	$(MAKE) bench-gate
 	$(MAKE) serve-smoke
-	$(MAKE) bench-serve-gate
-	$(MAKE) rebuild-smoke
-	$(MAKE) bench-rebuild-gate
 	$(MAKE) fuzz-smoke
-	$(MAKE) bench-fuzz-gate
 	$(MAKE) perf-check
 
 clean:

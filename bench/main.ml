@@ -1,9 +1,10 @@
 (* The RedFat evaluation harness: regenerates every table and figure of
    the paper (EuroSys'22), plus the extension experiments.  Run with no
-   argument for everything, or with one of:
+   argument for everything, or with one or more of (run in the order
+   given, into one report):
 
      table1 table2 table2x fig1 fig2 fig3 fig4 fig5 fig67 fig8
-     fps detected uaf stats sec74 ablation serve rebuild fuzz
+     fps detected uaf stats sec74 ablation serve rebuild fuzz all
 
    Flags (anywhere on the command line):
 
@@ -16,16 +17,9 @@
      --trace F     write the run's spans and counters as Chrome
                    trace-event JSON (Perfetto-loadable)
 
-   rebuild-only flags:
-
-     --benches CSV   restrict the rebuild fleet to these SPEC kernels
-     --nights N      number of perturb-and-re-harden rounds (default 2)
-     --min-reuse P   fail when any night reuses fewer than P permille
-                     of the fleet's per-function artifacts (default 900)
-
    Output is byte-identical for any --jobs value (modulo fig8's
-   measured wall-clock rewrite-time line and serve's throughput/
-   latency lines): workers never print;
+   measured wall-clock rewrite-time line, serve's throughput/latency
+   lines and rebuild's timing lines): workers never print;
    results are collected in deterministic order, then rendered.
    See EXPERIMENTS.md for paper-vs-measured. *)
 
@@ -39,26 +33,16 @@ let pf fmt = Printf.printf fmt
 
 (* --- command line + the engine -------------------------------------- *)
 
-let ( experiment,
-      opt_jobs,
-      opt_cache,
-      opt_out,
-      opt_trace,
-      opt_benches,
-      opt_nights,
-      opt_min_reuse ) =
-  let exp = ref None
+let experiments_arg, opt_jobs, opt_cache, opt_out, opt_trace =
+  let exps = ref []
   and jobs = ref 1
   and cache = ref true
   and out = ref None
-  and trace = ref None
-  and benches = ref None
-  and nights = ref 2
-  and min_reuse = ref 900 in
+  and trace = ref None in
   let usage () =
     prerr_endline
-      "usage: main.exe [experiment] [--jobs N] [--no-cache] [--out FILE] \
-       [--trace FILE] [--benches CSV] [--nights N] [--min-reuse PERMILLE]";
+      "usage: main.exe [experiment ...] [--jobs N] [--no-cache] [--out FILE] \
+       [--trace FILE]";
     exit 1
   in
   let rec parse = function
@@ -77,24 +61,10 @@ let ( experiment,
     | "--trace" :: f :: rest ->
       trace := Some f;
       parse rest
-    | "--benches" :: csv :: rest ->
-      benches := Some (String.split_on_char ',' csv);
-      parse rest
-    | "--nights" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> nights := n
-      | _ -> usage ());
-      parse rest
-    | "--min-reuse" :: p :: rest ->
-      (match int_of_string_opt p with
-      | Some p when p >= 0 && p <= 1000 -> min_reuse := p
-      | _ -> usage ());
-      parse rest
     | x :: _ when String.length x > 0 && x.[0] = '-' -> usage ()
-    | x :: rest when !exp = None ->
-      exp := Some x;
+    | x :: rest ->
+      exps := x :: !exps;
       parse rest
-    | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   (* fail on an unwritable output path now, not after the whole run *)
@@ -108,14 +78,11 @@ let ( experiment,
           exit 1)
       | None -> ())
     [ ("--out", out); ("--trace", trace) ];
-  ( Option.value !exp ~default:"all",
+  ( (match List.rev !exps with [] -> [ "all" ] | l -> l),
     !jobs,
     !cache,
     !out,
-    !trace,
-    !benches,
-    !nights,
-    !min_reuse )
+    !trace )
 
 let eng =
   Pl.create ~jobs:opt_jobs ~cache:opt_cache
@@ -1100,17 +1067,26 @@ let serve () =
 
 (* --- rebuild: function-granular incremental re-hardening ------------ *)
 
-(* The nightly-rebuild scenario: harden a fleet of SPEC kernels cold,
-   then simulate N "nights" in which exactly one function of one
+(* The nightly-rebuild scenario: harden the 29 SPEC kernels cold, then
+   simulate two "nights" in which exactly one function of one
    binary changes (a length-preserving immediate bump, so the
    perturbation is small the way a real nightly delta is) and the
    whole fleet is re-hardened against the warm function-granular
    cache.  Reports the worst-night artifact reuse rate
    (rebuild.fns_reused_permille, gated: may never decrease) and the
-   rewrite time saved; every incremental result is checked
-   byte-identical -- binary, .elimtab and verify verdict -- to a cold
-   monolithic rewrite under every backend, and any divergence fails
-   the run. *)
+   rewrite time saved.  The run fails (exit 1) unless the cold pass
+   shares a blueprint, every incremental result is byte-identical --
+   binary, .elimtab and verify verdict -- to a cold monolithic rewrite
+   under every backend, each night partitions once, and every night
+   reuses at least [rebuild_min_reuse] permille of the artifacts. *)
+
+let rebuild_nights = 2
+let rebuild_min_reuse = 900
+
+(* a failed rebuild check exits 1 with its reason on stderr, so the
+   reason shows even where stdout is discarded (make bench-gate) *)
+let rebuild_fail fmt =
+  Printf.ksprintf (fun s -> prerr_endline ("rebuild: " ^ s); exit 1) fmt
 
 let rebuild_wipe_dir dir =
   if Sys.file_exists dir && Sys.is_directory dir then
@@ -1165,18 +1141,12 @@ let rebuild () =
   rebuild_wipe_dir dir;
   let eng2 = Pl.create ~jobs:1 ~cache:true ~cache_dir:dir () in
   Fun.protect ~finally:(fun () -> Pl.close eng2) @@ fun () ->
-  let names =
-    match opt_benches with
-    | Some ns -> ns
-    | None -> List.map (fun (b : Workloads.Spec.bench) -> b.name) Workloads.Spec.all
-  in
   let fleet =
     Array.of_list
       (List.map
-         (fun n ->
-           let sp = Workloads.Spec.find n in
-           (n, ref (Pl.compile eng2 (Workloads.Spec.program sp))))
-         names)
+         (fun (b : Workloads.Spec.bench) ->
+           (b.name, ref (Pl.compile eng2 (Workloads.Spec.program b))))
+         Workloads.Spec.all)
   in
   let counter name =
     Option.value ~default:0
@@ -1197,14 +1167,12 @@ let rebuild () =
     (counter "blueprint.unique");
   (* identically shaped functions (e.g. a kernel and its ref-only
      clone) must share one planning pass even cold *)
-  if counter "blueprint.hit" = 0 then begin
-    pf "rebuild: no blueprint sharing observed on the cold pass\n";
-    exit 1
-  end;
+  if counter "blueprint.hit" = 0 then
+    rebuild_fail "no blueprint sharing observed on the cold pass";
   let worst = ref 1000
   and warm_last = ref 0.0
   and failures = ref 0 in
-  for night = 0 to opt_nights - 1 do
+  for night = 0 to rebuild_nights - 1 do
     (* pick tonight's perturbation target round-robin, skipping
        binaries with no eligible immediate *)
     let nfleet = Array.length fleet in
@@ -1217,9 +1185,7 @@ let rebuild () =
         | None -> pick ((k + 1) mod nfleet) (tries + 1)
     in
     match pick (night mod nfleet) 0 with
-    | None ->
-      prerr_endline "rebuild: no perturbable benchmark in the fleet";
-      exit 1
+    | None -> rebuild_fail "no perturbable benchmark in the fleet"
     | Some (k, bin', site) ->
       let name, rbin = fleet.(k) in
       rbin := bin';
@@ -1268,18 +1234,19 @@ let rebuild () =
           let bname = Backend.Check_backend.name backend in
           if ser inc <> ser cold then begin
             incr failures;
-            pf "night %d: %s [%s] FAIL: incremental binary differs from cold\n"
+            Printf.eprintf
+              "night %d: %s [%s] FAIL: incremental binary differs from cold\n"
               night name bname
           end
           else if tab inc <> tab cold then begin
             incr failures;
-            pf "night %d: %s [%s] FAIL: .elimtab differs from cold\n" night
-              name bname
+            Printf.eprintf "night %d: %s [%s] FAIL: .elimtab differs from cold\n"
+              night name bname
           end
           else if not (verdict inc && verdict cold) then begin
             incr failures;
-            pf "night %d: %s [%s] FAIL: soundness audit failed\n" night name
-              bname
+            Printf.eprintf "night %d: %s [%s] FAIL: soundness audit failed\n"
+              night name bname
           end)
         Backend.Check_backend.all;
       pf
@@ -1297,26 +1264,19 @@ let rebuild () =
          swept once, and its hardens under the other backends reuse it *)
       let partitions = counter "harden.slices.miss" - p0 in
       pf "         partitions: %d (harden.slices.miss)\n" partitions;
-      if partitions <> 1 then begin
-        pf "rebuild: night %d partitioned %d times, expected 1\n" night
-          partitions;
-        exit 1
-      end
+      if partitions <> 1 then
+        rebuild_fail "night %d partitioned %d times, expected 1" night
+          partitions
   done;
-  if !failures > 0 then begin
-    pf "rebuild: %d equivalence failure(s)\n" !failures;
-    exit 1
-  end;
+  if !failures > 0 then rebuild_fail "%d equivalence failure(s)" !failures;
   pf "reuse: worst night %d permille (acceptance floor %d)\n" !worst
-    opt_min_reuse;
-  if !worst < opt_min_reuse then begin
-    pf "rebuild: artifact reuse below the %d permille floor\n" opt_min_reuse;
-    exit 1
-  end;
+    rebuild_min_reuse;
+  if !worst < rebuild_min_reuse then
+    rebuild_fail "artifact reuse below the %d permille floor" rebuild_min_reuse;
   target "rebuild:fleet"
     ~counters:
       [
-        ("rebuild.nights", opt_nights);
+        ("rebuild.nights", rebuild_nights);
         ("rebuild.fns_total", fns_total);
         ("rebuild.fns_reused_permille", !worst);
         ("rebuild.blueprint_hits", counter "blueprint.hit");
@@ -1334,7 +1294,7 @@ let rebuild () =
 (* Per-backend smoke campaigns over the seeded-bug suite plus the two
    parser campaigns, with a fixed (seed, budget) so the whole matrix —
    and the fuzz.* counters bench_diff gates on — is deterministic for
-   any --jobs.  bench/fuzz_baseline.json pins the floor. *)
+   any --jobs.  bench/baseline.json pins the floor. *)
 let fuzz () =
   hr "Fuzz: deterministic smoke campaigns (checks as the oracle)";
   let config = { Fuzz.Campaign.default_config with budget = 400; seed = 7 } in
@@ -1395,8 +1355,8 @@ let fuzz () =
   target "fuzz:parse" ~counters:(agg parse_reports) t0;
   pf "(deterministic for any --jobs: seed %d, budget %d per campaign;\n"
     config.seed config.budget;
-  pf " `make fuzz-gate` diffs the fuzz.* counters against \
-      bench/fuzz_baseline.json)\n"
+  pf " `make bench-gate` diffs the fuzz.* counters against \
+      bench/baseline.json)\n"
 
 (* ------------------------------------------------------------------ *)
 
@@ -1425,21 +1385,29 @@ let experiments =
   ]
 
 let () =
-  (match experiment with
-  | "all" -> List.iter (fun (_, run) -> run ()) experiments
-  | name -> (
-    match List.assoc_opt name experiments with
-    | Some run -> run ()
-    | None ->
-      prerr_endline
-        ("unknown experiment: " ^ name ^ " (one of: all "
-        ^ String.concat " " (List.map fst experiments)
-        ^ ")");
-      exit 1));
+  (* resolve every name before running any *)
+  let runs =
+    List.concat_map
+      (fun name ->
+        if name = "all" then List.map snd experiments
+        else
+          match List.assoc_opt name experiments with
+          | Some run -> [ run ]
+          | None ->
+            prerr_endline
+              ("unknown experiment: " ^ name ^ " (one of: all "
+              ^ String.concat " " (List.map fst experiments)
+              ^ ")");
+            exit 1)
+      experiments_arg
+  in
+  List.iter (fun run -> run ()) runs;
   (match opt_out with
   | Some file ->
     let json =
-      Pl.emit_json eng ~extra:[ ("experiment", experiment) ] ()
+      Pl.emit_json eng
+        ~extra:[ ("experiment", String.concat " " experiments_arg) ]
+        ()
     in
     Out_channel.with_open_text file (fun oc ->
         Out_channel.output_string oc json);

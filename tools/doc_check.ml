@@ -12,10 +12,10 @@
    4. every CLI subcommand has a `### `redfat NAME`` section in
       docs/MANUAL.md, and the manual documents no verb the CLI does
       not declare;
-   5. every `fuzz.*` counter or histogram docs/INTERNALS.md names in
-      backticks is recorded in bench/fuzz_baseline.json — the fuzzing
-      smoke campaign's committed report — so §16 can never document
-      observability the fleet stopped emitting;
+   5. every `fuzz.*`, `rebuild.*` or `serve.*` counter or histogram
+      docs/INTERNALS.md names in backticks is recorded in
+      bench/baseline.json — the bench gate's committed report — so the
+      doc can never name a gated figure the bench stopped emitting;
    6. the set of `Cache.key ~kind:"..."` literals under lib/ equals the
       backticked kinds on docs/INTERNALS.md's one "Artifact kinds:"
       line, so §15 can never list a kind the cache no longer stores
@@ -239,14 +239,14 @@ let check_links () =
       with Not_found -> ())
     (md_files ())
 
-(* --- 5. fuzz.* observability vs the smoke baseline ------------------- *)
+(* --- 5. documented counters vs the bench baseline --------------------- *)
 
-let check_fuzz_counters () =
+let check_bench_counters () =
   let internals = read_file_exn "the internals doc" "docs/INTERNALS.md" in
-  let baseline =
-    read_file_exn "the fuzzing smoke baseline" "bench/fuzz_baseline.json"
+  let baseline = read_file_exn "the bench baseline" "bench/baseline.json" in
+  let re =
+    Str.regexp "`\\(\\(fuzz\\|rebuild\\|serve\\)\\.[a-z_.]+\\)`"
   in
-  let re = Str.regexp "`\\(fuzz\\.[a-z_]+\\)`" in
   let i = ref 0 and seen = ref [] in
   (try
      while true do
@@ -257,14 +257,14 @@ let check_fuzz_counters () =
      done
    with Not_found -> ());
   if !seen = [] then
-    err "docs/INTERNALS.md names no `fuzz.*` counters (scraper broken, or \
-         the fleet section dropped?)";
+    err "docs/INTERNALS.md names no `fuzz.*`, `rebuild.*` or `serve.*` \
+         counters (scraper broken, or the sections dropped?)";
   List.iter
     (fun c ->
       if not (contains baseline ("\"" ^ c ^ "\"")) then
         err
-          "docs/INTERNALS.md names `%s`, which bench/fuzz_baseline.json does \
-           not record -- the smoke campaign stopped emitting it" c)
+          "docs/INTERNALS.md names `%s`, which bench/baseline.json does \
+           not record -- the bench stopped emitting it" c)
     (List.rev !seen)
 
 (* --- 6. cache artifact kinds vs INTERNALS ------------------------- *)
@@ -382,7 +382,7 @@ let () =
   check_verbs ();
   check_taxonomy ();
   check_links ();
-  check_fuzz_counters ();
+  check_bench_counters ();
   check_artifact_kinds ();
   check_module_paths ();
   match List.rev !errors with
