@@ -11,7 +11,7 @@ GATED := table1 serve rebuild fuzz fig4
 
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
 	bench-baseline serve-smoke fuzz-smoke perf-check vm-golden \
-	digest-golden determinism ci clean
+	digest-golden serve-golden determinism ci clean
 
 all: build
 
@@ -135,6 +135,13 @@ vm-golden: build
 digest-golden: build
 	_build/default/test/golden/gen.exe digest > test/golden/digest_golden.expected
 	@echo "wrote test/golden/digest_golden.expected -- commit it with the explaining change"
+
+# regenerate the response table that test/test_serve_golden.ml pins
+# (every script-mode response line of the serving daemon over a fixed
+# request list); only an intentional change to an answer may do this
+serve-golden: build
+	_build/default/test/golden/gen.exe serve > test/golden/serve_golden.expected
+	@echo "wrote test/golden/serve_golden.expected -- commit it with the explaining change"
 
 # the benchmark's own output checks: a short untraced run of each
 # BENCHMARK.json workload must end with "correct": true and

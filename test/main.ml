@@ -5,6 +5,7 @@ let () =
       ("vm", Test_vm.tests);
       ("vm-golden", Test_vm_golden.tests);
       ("digest-golden", Test_digest_golden.tests);
+      ("serve-golden", Test_serve_golden.tests);
       ("binfmt", Test_binfmt.tests);
       ("lowfat", Test_lowfat.tests);
       ("runtime", Test_runtime.tests);
