@@ -72,6 +72,12 @@ val record_fault : t -> Fault.t -> unit
 (** Record an already-classified fault (report + counter) without
     raising — for callers that classify at their own boundary. *)
 
+val hook : t -> string -> unit
+(** [hook t point] runs the injection point [point] under the current
+    {!protect} label — what {!verify} or {!run_hardened} runs before
+    their work — for a caller that answers from its own cache and must
+    fail the same requests as a fresh run would. *)
+
 val load_relf : t -> string -> Binfmt.Relf.t
 (** Read and parse a RELF file, with typed faults for every way that
     can fail: unreadable file ([io.read]), malformed container
