@@ -67,12 +67,16 @@ let experiments_arg, opt_jobs, opt_cache, opt_out, opt_trace =
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* fail on an unwritable output path now, not after the whole run *)
+  (* fail on an unwritable output path now, not after the whole run;
+     append mode leaves an existing report intact if the run fails *)
   List.iter
     (fun (flag, r) ->
       match !r with
       | Some f -> (
-        try Out_channel.with_open_text f (fun _ -> ())
+        try
+          Out_channel.with_open_gen
+            [ Open_wronly; Open_creat; Open_append; Open_text ]
+            0o644 f ignore
         with Sys_error e ->
           prerr_endline (flag ^ ": " ^ e);
           exit 1)

@@ -1,7 +1,8 @@
 (* tools/bench_diff, the bench-regression gate: run the executable over
    small baseline/fresh report pairs and check its exit code -- 0 when
    the fresh report holds every gated figure, 1 when any rule fires,
-   2 on a bad command line. *)
+   2 on a bad command line.  Also: a failed bench/main.exe run leaves
+   the report the gate reads untouched. *)
 
 let exe = "../tools/bench_diff.exe"
 
@@ -166,6 +167,24 @@ let test_usage () =
        (Printf.sprintf "%s %s %s --max-regress 5 > %s 2>&1" exe b b
           (tmp "bench_diff_out.txt")))
 
+(* bench/main.exe checks --out for writability before it runs; a run
+   that then fails (here: an unknown experiment, rejected after the
+   check) must leave an existing report's bytes as they were *)
+let bench_exe = "../bench/main.exe"
+
+let test_failed_run_keeps_report () =
+  let out = tmp "bench_keep_report.json" in
+  let report = "{\"targets\": []}\n" in
+  write out report;
+  let code =
+    Sys.command
+      (Printf.sprintf "%s no-such-experiment --no-cache --out %s > %s 2>&1"
+         bench_exe out (tmp "bench_keep_report.txt"))
+  in
+  Alcotest.(check int) "run fails" 1 code;
+  Alcotest.(check string) "report unchanged" report
+    (In_channel.with_open_text out In_channel.input_all)
+
 let tests =
   List.map
     (fun (name, f) ->
@@ -182,4 +201,5 @@ let tests =
       ("gains down fail", test_gains_down);
       ("gated counter missing fails", test_gated_missing);
       ("bad command line exits 2", test_usage);
+      ("failed bench run keeps its report", test_failed_run_keeps_report);
     ]
