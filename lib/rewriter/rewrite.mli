@@ -56,7 +56,9 @@ val with_hoist : options
 
 val profiling_build : options
 (** Per-site observable checks; global elimination is forced off (an
-    eliminated site would never report to the profiler). *)
+    eliminated site would never report to the profiler).  A profiling
+    build is always a default-backend build: {!rewrite} ignores the
+    [backend] of options with [profiling] set. *)
 
 val options_key : options -> string
 (** Canonical rendering of every field, for content-hash cache keys:

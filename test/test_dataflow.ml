@@ -533,11 +533,12 @@ let test_verify_workloads_ok () =
     spec_subset
 
 (* every preset under every backend and read policy, over Chrome x1
-   and the 29 kernels (the profiling build, which only ever runs under
-   the default backend, with both read policies).  Chrome's clones sit
-   in blocks no graph root reaches, and presets that batch without
-   merging emit several checks on one key, of which the availability
-   facts keep one: both need the linter's same-block fallback *)
+   and the 29 kernels (the profiling build too: it names each backend
+   but is built, and recorded, as a default-backend build).  Chrome's
+   clones sit in blocks no graph root reaches, and presets that batch
+   without merging emit several checks on one key, of which the
+   availability facts keep one: both need the linter's same-block
+   fallback *)
 let test_verify_presets_clean () =
   let builds =
     List.concat_map
@@ -549,8 +550,7 @@ let test_verify_presets_clean () =
           Backend.Check_backend.all)
       [ ("unoptimized", Rw.unoptimized); ("with_elim", Rw.with_elim);
         ("with_batch", Rw.with_batch); ("optimized", Rw.optimized);
-        ("with_hoist", Rw.with_hoist) ]
-    @ [ ("profiling_build", Rw.profiling_build) ]
+        ("with_hoist", Rw.with_hoist); ("profiling_build", Rw.profiling_build) ]
   in
   let bins =
     ("chrome:1", Workloads.Chrome.binary ~copies:1 ())
