@@ -5,9 +5,15 @@
     {v
     Lru hot tier (bounded bytes, admit-on-second-touch, single-flight)
       -> Engine.Cache memory tier (unbounded, per-stage artifacts)
-        -> Engine.Cache ART5 disk tier (persistent)
+        -> Engine.Cache ART6 disk tier (persistent)
           -> recompute (Figure-5 workflow on the domain pool)
     v}
+
+    A verify answer is the operand total of the audit the artifact's
+    computation already ran; a trace answer is the Log-mode run of the
+    artifact's hardened binary, computed on a trace miss and held in a
+    second, uncounted {!Lru} under the artifact's key.  Either request
+    still runs its [verify] or [run] injection point once, hit or miss.
 
     Per-request fault isolation comes from {!Engine.Pipeline.protect}:
     a poisoned request (unknown target, parse fault, injected fault,
@@ -23,7 +29,8 @@
 type t
 
 val create : ?mem_bytes:int -> Engine.Pipeline.t -> t
-(** [mem_bytes] (default 64 MiB): hot-tier capacity.  The server
+(** [mem_bytes] (default 64 MiB): hot-tier capacity; the trace records'
+    tier is bounded at [mem_bytes / 64].  The server
     records into the engine's collector and honours its injection
     harness (the canonical spec is part of every hot-tier key). *)
 
