@@ -119,6 +119,8 @@ fuzz-smoke: build
 	done
 	$(REDFAT) fuzz relf minic --mode parse --budget 400 --seed 7 \
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
+	$(REDFAT) fuzz relf minic --mode parse --corpus test/corrupt --budget 400 \
+	  --seed 7 > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
 
 # after an INTENTIONAL cost-model change: rewrite the exact VM results

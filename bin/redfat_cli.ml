@@ -345,6 +345,11 @@ let fuzz_cmd =
       Printf.printf "%d of %d campaign(s) failed\n" failed (List.length results);
       exit 2
     end;
+    (* in parse mode a run.fault bug is a parser crash *)
+    let crash (r : Fuzz.Campaign.report) =
+      List.exists (fun b -> b.Fuzz.Campaign.b_code = "run.fault") r.r_bugs
+    in
+    if mode = `Parse && List.exists crash ok then exit 4;
     if unique_bugs < expect then begin
       Printf.printf "expected at least %d unique bug(s), found %d\n" expect
         unique_bugs;

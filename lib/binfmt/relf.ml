@@ -64,46 +64,38 @@ let serialize (t : t) : string =
     t.sections;
   Buffer.contents b
 
-exception Parse_error of string
-
-let parse (data : string) : t =
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error msg) in
-  if
-    String.length data < String.length magic
-    || String.sub data 0 (String.length magic) <> magic
-  then fail "bad magic";
-  pos := String.length magic;
-  let read_int () =
-    match String.index_from_opt data !pos '\n' with
-    | None -> fail "truncated"
-    | Some nl ->
-      let s = String.sub data !pos (nl - !pos) in
-      pos := nl + 1;
-      (try int_of_string ("0x" ^ s) with _ -> fail ("bad int " ^ s))
-  in
-  let read_str () =
-    let n = read_int () in
-    if !pos + n > String.length data then fail "truncated string";
-    let s = String.sub data !pos n in
-    pos := !pos + n;
-    s
-  in
-  let entry = read_int () in
-  let pic = read_int () = 1 in
-  let stripped = read_int () = 1 in
-  let nsec = read_int () in
+let read r =
+  Reader.magic r magic;
+  let int () = Reader.hex r (Reader.field r) in
+  let str () = Reader.bytes r (int ()) in
+  let entry = int () in
+  let pic = int () = 1 in
+  let stripped = int () = 1 in
+  (* a section is at least four one-digit lines: name length, address,
+     flags and byte length *)
+  let nsec = Reader.count r (int ()) ~size:8 in
   let sections =
     List.init nsec (fun _ ->
-        let name = read_str () in
-        let addr = read_int () in
-        let flags = read_int () in
-        let bytes = read_str () in
+        let name = str () in
+        let addr = int () in
+        let flags = int () in
+        let bytes = str () in
         { name; addr; bytes;
           executable = flags land 1 <> 0;
           writable = flags land 2 <> 0 })
   in
   { entry; pic; stripped; sections }
+
+let parse data = read (Reader.create ~src:"<relf>" data)
+
+let load ?(src = "<relf>") data =
+  let r = Reader.create ~src data in
+  let t = read r in
+  match find_section t ".text" with
+  | Some s when s.bytes <> "" -> t
+  | s ->
+    Reader.fail r Nocode
+      ((if s = None then "no" else "empty") ^ " .text section")
 
 let save path t =
   let oc = open_out_bin path in
@@ -111,11 +103,7 @@ let save path t =
   close_out oc
 
 let load_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse s
+  load ~src:path (In_channel.with_open_bin path In_channel.input_all)
 
 (* --- loading into a VM --------------------------------------------- *)
 

@@ -35,10 +35,14 @@ val text_exn : t -> section
 val code_size : t -> int
 val total_size : t -> int
 
-exception Parse_error of string
-
 val serialize : t -> string
+
 val parse : string -> t
+(** Raises {!Reader.Error}; a binary without [.text] parses. *)
+
+val load : ?src:string -> string -> t
+(** {!parse} behind the one no-code gate: no non-empty [.text] is
+    {!Reader.Error} [Nocode]. *)
 
 val save : string -> t -> unit
 val load_file : string -> t

@@ -106,14 +106,13 @@ type hardened_run = {
     {!run_hardened} adopts this automatically.  Unhardened (or
     pre-backend) binaries report {!Backend.Check_backend.default};
     a recorded name that matches no shipped backend raises
-    {!Backend.Check_backend.Unknown}. *)
+    {!Backend.Check_backend.Unknown}, and a malformed [.elimtab]
+    raises {!Binfmt.Reader.Error}. *)
 let backend_of_binary (binary : Binfmt.Relf.t) : Backend.Check_backend.id =
   match Binfmt.Relf.find_section binary Dataflow.Elimtab.section_name with
   | None -> Backend.Check_backend.default
-  | Some s -> (
-    match Dataflow.Elimtab.parse s.bytes with
-    | Error _ -> Backend.Check_backend.default
-    | Ok etab -> Backend.Check_backend.of_name_exn etab.backend)
+  | Some s ->
+    Backend.Check_backend.of_name_exn (Dataflow.Elimtab.parse s.bytes).backend
 
 (** Run a hardened binary with libredfat preloaded.  [acct] attaches
     per-site check accounting to the VM (overhead attribution).  The

@@ -59,7 +59,8 @@ val backend_of_binary : Binfmt.Relf.t -> Backend.Check_backend.id
     {!Backend.Check_backend.default} for unhardened or pre-backend
     binaries.  Raises {!Backend.Check_backend.Unknown} when the
     recorded name matches no shipped backend (the engine maps this to
-    the [run.backend] fault). *)
+    the [run.backend] fault), and {!Binfmt.Reader.Error} when the
+    [.elimtab] is malformed ([parse.*]). *)
 
 val run_hardened :
   ?options:Runtime.options ->

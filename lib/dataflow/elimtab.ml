@@ -73,48 +73,39 @@ let render (t : t) : string =
     t.entries;
   Buffer.contents b
 
-let parse (s : string) : (t, string) result =
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+let parse (s : string) : t =
+  let module R = Binfmt.Reader in
+  let r = R.create ~src:section_name s in
+  let bad what line =
+    R.fail r R.Section (Printf.sprintf "bad %s %S" what line)
   in
-  let hex x = try Some (int_of_string ("0x" ^ x)) with _ -> None in
-  let rec go acc pol = function
-    | [] -> Ok { pol with entries = List.rev acc }
-    | line :: rest -> (
-      let policy ?backend r w =
-        match (r, w) with
+  let rec go acc pol =
+    match R.line r with
+    | None -> { pol with entries = List.rev acc }
+    | Some line -> (
+      let policy ?(backend = pol.backend) rd wr =
+        match (rd, wr) with
         | ("reads=0" | "reads=1"), ("writes=0" | "writes=1") ->
-          let pol =
-            { pol with reads = r = "reads=1"; writes = w = "writes=1" }
-          in
-          let pol =
-            match backend with Some b -> { pol with backend = b } | None -> pol
-          in
-          go acc pol rest
-        | _ -> Error (Printf.sprintf "elimtab: bad policy line %S" line)
+          let reads = rd = "reads=1" and writes = wr = "writes=1" in
+          go acc { pol with backend; reads; writes }
+        | _ -> bad "policy line" line
       in
       match String.split_on_char ' ' (String.trim line) with
-      | [ "!policy"; r; w ] -> policy r w
-      | [ "!policy"; b; r; w ]
-        when String.length b > 8 && String.sub b 0 8 = "backend=" ->
-        policy ~backend:(String.sub b 8 (String.length b - 8)) r w
-      | [ a; "skip" ] -> (
-        match hex a with
-        | Some a -> go ((a, Skip) :: acc) pol rest
-        | None -> Error (Printf.sprintf "elimtab: bad address in %S" line))
-      | [ a; "clear" ] -> (
-        match hex a with
-        | Some a -> go ((a, Clear) :: acc) pol rest
-        | None -> Error (Printf.sprintf "elimtab: bad address in %S" line))
-      | [ a; "dom"; s ] -> (
-        match (hex a, hex s) with
-        | Some a, Some s -> go ((a, Dom s) :: acc) pol rest
-        | _ -> Error (Printf.sprintf "elimtab: bad address in %S" line))
-      | [ a; "hoist"; s; lo; hi ] -> (
-        match (hex a, hex s, int_of_string_opt lo, int_of_string_opt hi) with
-        | Some a, Some s, Some lo, Some hi ->
-          go ((a, Hoist (s, lo, hi)) :: acc) pol rest
-        | _ -> Error (Printf.sprintf "elimtab: bad hoist entry %S" line))
-      | _ -> Error (Printf.sprintf "elimtab: unrecognized line %S" line))
+      | [ "" ] -> go acc pol
+      | [ "!policy"; rd; wr ] -> policy rd wr
+      | [ "!policy"; b; rd; wr ]
+        when String.length b > 8 && String.starts_with ~prefix:"backend=" b ->
+        policy ~backend:(String.sub b 8 (String.length b - 8)) rd wr
+      | [ a; "skip" ] -> go ((R.hex r a, Skip) :: acc) pol
+      | [ a; "clear" ] -> go ((R.hex r a, Clear) :: acc) pol
+      | [ a; "dom"; d ] ->
+        let a = R.hex r a in
+        go ((a, Dom (R.hex r d)) :: acc) pol
+      | [ a; "hoist"; site; lo; hi ] ->
+        let a = R.hex r a in
+        let site = R.hex r site in
+        let lo = R.dec r lo in
+        go ((a, Hoist (site, lo, R.dec r hi)) :: acc) pol
+      | _ -> bad "line" line)
   in
-  go [] default lines
+  go [] default

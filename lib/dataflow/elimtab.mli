@@ -40,4 +40,6 @@ val default : t
     table. *)
 
 val render : t -> string
-val parse : string -> (t, string) result
+val parse : string -> t
+(** Raises {!Binfmt.Reader.Error}: [Int] for an unreadable address or
+    hull bound, [Section] for any other malformed line. *)

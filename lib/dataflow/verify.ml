@@ -138,317 +138,314 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
     match Binfmt.Relf.find_section binary ".redfat" with
     | None -> Error "not a hardened binary (no .redfat section)"
     | Some rf -> (
-      let elimtab =
+      let etab =
         match Binfmt.Relf.find_section binary Elimtab.section_name with
-        | None -> Ok Elimtab.default
+        | None -> Elimtab.default
         | Some s -> Elimtab.parse s.bytes
       in
-      match elimtab with
-      | Error e -> Error e
-      | Ok etab ->
-        let failures = ref [] in
-        let fail a m = failures := { f_addr = a; f_reason = m } :: !failures in
-        (* 1. decode the trampoline section into units *)
-        let tinstrs = X64.Disasm.sweep ~addr:rf.addr rf.bytes in
-        let units, uerrs =
-          parse_units ~rf_addr:rf.addr ~rf_len:(String.length rf.bytes) tinstrs
-        in
-        failures := List.rev_append uerrs !failures;
-        (* the backend rule: every trampoline check must carry a variant
-           the recorded backend can legitimately emit (its primary plan
-           or its degradation fallback) — a temporal binary full of Full
-           checks, or vice versa, is mislabelled and unauditable *)
-        (match Backend.Check_backend.of_name etab.backend with
-         | None ->
-           fail 0
-             (Printf.sprintf ".elimtab records unknown check backend %S"
-                etab.backend)
-         | Some b ->
-           let ok_variants = Backend.Check_backend.allowed_variants b in
-           List.iter
-             (fun u ->
-               List.iter
-                 (fun (ck : X64.Isa.check) ->
-                   if not (List.mem ck.ck_variant ok_variants) then
-                     fail u.u_patch
-                       (Printf.sprintf
-                          "check variant not emittable by recorded %s backend"
-                          etab.backend))
-                 u.u_checks)
-             units);
-        (* 2. validate each patch entry and restore the original text *)
-        let tlen = String.length text.bytes in
-        let buf = Bytes.of_string text.bytes in
-        let traps_tbl = Hashtbl.create 16 in
-        List.iter (fun (a, t) -> Hashtbl.replace traps_tbl a t) traps;
-        let units =
-          List.filter
-            (fun u ->
-              let off = u.u_patch - text.addr in
-              if off < 0 || off + u.u_span > tlen then begin
-                fail u.u_tramp
-                  "trampoline back-jump implies a patch outside .text";
+      let failures = ref [] in
+      let fail a m = failures := { f_addr = a; f_reason = m } :: !failures in
+      (* 1. decode the trampoline section into units *)
+      let tinstrs = X64.Disasm.sweep ~addr:rf.addr rf.bytes in
+      let units, uerrs =
+        parse_units ~rf_addr:rf.addr ~rf_len:(String.length rf.bytes) tinstrs
+      in
+      failures := List.rev_append uerrs !failures;
+      (* the backend rule: every trampoline check must carry a variant
+         the recorded backend can legitimately emit (its primary plan
+         or its degradation fallback) — a temporal binary full of Full
+         checks, or vice versa, is mislabelled and unauditable *)
+      (match Backend.Check_backend.of_name etab.backend with
+       | None ->
+         fail 0
+           (Printf.sprintf ".elimtab records unknown check backend %S"
+              etab.backend)
+       | Some b ->
+         let ok_variants = Backend.Check_backend.allowed_variants b in
+         List.iter
+           (fun u ->
+             List.iter
+               (fun (ck : X64.Isa.check) ->
+                 if not (List.mem ck.ck_variant ok_variants) then
+                   fail u.u_patch
+                     (Printf.sprintf
+                        "check variant not emittable by recorded %s backend"
+                        etab.backend))
+               u.u_checks)
+           units);
+      (* 2. validate each patch entry and restore the original text *)
+      let tlen = String.length text.bytes in
+      let buf = Bytes.of_string text.bytes in
+      let traps_tbl = Hashtbl.create 16 in
+      List.iter (fun (a, t) -> Hashtbl.replace traps_tbl a t) traps;
+      let units =
+        List.filter
+          (fun u ->
+            let off = u.u_patch - text.addr in
+            if off < 0 || off + u.u_span > tlen then begin
+              fail u.u_tramp
+                "trampoline back-jump implies a patch outside .text";
+              false
+            end
+            else begin
+              (match Hashtbl.find_opt traps_tbl u.u_patch with
+              | Some t ->
+                if t <> u.u_tramp then
+                  fail u.u_patch "trap table disagrees with trampoline unit";
+                if Char.code (Bytes.get buf off) <> X64.Encode.op_trap then
+                  fail u.u_patch "trap table entry without a trap byte"
+              | None ->
+                let jmp =
+                  X64.Encode.encode_seq ~addr:u.u_patch
+                    [ X64.Isa.Jmp u.u_tramp ]
+                in
+                let jl = String.length jmp in
+                if
+                  u.u_span < jl
+                  || Bytes.sub_string buf off jl <> jmp
+                then
+                  fail u.u_patch
+                    "patched site neither jumps nor traps to its trampoline");
+              let restored =
+                X64.Encode.encode_seq ~addr:u.u_patch u.u_displaced
+              in
+              if String.length restored <> u.u_span then begin
+                fail u.u_patch
+                  "displaced instructions do not re-encode to the patch span";
                 false
               end
               else begin
-                (match Hashtbl.find_opt traps_tbl u.u_patch with
-                | Some t ->
-                  if t <> u.u_tramp then
-                    fail u.u_patch "trap table disagrees with trampoline unit";
-                  if Char.code (Bytes.get buf off) <> X64.Encode.op_trap then
-                    fail u.u_patch "trap table entry without a trap byte"
-                | None ->
-                  let jmp =
-                    X64.Encode.encode_seq ~addr:u.u_patch
-                      [ X64.Isa.Jmp u.u_tramp ]
-                  in
-                  let jl = String.length jmp in
-                  if
-                    u.u_span < jl
-                    || Bytes.sub_string buf off jl <> jmp
-                  then
-                    fail u.u_patch
-                      "patched site neither jumps nor traps to its trampoline");
-                let restored =
-                  X64.Encode.encode_seq ~addr:u.u_patch u.u_displaced
-                in
-                if String.length restored <> u.u_span then begin
-                  fail u.u_patch
-                    "displaced instructions do not re-encode to the patch span";
-                  false
-                end
-                else begin
-                  Bytes.blit_string restored 0 buf off u.u_span;
-                  true
-                end
-              end)
-            units
-        in
-        (* 3. re-derive the program structure the rewriter saw *)
-        let instrs =
-          Array.of_list
-            (X64.Disasm.sweep ~addr:text.addr (Bytes.to_string buf))
-        in
-        let graph = Graph.of_instrs ~entry:text.addr instrs in
-        let dom = Dom.compute graph in
-        (* checks discovered in trampolines, as availability gen facts *)
-        let gen_tbl = Hashtbl.create 64 in
-        let displaced_at = Hashtbl.create 64 in
-        List.iter
-          (fun u ->
-            match Graph.index_at graph u.u_patch with
-            | None ->
-              fail u.u_patch
-                "patch address is not an instruction boundary after restoration"
-            | Some i0 ->
-              Hashtbl.replace gen_tbl i0
-                (List.map
-                   (fun (ck : X64.Isa.check) ->
-                     ( Avail.key_of_mem ck.ck_mem,
-                       {
-                         Avail.lo = ck.ck_lo;
-                         hi = ck.ck_hi;
-                         site = i0;
-                         variant = ck.ck_variant;
-                       } ))
-                   u.u_checks);
-              (* original addresses occupied by the displaced run *)
-              ignore
-                (List.fold_left
-                   (fun a i ->
-                     Hashtbl.replace displaced_at a u;
-                     a + X64.Encode.length i)
-                   u.u_patch u.u_displaced))
-          units;
-        let gen i = Option.value (Hashtbl.find_opt gen_tbl i) ~default:[] in
-        let avail = Avail.solve graph ~gen in
-        (* the loop forest, for re-deriving recorded hoist hulls; lazy
-           so binaries without hoist records pay nothing *)
-        let loops = lazy (Loops.analyze graph dom) in
-        let elims = Hashtbl.create 16 in
-        List.iter (fun (a, r) -> Hashtbl.replace elims a r) etab.entries;
-        let allowed = Hashtbl.create 16 in
-        List.iter (fun a -> Hashtbl.replace allowed a ()) allow;
-        (* 4. the proof obligation, per memory operand *)
-        let site_addr idx =
-          let a, _, _ = instrs.(idx) in
-          a
-        in
-        (* the same-block fallback.  [Avail] keeps one fact per address
-           key: of an unmerged batch's several checks on one key only
-           one survives, and an older covering fact beats a fresh one
-           even when its site does not dominate (a block no graph root
-           reaches has no dominator).  Control enters a block only at
-           its first instruction, so a unit earlier in the operand's
-           own block whose check covers it, with no kill in between
-           under {!Avail.transfer_instr}'s rule, covers it on every
-           path. *)
-        let covered_in_block idx key (m : X64.Isa.mem) ~bytes =
-          let first =
-            (Graph.block graph (Graph.block_of_instr graph idx)).Graph.first
-          in
-          let probe =
-            let info =
-              { Avail.lo = 0; hi = 0; site = -1; variant = X64.Isa.Full }
-            in
-            Avail.Facts [ (key, info) ]
-          in
-          let rec back j =
-            if j < first then None
-            else
-              let _, instr, _ = instrs.(j) in
-              let after =
-                Avail.transfer_instr ~gen:(fun _ -> []) j instr probe
-              in
-              if not (Avail.equal_fact after probe) then None
-              else if
-                List.exists
-                  (fun (k, (i : Avail.info)) ->
-                    Avail.equal_key k key
-                    && i.lo <= m.disp
-                    && i.hi >= m.disp + bytes)
-                  (gen j)
-              then Some (site_addr j)
-              else back (j - 1)
-          in
-          back (idx - 1)
-        in
-        let covered_by idx (m : X64.Isa.mem) ~bytes =
-          let key = Avail.key_of_mem m in
-          match Avail.find (Avail.available_before avail idx) key with
-          | Some info
-            when info.Avail.lo <= m.disp
-                 && info.hi >= m.disp + bytes
-                 && Dom.dominates_instr dom ~def:info.site ~use:idx ->
-            Some (site_addr info.site)
-          | _ -> covered_in_block idx key m ~bytes
-        in
-        let unit_checks_cover (u : tunit) (m : X64.Isa.mem) ~bytes =
-          let key = Avail.key_of_mem m in
-          List.exists
-            (fun (ck : X64.Isa.check) ->
-              Avail.equal_key (Avail.key_of_mem ck.ck_mem) key
-              && ck.ck_lo <= m.disp
-              && ck.ck_hi >= m.disp + bytes)
-            u.u_checks
-        in
-        let total = ref 0 in
-        let checked = ref 0 and covered = ref 0 in
-        let elim_clear = ref 0 and elim_dom = ref 0 and elim_hoist = ref 0 in
-        let policy_skipped = ref 0 and allowlisted = ref 0 in
-        let degraded = ref 0 in
-        (* the proof obligation of a recorded [hoist s lo hi] entry:
-           (1) this access re-derives as hoistable (same shared
-           [Loops.member_hoist] the rewriter planned from); (2) the
-           recorded hull subsumes the independently derived hull — a
-           tampered (narrowed) hull fails here; (3) a check over the
-           widened operand covering the recorded hull is genuinely
-           available from site [s], which dominates the access.  [s]
-           is the preheader check, or — when global elimination
-           dropped that check as itself covered — the dominating
-           covering site.  (1)+(2)+(3) chain into: an emitted widened
-           check covers every address this access touches across the
-           loop. *)
-        let audit_hoist a idx (m : X64.Isa.mem) ~bytes s rl rh =
-          match Loops.member_hoist (Lazy.force loops) ~index:idx ~mem:m ~bytes with
+                Bytes.blit_string restored 0 buf off u.u_span;
+                true
+              end
+            end)
+          units
+      in
+      (* 3. re-derive the program structure the rewriter saw *)
+      let instrs =
+        Array.of_list
+          (X64.Disasm.sweep ~addr:text.addr (Bytes.to_string buf))
+      in
+      let graph = Graph.of_instrs ~entry:text.addr instrs in
+      let dom = Dom.compute graph in
+      (* checks discovered in trampolines, as availability gen facts *)
+      let gen_tbl = Hashtbl.create 64 in
+      let displaced_at = Hashtbl.create 64 in
+      List.iter
+        (fun u ->
+          match Graph.index_at graph u.u_patch with
           | None ->
+            fail u.u_patch
+              "patch address is not an instruction boundary after restoration"
+          | Some i0 ->
+            Hashtbl.replace gen_tbl i0
+              (List.map
+                 (fun (ck : X64.Isa.check) ->
+                   ( Avail.key_of_mem ck.ck_mem,
+                     {
+                       Avail.lo = ck.ck_lo;
+                       hi = ck.ck_hi;
+                       site = i0;
+                       variant = ck.ck_variant;
+                     } ))
+                 u.u_checks);
+            (* original addresses occupied by the displaced run *)
+            ignore
+              (List.fold_left
+                 (fun a i ->
+                   Hashtbl.replace displaced_at a u;
+                   a + X64.Encode.length i)
+                 u.u_patch u.u_displaced))
+        units;
+      let gen i = Option.value (Hashtbl.find_opt gen_tbl i) ~default:[] in
+      let avail = Avail.solve graph ~gen in
+      (* the loop forest, for re-deriving recorded hoist hulls; lazy
+         so binaries without hoist records pay nothing *)
+      let loops = lazy (Loops.analyze graph dom) in
+      let elims = Hashtbl.create 16 in
+      List.iter (fun (a, r) -> Hashtbl.replace elims a r) etab.entries;
+      let allowed = Hashtbl.create 16 in
+      List.iter (fun a -> Hashtbl.replace allowed a ()) allow;
+      (* 4. the proof obligation, per memory operand *)
+      let site_addr idx =
+        let a, _, _ = instrs.(idx) in
+        a
+      in
+      (* the same-block fallback.  [Avail] keeps one fact per address
+         key: of an unmerged batch's several checks on one key only
+         one survives, and an older covering fact beats a fresh one
+         even when its site does not dominate (a block no graph root
+         reaches has no dominator).  Control enters a block only at
+         its first instruction, so a unit earlier in the operand's
+         own block whose check covers it, with no kill in between
+         under {!Avail.transfer_instr}'s rule, covers it on every
+         path. *)
+      let covered_in_block idx key (m : X64.Isa.mem) ~bytes =
+        let first =
+          (Graph.block graph (Graph.block_of_instr graph idx)).Graph.first
+        in
+        let probe =
+          let info =
+            { Avail.lo = 0; hi = 0; site = -1; variant = X64.Isa.Full }
+          in
+          Avail.Facts [ (key, info) ]
+        in
+        let rec back j =
+          if j < first then None
+          else
+            let _, instr, _ = instrs.(j) in
+            let after =
+              Avail.transfer_instr ~gen:(fun _ -> []) j instr probe
+            in
+            if not (Avail.equal_fact after probe) then None
+            else if
+              List.exists
+                (fun (k, (i : Avail.info)) ->
+                  Avail.equal_key k key
+                  && i.lo <= m.disp
+                  && i.hi >= m.disp + bytes)
+                (gen j)
+            then Some (site_addr j)
+            else back (j - 1)
+        in
+        back (idx - 1)
+      in
+      let covered_by idx (m : X64.Isa.mem) ~bytes =
+        let key = Avail.key_of_mem m in
+        match Avail.find (Avail.available_before avail idx) key with
+        | Some info
+          when info.Avail.lo <= m.disp
+               && info.hi >= m.disp + bytes
+               && Dom.dominates_instr dom ~def:info.site ~use:idx ->
+          Some (site_addr info.site)
+        | _ -> covered_in_block idx key m ~bytes
+      in
+      let unit_checks_cover (u : tunit) (m : X64.Isa.mem) ~bytes =
+        let key = Avail.key_of_mem m in
+        List.exists
+          (fun (ck : X64.Isa.check) ->
+            Avail.equal_key (Avail.key_of_mem ck.ck_mem) key
+            && ck.ck_lo <= m.disp
+            && ck.ck_hi >= m.disp + bytes)
+          u.u_checks
+      in
+      let total = ref 0 in
+      let checked = ref 0 and covered = ref 0 in
+      let elim_clear = ref 0 and elim_dom = ref 0 and elim_hoist = ref 0 in
+      let policy_skipped = ref 0 and allowlisted = ref 0 in
+      let degraded = ref 0 in
+      (* the proof obligation of a recorded [hoist s lo hi] entry:
+         (1) this access re-derives as hoistable (same shared
+         [Loops.member_hoist] the rewriter planned from); (2) the
+         recorded hull subsumes the independently derived hull — a
+         tampered (narrowed) hull fails here; (3) a check over the
+         widened operand covering the recorded hull is genuinely
+         available from site [s], which dominates the access.  [s]
+         is the preheader check, or — when global elimination
+         dropped that check as itself covered — the dominating
+         covering site.  (1)+(2)+(3) chain into: an emitted widened
+         check covers every address this access touches across the
+         loop. *)
+      let audit_hoist a idx (m : X64.Isa.mem) ~bytes s rl rh =
+        match Loops.member_hoist (Lazy.force loops) ~index:idx ~mem:m ~bytes with
+        | None ->
+          fail a
+            (Printf.sprintf
+               "recorded hoist at %#x cannot be re-derived as a provable \
+                loop hoist"
+               s)
+        | Some d ->
+          if not (rl <= d.Loops.h_lo && rh >= d.Loops.h_hi) then
             fail a
               (Printf.sprintf
-                 "recorded hoist at %#x cannot be re-derived as a provable \
-                  loop hoist"
-                 s)
-          | Some d ->
-            if not (rl <= d.Loops.h_lo && rh >= d.Loops.h_hi) then
+                 "recorded hoist hull [%d,%d) does not subsume the derived \
+                  access hull [%d,%d)"
+                 rl rh d.Loops.h_lo d.Loops.h_hi)
+          else
+            match
+              Avail.find
+                (Avail.available_before avail idx)
+                (Avail.key_of_mem d.Loops.h_mem)
+            with
+            | Some info
+              when info.Avail.lo <= rl && info.hi >= rh
+                   && site_addr info.site = s
+                   && Dom.dominates_instr dom ~def:info.site ~use:idx ->
+              incr elim_hoist
+            | _ ->
               fail a
                 (Printf.sprintf
-                   "recorded hoist hull [%d,%d) does not subsume the derived \
-                    access hull [%d,%d)"
-                   rl rh d.Loops.h_lo d.Loops.h_hi)
+                   "hoisted covering check at %#x is not available at the \
+                    access"
+                   s)
+      in
+      Array.iteri
+        (fun idx (a, instr, _len) ->
+          match X64.Isa.mem_operand instr with
+          | None -> ()
+          | Some (m, w, write) -> (
+            incr total;
+            (* the rewriter collected this operand in canonical form
+               (copies renamed, constants folded — {!Canon}); the
+               proof obligation must examine the same form *)
+            let m = Canon.operand graph idx m in
+            let bytes = X64.Isa.width_bytes w in
+            let wanted = if write then etab.writes else etab.reads in
+            if not wanted then incr policy_skipped
             else
-              match
-                Avail.find
-                  (Avail.available_before avail idx)
-                  (Avail.key_of_mem d.Loops.h_mem)
-              with
-              | Some info
-                when info.Avail.lo <= rl && info.hi >= rh
-                     && site_addr info.site = s
-                     && Dom.dominates_instr dom ~def:info.site ~use:idx ->
-                incr elim_hoist
-              | _ ->
-                fail a
-                  (Printf.sprintf
-                     "hoisted covering check at %#x is not available at the \
-                      access"
-                     s)
-        in
-        Array.iteri
-          (fun idx (a, instr, _len) ->
-            match X64.Isa.mem_operand instr with
-            | None -> ()
-            | Some (m, w, write) -> (
-              incr total;
-              (* the rewriter collected this operand in canonical form
-                 (copies renamed, constants folded — {!Canon}); the
-                 proof obligation must examine the same form *)
-              let m = Canon.operand graph idx m in
-              let bytes = X64.Isa.width_bytes w in
-              let wanted = if write then etab.writes else etab.reads in
-              if not wanted then incr policy_skipped
-              else
-                match Hashtbl.find_opt elims a with
-                | Some (Elimtab.Hoist (s, rl, rh)) ->
-                  (* a hoist record is always audited in full — being
-                     incidentally covered by some other check would not
-                     prove the recorded justification *)
-                  audit_hoist a idx m ~bytes s rl rh
-                | record -> (
-                  let in_unit =
-                    match Hashtbl.find_opt displaced_at a with
-                    | Some u when unit_checks_cover u m ~bytes -> true
-                    | _ -> false
-                  in
-                  if in_unit then incr checked
-                  else
-                    match covered_by idx m ~bytes with
-                    | Some _site -> (
-                      match record with
-                      | Some (Elimtab.Dom s) ->
-                        incr elim_dom;
-                        ignore s
-                      | _ -> incr covered)
-                    | None -> (
-                      match record with
-                      | Some Elimtab.Clear ->
-                        if clear_rule m ~bytes then incr elim_clear
-                        else
-                          fail a
-                            "recorded 'clear' elimination fails the syntactic \
-                             rule"
-                      | Some (Elimtab.Dom s) ->
+              match Hashtbl.find_opt elims a with
+              | Some (Elimtab.Hoist (s, rl, rh)) ->
+                (* a hoist record is always audited in full — being
+                   incidentally covered by some other check would not
+                   prove the recorded justification *)
+                audit_hoist a idx m ~bytes s rl rh
+              | record -> (
+                let in_unit =
+                  match Hashtbl.find_opt displaced_at a with
+                  | Some u when unit_checks_cover u m ~bytes -> true
+                  | _ -> false
+                in
+                if in_unit then incr checked
+                else
+                  match covered_by idx m ~bytes with
+                  | Some _site -> (
+                    match record with
+                    | Some (Elimtab.Dom s) ->
+                      incr elim_dom;
+                      ignore s
+                    | _ -> incr covered)
+                  | None -> (
+                    match record with
+                    | Some Elimtab.Clear ->
+                      if clear_rule m ~bytes then incr elim_clear
+                      else
                         fail a
-                          (Printf.sprintf
-                             "recorded dominating check at %#x is not available"
-                             s)
-                      | Some Elimtab.Skip -> incr degraded
-                      | Some (Elimtab.Hoist _) -> assert false (* handled above *)
-                      | None ->
-                        if Hashtbl.mem allowed a then incr allowlisted
-                        else fail a "unaccounted memory access"))))
-          instrs;
-        Ok
-          {
-            total = !total;
-            checked = !checked;
-            covered = !covered;
-            elim_clear = !elim_clear;
-            elim_dom = !elim_dom;
-            elim_hoist = !elim_hoist;
-            policy_skipped = !policy_skipped;
-            degraded = !degraded;
-            allowlisted = !allowlisted;
-            units = List.length units;
-            failures = List.rev !failures;
+                          "recorded 'clear' elimination fails the syntactic \
+                           rule"
+                    | Some (Elimtab.Dom s) ->
+                      fail a
+                        (Printf.sprintf
+                           "recorded dominating check at %#x is not available"
+                           s)
+                    | Some Elimtab.Skip -> incr degraded
+                    | Some (Elimtab.Hoist _) -> assert false (* handled above *)
+                    | None ->
+                      if Hashtbl.mem allowed a then incr allowlisted
+                      else fail a "unaccounted memory access"))))
+        instrs;
+      Ok
+        {
+          total = !total;
+          checked = !checked;
+          covered = !covered;
+          elim_clear = !elim_clear;
+          elim_dom = !elim_dom;
+          elim_hoist = !elim_hoist;
+          policy_skipped = !policy_skipped;
+          degraded = !degraded;
+          allowlisted = !allowlisted;
+          units = List.length units;
+          failures = List.rev !failures;
           }))
 
 let pp_report fmt (r : report) =

@@ -49,7 +49,8 @@ val run :
   Binfmt.Relf.t ->
   (report, string) result
 (** [Error _] for a structurally unauditable binary (no text, not
-    hardened, malformed [.elimtab]); otherwise a report whose
+    hardened); a malformed [.elimtab] raises {!Binfmt.Reader.Error}
+    as {!Elimtab.parse}.  Otherwise a report whose
     [failures] list the proof obligations that did not discharge.
     [traps] is the binary's trap table (its [.traptab] section);
     [allow] lists instruction addresses accepted without proof. *)

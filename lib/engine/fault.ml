@@ -65,10 +65,13 @@ let registry =
       "target reported and skipped; rest of the batch completes";
     i "parse.truncated" Fatal "RELF header or field cut short"
       "target reported and skipped; rest of the batch completes";
-    i "parse.int" Fatal "RELF header carries an unreadable integer field"
+    i "parse.int" Fatal
+      "an integer field is unreadable or out of range (RELF header, \
+       .elimtab/.traptab entry, allow.lst line)"
       "target reported and skipped; rest of the batch completes";
     i "parse.section" Fatal
-      "RELF section table is inconsistent (offsets/lengths beyond the file)"
+      "a length, count or line does not fit its structure (RELF section \
+       table, .elimtab/.traptab line)"
       "target reported and skipped; rest of the batch completes";
     i "parse.nocode" Fatal "RELF parses but has no (or empty) .text section"
       "target reported and skipped; rest of the batch completes";
@@ -154,28 +157,16 @@ let is_transient t =
 
 (* --- classification of raw exceptions ------------------------------- *)
 
-(* RELF parse errors carry free-form messages; map them onto the
-   stable parse.* sub-codes *)
-let parse_what_of_msg msg =
-  let has_prefix p =
-    String.length msg >= String.length p && String.sub msg 0 (String.length p) = p
-  in
-  if has_prefix "bad magic" then "magic"
-  else if has_prefix "truncated string" || has_prefix "bad section" then
-    "section"
-  else if has_prefix "truncated" then "truncated"
-  else if has_prefix "bad int" then "int"
-  else if has_prefix "no code" then "nocode"
-  else "relf"
-
 let of_exn ?target (e : exn) : t =
   match e with
   | Fault f -> (
     match (f.target, target) with
     | None, Some _ -> { f with target }
     | _ -> f)
-  | Binfmt.Relf.Parse_error msg ->
-    v ?target (Parse { what = parse_what_of_msg msg; detail = msg })
+  | Binfmt.Reader.Error e ->
+    v ?target
+      (Parse
+         { what = Binfmt.Reader.code e.what; detail = Binfmt.Reader.message e })
   | Minic.Parser.Parse_error (msg, pos) ->
     v ?target
       (Parse
@@ -195,8 +186,6 @@ let of_exn ?target (e : exn) : t =
   | X64.Decode.Decode_error { addr; byte } ->
     v ?target
       (Decode { addr; detail = Printf.sprintf "undecodable byte %#x" byte })
-  | Invalid_argument msg when msg = "Relf.text_exn: no .text section" ->
-    v ?target (Parse { what = "nocode"; detail = "no .text section" })
   | Vm.Cpu.Timeout n ->
     v ?target
       (Run

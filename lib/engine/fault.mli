@@ -76,9 +76,9 @@ val is_transient : t -> bool
 
 val of_exn : ?target:string -> exn -> t
 (** Classify any exception into the taxonomy: [Fault] passes through
-    (adopting [target] if it had none); RELF/MiniC parse errors,
-    decoder errors, [Sys_error], and the engine's own [Failure]
-    messages map to their codes; anything else becomes a [Run]-class
+    (adopting [target] if it had none); {!Binfmt.Reader.Error}, MiniC
+    parse errors, decoder errors, [Sys_error], and the engine's own
+    [Failure] messages map to their codes; anything else becomes a [Run]-class
     fault carrying [Printexc.to_string]. *)
 
 val pp : Format.formatter -> t -> unit

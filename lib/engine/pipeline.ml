@@ -82,14 +82,7 @@ let load_relf t path =
       Fault.fail (Fault.Io { what = "read"; path; detail = msg })
   in
   hook t "parse";
-  let bin = Binfmt.Relf.parse data in
-  (match Binfmt.Relf.find_section bin ".text" with
-  | Some s when String.length s.bytes > 0 -> ()
-  | Some _ ->
-    Fault.fail (Fault.Parse { what = "nocode"; detail = path ^ ": empty .text section" })
-  | None ->
-    Fault.fail (Fault.Parse { what = "nocode"; detail = path ^ ": no .text section" }));
-  bin
+  Binfmt.Relf.load ~src:path data
 
 (* --- cached, timed stage primitives --------------------------------- *)
 

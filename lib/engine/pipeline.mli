@@ -83,7 +83,8 @@ val load_relf : t -> string -> Binfmt.Relf.t
     can fail: unreadable file ([io.read]), malformed container
     ([parse.magic]/[parse.truncated]/[parse.int]/[parse.section] via
     {!Fault.of_exn}), and a missing or empty [.text] section
-    ([parse.nocode]).  Runs the [io] and [parse] injection points. *)
+    ([parse.nocode], {!Binfmt.Relf.load}'s gate).  Runs the [io] and
+    [parse] injection points. *)
 
 (** {2 Cached, timed stage primitives} *)
 

@@ -394,21 +394,14 @@ let parse_once (which : parser_target) (bytes : string) : exec_result =
   let crash =
     match which with
     | Relf_parser -> (
-      match Binfmt.Relf.parse bytes with
-      | bin -> (
-        (* mirror Pipeline.load_relf's structural gate *)
-        match Binfmt.Relf.find_section bin ".text" with
-        | Some s when String.length s.bytes > 0 -> None
-        | _ ->
-          Some
-            { Oracle.c_code = "parse.nocode"; c_site = 0;
-              c_detail = "no (or empty) .text section" })
-      | exception Binfmt.Relf.Parse_error msg ->
-        let f = Engine.Fault.of_exn (Binfmt.Relf.Parse_error msg) in
+      match Binfmt.Relf.load bytes with
+      | (_ : Binfmt.Relf.t) -> None
+      | exception (Binfmt.Reader.Error e as exn) ->
         Some
-          { Oracle.c_code = Engine.Fault.code f; c_site = 0; c_detail = msg }
+          { Oracle.c_code = Engine.Fault.(code (of_exn exn)); c_site = 0;
+            c_detail = Binfmt.Reader.message e }
       | exception e ->
-        (* anything but Parse_error is a parser bug, not a rejection *)
+        (* anything but a reader error is a parser bug, not a rejection *)
         Some
           { Oracle.c_code = "run.fault"; c_site = 0;
             c_detail = "parser crash: " ^ Printexc.to_string e })

@@ -14,18 +14,17 @@ let save path (t : t) =
   close_out oc
 
 let load path : t =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      let line = String.trim line in
-      if line = "" then go acc
-      else go (int_of_string ("0x" ^ line) :: acc)
-    | exception End_of_file -> List.rev acc
+  let r =
+    Binfmt.Reader.create ~src:path
+      (In_channel.with_open_text path In_channel.input_all)
   in
-  let r = go [] in
-  close_in ic;
-  r
+  let rec go acc =
+    match Option.map String.trim (Binfmt.Reader.line r) with
+    | None -> List.rev acc
+    | Some "" -> go acc
+    | Some a -> go (Binfmt.Reader.hex r a :: acc)
+  in
+  go []
 
 let union (a : t) (b : t) : t = List.sort_uniq compare (a @ b)
 

@@ -6,6 +6,8 @@ type t = int list
 
 val save : string -> t -> unit
 val load : string -> t
+(** Raises {!Binfmt.Reader.Error} [Int] naming the file and line of a
+    line that is not one hex address. *)
 
 val union : t -> t -> t
 val diff : t -> t -> t

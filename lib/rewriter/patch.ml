@@ -99,35 +99,21 @@ let render_traps traps =
   String.concat ""
     (List.map (fun (a, t) -> Printf.sprintf "%x %x\n" a t) traps)
 
-let bad line =
-  raise
-    (Binfmt.Relf.Parse_error (Printf.sprintf "bad section .traptab: %S" line))
-
-(* a non-empty run of hex digits whose value fits a non-negative int *)
-let hex line s =
-  if s = "" then bad line;
-  String.fold_left
-    (fun v c ->
-      let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> bad line
-      in
-      if v > max_int lsr 4 then bad line;
-      (v lsl 4) lor d)
-    0 s
-
 let parse_traps s =
-  let rec go acc = function
-    | [] | [ "" ] -> List.rev acc
-    | line :: rest -> (
+  let r = Binfmt.Reader.create ~src:".traptab" s in
+  let rec go acc =
+    match Binfmt.Reader.line r with
+    | None -> List.rev acc
+    | Some line -> (
       match String.split_on_char ' ' line with
-      | [ a; t ] -> go ((hex line a, hex line t) :: acc) rest
-      | _ -> bad line)
+      | [ a; t ] ->
+        let a = Binfmt.Reader.hex r a in
+        go ((a, Binfmt.Reader.hex r t) :: acc)
+      | _ ->
+        Binfmt.Reader.fail r Binfmt.Reader.Section
+          (Printf.sprintf "bad entry %S" line))
   in
-  go [] (String.split_on_char '\n' s)
+  go []
 
 let traps_of_binary (b : Binfmt.Relf.t) =
   match Binfmt.Relf.find_section b ".traptab" with

@@ -84,9 +84,9 @@ val assemble :
 val parse_traps : string -> (int * int) list
 (** Parse a [.traptab] section, one ["%x %x\n"] line (patch address,
     trampoline address) per entry, as {!assemble} renders it.  Raises
-    {!Binfmt.Relf.Parse_error} ["bad section .traptab: ..."] on any
-    malformed line; only the empty line after the final newline is
-    accepted. *)
+    {!Binfmt.Reader.Error} on any malformed line: [Int] for a field
+    that is not a hex [int], [Section] for any other line, an empty
+    one included. *)
 
 val traps_of_binary : Binfmt.Relf.t -> (int * int) list
 (** The trap table of a patched binary's [.traptab] section (empty

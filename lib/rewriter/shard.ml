@@ -56,12 +56,7 @@ let merge_elimtabs (parts : Rewrite.t list) : string =
   let tabs =
     List.map
       (fun p ->
-        match
-          Dataflow.Elimtab.parse
-            (part_section p Dataflow.Elimtab.section_name)
-        with
-        | Ok t -> t
-        | Error e -> invalid_arg ("Shard.rewrite: bad part elimtab: " ^ e))
+        Dataflow.Elimtab.parse (part_section p Dataflow.Elimtab.section_name))
       parts
   in
   match tabs with

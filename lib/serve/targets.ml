@@ -12,6 +12,21 @@ let workload_names () =
       Workloads.Fuzzbugs.all
   @ [ "uaf:reuse"; "uaf:double-free"; "chrome"; "synth:<seed>" ]
 
+(* every registry raises Not_found on a name it does not know; this
+   one lookup turns that into the typed input.target fault *)
+let lookup name find =
+  try find ()
+  with Not_found ->
+    Fault.fail
+      (Fault.Input
+         {
+           what = "target";
+           detail = "unknown workload " ^ name ^ " (try: redfat list)";
+         })
+
+let find_cve n =
+  List.find (fun (c : Workloads.Cve.case) -> c.name = n) Workloads.Cve.all
+
 (* uaf: targets run their ATTACK input as the reference workload (like
    cve: binaries from find_workload), so a Log-mode pipeline run shows
    what the selected backend detects *)
@@ -24,51 +39,6 @@ let find_uaf n : Minic.Ast.program * int list * int list =
         Workloads.Uaf.all
     in
     (c.program, Workloads.Uaf.benign_inputs, Workloads.Uaf.attack_inputs)
-
-(* bug: targets are the seeded-bug fuzzing cases; resolved here so the
-   campaign CLI, the serve daemon and the bench share one name space *)
-let find_bug n : Workloads.Fuzzbugs.case =
-  match Workloads.Fuzzbugs.find n with
-  | c -> c
-  | exception Not_found ->
-    Fault.fail
-      (Fault.Input
-         {
-           what = "target";
-           detail = "unknown seeded bug " ^ n ^ " (try: redfat list)";
-         })
-
-let find_workload name : Binfmt.Relf.t * int list =
-  match String.split_on_char ':' name with
-  | [ "spec"; n ] ->
-    let b = Workloads.Spec.find n in
-    (Workloads.Spec.binary b, Workloads.Spec.ref_inputs b)
-  | [ "cve"; n ] ->
-    let c = List.find (fun (c : Workloads.Cve.case) -> c.name = n)
-        Workloads.Cve.all
-    in
-    (Workloads.Cve.binary c, c.attack_inputs)
-  | [ "kraken"; n ] ->
-    let b = Workloads.Kraken.find n in
-    (Workloads.Kraken.binary b, Workloads.Kraken.inputs b)
-  | [ "uaf"; n ] ->
-    let prog, _, attack = find_uaf n in
-    (Minic.Codegen.compile prog, attack)
-  | [ "bug"; n ] ->
-    let c = find_bug n in
-    (Workloads.Fuzzbugs.binary c, c.attack)
-  | [ "chrome" ] -> (Workloads.Chrome.binary (), [ 0; 50 ])
-  | [ "synth"; seed ] ->
-    ( Minic.Codegen.compile
-        (Workloads.Synth.program ~seed:(int_of_string seed) ()),
-      [] )
-  | _ ->
-    Fault.fail
-      (Fault.Input
-         {
-           what = "target";
-           detail = "unknown workload " ^ name ^ " (try: redfat list)";
-         })
 
 (* Resolve a workflow target to (program, train suite, ref inputs).
    Accepts the built-in workload names and MiniC source paths
@@ -102,6 +72,7 @@ let find_program name : Minic.Ast.program * int list list * int list =
            })
   end
   else
+    lookup name @@ fun () ->
     match String.split_on_char ':' name with
     | [ "spec"; n ] ->
       let b = Workloads.Spec.find n in
@@ -109,9 +80,7 @@ let find_program name : Minic.Ast.program * int list list * int list =
         [ Workloads.Spec.train_inputs b ],
         Workloads.Spec.ref_inputs b )
     | [ "cve"; n ] ->
-      let c = List.find (fun (c : Workloads.Cve.case) -> c.name = n)
-          Workloads.Cve.all
-      in
+      let c = find_cve n in
       (c.program, [ c.benign_inputs ], c.benign_inputs)
     | [ "kraken"; n ] ->
       let b = Workloads.Kraken.find n in
@@ -121,15 +90,22 @@ let find_program name : Minic.Ast.program * int list list * int list =
       let prog, benign, attack = find_uaf n in
       (prog, [ benign ], attack)
     | [ "bug"; n ] ->
-      let c = find_bug n in
+      let c = Workloads.Fuzzbugs.find n in
       (c.program, [ c.benign ], c.attack)
     | [ "chrome" ] -> (Workloads.Chrome.program (), [ [ 0; 50 ] ], [ 0; 50 ])
-    | [ "synth"; seed ] ->
-      (Workloads.Synth.program ~seed:(int_of_string seed) (), [ [] ], [])
-    | _ ->
-      Fault.fail
-        (Fault.Input
-           {
-             what = "target";
-             detail = "unknown workload " ^ name ^ " (try: redfat list)";
-           })
+    | [ "synth"; seed ] -> (
+      match Binfmt.Reader.dec_opt seed with
+      | Some seed -> (Workloads.Synth.program ~seed (), [ [] ], [])
+      | None -> raise Not_found)
+    | _ -> raise Not_found
+
+(* a cve: binary reports its attack input, every other workload the
+   reference inputs of {!find_program} *)
+let find_workload name : Binfmt.Relf.t * int list =
+  let prog, _, inputs = find_program name in
+  let inputs =
+    match String.split_on_char ':' name with
+    | [ "cve"; n ] -> (find_cve n).attack_inputs
+    | _ -> inputs
+  in
+  (Minic.Codegen.compile prog, inputs)

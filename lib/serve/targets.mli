@@ -11,13 +11,6 @@
 val workload_names : unit -> string list
 (** Every built-in workload name, [redfat list] order. *)
 
-val find_uaf : string -> Minic.Ast.program * int list * int list
-(** [uaf:] case by id: (program, benign inputs, attack inputs). *)
-
-val find_bug : string -> Workloads.Fuzzbugs.case
-(** [bug:] seeded-bug fuzzing case by id; unknown ids raise the typed
-    [input.target] fault. *)
-
 val find_workload : string -> Binfmt.Relf.t * int list
 (** Resolve to a compiled binary plus its reference inputs ([redfat
     workload]; [uaf:]/[cve:] report their attack inputs). *)

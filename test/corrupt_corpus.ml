@@ -1,6 +1,7 @@
 (* The shared corrupt-input corpus loader.  test/corrupt/ holds one
    file per malformed-input shape (bad magic, truncated header,
-   truncated nested section, binary garbage, empty input, broken MiniC
+   truncated nested section, integers that do not fit an int, binary
+   garbage, empty input, a non-hex allow.lst line, broken MiniC
    sources); this module is the single way tests reach them, so adding
    a fixture is one file drop — test_fuzz.ml automatically feeds every
    file to the matching parser and asserts the typed rejection, and

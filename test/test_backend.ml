@@ -166,8 +166,37 @@ let test_unknown_backend_faults () =
   let f = Engine.Fault.of_exn (CB.Unknown "quarantine") in
   Alcotest.(check string) "fault code" "run.backend" (Engine.Fault.code f)
 
+(* A malformed .elimtab is a typed parse.section fault: falling back
+   to the default backend would run a temporal binary under the lowfat
+   runtime and report a false use-after-free on a benign input. *)
+let test_malformed_policy_faults () =
+  let src = In_channel.with_open_text "../examples/victim.mc" In_channel.input_all in
+  let bin = Minic.Codegen.compile (Minic.Parser.parse_program src) in
+  let hard =
+    Redfat.harden ~opts:{ Rw.optimized with backend = CB.Temporal } bin
+  in
+  let flip (s : Binfmt.Relf.section) =
+    if s.name <> Dataflow.Elimtab.section_name then s
+    else
+      let b = Bytes.of_string s.bytes in
+      let i =
+        Option.get (Seq.find (fun i -> Bytes.sub_string b i 8 = "writes=1")
+                      (Seq.init (Bytes.length b - 7) Fun.id))
+      in
+      Bytes.set b (i + 7) 'X';
+      { s with bytes = Bytes.to_string b }
+  in
+  let bad = { hard.binary with sections = List.map flip hard.binary.sections } in
+  match Redfat.run_hardened ~inputs:[ 3 ] bad with
+  | r -> Alcotest.failf "ran: %s" (Redfat.verdict_to_string r.verdict)
+  | exception e ->
+    Alcotest.(check string) "fault code" "parse.section"
+      Engine.Fault.(code (of_exn e))
+
 let tests =
   [
+    Alcotest.test_case "malformed policy line faults" `Quick
+      test_malformed_policy_faults;
     Alcotest.test_case "default path seed-shaped" `Quick
       test_default_path_is_seed_shaped;
     Alcotest.test_case "redzone = demoted lowfat" `Quick

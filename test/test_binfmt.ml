@@ -43,14 +43,14 @@ let test_file_roundtrip () =
 let test_bad_magic () =
   Alcotest.(check bool) "rejects garbage" true
     (match R.parse "ELF\x7fnot this format" with
-     | exception R.Parse_error _ -> true
+     | exception Binfmt.Reader.Error _ -> true
      | _ -> false)
 
 let test_truncated () =
   let s = R.serialize sample in
   let cut = String.sub s 0 (String.length s - 10) in
   Alcotest.(check bool) "rejects truncation" true
-    (match R.parse cut with exception R.Parse_error _ -> true | _ -> false)
+    (match R.parse cut with exception Binfmt.Reader.Error _ -> true | _ -> false)
 
 let test_helpers () =
   Alcotest.(check bool) "find_section" true

@@ -85,6 +85,17 @@ let test_double_harden_refused () =
   Alcotest.(check bool) "refused" true (c <> 0);
   Alcotest.(check bool) "message" true (contains out "twice")
 
+(* every command that loads a binary shares the no-code gate *)
+let test_no_code_gate () =
+  skip_unless_available ();
+  List.iter
+    (fun cmd ->
+      let c, out = run_cli (cmd ^ " corrupt/zero_code.relf") in
+      Alcotest.(check int) (cmd ^ " exit") 1 c;
+      Alcotest.(check bool) (cmd ^ ": " ^ out) true
+        (contains out "fault[parse.nocode]"))
+    [ "harden -o /dev/null"; "run"; "disasm"; "verify"; "trace" ]
+
 let test_disasm_and_trace () =
   skip_unless_available ();
   let relf = tmp "cli_t2.relf" in
@@ -122,6 +133,12 @@ let test_fuzz_parse_mode () =
   let c, out = run_cli "fuzz relf minic --mode parse --budget 60 --seed 5" in
   Alcotest.(check int) "parse campaigns" 0 c;
   Alcotest.(check bool) "typed rejections found" true (contains out "BUG parse.");
+  (* seeded from the corrupt corpus: no input escapes the parse faults
+     (a parser crash would exit 4) *)
+  let c, _ =
+    run_cli "fuzz relf minic --mode parse --corpus corrupt --budget 200 --seed 7"
+  in
+  Alcotest.(check int) "corpus-seeded parse campaigns" 0 c;
   (* an unknown parser name is a typed input fault, not a crash *)
   let c, out = run_cli "fuzz elf --mode parse --budget 10" in
   Alcotest.(check int) "unknown parser fails" 2 c;
@@ -135,6 +152,7 @@ let tests =
       test_compile_error_position;
     Alcotest.test_case "double harden refused" `Quick
       test_double_harden_refused;
+    Alcotest.test_case "no-code gate" `Quick test_no_code_gate;
     Alcotest.test_case "disasm and trace" `Quick test_disasm_and_trace;
     Alcotest.test_case "fuzz campaign" `Quick test_fuzz_campaign;
     Alcotest.test_case "fuzz parse mode" `Quick test_fuzz_parse_mode;

@@ -91,10 +91,16 @@ let test_of_exn_classification () =
     Alcotest.(check string) (Printexc.to_string exn) code (Fault.code f);
     check_registered "of_exn" (Fault.code f)
   in
-  check_code (Binfmt.Relf.Parse_error "bad magic") "parse.magic";
-  check_code (Binfmt.Relf.Parse_error "truncated") "parse.truncated";
-  check_code (Binfmt.Relf.Parse_error "truncated string") "parse.section";
-  check_code (Binfmt.Relf.Parse_error "bad int zz") "parse.int";
+  let parse_fixture name =
+    match Binfmt.Relf.parse (In_channel.with_open_bin
+                               (Corrupt_corpus.path name) In_channel.input_all) with
+    | _ -> Alcotest.failf "%s parsed" name
+    | exception e -> e
+  in
+  check_code (parse_fixture "wrong_magic.relf") "parse.magic";
+  check_code (parse_fixture "truncated_header.relf") "parse.truncated";
+  check_code (parse_fixture "bad_section.relf") "parse.section";
+  check_code (parse_fixture "bad_int.relf") "parse.int";
   check_code (X64.Decode.Decode_error { addr = 0x400000; byte = 0xff })
     "decode.insn";
   check_code (Sys_error "foo: No such file or directory") "io.read";
@@ -290,10 +296,9 @@ let elimtab_count (hard : Rw.t) pred =
   let name = Dataflow.Elimtab.section_name in
   match Binfmt.Relf.find_section hard.Rw.binary name with
   | None -> 0
-  | Some sec -> (
-    match Dataflow.Elimtab.parse sec.Binfmt.Relf.bytes with
-    | Ok t -> List.length (List.filter (fun (_, r) -> pred r) t.entries)
-    | Error e -> Alcotest.fail e)
+  | Some sec ->
+    let t = Dataflow.Elimtab.parse sec.Binfmt.Relf.bytes in
+    List.length (List.filter (fun (_, r) -> pred r) t.entries)
 
 let test_all_faults_drop_no_global_elimination () =
   (* every plan is skipped, so no covering check was emitted and no

@@ -32,6 +32,21 @@ let test_allowlist_file_roundtrip () =
   Sys.remove path;
   Alcotest.(check (list int)) "round-trip" l l'
 
+(* a non-hex line is parse.int naming the file and line, and the file
+   is closed on the way out *)
+let test_allowlist_bad_line () =
+  let path = Corrupt_corpus.path "bad_hex.lst" in
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  (match Profile.Allowlist.load path with
+  | l -> Alcotest.failf "loaded %d sites" (List.length l)
+  | exception (Binfmt.Reader.Error err as e) ->
+    Alcotest.(check string) "fault code" "parse.int"
+      Engine.Fault.(code (of_exn e));
+    Alcotest.(check string) "file" path err.src;
+    Alcotest.(check int) "line" 3 err.line);
+  Alcotest.(check int) "channel closed" before (fds ())
+
 let test_allowlist_set_ops () =
   Alcotest.(check (list int)) "union" [ 1; 2; 3 ]
     (Profile.Allowlist.union [ 1; 3 ] [ 2; 3 ]);
@@ -187,6 +202,7 @@ let tests =
   [
     Alcotest.test_case "allow-list file round-trip" `Quick
       test_allowlist_file_roundtrip;
+    Alcotest.test_case "allow-list bad line" `Quick test_allowlist_bad_line;
     Alcotest.test_case "allow-list set ops" `Quick test_allowlist_set_ops;
     Alcotest.test_case "naive full checking FPs" `Quick
       test_naive_full_checking_false_positive;

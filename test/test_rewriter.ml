@@ -314,25 +314,26 @@ let test_traps_roundtrip_through_binary () =
   let r = Rw.rewrite Rw.optimized (assemble_binary items) in
   Alcotest.(check (list (pair int int))) "traptab section round-trip" r.traps
     (Rewriter.Patch.traps_of_binary r.binary);
-  (* the one parser is strict: a malformed line is a [parse.section]
-     fault, not a silently dropped entry; only the empty line after
-     the final newline is accepted *)
+  (* the one parser is strict: a malformed line is a typed [parse.*]
+     fault naming the section, not a silently dropped entry; only the
+     empty line after the final newline is accepted *)
   List.iter
-    (fun bad ->
+    (fun (bad, code) ->
       match Rewriter.Patch.parse_traps bad with
       | traps ->
         Alcotest.failf "accepted %S as %d entries" bad (List.length traps)
-      | exception (Binfmt.Relf.Parse_error msg as e) ->
+      | exception (Binfmt.Reader.Error err as e) ->
+        let msg = Binfmt.Reader.message err in
         Alcotest.(check bool) ("message: " ^ msg) true
-          (String.starts_with ~prefix:"bad section .traptab: " msg);
-        Alcotest.(check string) "fault code" "parse.section"
+          (String.starts_with ~prefix:".traptab:" msg);
+        Alcotest.(check string) "fault code" code
           Engine.Fault.(code (of_exn e)))
     [
-      "400000 4040000g\n";           (* non-hex field *)
-      "400000\n";                    (* a single field *)
-      "400000 40400000 1\n";         (* a third field *)
-      "400000 4000000000000000\n";   (* overflows a non-negative int *)
-      "400000 40400000\n\n";         (* an empty line before the end *)
+      ("400000 4040000g\n", "parse.int");          (* non-hex field *)
+      ("400000\n", "parse.section");               (* a single field *)
+      ("400000 40400000 1\n", "parse.section");    (* a third field *)
+      ("400000 4000000000000000\n", "parse.int");  (* overflows an int *)
+      ("400000 40400000\n\n", "parse.section");    (* an empty line *)
     ];
   Alcotest.(check bool) "is_hardened" true (Rw.is_hardened r.binary);
   Alcotest.(check bool) "original not hardened" false

@@ -263,6 +263,28 @@ let test_fault_isolation () =
   Alcotest.(check bool) "serve.fault counted" true
     (Obs.counter o "serve.fault" >= 1)
 
+(* every registry answers an unknown name with input.target, the
+   request surface and the CLI's binary resolver alike *)
+let test_unknown_targets () =
+  with_server @@ fun srv ->
+  List.iter
+    (fun tgt ->
+      let r, ok =
+        Server.handle srv
+          (Printf.sprintf {|{"id":"u","op":"harden","target":"%s"}|} tgt)
+      in
+      Alcotest.(check bool) (tgt ^ " fails") false ok;
+      (match Option.bind (field "fault" r) (J.member "code") with
+      | Some (J.Str code) -> Alcotest.(check string) tgt "input.target" code
+      | _ -> Alcotest.fail ("no fault code in: " ^ r));
+      match Serve.Targets.find_workload tgt with
+      | _ -> Alcotest.failf "%s resolved" tgt
+      | exception e ->
+        Alcotest.(check string) (tgt ^ " workload") "input.target"
+          Engine.Fault.(code (of_exn e)))
+    [ "spec:nope"; "cve:nope"; "kraken:nope"; "uaf:nope"; "bug:nope";
+      "synth:zz"; "synth:0x1"; "nope" ]
+
 (* an injection clause counting [@N] hits of the verify or run point
    fails the same request whether the answer is computed or cached:
    the two hardens compute the artifact (its audit and baseline run are
@@ -429,6 +451,8 @@ let tests =
     Alcotest.test_case "lru single-flight" `Quick test_single_flight;
     Alcotest.test_case "wire protocol" `Quick test_proto;
     Alcotest.test_case "script mode end to end" `Quick test_script_mode;
+    Alcotest.test_case "unknown targets are input.target" `Quick
+      test_unknown_targets;
     Alcotest.test_case "fault isolation per request" `Quick
       test_fault_isolation;
     Alcotest.test_case "verify injection pin (verify@3)" `Quick
