@@ -185,7 +185,9 @@ ci: build test determinism lint doc-check
 	@set -e; for b in redzone lowfat temporal; do \
 	  $(REDFAT) pipeline spec:mcf uaf:CWE416_write-after-free_v0 \
 	    uaf:double-free --backend $$b --no-cache > /dev/null; \
-	  echo "backend $$b: pipeline smoke OK"; \
+	  $(REDFAT) trace spec:mcf --backend $$b \
+	    --out _build/trace-$$b.json > /dev/null; \
+	  echo "backend $$b: pipeline and trace smoke OK"; \
 	done
 	@set -e; for b in redzone lowfat temporal; do \
 	  $(REDFAT) pipeline spec:mcf spec:bzip2 --hoist --backend $$b \

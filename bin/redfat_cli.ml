@@ -19,7 +19,7 @@ let parse_inputs s =
   else
     String.split_on_char ',' s
     |> List.map (fun x ->
-           match int_of_string_opt (String.trim x) with
+           match Binfmt.Reader.dec_opt (String.trim x) with
            | Some v -> v
            | None ->
              Fault.fail
@@ -37,6 +37,19 @@ let parse_inputs s =
 let workload_names = Serve.Targets.workload_names
 let find_workload = Serve.Targets.find_workload
 let find_program = Serve.Targets.find_program
+
+(* the Figure-5 workflow on a compiled binary, then the hardened
+   binary's Log-mode run on the same inputs: what `pipeline` reports
+   and `trace --out` exports *)
+let harden_and_run eng ~opts ?acct ~train ~inputs bin =
+  let module Pl = Engine.Pipeline in
+  let w = Pl.workflow eng ~opts ~train ~inputs bin in
+  let hrun =
+    Pl.run_hardened eng
+      ~options:{ Redfat_rt.Runtime.default_options with mode = Log }
+      ?acct ~inputs w.Pl.hard.Redfat.Rewrite.binary
+  in
+  (w, hrun)
 
 (* --- commands -------------------------------------------------------- *)
 
@@ -514,12 +527,12 @@ let profile_cmd =
 
 let pipeline_cmd =
   let doc =
-    "Run the full staged hardening workflow (Compile >>> Profile >>> Harden \
-     >>> Verify >>> Run >>> Report) on one or more targets, with per-stage \
-     timings, artifact-cache statistics and per-target fault isolation: a \
-     failing target is reported as a typed fault and the rest of the batch \
-     completes (exit code 2), unless $(b,--strict) makes the first fault \
-     fail the whole batch (exit code 1)."
+    "Run the Figure-5 workflow (compile, profile, harden, audit, baseline \
+     run, then the hardened run in Log mode) on one or more targets, with \
+     per-stage timings, artifact-cache statistics and per-target fault \
+     isolation: a failing target is reported as a typed fault and the rest \
+     of the batch completes (exit code 2), unless $(b,--strict) makes the \
+     first fault fail the whole batch (exit code 1)."
   in
   let wnames =
     Arg.(
@@ -590,30 +603,20 @@ let pipeline_cmd =
         ~inject ()
     in
     let module Pl = Engine.Pipeline in
-    (* one summary per target; a .relf target skips the Compile stage
-       and uses --inputs, a workload/.mc target compiles and uses its
-       own reference inputs *)
+    let opts = { Redfat.Rewrite.optimized with backend; hoist } in
+    (* one summary per target; a .relf target skips compile and uses
+       --inputs, a workload/.mc target compiles and uses its own
+       reference inputs *)
     let process name =
-      let binary_chain ~train ~inputs =
-        Engine.Stage.(
-          Pl.stage_profile eng ~train
-          >>> Pl.stage_harden eng
-                ~opts:{ Redfat.Rewrite.optimized with backend; hoist }
-                ()
-          >>> Pl.stage_verify eng
-          >>> Pl.stage_run eng ~inputs
-          >>> Pl.stage_report eng)
+      let bin, train, inputs =
+        if Filename.check_suffix name ".relf" then
+          (Pl.load_relf eng name, [ relf_inputs ], relf_inputs)
+        else
+          let prog, train, inputs = find_program name in
+          (Pl.compile eng prog, train, inputs)
       in
-      if Filename.check_suffix name ".relf" then
-        let bin = Pl.load_relf eng name in
-        Engine.Stage.run ~report:(Pl.report eng)
-          (binary_chain ~train:[ relf_inputs ] ~inputs:relf_inputs)
-          bin
-      else
-        let prog, train, inputs = find_program name in
-        Engine.Stage.run ~report:(Pl.report eng)
-          Engine.Stage.(Pl.stage_compile eng >>> binary_chain ~train ~inputs)
-          prog
+      let w, hrun = harden_and_run eng ~opts ~train ~inputs bin in
+      Pl.summary w hrun
     in
     let results = Pl.map_targets eng process names in
     let failed = ref 0 in
@@ -761,35 +764,14 @@ let trace_cmd =
   (* workflow mode: drive every engine stage with an Obs-instrumented
      engine, attach VM check accounting to the hardened run, export *)
   let run_workflow name jobs backend hoist outfile =
-    let prog, train, inputs =
-      try find_program name
-      with
-      | Not_found ->
-        Printf.eprintf "unknown workload %s (try: redfat list)\n" name;
-        exit 1
-      | Failure msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    in
+    let prog, train, inputs = find_program name in
     let module Pl = Engine.Pipeline in
     let eng = Pl.create ~jobs ~cache:false () in
-    let bin = Pl.compile eng prog in
-    let allow = Pl.profile eng ~test_suite:train bin in
-    let hard =
-      Pl.harden eng
-        ~opts:
-          { Redfat.Rewrite.optimized with
-            allowlist = Some allow;
-            backend;
-            hoist }
-        bin
-    in
-    let base, _ = Pl.run_baseline eng ~inputs bin in
     let acct = Vm.Cpu.new_acct () in
-    let hrun =
-      Pl.run_hardened eng
-        ~options:{ Redfat_rt.Runtime.default_options with mode = Log }
-        ~acct ~inputs hard.Redfat.Rewrite.binary
+    let w, hrun =
+      harden_and_run eng
+        ~opts:{ Redfat.Rewrite.optimized with backend; hoist }
+        ~acct ~train ~inputs (Pl.compile eng prog)
     in
     Pl.record_vm_acct eng acct;
     Out_channel.with_open_text outfile (fun oc ->
@@ -798,9 +780,9 @@ let trace_cmd =
     Printf.printf
       "\nverdict: %s; baseline %d cycles, hardened %d cycles (%.2fx)\n"
       (Redfat.verdict_to_string hrun.Redfat.verdict)
-      base.Redfat.cycles hrun.Redfat.run.Redfat.cycles
+      w.Pl.base.Redfat.cycles hrun.Redfat.run.Redfat.cycles
       (float_of_int hrun.Redfat.run.Redfat.cycles
-      /. float_of_int base.Redfat.cycles);
+      /. float_of_int w.Pl.base.Redfat.cycles);
     Printf.printf "wrote %s (Chrome trace-event JSON)\n" outfile;
     Pl.close eng
   in

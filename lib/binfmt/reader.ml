@@ -62,23 +62,25 @@ let count t n ~size =
     fail t Section (Printf.sprintf "count %d exceeds the %d bytes left" n left);
   n
 
-let bad_hex t s = fail t Int (Printf.sprintf "bad hex integer %S" s)
+let hex_opt s =
+  let rec go v i =
+    if i = String.length s then Some v
+    else
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> -1
+      in
+      if d < 0 || v > max_int lsr 4 then None else go ((v lsl 4) lor d) (i + 1)
+  in
+  if s = "" then None else go 0 0
 
 let hex t s =
-  if s = "" then bad_hex t s;
-  let v = ref 0 in
-  for i = 0 to String.length s - 1 do
-    let d =
-      match s.[i] with
-      | '0' .. '9' as c -> Char.code c - 48
-      | 'a' .. 'f' as c -> Char.code c - 87
-      | 'A' .. 'F' as c -> Char.code c - 55
-      | _ -> bad_hex t s
-    in
-    if !v > max_int lsr 4 then bad_hex t s;
-    v := (!v lsl 4) lor d
-  done;
-  !v
+  match hex_opt s with
+  | Some v -> v
+  | None -> fail t Int (Printf.sprintf "bad hex integer %S" s)
 
 (* int_of_string also takes 0x, 0b, _ and +, which these formats do
    not; on plain decimal it rejects what does not fit *)

@@ -44,4 +44,8 @@ val hex : t -> string -> int
 val dec : t -> string -> int
 (** An optional [-] and decimal digits that fit an [int], or [Int]. *)
 
+val hex_opt : string -> int option
+(** {!hex} without a cursor: [None] where {!hex} fails. *)
+
 val dec_opt : string -> int option
+(** {!dec} without a cursor: [None] where {!dec} fails. *)

@@ -30,8 +30,10 @@ type t = {
    (also in options_key).  ART6: function-granular incremental
    hardening — Harden artifacts are now a binary-level manifest plus
    per-function rewrite parts ([find_opt]/[put] tiered API), so ART5
-   whole-binary blobs no longer describe the current layout. *)
-let magic = "REDFAT-ART6\n"
+   whole-binary blobs no longer describe the current layout.  ART7: the
+   header carries the blob's MD5 after the magic, so a flipped byte is
+   Corrupt rather than a blob Marshal happens to decode. *)
+let magic = "REDFAT-ART7\n"
 
 let create ?(enabled = true) ?dir ?notify () =
   {
@@ -59,8 +61,9 @@ let ensure_dir dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
 (* a disk artifact is Absent (no file), Stale (recognizable but older
-   format magic), Corrupt (unrecognizable header), or readable.  Stale
-   and corrupt files are deleted so they self-heal by recompute. *)
+   format magic), Corrupt (unrecognizable header, or a blob that does
+   not match its digest), or readable.  Stale and corrupt files are
+   deleted so they self-heal by recompute. *)
 type loaded = Blob of string | Absent | Stale | Corrupt
 
 let looks_like_art s =
@@ -72,13 +75,18 @@ let disk_load dir k : loaded =
   match In_channel.with_open_bin file In_channel.input_all with
   | exception Sys_error _ -> Absent
   | s ->
-    let m = String.length magic in
-    if String.length s > m && String.sub s 0 m = magic then
-      Blob (String.sub s m (String.length s - m))
-    else begin
+    let m = String.length magic + 16 in
+    let current = String.starts_with ~prefix:magic s in
+    let blob =
+      if current && String.length s > m then
+        Some (String.sub s m (String.length s - m))
+      else None
+    in
+    match blob with
+    | Some b when Digest.string b = String.sub s (m - 16) 16 -> Blob b
+    | _ ->
       (try Sys.remove file with Sys_error _ -> ());
-      if looks_like_art s then Stale else Corrupt
-    end
+      if current || not (looks_like_art s) then Corrupt else Stale
 
 let disk_store dir k blob =
   ensure_dir dir;
@@ -90,6 +98,7 @@ let disk_store dir k blob =
   let write () =
     Out_channel.with_open_bin tmp (fun oc ->
         Out_channel.output_string oc magic;
+        Out_channel.output_string oc (Digest.string blob);
         Out_channel.output_string oc blob);
     Sys.rename tmp file
   in
@@ -145,8 +154,8 @@ let find_opt (type a) t ~key : a option =
       match cached with
       | None -> None
       | Some (blob, tier) -> (
-        (* a blob with the right magic can still be truncated by a torn
-           write predating the tmp+rename discipline, or bit-rotted:
+        (* a blob that matches its digest can still fail to decode if
+           a build with other types wrote it under the same magic:
            treat an unmarshal failure as Corrupt and recompute *)
         match (Marshal.from_string blob 0 : a) with
         | v -> Some (v, tier)

@@ -19,7 +19,7 @@ type stats = {
   mutable misses : int;
   mutable stores : int;   (** artifacts written to the disk tier *)
   mutable stale : int;    (** artifacts rejected for an old format magic *)
-  mutable corrupt : int;  (** artifacts unreadable (bad header/unmarshal) *)
+  mutable corrupt : int;  (** artifacts unreadable (bad header/digest/unmarshal) *)
   mutable retries : int;  (** disk writes that failed even after a retry *)
 }
 
@@ -66,8 +66,9 @@ val memo : t -> key:string -> (unit -> 'a) -> 'a
     deterministic functions of the key).
 
     Fault-tolerant against a damaged disk tier: an artifact carrying
-    an older format magic ([stale]) or an unreadable header or blob
-    ([corrupt]) is deleted and recomputed (self-healing); disk writes
+    an older format magic ([stale]), or an unreadable header or a blob
+    that does not match the MD5 in its header ([corrupt]), is deleted
+    and recomputed (self-healing); disk writes
     are atomic (tmp file + rename) with one bounded retry, and a write
     that still fails degrades that key to the memory tier instead of
     failing the stage.  [memo] itself therefore never raises on cache

@@ -77,8 +77,6 @@ let registry =
       "target reported and skipped; rest of the batch completes";
     i "parse.source" Fatal "MiniC source failed to lex/parse/compile"
       "target reported and skipped; rest of the batch completes";
-    i "parse.relf" Fatal "RELF rejected for another structural reason"
-      "target reported and skipped; rest of the batch completes";
     i "decode.insn" Fatal "instruction decoding failed during analysis"
       "target reported and skipped; rest of the batch completes";
     i "recover.cfg" Fatal "CFG recovery failed on the target's code"

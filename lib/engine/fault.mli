@@ -26,8 +26,7 @@ type severity = Fatal | Degraded | Skipped
 type kind =
   | Parse of { what : string; detail : string }
       (** malformed input artifact; [what] is the stable sub-code:
-          [magic], [truncated], [int], [section], [nocode], [source],
-          [relf] *)
+          [magic], [truncated], [int], [section], [nocode], [source] *)
   | Decode of { addr : int; detail : string }
       (** instruction decoding failed at [addr] *)
   | Recover of { detail : string }

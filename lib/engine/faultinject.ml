@@ -45,7 +45,7 @@ let parse_clause (s : string) : (clause, string) result =
   let int_of what = function
     | None -> Ok None
     | Some x -> (
-      match int_of_string_opt x with
+      match Binfmt.Reader.dec_opt x with
       | Some v when v > 0 -> Ok (Some v)
       | _ -> err "fault spec: bad %s %S" what x)
   in
@@ -117,7 +117,7 @@ let fault_for ~point ~label : exn =
   let detail = Printf.sprintf "injected at %s (%s)" point label in
   let kind : Fault.kind =
     match point with
-    | "parse" -> Parse { what = "relf"; detail }
+    | "parse" -> Parse { what = "magic"; detail }
     | "compile" -> Parse { what = "source"; detail }
     | "profile" -> Run { what = "profile"; detail }
     | "rewrite" -> Rewrite { what = "site"; site = None; detail }

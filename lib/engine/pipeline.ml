@@ -250,94 +250,69 @@ let record_vm_acct t (a : Vm.Cpu.acct) =
 
 let trace_json t = Obs.to_chrome ~process_name:"redfat" (obs t)
 
-(* --- the canonical typed stage chain -------------------------------- *)
+(* --- the Figure-5 workflow ------------------------------------------- *)
 
-type outcome = {
+type workflow = {
   hard : Redfat.Rewrite.t;
+  audit : Redfat.Verify.report;
   base : Redfat.run_result;
-  hrun : Redfat.hardened_run;
 }
 
-let stage_compile t =
-  Stage.v ~name:"Compile" ~input:"minic-program" ~output:"relf-binary"
-    (fun prog -> compile t prog)
+(* the one place that sequences profile, harden, audit and baseline:
+   each primitive times itself and runs its own injection points, so
+   every caller sees the same spans and fails the same requests *)
+let workflow t ?(opts = Rw.optimized) ~train ~inputs bin =
+  let allow = profile t ~test_suite:train bin in
+  let hard = harden t ~opts:{ opts with Rw.allowlist = Some allow } bin in
+  let audit =
+    match verify t hard.Rw.binary with
+    | Error e -> Fault.fail (Fault.Verify { unaccounted = 0; detail = e })
+    | Ok r when Redfat.Verify.ok r -> r
+    | Ok r ->
+      let n = List.length r.Redfat.Verify.failures in
+      Fault.fail
+        (Fault.Verify
+           {
+             unaccounted = n;
+             detail =
+               Format.asprintf "%d unaccounted memory accesses@ %a" n
+                 Redfat.Verify.pp_report r;
+           })
+  in
+  let base, bv = run_baseline t ~inputs bin in
+  (match bv with
+  | Redfat.Finished _ -> ()
+  | v ->
+    Fault.fail
+      (Fault.Run { what = "baseline"; detail = Redfat.verdict_to_string v }));
+  { hard; audit; base }
 
-let stage_profile t ~train =
-  Stage.v ~name:"Profile" ~input:"relf-binary"
-    ~output:"relf-binary * allow-list" (fun bin ->
-      (bin, profile t ~test_suite:train bin))
-
-let stage_harden t ?(opts = Rw.optimized) () =
-  Stage.v ~name:"Harden" ~input:"relf-binary * allow-list"
-    ~output:"relf-binary * hardened-rewrite" (fun (bin, allow) ->
-      (bin, harden t ~opts:{ opts with Rw.allowlist = Some allow } bin))
-
-let stage_verify t =
-  Stage.v ~name:"Verify" ~input:"relf-binary * hardened-rewrite"
-    ~output:"relf-binary * hardened-rewrite" (fun (bin, hard) ->
-      (match verify t hard.Rw.binary with
-      | Error e -> Fault.fail (Fault.Verify { unaccounted = 0; detail = e })
-      | Ok r ->
-        if not (Redfat.Verify.ok r) then
-          Fault.fail
-            (Fault.Verify
-               {
-                 unaccounted = List.length r.Redfat.Verify.failures;
-                 detail =
-                   Format.asprintf "%d unaccounted memory accesses@ %a"
-                     (List.length r.Redfat.Verify.failures)
-                     Redfat.Verify.pp_report r;
-               }));
-      (bin, hard))
-
-let stage_run t ~inputs =
-  Stage.v ~name:"Run" ~input:"relf-binary * hardened-rewrite"
-    ~output:"outcome" (fun (bin, hard) ->
-      let base, bv = run_baseline t ~inputs bin in
-      (match bv with
-      | Redfat.Finished _ -> ()
-      | v ->
-        Fault.fail
-          (Fault.Run
-             { what = "baseline"; detail = Redfat.verdict_to_string v }));
-      let hrun =
-        run_hardened t
-          ~options:{ Redfat.Runtime.default_options with mode = Log }
-          ~inputs hard.Rw.binary
-      in
-      { hard; base; hrun })
-
-let stage_report t =
-  Stage.v ~name:"Report" ~input:"outcome" ~output:"summary"
-    (fun { hard; base; hrun } ->
-      ignore t;
-      let b = Buffer.create 256 in
-      Printf.bprintf b "verdict:  %s\n"
-        (Redfat.verdict_to_string hrun.Redfat.verdict);
-      (* the run stage executes in Log mode, so errors the hardening
-         caught (and skipped past) show up here, not as an abort *)
-      (match Redfat.Runtime.errors hrun.Redfat.rt with
-      | [] -> ()
-      | errs ->
-        Printf.bprintf b "detected: %d unique memory error(s)\n"
-          (List.length errs);
-        List.iter
-          (fun e ->
-            Printf.bprintf b "  - %s\n"
-              (Redfat.Runtime.explain hrun.Redfat.rt e))
-          errs);
-      Printf.bprintf b "backend:  %s\n"
-        (Backend.Check_backend.name
-           (Redfat.backend_of_binary hard.Rw.binary));
-      Printf.bprintf b "baseline: %d cycles\n" base.Redfat.cycles;
-      Printf.bprintf b "hardened: %d cycles (overhead %.2fx)\n"
-        hrun.Redfat.run.Redfat.cycles
-        (float_of_int hrun.Redfat.run.Redfat.cycles
-        /. float_of_int base.Redfat.cycles);
-      Printf.bprintf b "coverage: %.1f%% of heap accesses primary-checked\n"
-        (Redfat.Runtime.coverage_percent hrun.Redfat.rt);
-      Printf.bprintf b
-        "sites:    %d full, %d redzone-only, %d temporal; %d trampolines"
-        hard.Rw.stats.Rw.full_sites hard.Rw.stats.Rw.redzone_sites
-        hard.Rw.stats.Rw.temporal_sites hard.Rw.stats.Rw.trampolines;
-      Buffer.contents b)
+let summary { hard; base; _ } (hrun : Redfat.hardened_run) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "verdict:  %s\n"
+    (Redfat.verdict_to_string hrun.Redfat.verdict);
+  (* the hardened run executes in Log mode, so errors the hardening
+     caught (and skipped past) show up here, not as an abort *)
+  (match Redfat.Runtime.errors hrun.Redfat.rt with
+  | [] -> ()
+  | errs ->
+    Printf.bprintf b "detected: %d unique memory error(s)\n"
+      (List.length errs);
+    List.iter
+      (fun e ->
+        Printf.bprintf b "  - %s\n" (Redfat.Runtime.explain hrun.Redfat.rt e))
+      errs);
+  Printf.bprintf b "backend:  %s\n"
+    (Backend.Check_backend.name (Redfat.backend_of_binary hard.Rw.binary));
+  Printf.bprintf b "baseline: %d cycles\n" base.Redfat.cycles;
+  Printf.bprintf b "hardened: %d cycles (overhead %.2fx)\n"
+    hrun.Redfat.run.Redfat.cycles
+    (float_of_int hrun.Redfat.run.Redfat.cycles
+    /. float_of_int base.Redfat.cycles);
+  Printf.bprintf b "coverage: %.1f%% of heap accesses primary-checked\n"
+    (Redfat.Runtime.coverage_percent hrun.Redfat.rt);
+  Printf.bprintf b
+    "sites:    %d full, %d redzone-only, %d temporal; %d trampolines"
+    hard.Rw.stats.Rw.full_sites hard.Rw.stats.Rw.redzone_sites
+    hard.Rw.stats.Rw.temporal_sites hard.Rw.stats.Rw.trampolines;
+  Buffer.contents b

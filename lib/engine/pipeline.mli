@@ -1,7 +1,8 @@
 (** The staged hardening engine: the paper's Figure-5 workflow
-    (Compile -> Harden -> Profile -> Run -> Report) as an explicit
-    pipeline with a shared artifact cache, a work-stealing domain
-    pool, and per-stage observability.
+    (compile, profile, harden, audit, run) as cached, timed
+    primitives plus one {!workflow} that sequences them, over a shared
+    artifact cache, a work-stealing domain pool, and per-stage
+    observability.
 
     One [t] per process/invocation.  All primitives are safe to call
     from inside [map] workers (nested fan-out degrades to sequential
@@ -142,41 +143,29 @@ val record_vm_acct : t -> Vm.Cpu.acct -> unit
 
 val trace_json : t -> string
 (** The engine's collector as Chrome trace-event JSON (merge point:
-    call only at a quiescent moment, e.g. after the chain/batches
+    call only at a quiescent moment, e.g. after the workflow or batches
     finish). *)
 
-(** {2 The canonical typed stage chain}
+(** {2 The Figure-5 workflow} *)
 
-    First-class stage values for composing the full workflow; see
-    [Stage.( >>> )].  The original binary rides along so the Run stage
-    can measure overhead against the uninstrumented baseline. *)
-
-type outcome = {
+type workflow = {
   hard : Redfat.Rewrite.t;
-  base : Redfat.run_result;        (** baseline run of the original *)
-  hrun : Redfat.hardened_run;      (** same inputs, hardened binary *)
+  audit : Redfat.Verify.report;  (** the hardened binary's soundness audit *)
+  base : Redfat.run_result;      (** baseline run of the original *)
 }
 
-val stage_compile : t -> (Minic.Ast.program, Binfmt.Relf.t) Stage.t
+val workflow :
+  t -> ?opts:Redfat.Rewrite.options -> train:int list list ->
+  inputs:int list -> Binfmt.Relf.t -> workflow
+(** The paper's Figure-5 sequence on a compiled binary, and the only
+    place it is written: {!profile} on [train], {!harden} with the
+    resulting allow-list added to [opts] (default
+    {!Redfat.Rewrite.optimized}), {!verify} of the hardened binary,
+    then {!run_baseline} of the original on [inputs].  A failed audit
+    raises [verify.unsound]; a baseline that does not finish raises
+    [run.baseline].  Each primitive records its own stage span. *)
 
-val stage_profile :
-  t -> train:int list list ->
-  (Binfmt.Relf.t, Binfmt.Relf.t * Redfat.Allowlist.t) Stage.t
-
-val stage_harden :
-  t -> ?opts:Redfat.Rewrite.options -> unit ->
-  (Binfmt.Relf.t * Redfat.Allowlist.t, Binfmt.Relf.t * Redfat.Rewrite.t)
-  Stage.t
-
-val stage_verify :
-  t ->
-  (Binfmt.Relf.t * Redfat.Rewrite.t, Binfmt.Relf.t * Redfat.Rewrite.t)
-  Stage.t
-(** Pass-through soundness gate: lint the hardened binary and fail the
-    chain if any memory access is unaccounted for. *)
-
-val stage_run :
-  t -> inputs:int list ->
-  (Binfmt.Relf.t * Redfat.Rewrite.t, outcome) Stage.t
-
-val stage_report : t -> (outcome, string) Stage.t
+val summary : workflow -> Redfat.hardened_run -> string
+(** The per-target text report over a workflow and the hardened
+    binary's Log-mode run: verdict, detections, backend, cycles and
+    overhead, coverage and site counts. *)

@@ -73,6 +73,18 @@ let tokenize (src : string) : t list =
   let pos i = { line = !line; col = i - !bol + 1 } in
   let toks = ref [] in
   let emit tok p = toks := { tok; pos = p } :: !toks in
+  (* a literal must fit an int: int_of_string would wrap
+     0x7fffffffffffffff to -1 and raise Failure on longer ones *)
+  let literal decode ~prefix i j p =
+    match decode (String.sub src (i + prefix) (j - i - prefix)) with
+    | Some v -> v
+    | None ->
+      raise
+        (Lex_error
+           ( Printf.sprintf "integer literal %s does not fit an int"
+               (String.sub src i (j - i)),
+             p ))
+  in
   let rec go i =
     if i >= n then emit EOF (pos i)
     else
@@ -101,12 +113,12 @@ let tokenize (src : string) : t list =
         let rec scan j = if j < n && is_hex src.[j] then scan (j + 1) else j in
         let j = scan (i + 2) in
         if j = i + 2 then raise (Lex_error ("bad hex literal", p));
-        emit (INT (int_of_string (String.sub src i (j - i)))) p;
+        emit (INT (literal Binfmt.Reader.hex_opt ~prefix:2 i j p)) p;
         go j
       | c when is_digit c ->
         let rec scan j = if j < n && is_digit src.[j] then scan (j + 1) else j in
         let j = scan i in
-        emit (INT (int_of_string (String.sub src i (j - i)))) p;
+        emit (INT (literal Binfmt.Reader.dec_opt ~prefix:0 i j p)) p;
         go j
       | c when is_alpha c ->
         let rec scan j = if j < n && is_alnum src.[j] then scan (j + 1) else j in

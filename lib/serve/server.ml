@@ -66,39 +66,17 @@ let artifact_key t (rq : Proto.request) =
       Engine.Faultinject.to_string (Pl.inject t.eng);
     ]
 
-(* the full Figure-5 workflow; each primitive below goes through the
+(* compile, then the Figure-5 workflow; each primitive goes through the
    engine's own two-tier artifact cache, so a hot-tier miss still reuses
    any compile/profile/harden artifacts the disk tier holds *)
 let compute_artifact t (rq : Proto.request) : artifact =
   let prog, train, inputs = Targets.find_program rq.rq_target in
-  let bin = Pl.compile t.eng prog in
-  let allow = Pl.profile t.eng ~test_suite:train bin in
-  let opts =
-    { Rw.optimized with
-      allowlist = Some allow;
-      backend = rq.rq_backend;
-      hoist = rq.rq_hoist }
+  let { Pl.hard; audit; base } =
+    Pl.workflow t.eng
+      ~opts:
+        { Rw.optimized with backend = rq.rq_backend; hoist = rq.rq_hoist }
+      ~train ~inputs (Pl.compile t.eng prog)
   in
-  let hard = Pl.harden t.eng ~opts bin in
-  let audit =
-    match Pl.verify t.eng hard.Rw.binary with
-    | Error e -> Fault.fail (Fault.Verify { unaccounted = 0; detail = e })
-    | Ok r ->
-      if not (Redfat.Verify.ok r) then
-        Fault.fail
-          (Fault.Verify
-             {
-               unaccounted = List.length r.Redfat.Verify.failures;
-               detail = "soundness audit failed";
-             });
-      r
-  in
-  let base, bv = Pl.run_baseline t.eng ~inputs bin in
-  (match bv with
-  | Redfat.Finished _ -> ()
-  | v ->
-    Fault.fail
-      (Fault.Run { what = "baseline"; detail = Redfat.verdict_to_string v }));
   {
     a_target = rq.rq_target;
     a_backend = Backend.Check_backend.name rq.rq_backend;

@@ -5,7 +5,7 @@
     {v
     Lru hot tier (bounded bytes, admit-on-second-touch, single-flight)
       -> Engine.Cache memory tier (unbounded, per-stage artifacts)
-        -> Engine.Cache ART6 disk tier (persistent)
+        -> Engine.Cache ART7 disk tier (persistent, digest-checked)
           -> recompute (Figure-5 workflow on the domain pool)
     v}
 

@@ -211,4 +211,6 @@ let tests =
       test_temporal_detects_reuse;
     Alcotest.test_case "temporal detects double free" `Quick
       test_temporal_detects_double_free;
+    Alcotest.test_case "unknown backend faults" `Quick
+      test_unknown_backend_faults;
   ]

@@ -144,6 +144,54 @@ let test_fuzz_parse_mode () =
   Alcotest.(check int) "unknown parser fails" 2 c;
   Alcotest.(check bool) "typed failure" true (contains out "FAILED")
 
+(* the stage table lists each primitive once, under its own name: the
+   workflow adds no second timing layer *)
+let test_pipeline_stage_rows () =
+  skip_unless_available ();
+  let c, out = run_cli "pipeline spec:mcf --no-cache" in
+  Alcotest.(check int) "pipeline" 0 c;
+  let rec rows = function
+    | [] -> []
+    | l :: _ when String.starts_with ~prefix:"total wall" l -> []
+    | l :: rest -> List.hd (String.split_on_char ' ' l) :: rows rest
+  in
+  let rec after_header = function
+    | [] -> Alcotest.fail ("no stage table in: " ^ out)
+    | l :: rest when String.starts_with ~prefix:"stage " l -> rows rest
+    | _ :: rest -> after_header rest
+  in
+  Alcotest.(check (list string)) "one lowercase row per stage"
+    [ "compile"; "harden"; "profile"; "run"; "verify" ]
+    (after_header (String.split_on_char '\n' out))
+
+(* trace --out runs the same workflow as pipeline, audit included *)
+let test_trace_runs_audit () =
+  skip_unless_available ();
+  let c, out = run_cli (Printf.sprintf "trace spec:mcf --out %s" (tmp "cli_tr.json")) in
+  Alcotest.(check int) "trace --out" 0 c;
+  Alcotest.(check bool) "verify span in the summary" true
+    (List.exists
+       (fun l -> String.starts_with ~prefix:"verify " l)
+       (String.split_on_char '\n' out))
+
+(* integers from the command line take plain decimal only *)
+let test_outside_integers_strict () =
+  skip_unless_available ();
+  let relf = tmp "cli_i.relf" in
+  let c, _ = run_cli (Printf.sprintf "workload spec:mcf -o %s" relf) in
+  Alcotest.(check int) "workload" 0 c;
+  List.iter
+    (fun args ->
+      let c, out = run_cli args in
+      Alcotest.(check int) (args ^ " exit") 1 c;
+      Alcotest.(check bool) (args ^ ": " ^ out) true
+        (contains out "fault[input.script]"))
+    [
+      Printf.sprintf "run %s --inputs 0x3" relf;
+      Printf.sprintf "run %s --inputs 1_2" relf;
+      "pipeline spec:mcf --no-cache --inject 'run@0x1'";
+    ]
+
 let tests =
   [
     Alcotest.test_case "full workflow" `Slow test_full_workflow;
@@ -156,4 +204,8 @@ let tests =
     Alcotest.test_case "disasm and trace" `Quick test_disasm_and_trace;
     Alcotest.test_case "fuzz campaign" `Quick test_fuzz_campaign;
     Alcotest.test_case "fuzz parse mode" `Quick test_fuzz_parse_mode;
+    Alcotest.test_case "pipeline stage rows" `Quick test_pipeline_stage_rows;
+    Alcotest.test_case "trace runs the audit" `Quick test_trace_runs_audit;
+    Alcotest.test_case "outside integers strict" `Quick
+      test_outside_integers_strict;
   ]

@@ -345,42 +345,90 @@ let test_compile_deterministic_across_domains () =
   in
   Alcotest.(check (list string)) "two parallel sweeps agree" (once ()) (once ())
 
-(* --- typed stages ---------------------------------------------------- *)
+(* --- the Figure-5 workflow -------------------------------------------- *)
 
-let test_stage_chain () =
-  with_engine @@ fun eng ->
+(* the workflow, and the serving daemon's artifact built on it, equal a
+   direct compile -> profile -> harden -> verify -> baseline sequence
+   for spec:mcf under every backend, and time each stage once under
+   its own lowercase name *)
+let test_workflow_matches_direct () =
   let b = Workloads.Spec.find "mcf" in
-  let chain =
-    Engine.Stage.(
-      Pl.stage_compile eng
-      >>> Pl.stage_profile eng ~train:[ Workloads.Spec.train_inputs b ]
-      >>> Pl.stage_harden eng ()
-      >>> Pl.stage_run eng ~inputs:(Workloads.Spec.ref_inputs b)
-      >>> Pl.stage_report eng)
-  in
-  Alcotest.(check string) "declared shape"
-    "Compile >>> Profile >>> Harden >>> Run >>> Report : minic-program -> \
-     summary"
-    (Engine.Stage.describe chain);
-  let summary =
-    Engine.Stage.run ~report:(Pl.report eng) chain (Workloads.Spec.program b)
-  in
-  Alcotest.(check bool) "summary reports a clean finish" true
-    (String.length summary > 0
-    && String.sub summary 0 String.(length "verdict:  finished")
-       = "verdict:  finished");
-  (* each named stage was timed exactly once *)
+  let prog = Workloads.Spec.program b in
+  let train = [ Workloads.Spec.train_inputs b ] in
+  let inputs = Workloads.Spec.ref_inputs b in
   List.iter
-    (fun stage ->
-      match
-        List.assoc_opt stage
-          (List.map
-             (fun (n, calls, _) -> (n, calls))
-             (Engine.Report.stage_summary (Pl.report eng)))
-      with
-      | Some calls -> Alcotest.(check int) (stage ^ " calls") 1 calls
-      | None -> Alcotest.failf "stage %s missing from report" stage)
-    [ "Compile"; "Profile"; "Harden"; "Run"; "Report" ]
+    (fun backend ->
+      let name = Backend.Check_backend.name backend in
+      let opts = { Rw.optimized with backend } in
+      let direct, direct_run =
+        with_engine ~cache:false @@ fun eng ->
+        let bin = Pl.compile eng prog in
+        let allow = Pl.profile eng ~test_suite:train bin in
+        let hard =
+          Pl.harden eng ~opts:{ opts with allowlist = Some allow } bin
+        in
+        let audit =
+          match Pl.verify eng hard.Rw.binary with
+          | Ok r -> r
+          | Error e -> Alcotest.fail e
+        in
+        let base, _ = Pl.run_baseline eng ~inputs bin in
+        ( { Pl.hard; audit; base },
+          Pl.run_hardened eng ~options:log_opts ~inputs hard.Rw.binary )
+      in
+      with_engine ~cache:false (fun eng ->
+          let w =
+            Pl.workflow eng ~opts ~train ~inputs (Pl.compile eng prog)
+          in
+          Alcotest.(check string) (name ^ ": hardened binary")
+            (Binfmt.Relf.serialize direct.hard.Rw.binary)
+            (Binfmt.Relf.serialize w.hard.Rw.binary);
+          Alcotest.(check int) (name ^ ": audit total")
+            direct.audit.Redfat.Verify.total w.audit.Redfat.Verify.total;
+          Alcotest.(check int) (name ^ ": baseline cycles")
+            direct.base.Redfat.cycles w.base.Redfat.cycles;
+          let hrun =
+            Pl.run_hardened eng ~options:log_opts ~inputs w.hard.Rw.binary
+          in
+          Alcotest.(check string) (name ^ ": summary")
+            (Pl.summary direct direct_run) (Pl.summary w hrun);
+          Alcotest.(check (list (pair string int)))
+            (name ^ ": one span per primitive call")
+            [ ("compile", 1); ("harden", 2); ("profile", 1); ("run", 2);
+              ("verify", 1) ]
+            (List.map
+               (fun (n, calls, _) -> (n, calls))
+               (Engine.Report.stage_summary (Pl.report eng))));
+      with_engine ~cache:false (fun eng ->
+          let srv = Serve.Server.create eng in
+          let field resp k =
+            match Obs.Json.parse resp with
+            | Ok j -> Option.bind (Obs.Json.member k j) Obs.Json.to_num
+            | Error e -> Alcotest.fail e
+          in
+          let req op =
+            Printf.sprintf {|{"op":"%s","target":"spec:mcf","backend":"%s"}|}
+              op name
+          in
+          let h, ok = Serve.Server.handle srv (req "harden") in
+          Alcotest.(check bool) (name ^ ": harden ok") true ok;
+          let st = direct.hard.Rw.stats in
+          List.iter
+            (fun (k, v) ->
+              Alcotest.(check (option (float 0.))) (name ^ ": " ^ k)
+                (Some (float_of_int v)) (field h k))
+            [
+              ("checks_emitted", st.Rw.checks_emitted);
+              ("trampolines", st.Rw.trampolines);
+              ("code_bytes", st.Rw.text_bytes + st.Rw.tramp_bytes);
+              ("hoisted_checks", st.Rw.hoisted_checks);
+              ("baseline_cycles", direct.base.Redfat.cycles);
+            ];
+          let v, _ = Serve.Server.handle srv (req "verify") in
+          Alcotest.(check (option (float 0.))) (name ^ ": accounted")
+            (Some (float_of_int direct.audit.Redfat.Verify.total))
+            (field v "accounted")))
+    Backend.Check_backend.all
 
 let test_report_json_strings () =
   (* names and values with quotes, backslashes and UTF-8 bytes read
@@ -493,7 +541,8 @@ let tests =
       test_juliet_parallel_eq_sequential;
     Alcotest.test_case "compile deterministic across domains" `Quick
       test_compile_deterministic_across_domains;
-    Alcotest.test_case "typed stage chain" `Quick test_stage_chain;
+    Alcotest.test_case "workflow matches direct sequence" `Quick
+      test_workflow_matches_direct;
     Alcotest.test_case "harden: rewriter spans" `Quick
       test_harden_rewriter_spans;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;

@@ -406,7 +406,7 @@ let test_transient_fault_retries () =
 
 (* --- cache self-healing --------------------------------------------- *)
 
-let art_magic = "REDFAT-ART6\n"
+let art_magic = "REDFAT-ART7\n"
 
 let overwrite path contents =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
@@ -473,6 +473,52 @@ let test_cache_selfheal () =
   Alcotest.(check int) "truncated slices counted corrupt" 1
     (harden_fresh "truncated slices" Rw.with_hoist)
 
+(* one flipped byte in a disk artifact of any kind is caught by the
+   header digest: the artifact is counted corrupt, deleted and
+   recomputed, and the answer equals the cold one.  Slices and fnart
+   artifacts are only read on a manifest miss, so their rounds delete
+   the manifests first. *)
+let test_cache_digest_catches_flips () =
+  with_temp_dir @@ fun dir ->
+  let b = Workloads.Spec.find "mcf" in
+  let answer eng =
+    let bin = Pl.compile eng (Workloads.Spec.program b) in
+    let allow =
+      Pl.profile eng ~test_suite:[ Workloads.Spec.train_inputs b ] bin
+    in
+    let hard =
+      Pl.harden eng ~opts:{ Rw.optimized with allowlist = Some allow } bin
+    in
+    ( Binfmt.Relf.serialize bin,
+      allow,
+      Binfmt.Relf.serialize hard.Rw.binary )
+  in
+  let cold = with_engine ~cache:true ~cache_dir:dir answer in
+  let files kind =
+    List.filter
+      (String.starts_with ~prefix:(kind ^ "-"))
+      (Array.to_list (Sys.readdir dir))
+    |> List.map (Filename.concat dir)
+  in
+  List.iter
+    (fun kind ->
+      if kind = "slices" || kind = "fnart" then
+        List.iter Sys.remove (files "manifest");
+      let targets = files kind in
+      Alcotest.(check bool) (kind ^ " artifacts on disk") true (targets <> []);
+      List.iter
+        (fun f ->
+          let art = Bytes.of_string (In_channel.with_open_bin f In_channel.input_all) in
+          let i = Bytes.length art / 2 in
+          Bytes.set art i (Char.chr (Char.code (Bytes.get art i) lxor 0x10));
+          overwrite f (Bytes.to_string art))
+        targets;
+      with_engine ~cache:true ~cache_dir:dir @@ fun eng ->
+      Alcotest.(check bool) (kind ^ ": fresh answer") true (answer eng = cold);
+      Alcotest.(check bool) (kind ^ ": cache.corrupt counted") true
+        (Obs.counter (Pl.obs eng) "cache.corrupt" >= 1))
+    [ "compile"; "profile"; "manifest"; "slices"; "fnart" ]
+
 let test_injected_runs_do_not_pollute_cache () =
   with_temp_dir @@ fun dir ->
   (* an injected run caches its (degraded) artifact under an
@@ -510,6 +556,8 @@ let tests =
     Alcotest.test_case "transient faults retried" `Quick
       test_transient_fault_retries;
     Alcotest.test_case "cache self-healing" `Quick test_cache_selfheal;
+    Alcotest.test_case "cache digest catches flips" `Quick
+      test_cache_digest_catches_flips;
     Alcotest.test_case "injected runs do not pollute cache" `Quick
       test_injected_runs_do_not_pollute_cache;
   ]
