@@ -185,8 +185,8 @@ ci: build test determinism lint doc-check
 	@set -e; for b in redzone lowfat temporal; do \
 	  $(REDFAT) pipeline spec:mcf uaf:CWE416_write-after-free_v0 \
 	    uaf:double-free --backend $$b --no-cache > /dev/null; \
-	  $(REDFAT) trace spec:mcf --backend $$b \
-	    --out _build/trace-$$b.json > /dev/null; \
+	  $(REDFAT) pipeline spec:mcf --backend $$b --no-cache \
+	    --trace _build/trace-$$b.json > /dev/null; \
 	  echo "backend $$b: pipeline and trace smoke OK"; \
 	done
 	@set -e; for b in redzone lowfat temporal; do \

@@ -1302,19 +1302,12 @@ let rebuild () =
 let fuzz () =
   hr "Fuzz: deterministic smoke campaigns (checks as the oracle)";
   let config = { Fuzz.Campaign.default_config with budget = 400; seed = 7 } in
-  let agg (reports : Fuzz.Campaign.report list) =
-    let total f = List.fold_left (fun a r -> a + f r) 0 reports in
-    [
-      ("fuzz.execs", total (fun (r : Fuzz.Campaign.report) -> r.r_execs));
-      ("fuzz.crashes", total (fun (r : Fuzz.Campaign.report) -> r.r_crashes));
-      ("fuzz.cov_edges", total (fun (r : Fuzz.Campaign.report) -> r.r_cov_edges));
-      ("fuzz.cov_sites", total (fun (r : Fuzz.Campaign.report) -> r.r_cov_sites));
-      ( "fuzz.corpus_entries",
-        total (fun (r : Fuzz.Campaign.report) -> r.r_corpus) );
-      ("fuzz.min_execs", total (fun (r : Fuzz.Campaign.report) -> r.r_min_execs));
-      ( "fuzz.unique_bugs",
-        total (fun (r : Fuzz.Campaign.report) -> List.length r.r_bugs) );
-    ]
+  (* per-campaign counters summed key by key, in their own order *)
+  let agg reports =
+    match List.map Fuzz.Campaign.counters reports with
+    | [] -> []
+    | c :: cs ->
+      List.fold_left (List.map2 (fun (k, a) (_, b) -> (k, a + b))) c cs
   in
   let show bname (r : Fuzz.Campaign.report) =
     pf "%-9s %-14s %6d %8d %6d %7d %5d\n" bname r.r_target r.r_execs r.r_crashes

@@ -38,19 +38,6 @@ let workload_names = Serve.Targets.workload_names
 let find_workload = Serve.Targets.find_workload
 let find_program = Serve.Targets.find_program
 
-(* the Figure-5 workflow on a compiled binary, then the hardened
-   binary's Log-mode run on the same inputs: what `pipeline` reports
-   and `trace --out` exports *)
-let harden_and_run eng ~opts ?acct ~train ~inputs bin =
-  let module Pl = Engine.Pipeline in
-  let w = Pl.workflow eng ~opts ~train ~inputs bin in
-  let hrun =
-    Pl.run_hardened eng
-      ~options:{ Redfat_rt.Runtime.default_options with mode = Log }
-      ?acct ~inputs w.Pl.hard.Redfat.Rewrite.binary
-  in
-  (w, hrun)
-
 (* --- commands -------------------------------------------------------- *)
 
 let list_cmd =
@@ -615,7 +602,16 @@ let pipeline_cmd =
           let prog, train, inputs = find_program name in
           (Pl.compile eng prog, train, inputs)
       in
-      let w, hrun = harden_and_run eng ~opts ~train ~inputs bin in
+      (* the Figure-5 workflow, then the hardened binary's Log-mode run
+         on the same inputs with per-site check accounting for --trace *)
+      let w = Pl.workflow eng ~opts ~train ~inputs bin in
+      let acct = Vm.Cpu.new_acct () in
+      let hrun =
+        Pl.run_hardened eng
+          ~options:{ Redfat_rt.Runtime.default_options with mode = Log }
+          ~acct ~inputs w.Pl.hard.Redfat.Rewrite.binary
+      in
+      Pl.record_vm_acct eng acct;
       Pl.summary w hrun
     in
     let results = Pl.map_targets eng process names in
@@ -736,92 +732,41 @@ let run_cmd =
 
 let trace_cmd =
   let doc =
-    "With $(b,--out): run the full staged workflow on a workload or .mc \
-     file and export a structured trace (Chrome trace-event JSON with \
-     per-stage/per-phase spans, cache and check counters, per-site VM \
-     cycle attribution) plus a text summary.  Without: print the first N \
-     executed instructions of a RELF binary (debugging aid)."
+    "Print the first N executed instructions of a RELF binary under \
+     libredfat, with the backend the binary records (debugging aid).  \
+     For a structured trace of the whole workflow, use $(b,redfat \
+     pipeline --trace)."
   in
   let limit =
     Arg.(value & opt int 60 & info [ "limit"; "n" ] ~doc:"Instructions to show.")
   in
-  let target =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"TARGET"
-          ~doc:"RELF binary (instruction mode) or workload name / MiniC \
-                source (with --out).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Run the staged workflow and write Chrome trace-event JSON \
-                here (load in Perfetto / chrome://tracing).")
-  in
-  (* workflow mode: drive every engine stage with an Obs-instrumented
-     engine, attach VM check accounting to the hardened run, export *)
-  let run_workflow name jobs backend hoist outfile =
-    let prog, train, inputs = find_program name in
-    let module Pl = Engine.Pipeline in
-    let eng = Pl.create ~jobs ~cache:false () in
-    let acct = Vm.Cpu.new_acct () in
-    let w, hrun =
-      harden_and_run eng
-        ~opts:{ Redfat.Rewrite.optimized with backend; hoist }
-        ~acct ~train ~inputs (Pl.compile eng prog)
-    in
-    Pl.record_vm_acct eng acct;
-    Out_channel.with_open_text outfile (fun oc ->
-        Out_channel.output_string oc (Pl.trace_json eng));
-    print_string (Obs.summary (Pl.obs eng));
-    Printf.printf
-      "\nverdict: %s; baseline %d cycles, hardened %d cycles (%.2fx)\n"
-      (Redfat.verdict_to_string hrun.Redfat.verdict)
-      w.Pl.base.Redfat.cycles hrun.Redfat.run.Redfat.cycles
-      (float_of_int hrun.Redfat.run.Redfat.cycles
-      /. float_of_int w.Pl.base.Redfat.cycles);
-    Printf.printf "wrote %s (Chrome trace-event JSON)\n" outfile;
-    Pl.close eng
-  in
-  let run file inputs limit jobs backend hoist out =
-    match out with
-    | Some outfile -> run_workflow file jobs backend hoist outfile
-    | None ->
+  let run file inputs limit =
     let bin = Binfmt.Relf.load_file file in
-    let cpu = Redfat.prepare bin in
-    cpu.inputs <- parse_inputs inputs;
-    List.iter
-      (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-      (Rewriter.Patch.traps_of_binary bin);
-    let rt = Redfat_rt.Runtime.create cpu.mem in
-    let vmrt = Redfat_rt.Runtime.install rt cpu in
+    let cpu, _, vmrt =
+      Redfat.load_hardened ~inputs:(parse_inputs inputs) bin
+    in
     cpu.rip <- bin.entry;
     cpu.regs.(X64.Isa.rsp) <- cpu.regs.(X64.Isa.rsp) - 8;
     Vm.Mem.write cpu.mem ~addr:cpu.regs.(X64.Isa.rsp) ~len:8
       Vm.Cpu.halt_sentinel;
-    (try
-       for _ = 1 to limit do
-         let i, _ = X64.Decode.decode ~addr:cpu.rip
-             (Vm.Mem.read_string cpu.mem ~addr:cpu.rip ~len:40) 0
-         in
-         Printf.printf "%8x: %-40s cycles=%d\n" cpu.rip
-           (X64.Disasm.to_string i) cpu.cycles;
-         Vm.Cpu.step cpu vmrt
-       done;
-       Printf.printf "... (trace limit reached)\n"
-     with
-     | Vm.Cpu.Halt -> Printf.printf "[halted]\n"
-     | Redfat_rt.Runtime.Memory_error e ->
-       Printf.printf "[%s at site %#x]\n"
-         (Redfat_rt.Runtime.kind_name e.kind) e.site)
+    match
+      for _ = 1 to limit do
+        let i, _ = X64.Decode.decode ~addr:cpu.rip
+            (Vm.Mem.read_string cpu.mem ~addr:cpu.rip ~len:40) 0
+        in
+        Printf.printf "%8x: %-40s cycles=%d\n" cpu.rip
+          (X64.Disasm.to_string i) cpu.cycles;
+        Vm.Cpu.step cpu vmrt
+      done
+    with
+    | () -> Printf.printf "... (trace limit reached)\n"
+    | exception Vm.Cpu.Halt -> Printf.printf "[halted]\n"
+    | exception Redfat_rt.Runtime.Memory_error e ->
+      Printf.printf "[%s at site %#x]\n"
+        (Redfat_rt.Runtime.kind_name e.kind) e.site
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ target $ inputs_arg $ limit $ jobs_arg $ backend_arg
-      $ hoist_arg $ out)
+    Term.(const run $ input_file $ inputs_arg $ limit)
 
 let serve_cmd =
   let doc =

@@ -48,9 +48,15 @@ let verdict_to_string = function
 let prepare ?(max_steps = 200_000_000) ?(libs = []) (binary : Binfmt.Relf.t) :
     Vm.Cpu.t =
   let cpu = Vm.Cpu.create ~max_steps () in
-  Binfmt.Relf.load_into cpu.mem binary;
-  (* shared objects: additional modules mapped into the same process *)
-  List.iter (Binfmt.Relf.load_into cpu.mem) libs;
+  (* shared objects: additional modules mapped into the same process,
+     each bringing the trap-table entries of its own patches *)
+  List.iter
+    (fun b ->
+      Binfmt.Relf.load_into cpu.mem b;
+      List.iter
+        (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
+        (Rewriter.Patch.traps_of_binary b))
+    (binary :: libs);
   Vm.Mem.map cpu.mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
   cpu.regs.(X64.Isa.rsp) <- Lowfat.Layout.stack_top - 64;
   cpu
@@ -103,7 +109,7 @@ type hardened_run = {
 (** The check backend recorded in a hardened binary's [.elimtab]
     policy line.  Hardened binaries are self-describing: the runtime
     must speak the same backend as the instrumentation, so
-    {!run_hardened} adopts this automatically.  Unhardened (or
+    {!load_hardened} adopts this automatically.  Unhardened (or
     pre-backend) binaries report {!Backend.Check_backend.default};
     a recorded name that matches no shipped backend raises
     {!Backend.Check_backend.Unknown}, and a malformed [.elimtab]
@@ -114,27 +120,27 @@ let backend_of_binary (binary : Binfmt.Relf.t) : Backend.Check_backend.id =
   | Some s ->
     Backend.Check_backend.of_name_exn (Dataflow.Elimtab.parse s.bytes).backend
 
-(** Run a hardened binary with libredfat preloaded.  [acct] attaches
-    per-site check accounting to the VM (overhead attribution).  The
-    runtime's backend is adopted from the binary's own [.elimtab]
-    record (see {!backend_of_binary}), overriding [options.backend]:
-    lock-and-key instrumentation needs the tagging allocator, and the
-    spatial backends need the untagged one. *)
-let run_hardened ?(options = Runtime.default_options) ?(profiling = false)
-    ?random ?acct ?(inputs = []) ?max_steps ?(libs = [])
-    (binary : Binfmt.Relf.t) : hardened_run =
+(** Load a hardened binary with libredfat preloaded, ready for {!exec}.
+    [acct] attaches per-site check accounting to the VM (overhead
+    attribution).  The runtime's backend is adopted from the binary's
+    own [.elimtab] record (see {!backend_of_binary}), overriding
+    [options.backend]: lock-and-key instrumentation needs the tagging
+    allocator, and the spatial backends need the untagged one. *)
+let load_hardened ?(options = Runtime.default_options) ?(profiling = false)
+    ?random ?acct ?(inputs = []) ?max_steps ?libs (binary : Binfmt.Relf.t) =
   let options = { options with Runtime.backend = backend_of_binary binary } in
-  let cpu = prepare ?max_steps ~libs binary in
+  let cpu = prepare ?max_steps ?libs binary in
   cpu.acct <- acct;
   cpu.inputs <- inputs;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-        (Rewriter.Patch.traps_of_binary b))
-    (binary :: libs);
   let rt = Runtime.create ~options ~profiling ?random cpu.mem in
-  let vmrt = Runtime.install rt cpu in
+  (cpu, rt, Runtime.install rt cpu)
+
+let run_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
+    (binary : Binfmt.Relf.t) : hardened_run =
+  let cpu, rt, vmrt =
+    load_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
+      binary
+  in
   let run, verdict = exec cpu vmrt ~entry:binary.entry in
   { run; verdict; rt }
 

@@ -38,7 +38,15 @@ val verdict_to_string : verdict -> string
 val prepare : ?max_steps:int -> ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t ->
   Vm.Cpu.t
 (** Load the binary (and any shared objects) into a fresh VM with the
-    stack mapped; does not run it. *)
+    stack mapped and the trap table filled from every module's
+    [.traptab] section; does not run it.  The one VM set-up path. *)
+
+val exec : Vm.Cpu.t -> Vm.Cpu.runtime -> entry:int -> run_result * verdict
+(** Run a prepared VM from [entry] and classify how the run ended: the
+    one verdict path.  The exit code follows the shell convention:
+    134 for a detection or an allocator abort (invalid or double
+    free), 124 for a timeout, 139/136/132 for a segfault, a division
+    by zero and an invalid opcode. *)
 
 val run_baseline :
   ?inputs:int list ->
@@ -62,6 +70,24 @@ val backend_of_binary : Binfmt.Relf.t -> Backend.Check_backend.id
     the [run.backend] fault), and {!Binfmt.Reader.Error} when the
     [.elimtab] is malformed ([parse.*]). *)
 
+val load_hardened :
+  ?options:Runtime.options ->
+  ?profiling:bool ->
+  ?random:int ->
+  ?acct:Vm.Cpu.acct ->
+  ?inputs:int list ->
+  ?max_steps:int ->
+  ?libs:Binfmt.Relf.t list ->
+  Binfmt.Relf.t ->
+  Vm.Cpu.t * Runtime.t * Vm.Cpu.runtime
+(** {!prepare} a (hardened) binary with libredfat preloaded: the CPU,
+    the runtime and its VM hooks, ready for {!exec}.  [random] seeds
+    heap randomization.  [acct] attaches per-site check accounting to
+    the VM ({!Vm.Cpu.acct}): cycle and execution-count attribution per
+    guarded site, for trace exports.  The runtime backend in [options]
+    is overridden by the binary's own recorded backend
+    ({!backend_of_binary}) — hardened binaries are self-describing. *)
+
 val run_hardened :
   ?options:Runtime.options ->
   ?profiling:bool ->
@@ -72,14 +98,7 @@ val run_hardened :
   ?libs:Binfmt.Relf.t list ->
   Binfmt.Relf.t ->
   hardened_run
-(** Run a (hardened) binary with libredfat preloaded.  [random] seeds
-    heap randomization; trap tables are recovered from every loaded
-    module's [.traptab] section.  [acct] attaches per-site check
-    accounting to the VM ({!Vm.Cpu.acct}): cycle and execution-count
-    attribution per guarded site, for trace exports.  The runtime
-    backend in [options] is overridden by the binary's own recorded
-    backend ({!backend_of_binary}) — hardened binaries are
-    self-describing. *)
+(** {!load_hardened}, then {!exec} from the binary's entry. *)
 
 val run_memcheck :
   ?inputs:int list ->

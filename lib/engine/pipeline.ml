@@ -185,8 +185,10 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
     Cache.put t.cache ~key:mkey (r, List.length slices);
     r
 
+(* the allow-list is looked up before the profiling build is made, so
+   a hit skips that harden entirely; on a miss the harden's span nests
+   inside this one *)
 let profile t ?max_steps ~test_suite bin =
-  let prof = harden t ~opts:Rw.profiling_build bin in
   Report.timed t.rep "profile" @@ fun () ->
   hook t "profile";
   let key =
@@ -200,6 +202,7 @@ let profile t ?max_steps ~test_suite bin =
               test_suite))
   in
   memo t ~key (fun () ->
+      let prof = harden t ~opts:Rw.profiling_build bin in
       map t (Redfat.profile_run ?max_steps prof.Rw.binary) test_suite
       |> Redfat.merge_profiles)
 

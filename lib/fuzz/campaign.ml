@@ -82,18 +82,13 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
     executions fan out over domains safely. *)
 let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
     (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
-  let cpu = Redfat.prepare ~max_steps binary in
-  cpu.inputs <- inputs;
-  List.iter
-    (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-    (Rewriter.Patch.traps_of_binary binary);
   let options =
-    { Runtime.default_options with
-      backend = Redfat.backend_of_binary binary;
-      mode = (if profiling then Runtime.Log else Runtime.Harden) }
+    if profiling then { Runtime.default_options with mode = Runtime.Log }
+    else Runtime.default_options
   in
-  let rt = Runtime.create ~options ~profiling cpu.mem in
-  let vmrt = Runtime.install rt cpu in
+  let cpu, _, vmrt =
+    Redfat.load_hardened ~options ~profiling ~inputs ~max_steps binary
+  in
   let edges = Hashtbl.create 64 and sites = Hashtbl.create 64 in
   let prev = ref 0 in
   let visit id =
@@ -116,45 +111,11 @@ let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
       (fun _ id ->
         visit id;
         3 (* what the VM charges a probe with no hook: cycles unchanged *));
-  let crash =
-    match Vm.Cpu.run cpu vmrt ~entry:binary.entry with
-    | (_ : int) -> None
-    | exception Runtime.Memory_error e -> Some (Oracle.of_error e)
-    | exception Vm.Cpu.Timeout n ->
-      (* site 0: a hang has no single faulting site, and rip at the
-         moment the budget runs out would shatter dedup *)
-      Some
-        { Oracle.c_code = "run.timeout"; c_site = 0;
-          c_detail = Printf.sprintf "no exit after %d steps" n }
-    | exception Vm.Mem.Segfault a ->
-      Some
-        { Oracle.c_code = "run.fault"; c_site = cpu.rip;
-          c_detail = Printf.sprintf "segfault at %#x" a }
-    | exception Vm.Cpu.Div_by_zero a ->
-      Some
-        { Oracle.c_code = "run.fault"; c_site = a;
-          c_detail = "division by zero" }
-    | exception Vm.Cpu.Invalid_opcode a ->
-      Some
-        { Oracle.c_code = "run.fault"; c_site = a;
-          c_detail = "invalid opcode" }
-    | exception Runtime.Bad_free p ->
-      Some
-        { Oracle.c_code = "detect.bad-free"; c_site = cpu.rip;
-          c_detail = Printf.sprintf "allocator abort: invalid free of %#x" p }
-    | exception Lowfat.Alloc.Double_free p ->
-      Some
-        { Oracle.c_code = "detect.bad-free"; c_site = cpu.rip;
-          c_detail = Printf.sprintf "allocator abort: double free of %#x" p }
-    | exception Lowfat.Alloc.Invalid_free p ->
-      Some
-        { Oracle.c_code = "detect.bad-free"; c_site = cpu.rip;
-          c_detail = Printf.sprintf "allocator abort: invalid free of %#x" p }
-  in
+  let result = Redfat.exec cpu vmrt ~entry:binary.entry in
   {
     x_edges = sorted_keys edges;
     x_sites = sorted_keys sites;
-    x_crash = crash;
+    x_crash = Oracle.of_verdict ~rip:cpu.rip result;
     x_cycles = cpu.cycles;
   }
 

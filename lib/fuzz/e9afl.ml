@@ -66,9 +66,6 @@ type run = {
 let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
   let cpu = Redfat.prepare ~max_steps t.binary in
   cpu.inputs <- inputs;
-  List.iter
-    (fun (a, tgt) -> Hashtbl.replace cpu.trap_table a tgt)
-    (Rewriter.Patch.traps_of_binary t.binary);
   let edges = Hashtbl.create 256 in
   let prev = ref 0 in
   cpu.on_probe <-
@@ -79,10 +76,11 @@ let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
         prev := id;
         3 (* shared-memory counter update *));
   let alloc = Baselines.Sysalloc.create cpu.mem in
-  let rt = Baselines.Sysalloc.vm_runtime alloc in
-  let ok =
-    match Vm.Cpu.run cpu rt ~entry:t.binary.entry with
-    | (_ : int) -> true
-    | exception _ -> false
+  let r, verdict =
+    Redfat.exec cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:t.binary.entry
   in
-  { edges; outputs = Vm.Cpu.outputs cpu; verdict_ok = ok }
+  {
+    edges;
+    outputs = r.outputs;
+    verdict_ok = (match verdict with Redfat.Finished _ -> true | _ -> false);
+  }

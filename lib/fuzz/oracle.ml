@@ -33,15 +33,22 @@ let kind_slug : Redfat_rt.Runtime.error_kind -> string = function
   | Key_mismatch -> "stale-key"
   | Double_free -> "double-free"
 
-let of_error (e : Redfat_rt.Runtime.access_error) : crash =
-  {
-    c_code = "detect." ^ kind_slug e.kind;
-    c_site = e.site;
-    c_detail =
-      Printf.sprintf "%s at site %#x (addr %#x)"
-        (Redfat_rt.Runtime.kind_name e.kind)
-        e.site e.addr;
-  }
+(** The crash a run's verdict reports, by {!Redfat.exec}'s exit-code
+    convention; [rip] is where the run stopped. *)
+let of_verdict ~rip ((r : Redfat.run_result), (v : Redfat.verdict)) =
+  let crash c_code c_site =
+    Some { c_code; c_site; c_detail = Redfat.verdict_to_string v }
+  in
+  match v with
+  | Redfat.Finished _ -> None
+  | Detected e -> crash ("detect." ^ kind_slug e.kind) e.site
+  | Fault _ -> (
+    match r.exit_code with
+    (* site 0: a hang has no single faulting site, and rip at the
+       moment the budget runs out would shatter dedup *)
+    | 124 -> crash "run.timeout" 0
+    | 134 -> crash "detect.bad-free" rip
+    | _ -> crash "run.fault" rip)
 
 (** The bug class a campaign report attributes to an oracle code (the
     Table-2-style attack-class vocabulary, CWE-annotated). *)

@@ -12,9 +12,12 @@ type crash = {
 val kind_slug : Redfat_rt.Runtime.error_kind -> string
 (** The stable [detect.] suffix for a runtime error kind. *)
 
-val of_error : Redfat_rt.Runtime.access_error -> crash
-(** A backend detection as a crash record ([detect.<kind>] at the
-    guarded site). *)
+val of_verdict : rip:int -> Redfat.run_result * Redfat.verdict -> crash option
+(** The crash a {!Redfat.exec} result reports, [None] for a finished
+    run.  A detection is [detect.<kind>] at the guarded site; a fault
+    is classified by its exit code: 124 is [run.timeout] at site 0,
+    134 (allocator abort) is [detect.bad-free] at [rip], anything else
+    is [run.fault] at [rip].  The detail is the verdict text. *)
 
 val bug_class : string -> string
 (** The CWE-annotated attack-class label a report attributes to an

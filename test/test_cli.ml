@@ -108,6 +108,24 @@ let test_disasm_and_trace () =
   Alcotest.(check int) "trace" 0 c;
   Alcotest.(check bool) "cycles shown" true (contains out "cycles=")
 
+(* the stepper runs under the backend the binary records: a temporal
+   build stepped through the default spatial runtime used to end in a
+   spurious use-after-free *)
+let test_trace_temporal_binary () =
+  skip_unless_available ();
+  let relf = tmp "cli_vt.relf" and hard = tmp "cli_vt.hard.relf" in
+  let c, _ = run_cli (Printf.sprintf "compile ../examples/victim.mc -o %s" relf) in
+  Alcotest.(check int) "compile" 0 c;
+  let c, _ =
+    run_cli (Printf.sprintf "harden %s --backend temporal -o %s" relf hard)
+  in
+  Alcotest.(check int) "harden" 0 c;
+  let c, out = run_cli (Printf.sprintf "trace %s --inputs 3 --limit 100000" hard) in
+  Alcotest.(check int) "trace" 0 c;
+  Alcotest.(check bool) "halted" true (contains out "[halted]");
+  Alcotest.(check bool) "no spurious detection" false
+    (contains out "use-after-free")
+
 let test_fuzz_campaign () =
   skip_unless_available ();
   let report = tmp "cli_f.fuzz.json" in
@@ -164,15 +182,18 @@ let test_pipeline_stage_rows () =
     [ "compile"; "harden"; "profile"; "run"; "verify" ]
     (after_header (String.split_on_char '\n' out))
 
-(* trace --out runs the same workflow as pipeline, audit included *)
+(* pipeline --trace exports the whole workflow, audit included, with
+   the hardened run's per-site check accounting *)
 let test_trace_runs_audit () =
   skip_unless_available ();
-  let c, out = run_cli (Printf.sprintf "trace spec:mcf --out %s" (tmp "cli_tr.json")) in
-  Alcotest.(check int) "trace --out" 0 c;
-  Alcotest.(check bool) "verify span in the summary" true
-    (List.exists
-       (fun l -> String.starts_with ~prefix:"verify " l)
-       (String.split_on_char '\n' out))
+  let f = tmp "cli_tr.json" in
+  let c, _ = run_cli (Printf.sprintf "pipeline spec:mcf --no-cache --trace %s" f) in
+  Alcotest.(check int) "pipeline --trace" 0 c;
+  let trace = In_channel.with_open_text f In_channel.input_all in
+  Alcotest.(check bool) "verify span in the trace" true
+    (contains trace "\"name\":\"verify\"");
+  Alcotest.(check bool) "vm.check counters in the trace" true
+    (contains trace "vm.check.")
 
 (* integers from the command line take plain decimal only *)
 let test_outside_integers_strict () =
@@ -202,6 +223,8 @@ let tests =
       test_double_harden_refused;
     Alcotest.test_case "no-code gate" `Quick test_no_code_gate;
     Alcotest.test_case "disasm and trace" `Quick test_disasm_and_trace;
+    Alcotest.test_case "trace a temporal binary" `Quick
+      test_trace_temporal_binary;
     Alcotest.test_case "fuzz campaign" `Quick test_fuzz_campaign;
     Alcotest.test_case "fuzz parse mode" `Quick test_fuzz_parse_mode;
     Alcotest.test_case "pipeline stage rows" `Quick test_pipeline_stage_rows;

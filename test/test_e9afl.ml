@@ -11,9 +11,6 @@ let binary = Minic.Codegen.compile Digest_golden.branchy
 let run_probed (b : Binfmt.Relf.t) inputs =
   let cpu = Redfat.prepare b in
   cpu.inputs <- inputs;
-  List.iter
-    (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-    (Patch.traps_of_binary b);
   let alloc = Baselines.Sysalloc.create cpu.mem in
   let (_ : int) =
     Vm.Cpu.run cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:b.entry

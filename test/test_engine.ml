@@ -126,6 +126,23 @@ let test_disk_cache_warm_start () =
   Alcotest.(check bool) "warm artifact byte-identical to cold" true
     (cold = warm)
 
+(* a warm workflow answers the profile from its own artifact, so the
+   profiling build is never hardened: compile, profile and the hardened
+   manifest are the only disk reads *)
+let test_warm_workflow_skips_profiling_build () =
+  with_temp_dir @@ fun dir ->
+  let prog, train, inputs = Serve.Targets.find_program "spec:mcf" in
+  let run () =
+    with_engine ~cache_dir:dir @@ fun eng ->
+    ignore (Pl.workflow eng ~train ~inputs (Pl.compile eng prog));
+    ( (Pl.cache_stats eng).Engine.Cache.hits_disk,
+      Obs.counter (Pl.obs eng) "harden.manifest.hit" )
+  in
+  ignore (run ());
+  let disk, manifest = run () in
+  Alcotest.(check int) "warm disk hits" 3 disk;
+  Alcotest.(check int) "warm manifest hits" 1 manifest
+
 let test_no_cache_engine () =
   with_engine ~cache:false @@ fun eng ->
   let spec = Workloads.Spec.find "mcf" in
@@ -529,6 +546,8 @@ let tests =
       test_cache_memo_concurrent;
     Alcotest.test_case "cache: concurrent sharded harden converges" `Quick
       test_sharded_harden_concurrent;
+    Alcotest.test_case "cache: warm workflow skips profiling build" `Quick
+      test_warm_workflow_skips_profiling_build;
     Alcotest.test_case "harden: unpartitionable binaries" `Quick
       test_unpartitionable_harden;
     Alcotest.test_case "harden: one partition per binary" `Quick

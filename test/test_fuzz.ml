@@ -141,6 +141,104 @@ let test_hang_oracle () =
        (fun (b : Campaign.bug) -> b.b_code = "run.timeout" && b.b_site = 0)
        r.r_bugs)
 
+(* one execution per planted bug x backend x {benign, attack}, plus
+   Log-mode runs of a profiling build: the oracle's (code, site) and
+   the coverage and cycles around it, pinned row by row *)
+let oracle_rows () =
+  with_engine @@ fun eng ->
+  let row name (res : Campaign.exec_result) =
+    Printf.sprintf "%s: %s cycles=%d edges=%d sites=%d" name
+      (match res.x_crash with
+      | Some c -> Printf.sprintf "%s@%#x" c.Fuzz.Oracle.c_code c.c_site
+      | None -> "ok")
+      res.x_cycles
+      (List.length res.x_edges)
+      (List.length res.x_sites)
+  in
+  let exec ?profiling name bin inputs =
+    row name
+      (Campaign.execute ~max_steps:config.Campaign.max_steps ?profiling bin
+         inputs)
+  in
+  let planted =
+    List.concat_map
+      (fun backend ->
+        List.concat_map
+          (fun (c : Workloads.Fuzzbugs.case) ->
+            let bin = hardened ~backend eng c.id in
+            let name kind =
+              Printf.sprintf "%s/%s/%s" c.id
+                (Backend.Check_backend.name backend)
+                kind
+            in
+            [
+              exec (name "benign") bin c.benign;
+              exec (name "attack") bin c.attack;
+            ])
+          Workloads.Fuzzbugs.all)
+      Backend.Check_backend.all
+  in
+  let profiling id =
+    let c = Workloads.Fuzzbugs.find id in
+    let prof =
+      (Pl.harden eng ~opts:Rw.profiling_build (Pl.compile eng c.program))
+        .Rw.binary
+    in
+    [
+      exec ~profiling:true ("profiling/" ^ id ^ "/benign") prof c.benign;
+      exec ~profiling:true ("profiling/" ^ id ^ "/attack") prof c.attack;
+    ]
+  in
+  planted @ profiling "oob-write" @ profiling "double-free"
+
+let expected_oracle_rows =
+  [
+    "oob-write/redzone/benign: ok cycles=367 edges=2 sites=1";
+    "oob-write/redzone/attack: detect.use-after-free@0x40006e cycles=348 edges=3 sites=2";
+    "oob-read/redzone/benign: ok cycles=400 edges=3 sites=2";
+    "oob-read/redzone/attack: detect.use-after-free@0x400054 cycles=336 edges=3 sites=2";
+    "off-by-one/redzone/benign: ok cycles=369 edges=2 sites=1";
+    "off-by-one/redzone/attack: detect.use-after-free@0x40006a cycles=631 edges=4 sites=2";
+    "uaf/redzone/benign: ok cycles=405 edges=3 sites=2";
+    "uaf/redzone/attack: detect.use-after-free@0x40007c cycles=354 edges=3 sites=2";
+    "double-free/redzone/benign: ok cycles=367 edges=2 sites=1";
+    "double-free/redzone/attack: detect.bad-free@0x40006a cycles=355 edges=2 sites=1";
+    "hang/redzone/benign: ok cycles=384 edges=2 sites=1";
+    "hang/redzone/attack: run.timeout@0 cycles=22415 edges=2 sites=1";
+    "oob-write/lowfat/benign: ok cycles=367 edges=2 sites=1";
+    "oob-write/lowfat/attack: detect.oob-upper@0x40006e cycles=348 edges=3 sites=2";
+    "oob-read/lowfat/benign: ok cycles=400 edges=3 sites=2";
+    "oob-read/lowfat/attack: detect.oob-upper@0x400054 cycles=336 edges=3 sites=2";
+    "off-by-one/lowfat/benign: ok cycles=369 edges=2 sites=1";
+    "off-by-one/lowfat/attack: detect.oob-upper@0x40006a cycles=631 edges=4 sites=2";
+    "uaf/lowfat/benign: ok cycles=405 edges=3 sites=2";
+    "uaf/lowfat/attack: detect.use-after-free@0x40007c cycles=354 edges=3 sites=2";
+    "double-free/lowfat/benign: ok cycles=367 edges=2 sites=1";
+    "double-free/lowfat/attack: detect.bad-free@0x40006a cycles=355 edges=2 sites=1";
+    "hang/lowfat/benign: ok cycles=384 edges=2 sites=1";
+    "hang/lowfat/attack: run.timeout@0 cycles=22415 edges=2 sites=1";
+    "oob-write/temporal/benign: ok cycles=367 edges=2 sites=1";
+    "oob-write/temporal/attack: detect.oob-lower@0x40006e cycles=348 edges=3 sites=2";
+    "oob-read/temporal/benign: ok cycles=400 edges=3 sites=2";
+    "oob-read/temporal/attack: detect.oob-lower@0x400054 cycles=336 edges=3 sites=2";
+    "off-by-one/temporal/benign: ok cycles=369 edges=2 sites=1";
+    "off-by-one/temporal/attack: detect.oob-lower@0x40006a cycles=631 edges=4 sites=2";
+    "uaf/temporal/benign: ok cycles=405 edges=3 sites=2";
+    "uaf/temporal/attack: detect.use-after-free@0x40007c cycles=354 edges=3 sites=2";
+    "double-free/temporal/benign: ok cycles=367 edges=2 sites=1";
+    "double-free/temporal/attack: detect.double-free@0x40006a cycles=355 edges=2 sites=1";
+    "hang/temporal/benign: ok cycles=384 edges=2 sites=1";
+    "hang/temporal/attack: run.timeout@0 cycles=22415 edges=2 sites=1";
+    "profiling/oob-write/benign: ok cycles=367 edges=2 sites=1";
+    "profiling/oob-write/attack: ok cycles=402 edges=3 sites=2";
+    "profiling/double-free/benign: ok cycles=367 edges=2 sites=1";
+    "profiling/double-free/attack: detect.bad-free@0x40006a cycles=355 edges=2 sites=1";
+  ]
+
+let test_oracle_table () =
+  Alcotest.(check (list string))
+    "(code, site) per execution" expected_oracle_rows (oracle_rows ())
+
 let test_backends_disagree_on_classification () =
   (* the same planted a[8] write triages differently per backend — the
      diversity documented in docs/FUZZING.md and gated by table2x *)
@@ -403,6 +501,8 @@ let tests =
     Alcotest.test_case "crashes dedup by (code, site)" `Quick
       test_dedup_by_code_and_site;
     Alcotest.test_case "hang dedups to run.timeout" `Quick test_hang_oracle;
+    Alcotest.test_case "oracle table per bug x backend" `Quick
+      test_oracle_table;
     Alcotest.test_case "every backend detects the planted write" `Slow
       test_backends_disagree_on_classification;
     Alcotest.test_case "minimized inputs still crash" `Quick
