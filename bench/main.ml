@@ -982,7 +982,8 @@ let serve () =
     fleet.(find 0)
   in
   let request ~id ~op ~tgt =
-    Printf.sprintf "{\"id\": %S, \"op\": %S, \"target\": %S}" id op tgt
+    Obs.Json.(
+      to_string (Obj [ ("id", Str id); ("op", Str op); ("target", Str tgt) ]))
   in
   let field name line =
     match Obs.Json.parse line with

@@ -761,9 +761,13 @@ let trace_cmd =
     with
     | () -> Printf.printf "... (trace limit reached)\n"
     | exception Vm.Cpu.Halt -> Printf.printf "[halted]\n"
-    | exception Redfat_rt.Runtime.Memory_error e ->
-      Printf.printf "[%s at site %#x]\n"
-        (Redfat_rt.Runtime.kind_name e.kind) e.site
+    | exception e -> (
+      match Redfat.verdict_of_exn e with
+      | Some (_, Redfat.Detected d) ->
+        Printf.printf "[%s at site %#x]\n"
+          (Redfat_rt.Runtime.kind_name d.kind) d.site
+      | Some (_, v) -> Printf.printf "[%s]\n" (Redfat.verdict_to_string v)
+      | None -> raise e)
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ input_file $ inputs_arg $ limit)

@@ -71,24 +71,29 @@ let collect (cpu : Vm.Cpu.t) exit_code : run_result =
     mem_writes = cpu.mem_writes;
   }
 
+let verdict_of_exn = function
+  | Runtime.Memory_error e -> Some (134, Detected e)
+  | Vm.Mem.Segfault a -> Some (139, Fault (Printf.sprintf "segfault at %#x" a))
+  | Vm.Cpu.Div_by_zero a ->
+    Some (136, Fault (Printf.sprintf "division by zero at %#x" a))
+  | Vm.Cpu.Invalid_opcode a ->
+    Some (132, Fault (Printf.sprintf "invalid opcode at %#x" a))
+  | Vm.Cpu.Timeout n ->
+    Some (124, Fault (Printf.sprintf "timeout after %d steps" n))
+  | Runtime.Bad_free p | Lowfat.Alloc.Invalid_free p ->
+    Some (134, Fault (Printf.sprintf "invalid free of %#x" p))
+  | Lowfat.Alloc.Double_free p ->
+    Some (134, Fault (Printf.sprintf "double free of %#x" p))
+  | _ -> None
+
 let exec (cpu : Vm.Cpu.t) rt ~entry : run_result * verdict =
   match Vm.Cpu.run cpu rt ~entry with
   | code -> (collect cpu code, Finished code)
-  | exception Runtime.Memory_error e -> (collect cpu 134, Detected e)
-  | exception Vm.Mem.Segfault a ->
-    (collect cpu 139, Fault (Printf.sprintf "segfault at %#x" a))
-  | exception Vm.Cpu.Div_by_zero a ->
-    (collect cpu 136, Fault (Printf.sprintf "division by zero at %#x" a))
-  | exception Vm.Cpu.Invalid_opcode a ->
-    (collect cpu 132, Fault (Printf.sprintf "invalid opcode at %#x" a))
-  | exception Vm.Cpu.Timeout n ->
-    (collect cpu 124, Fault (Printf.sprintf "timeout after %d steps" n))
-  | exception Runtime.Bad_free p ->
-    (collect cpu 134, Fault (Printf.sprintf "invalid free of %#x" p))
-  | exception Lowfat.Alloc.Double_free p ->
-    (collect cpu 134, Fault (Printf.sprintf "double free of %#x" p))
-  | exception Lowfat.Alloc.Invalid_free p ->
-    (collect cpu 134, Fault (Printf.sprintf "invalid free of %#x" p))
+  | exception e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match verdict_of_exn e with
+    | Some (code, v) -> (collect cpu code, v)
+    | None -> Printexc.raise_with_backtrace e bt)
 
 (* --- the three execution environments ------------------------------- *)
 

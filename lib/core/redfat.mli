@@ -41,12 +41,18 @@ val prepare : ?max_steps:int -> ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t ->
     stack mapped and the trap table filled from every module's
     [.traptab] section; does not run it.  The one VM set-up path. *)
 
+val verdict_of_exn : exn -> (int * verdict) option
+(** How a run that raised this exception ended, with its exit code:
+    the one verdict path, shared by {!exec} and the [redfat trace]
+    stepper.  The exit code follows the shell convention: 134 for a
+    detection or an allocator abort (invalid or double free), 124 for
+    a timeout, 139/136/132 for a segfault, a division by zero and an
+    invalid opcode.  [None] for an exception that is no ending of a
+    run (a decoder error, say). *)
+
 val exec : Vm.Cpu.t -> Vm.Cpu.runtime -> entry:int -> run_result * verdict
-(** Run a prepared VM from [entry] and classify how the run ended: the
-    one verdict path.  The exit code follows the shell convention:
-    134 for a detection or an allocator abort (invalid or double
-    free), 124 for a timeout, 139/136/132 for a segfault, a division
-    by zero and an invalid opcode. *)
+(** Run a prepared VM from [entry] and classify how the run ended with
+    {!verdict_of_exn}; any other exception escapes. *)
 
 val run_baseline :
   ?inputs:int list ->

@@ -212,29 +212,15 @@ let pp fmt t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json t =
-  Printf.sprintf
-    "{ \"target\": \"%s\", \"code\": \"%s\", \"severity\": \"%s\", \
-     \"detail\": \"%s\" }"
-    (json_escape (Option.value t.target ~default:""))
-    (json_escape (code t))
-    (severity_to_string t.severity)
-    (json_escape (detail_of_kind t.kind))
+let to_json t : Obs.Json.v =
+  Obs.Json.(
+    Obj
+      [
+        ("target", Str (Option.value t.target ~default:""));
+        ("code", Str (code t));
+        ("severity", Str (severity_to_string t.severity));
+        ("detail", Str (detail_of_kind t.kind));
+      ])
 
 let registry_markdown () =
   let b = Buffer.create 2048 in

@@ -85,9 +85,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
-(** One JSON object:
-    [{"target": ..., "code": ..., "severity": ..., "detail": ...}]. *)
+val to_json : t -> Obs.Json.v
+(** One JSON object, [{"target": ..., "code": ..., "severity": ...,
+    "detail": ...}]: a member of the report's ["faults"] array and the
+    ["fault"] field of a failed serve response.  The target is [""]
+    for a global fault. *)
 
 (** {2 The documented taxonomy} *)
 

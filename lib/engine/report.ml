@@ -82,124 +82,72 @@ let pp fmt t =
 
 (* --- JSON ----------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* a JSON string literal *)
-let str s = "\"" ^ escape s ^ "\""
-
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.6g" x
-
 let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  List.iter (fun (k, v) -> add "  %s: %s,\n" (str k) (str v)) extra;
-  add "  \"jobs\": %d,\n" t.njobs;
-  add "  \"wall_seconds\": %s,\n" (json_float (wall t));
-  (match cache with
-  | Some (c : Cache.stats) ->
-    add
-      "  \"cache\": { \"enabled\": %b, \"hits\": %d, \"hits_mem\": %d, \
-       \"hits_disk\": %d, \"misses\": %d, \"stores\": %d },\n"
-      cache_enabled c.hits c.hits_mem c.hits_disk c.misses c.stores
-  | None -> ());
-  add "  \"stages\": {\n";
-  let stages = stage_summary t in
-  List.iteri
-    (fun i (name, calls, secs) ->
-      add "    %s: { \"calls\": %d, \"seconds\": %s }%s\n" (str name)
-        calls (json_float secs)
-        (if i = List.length stages - 1 then "" else ","))
-    stages;
-  add "  },\n";
-  (* merged obs counters and histograms: the per-check-kind and cache
-     facts the bench-regression gate diffs *)
-  add "  \"counters\": {";
-  let cs = Obs.counters t.obs in
-  List.iteri
-    (fun i (name, v) ->
-      add "%s %s: %d" (if i = 0 then "" else ",") (str name) v)
-    cs;
-  add " },\n";
-  (* omitted entirely when no histogrammed path ran: experiments like
-     table1 used to emit an empty [{}] object, which readers must
-     still accept for old reports *)
-  let hs = Obs.histograms t.obs in
-  if hs <> [] then begin
-    add "  \"histograms\": {\n";
-    List.iteri
-      (fun i (name, (h : Obs.hist)) ->
-        add
-          "    %s: { \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \
-           \"buckets\": [%s] }%s\n"
-          (str name) h.Obs.h_count h.Obs.h_sum
-          (if h.Obs.h_count = 0 then 0 else h.Obs.h_min)
-          (if h.Obs.h_count = 0 then 0 else h.Obs.h_max)
-          (String.concat ", "
-             (List.map
-                (fun (lo, c) -> Printf.sprintf "[%d, %d]" lo c)
-                h.Obs.h_buckets))
-          (if i = List.length hs - 1 then "" else ","))
-      hs;
-    add "  },\n"
-  end;
-  add "  \"targets\": [\n";
-  let tgs = targets t in
-  List.iteri
-    (fun i tg ->
-      add "    { \"name\": %s," (str tg.tg_name);
-      (* omitted for synthetic targets (a serve fleet, a rebuild
-         night) that have no baseline execution: a literal 0 reads as
-         "infinitely fast baseline" to ratio-computing consumers *)
-      (match tg.tg_cycles with
-      | Some c -> add " \"baseline_cycles\": %d," c
-      | None -> ());
-      add " \"wall_seconds\": %s" (json_float tg.tg_wall);
-      if tg.tg_overheads <> [] then begin
-        add ", \"overheads\": { ";
-        add "%s"
-          (String.concat ", "
-             (List.map
-                (fun (k, v) -> Printf.sprintf "%s: %s" (str k) (json_float v))
-                tg.tg_overheads));
-        add " }"
-      end;
-      if tg.tg_counters <> [] then begin
-        add ", \"counters\": { ";
-        add "%s"
-          (String.concat ", "
-             (List.map
-                (fun (k, v) -> Printf.sprintf "%s: %d" (str k) v)
-                tg.tg_counters));
-        add " }"
-      end;
-      add " }%s\n" (if i = List.length tgs - 1 then "" else ","))
-    tgs;
-  add "  ],\n";
-  (* typed per-target fault records (always present, [] when clean) *)
-  add "  \"faults\": [\n";
-  let fs = faults t in
-  List.iteri
-    (fun i f ->
-      add "    %s%s\n" (Fault.to_json f)
-        (if i = List.length fs - 1 then "" else ","))
-    fs;
-  add "  ]\n";
-  add "}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let ints = List.map (fun (k, v) -> (k, Int v)) in
+  (* a member that some reports omit *)
+  let opt k = function Some v -> [ (k, v) ] | None -> [] in
+  let nonempty = function [] -> None | kvs -> Some (Obj kvs) in
+  let cache =
+    Option.map
+      (fun (c : Cache.stats) ->
+        Obj
+          (("enabled", Bool cache_enabled)
+          :: ints
+               [
+                 ("hits", c.hits); ("hits_mem", c.hits_mem);
+                 ("hits_disk", c.hits_disk); ("misses", c.misses);
+                 ("stores", c.stores);
+               ]))
+      cache
+  in
+  let stage (name, calls, secs) =
+    (name, Obj [ ("calls", Int calls); ("seconds", Num secs) ])
+  in
+  let hist (name, (h : Obs.hist)) =
+    let seen v = if h.h_count = 0 then 0 else v in
+    let bucket (lo, c) = Arr [ Int lo; Int c ] in
+    ( name,
+      Obj
+        (ints
+           [
+             ("count", h.h_count); ("sum", h.h_sum); ("min", seen h.h_min);
+             ("max", seen h.h_max);
+           ]
+        @ [ ("buckets", Arr (List.map bucket h.h_buckets)) ]) )
+  in
+  let target tg =
+    Obj
+      ((("name", Str tg.tg_name)
+       (* omitted for synthetic targets (a serve fleet, a rebuild
+          night) that have no baseline execution: a literal 0 reads as
+          "infinitely fast baseline" to ratio-computing consumers *)
+       :: opt "baseline_cycles" (Option.map (fun c -> Int c) tg.tg_cycles))
+      @ [ ("wall_seconds", Num tg.tg_wall) ]
+      @ opt "overheads"
+          (nonempty (List.map (fun (k, v) -> (k, Num v)) tg.tg_overheads))
+      @ opt "counters" (nonempty (ints tg.tg_counters)))
+  in
+  to_string ~lines:2
+    (Obj
+       (List.map (fun (k, v) -> (k, Str v)) extra
+       @ [ ("jobs", Int t.njobs); ("wall_seconds", Num (wall t)) ]
+       @ opt "cache" cache
+       @ [
+           ("stages", Obj (List.map stage (stage_summary t)));
+           (* merged obs counters and histograms: the per-check-kind
+              and cache facts the bench-regression gate diffs *)
+           ("counters", Obj (ints (Obs.counters t.obs)));
+         ]
+       (* omitted entirely when no histogrammed path ran: experiments
+          like table1 used to emit an empty [{}] object, which readers
+          must still accept for old reports *)
+       @ opt "histograms"
+           (nonempty (List.map hist (Obs.histograms t.obs)))
+       @ [
+           ("targets", Arr (List.map target (targets t)));
+           (* typed per-target fault records (always present, [] when
+              clean) *)
+           ("faults", Arr (List.map Fault.to_json (faults t)));
+         ]))
+  ^ "\n"

@@ -403,63 +403,6 @@ let run_parse (eng : Pl.t) ?(config = default_config)
 
 (* --- report rendering ------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let bug_json (b : bug) =
-  Printf.sprintf
-    "{ \"code\": \"%s\", \"site\": %d, \"backend\": \"%s\", \"class\": \
-     \"%s\", \"count\": %d, \"first_exec\": %d, \"input\": \"%s\", \
-     \"min_input\": \"%s\", \"detail\": \"%s\" }"
-    (json_escape b.b_code) b.b_site (json_escape b.b_backend)
-    (json_escape b.b_class) b.b_count b.b_first_exec (json_escape b.b_input)
-    (json_escape b.b_min_input) (json_escape b.b_detail)
-
-let to_json (r : report) =
-  Printf.sprintf
-    "{\n\
-    \  \"target\": \"%s\", \"mode\": \"%s\", \"backend\": \"%s\",\n\
-    \  \"seed\": %d, \"budget\": %d,\n\
-    \  \"counters\": { \"fuzz.execs\": %d, \"fuzz.crashes\": %d, \
-     \"fuzz.cov_edges\": %d, \"fuzz.cov_sites\": %d, \
-     \"fuzz.corpus_entries\": %d, \"fuzz.min_execs\": %d, \
-     \"fuzz.unique_bugs\": %d },\n\
-    \  \"bugs\": [%s]\n\
-     }"
-    (json_escape r.r_target) (json_escape r.r_mode) (json_escape r.r_backend)
-    r.r_seed r.r_budget r.r_execs r.r_crashes r.r_cov_edges r.r_cov_sites
-    r.r_corpus r.r_min_execs
-    (List.length r.r_bugs)
-    (String.concat ",\n    " (List.map bug_json r.r_bugs))
-
-(** Several campaigns as one [--out] document (the `redfat fuzz`
-    schema documented in the MANUAL). *)
-let reports_json (rs : report list) =
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 rs in
-  Printf.sprintf
-    "{\n\
-     \"experiment\": \"fuzz\",\n\
-     \"counters\": { \"fuzz.execs\": %d, \"fuzz.crashes\": %d, \
-     \"fuzz.unique_bugs\": %d },\n\
-     \"campaigns\": [\n%s\n]\n\
-     }\n"
-    (total (fun r -> r.r_execs))
-    (total (fun r -> r.r_crashes))
-    (total (fun r -> List.length r.r_bugs))
-    (String.concat ",\n" (List.map to_json rs))
-
 (** The per-campaign counters, in {!Engine.Report.add_target} shape. *)
 let counters (r : report) =
   [
@@ -471,6 +414,52 @@ let counters (r : report) =
     ("fuzz.min_execs", r.r_min_execs);
     ("fuzz.unique_bugs", List.length r.r_bugs);
   ]
+
+let bug_json (b : bug) =
+  Obs.Json.(
+    Obj
+      [
+        ("code", Str b.b_code); ("site", Int b.b_site);
+        ("backend", Str b.b_backend); ("class", Str b.b_class);
+        ("count", Int b.b_count); ("first_exec", Int b.b_first_exec);
+        ("input", Str b.b_input); ("min_input", Str b.b_min_input);
+        ("detail", Str b.b_detail);
+      ])
+
+let counters_json kvs =
+  Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) kvs)
+
+let report_json (r : report) =
+  Obs.Json.(
+    Obj
+      [
+        ("target", Str r.r_target); ("mode", Str r.r_mode);
+        ("backend", Str r.r_backend); ("seed", Int r.r_seed);
+        ("budget", Int r.r_budget); ("counters", counters_json (counters r));
+        ("bugs", Arr (List.map bug_json r.r_bugs));
+      ])
+
+let to_json r = Obs.Json.to_string ~lines:2 (report_json r)
+
+(** Several campaigns as one [--out] document (the `redfat fuzz`
+    schema documented in the MANUAL). *)
+let reports_json (rs : report list) =
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 rs in
+  Obs.Json.(
+    to_string ~lines:2
+      (Obj
+         [
+           ("experiment", Str "fuzz");
+           ( "counters",
+             counters_json
+               [
+                 ("fuzz.execs", total (fun r -> r.r_execs));
+                 ("fuzz.crashes", total (fun r -> r.r_crashes));
+                 ("fuzz.unique_bugs", total (fun r -> List.length r.r_bugs));
+               ] );
+           ("campaigns", Arr (List.map report_json rs));
+         ]))
+  ^ "\n"
 
 (** One human line per bug (CLI and bench matrix output). *)
 let bug_summary (b : bug) =

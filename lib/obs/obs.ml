@@ -231,108 +231,88 @@ let span_summary ?cat t =
 
 let well_formed t = List.for_all (fun b -> b.b_depth = 0) (all_bufs t)
 
-(* --- exporters ------------------------------------------------------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let us x = x *. 1e6
-
-let to_chrome ?(process_name = "redfat") t =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"traceEvents\":[\n";
-  let first = ref true in
-  let sep () = if !first then first := false else add ",\n" in
-  sep ();
-  add
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-     \"args\":{\"name\":\"%s\"}}"
-    (escape process_name);
-  let tids =
-    List.sort_uniq compare (List.map (fun b -> b.b_tid) (all_bufs t))
-  in
-  List.iter
-    (fun tid ->
-      sep ();
-      add
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\
-         \"args\":{\"name\":\"domain %d\"}}"
-        tid tid)
-    tids;
-  let last_ts = ref 0.0 in
-  List.iter
-    (fun sp ->
-      let ts = us sp.sp_start and dur = us sp.sp_dur in
-      if ts +. dur > !last_ts then last_ts := ts +. dur;
-      sep ();
-      add
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\
-         \"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-        (escape sp.sp_name) (escape sp.sp_cat) ts dur sp.sp_tid)
-    (spans t);
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      add
-        "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\
-         \"args\":{\"value\":%d}}"
-        (escape name) !last_ts v)
-    (counters t);
-  add "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
-
-let summary t =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let sums = span_summary t in
-  if sums <> [] then begin
-    add "spans            calls   seconds\n";
-    List.iter
-      (fun (name, calls, secs) -> add "%-16s %5d %9.3f\n" name calls secs)
-      sums
-  end;
-  let cs = counters t in
-  if cs <> [] then begin
-    add "counters\n";
-    List.iter (fun (name, v) -> add "  %-24s %12d\n" name v) cs
-  end;
-  let hs = histograms t in
-  if hs <> [] then begin
-    add "histograms                 count        sum   min   max      mean\n";
-    List.iter
-      (fun (name, h) ->
-        add "  %-24s %6d %10d %5d %5d %9.1f\n" name h.h_count h.h_sum
-          h.h_min h.h_max
-          (float_of_int h.h_sum /. float_of_int (max 1 h.h_count)))
-      hs
-  end;
-  Buffer.contents b
-
-(* --- a minimal JSON reader ------------------------------------------- *)
+(* --- the JSON codec --------------------------------------------------- *)
 
 module Json = struct
   type v =
     | Null
     | Bool of bool
+    | Int of int
     | Num of float
     | Str of string
     | Arr of v list
     | Obj of (string * v) list
 
+  let add_escaped b s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+  let escape s =
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+
+  let to_string ?(lines = 0) v =
+    let b = Buffer.create 256 in
+    let str s =
+      Buffer.add_char b '"';
+      add_escaped b s;
+      Buffer.add_char b '"'
+    in
+    (* a container nested [depth] deep puts each member on its own
+       line when [depth < lines] *)
+    let container depth op cl member items =
+      let broken = depth < lines && items <> [] in
+      let newline d = Buffer.add_string b ("\n" ^ String.make (2 * d) ' ') in
+      Buffer.add_char b op;
+      List.iteri
+        (fun i m ->
+          if i > 0 then Buffer.add_char b ',';
+          if broken then newline (depth + 1)
+          else if i > 0 then Buffer.add_char b ' ';
+          member m)
+        items;
+      if broken then newline depth;
+      Buffer.add_char b cl
+    in
+    let rec value depth = function
+      | Null -> Buffer.add_string b "null"
+      | Bool x -> Buffer.add_string b (if x then "true" else "false")
+      | Int i -> Buffer.add_string b (string_of_int i)
+      | Num x ->
+        Buffer.add_string b
+          (if Float.is_integer x && Float.abs x < 1e15 then
+             Printf.sprintf "%.1f" x
+           else Printf.sprintf "%.6g" x)
+      | Str s -> str s
+      | Arr items -> container depth '[' ']' (value (depth + 1)) items
+      | Obj fields ->
+        container depth '{' '}'
+          (fun (k, x) ->
+            str k;
+            Buffer.add_string b ": ";
+            value (depth + 1) x)
+          fields
+    in
+    value 0 v;
+    Buffer.contents b
+
   exception Err of string * int
+
+  (* deeper nesting is a parse error: the reader recurses once per
+     container, and a request line of a million brackets must not stall
+     the domain that parses it *)
+  let max_depth = 64
 
   let parse (s : string) : (v, string) result =
     let n = String.length s in
@@ -422,10 +402,12 @@ module Json = struct
       | Some f -> Num f
       | None -> fail "bad number"
     in
-    let rec parse_value () =
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
+      | Some ('{' | '[') when depth = max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
       | Some '"' -> Str (parse_string ())
       | Some '{' ->
         advance ();
@@ -441,7 +423,7 @@ module Json = struct
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -464,7 +446,7 @@ module Json = struct
         else begin
           let items = ref [] in
           let rec elements () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -483,7 +465,7 @@ module Json = struct
       | Some _ -> parse_number ()
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then fail "trailing garbage";
       v
@@ -493,7 +475,85 @@ module Json = struct
       Error (Printf.sprintf "JSON error at offset %d: %s" p msg)
 
   let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-  let to_num = function Num f -> Some f | _ -> None
+  let to_num = function
+    | Num f -> Some f
+    | Int i -> Some (float_of_int i)
+    | _ -> None
   let to_str = function Str s -> Some s | _ -> None
   let to_arr = function Arr l -> Some l | _ -> None
 end
+
+(* --- exporters ------------------------------------------------------- *)
+
+let us x = x *. 1e6
+
+let to_chrome ?(process_name = "redfat") t =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "{\"traceEvents\":[\n";
+  let first = ref true in
+  let sep () = if !first then first := false else add ",\n" in
+  sep ();
+  add
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+     \"args\":{\"name\":\"%s\"}}"
+    (Json.escape process_name);
+  let tids =
+    List.sort_uniq compare (List.map (fun b -> b.b_tid) (all_bufs t))
+  in
+  List.iter
+    (fun tid ->
+      sep ();
+      add
+        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\
+         \"args\":{\"name\":\"domain %d\"}}"
+        tid tid)
+    tids;
+  let last_ts = ref 0.0 in
+  List.iter
+    (fun sp ->
+      let ts = us sp.sp_start and dur = us sp.sp_dur in
+      if ts +. dur > !last_ts then last_ts := ts +. dur;
+      sep ();
+      add
+        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\
+         \"dur\":%.3f,\"pid\":0,\"tid\":%d}"
+        (Json.escape sp.sp_name) (Json.escape sp.sp_cat) ts dur sp.sp_tid)
+    (spans t);
+  List.iter
+    (fun (name, v) ->
+      sep ();
+      add
+        "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\
+         \"args\":{\"value\":%d}}"
+        (Json.escape name) !last_ts v)
+    (counters t);
+  add "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Buffer.contents b
+
+let summary t =
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let sums = span_summary t in
+  if sums <> [] then begin
+    add "spans            calls   seconds\n";
+    List.iter
+      (fun (name, calls, secs) -> add "%-16s %5d %9.3f\n" name calls secs)
+      sums
+  end;
+  let cs = counters t in
+  if cs <> [] then begin
+    add "counters\n";
+    List.iter (fun (name, v) -> add "  %-24s %12d\n" name v) cs
+  end;
+  let hs = histograms t in
+  if hs <> [] then begin
+    add "histograms                 count        sum   min   max      mean\n";
+    List.iter
+      (fun (name, h) ->
+        add "  %-24s %6d %10d %5d %5d %9.1f\n" name h.h_count h.h_sum
+          h.h_min h.h_max
+          (float_of_int h.h_sum /. float_of_int (max 1 h.h_count)))
+      hs
+  end;
+  Buffer.contents b

@@ -90,27 +90,47 @@ val summary : t -> string
 (** Compact text rendering: span table per category, counters,
     histogram statistics. *)
 
-(** {2 A minimal JSON reader}
+(** {2 The JSON codec}
 
-    Enough JSON to round-trip our own exports (trace files, bench
-    reports) without external dependencies; used by the obs tests and
-    [tools/bench_diff]. *)
+    The one reader and writer of JSON in the program, with no external
+    dependencies: every document it emits (reports, fault records,
+    fuzz reports, serve responses) is built as a {!Json.v} and printed
+    by {!Json.to_string}, and every document it reads (serve requests,
+    [tools/bench_diff]'s reports) goes through {!Json.parse}. *)
 module Json : sig
   type v =
     | Null
     | Bool of bool
+    | Int of int  (** written only: {!parse} yields [Num] *)
     | Num of float
     | Str of string
     | Arr of v list
     | Obj of (string * v) list
 
   val parse : string -> (v, string) result
-  (** Parse a complete JSON document; the error carries an offset. *)
+  (** Parse a complete JSON document; the error carries an offset.
+      Containers nested more than 64 deep are an error, so a hostile
+      line costs the reader no more than its length. *)
+
+  val escape : string -> string
+  (** The body of a JSON string literal: quote, backslash, newline,
+      carriage return and tab as two-character escapes, other control
+      bytes as [\u00XX], every other byte (UTF-8 included) as is. *)
+
+  val to_string : ?lines:int -> v -> string
+  (** Print a value.  An [Int] prints as an integer; an integer-valued
+      [Num] below 1e15 as [%.1f], any other [Num] as [%.6g].  Members
+      are separated by [", "] and keys by [": "]; a container nested
+      less than [lines] deep (default 0: the whole document on one
+      line, as the serve protocol needs) puts each member on its own
+      line instead, indented two spaces per level. *)
 
   val member : string -> v -> v option
   (** Field lookup on [Obj] (None otherwise). *)
 
   val to_num : v -> float option
+  (** [Num], or [Int] as a float. *)
+
   val to_str : v -> string option
   val to_arr : v -> v list option
 end

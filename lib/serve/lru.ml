@@ -200,10 +200,7 @@ let get t ~key compute =
       in
       Condition.broadcast t.cond;
       Mutex.unlock t.lock;
-      if admitted then begin
-        notify t "admitted";
-        if t.st.evictions > 0 then ()
-      end;
+      if admitted then notify t "admitted";
       (match res with Ok blob -> (blob, Miss) | Error e -> raise e))
 
 let mem t key =

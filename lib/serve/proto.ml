@@ -79,51 +79,15 @@ let parse_request line : (request, string) result =
 
 (* --- response rendering ---------------------------------------------- *)
 
-type field =
-  | B of bool
-  | I of int
-  | F of float
-  | S of string
-  | R of string  (** pre-rendered JSON, embedded verbatim *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let render_field = function
-  | B b -> if b then "true" else "false"
-  | I i -> string_of_int i
-  | F x ->
-    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-    else Printf.sprintf "%.6g" x
-  | S s -> "\"" ^ escape s ^ "\""
-  | R raw -> raw
-
-let obj fields =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ render_field v)
-         fields)
-  ^ "}"
-
 let response ~id ~op ~ok fields =
-  obj ([ ("id", S id); ("op", S (op_name op)); ("ok", B ok) ] @ fields)
+  J.to_string
+    (J.Obj
+       ([ ("id", J.Str id); ("op", J.Str (op_name op)); ("ok", J.Bool ok) ]
+       @ fields))
 
 let error_response ~id ~detail =
-  obj [ ("id", S id); ("ok", B false); ("error", S detail) ]
+  J.to_string
+    (J.Obj [ ("id", J.Str id); ("ok", J.Bool false); ("error", J.Str detail) ])
 
 (* the client side of the check: a response line is "ok" iff its
    "ok" field is true *)

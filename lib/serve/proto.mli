@@ -1,7 +1,7 @@
 (** The serving wire protocol: one JSON object per line, in both
-    directions.  Requests are parsed with the in-tree {!Obs.Json}
-    reader (unknown fields ignored); responses are rendered as
-    single-line JSON.
+    directions, read and written by {!Obs.Json}: requests are parsed
+    with its reader (unknown fields ignored, nesting bounded), and
+    responses are built as values and printed on one line.
 
     Request schema (see docs/MANUAL.md, "redfat serve"):
     {v
@@ -36,18 +36,10 @@ val parse_request : string -> (request, string) result
 
 (** {2 Response rendering} *)
 
-type field =
-  | B of bool
-  | I of int
-  | F of float
-  | S of string
-  | R of string  (** pre-rendered JSON, embedded verbatim *)
-
-val obj : (string * field) list -> string
-(** One-line JSON object. *)
-
-val response : id:string -> op:op -> ok:bool -> (string * field) list -> string
-(** [{"id":..., "op":..., "ok":...}] plus the given fields. *)
+val response :
+  id:string -> op:op -> ok:bool -> (string * Obs.Json.v) list -> string
+(** [{"id": ..., "op": ..., "ok": ...}] followed by the given fields,
+    printed by {!Obs.Json.to_string} on one line. *)
 
 val error_response : id:string -> detail:string -> string
 (** The parse-failure response (no op to echo). *)

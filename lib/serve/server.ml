@@ -1,6 +1,7 @@
 module Pl = Engine.Pipeline
 module Fault = Engine.Fault
 module Rw = Redfat.Rewrite
+module J = Obs.Json
 
 type t = {
   eng : Pl.t;
@@ -122,37 +123,37 @@ let trace t (rq : Proto.request) (a : artifact) : trace =
 
 let artifact_fields (a : artifact) (outcome : Lru.outcome) =
   [
-    ("target", Proto.S a.a_target);
-    ("backend", Proto.S a.a_backend);
-    ("hoist", Proto.B a.a_hoist);
-    ("cache", Proto.S (Lru.outcome_name outcome));
-    ("checks_emitted", Proto.I a.a_checks_emitted);
-    ("trampolines", Proto.I a.a_trampolines);
-    ("code_bytes", Proto.I a.a_code_bytes);
-    ("hoisted_checks", Proto.I a.a_hoisted);
-    ("baseline_cycles", Proto.I a.a_base_cycles);
+    ("target", J.Str a.a_target);
+    ("backend", J.Str a.a_backend);
+    ("hoist", J.Bool a.a_hoist);
+    ("cache", J.Str (Lru.outcome_name outcome));
+    ("checks_emitted", J.Int a.a_checks_emitted);
+    ("trampolines", J.Int a.a_trampolines);
+    ("code_bytes", J.Int a.a_code_bytes);
+    ("hoisted_checks", J.Int a.a_hoisted);
+    ("baseline_cycles", J.Int a.a_base_cycles);
   ]
 
-let run_op t (rq : Proto.request) : (string * Proto.field) list =
+let run_op t (rq : Proto.request) : (string * J.v) list =
   match rq.rq_op with
-  | Proto.Ping -> [ ("pong", Proto.B true) ]
+  | Proto.Ping -> [ ("pong", J.Bool true) ]
   | Proto.Shutdown ->
     request_stop t;
-    [ ("stopping", Proto.B true) ]
+    [ ("stopping", J.Bool true) ]
   | Proto.Stats ->
     let ls = Lru.stats t.lru in
     let cs = Pl.cache_stats t.eng in
     [
-      ("serve.cache.hits", Proto.I ls.Lru.hits);
-      ("serve.cache.misses", Proto.I ls.Lru.misses);
-      ("serve.cache.coalesced", Proto.I ls.Lru.coalesced);
-      ("serve.cache.admitted", Proto.I ls.Lru.admitted);
-      ("serve.cache.evictions", Proto.I ls.Lru.evictions);
-      ("serve.cache.bytes", Proto.I ls.Lru.bytes);
-      ("serve.cache.cap_bytes", Proto.I (Lru.cap_bytes t.lru));
-      ("cache.hit.mem", Proto.I cs.Engine.Cache.hits_mem);
-      ("cache.hit.disk", Proto.I cs.Engine.Cache.hits_disk);
-      ("cache.miss", Proto.I cs.Engine.Cache.misses);
+      ("serve.cache.hits", J.Int ls.Lru.hits);
+      ("serve.cache.misses", J.Int ls.Lru.misses);
+      ("serve.cache.coalesced", J.Int ls.Lru.coalesced);
+      ("serve.cache.admitted", J.Int ls.Lru.admitted);
+      ("serve.cache.evictions", J.Int ls.Lru.evictions);
+      ("serve.cache.bytes", J.Int ls.Lru.bytes);
+      ("serve.cache.cap_bytes", J.Int (Lru.cap_bytes t.lru));
+      ("cache.hit.mem", J.Int cs.Engine.Cache.hits_mem);
+      ("cache.hit.disk", J.Int cs.Engine.Cache.hits_disk);
+      ("cache.miss", J.Int cs.Engine.Cache.misses);
     ]
   | Proto.Harden ->
     let a, outcome = artifact t rq in
@@ -164,28 +165,28 @@ let run_op t (rq : Proto.request) : (string * Proto.field) list =
     let a, outcome = artifact t rq in
     Pl.hook t.eng "verify";
     [
-      ("target", Proto.S a.a_target);
-      ("backend", Proto.S a.a_backend);
-      ("cache", Proto.S (Lru.outcome_name outcome));
-      ("verified", Proto.B true);
-      ("accounted", Proto.I a.a_accounted);
+      ("target", J.Str a.a_target);
+      ("backend", J.Str a.a_backend);
+      ("cache", J.Str (Lru.outcome_name outcome));
+      ("verified", J.Bool true);
+      ("accounted", J.Int a.a_accounted);
     ]
   | Proto.Trace ->
     let a, outcome = artifact t rq in
     Pl.hook t.eng "run";
     let tr = trace t rq a in
     [
-      ("target", Proto.S a.a_target);
-      ("backend", Proto.S a.a_backend);
-      ("cache", Proto.S (Lru.outcome_name outcome));
-      ("verdict", Proto.S tr.verdict);
-      ("baseline_cycles", Proto.I a.a_base_cycles);
-      ("hardened_cycles", Proto.I tr.hardened_cycles);
+      ("target", J.Str a.a_target);
+      ("backend", J.Str a.a_backend);
+      ("cache", J.Str (Lru.outcome_name outcome));
+      ("verdict", J.Str tr.verdict);
+      ("baseline_cycles", J.Int a.a_base_cycles);
+      ("hardened_cycles", J.Int tr.hardened_cycles);
       ( "overhead",
-        Proto.F
+        J.Num
           (float_of_int tr.hardened_cycles
           /. float_of_int (max 1 a.a_base_cycles)) );
-      ("detected", Proto.I tr.detected);
+      ("detected", J.Int tr.detected);
     ]
 
 (* --- the request boundary -------------------------------------------- *)
@@ -206,19 +207,18 @@ let handle t line : string * bool =
     Obs.add o ("serve.req." ^ opn);
     let t0 = Unix.gettimeofday () in
     let label = if rq.rq_target = "" then "serve:" ^ opn else rq.rq_target in
-    let resp =
+    let ok, fields =
       Obs.span o ~cat:"serve" ("serve." ^ opn) (fun () ->
           match Pl.protect t.eng ~target:label (fun () -> run_op t rq) with
-          | Ok fields ->
-            Proto.response ~id:rq.rq_id ~op:rq.rq_op ~ok:true fields
+          | Ok fields -> (true, fields)
           | Error f ->
             Obs.add o "serve.fault";
-            Proto.response ~id:rq.rq_id ~op:rq.rq_op ~ok:false
-              [ ("fault", Proto.R (Fault.to_json f)) ])
+            (false, [ ("fault", Fault.to_json f) ]))
     in
+    let resp = Proto.response ~id:rq.rq_id ~op:rq.rq_op ~ok fields in
     Obs.observe o "serve.latency_us"
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-    (resp, Proto.response_ok resp)
+    (resp, ok)
 
 (* --- transports ------------------------------------------------------ *)
 

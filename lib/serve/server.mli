@@ -22,8 +22,8 @@
 
     Instrumented end to end on the engine's {!Obs} collector:
     [serve.req.<op>]/[serve.fault]/[serve.conn] counters,
-    [serve.cache.*] hot-tier counters (hits/misses/coalesced/admitted/
-    evictions/oversize), a [serve.latency_us] histogram and one
+    [serve.cache.*] hot-tier counters (hits/misses/coalesced/admitted),
+    a [serve.latency_us] histogram and one
     [serve.<op>] span per request (category ["serve"]). *)
 
 type t

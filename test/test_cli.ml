@@ -126,6 +126,26 @@ let test_trace_temporal_binary () =
   Alcotest.(check bool) "no spurious detection" false
     (contains out "use-after-free")
 
+(* the stepper classifies a run's ending as [redfat run] does: an
+   allocator abort is a verdict line, not a CLI fault *)
+let test_trace_bad_free () =
+  skip_unless_available ();
+  let relf = tmp "cli_df.relf" and hard = tmp "cli_df.hard.relf" in
+  let c, _ = run_cli (Printf.sprintf "workload bug:double-free -o %s" relf) in
+  Alcotest.(check int) "workload" 0 c;
+  let c, _ = run_cli (Printf.sprintf "harden %s -o %s" relf hard) in
+  Alcotest.(check int) "harden" 0 c;
+  let _, run_out =
+    run_cli (Printf.sprintf "run %s --env redfat --inputs 7" hard)
+  in
+  let c, out = run_cli (Printf.sprintf "trace %s --inputs 7 --limit 100000" hard) in
+  Alcotest.(check int) "trace" 0 c;
+  let verdict = "fault: invalid free of 0x2800000010" in
+  Alcotest.(check bool) ("run: " ^ verdict) true (contains run_out verdict);
+  Alcotest.(check bool) ("trace: " ^ verdict) true
+    (contains out ("[" ^ verdict ^ "]"));
+  Alcotest.(check bool) "no CLI fault" false (contains out "fault[")
+
 let test_fuzz_campaign () =
   skip_unless_available ();
   let report = tmp "cli_f.fuzz.json" in
@@ -225,6 +245,8 @@ let tests =
     Alcotest.test_case "disasm and trace" `Quick test_disasm_and_trace;
     Alcotest.test_case "trace a temporal binary" `Quick
       test_trace_temporal_binary;
+    Alcotest.test_case "trace classifies an invalid free" `Quick
+      test_trace_bad_free;
     Alcotest.test_case "fuzz campaign" `Quick test_fuzz_campaign;
     Alcotest.test_case "fuzz parse mode" `Quick test_fuzz_parse_mode;
     Alcotest.test_case "pipeline stage rows" `Quick test_pipeline_stage_rows;

@@ -120,7 +120,7 @@ let test_fault_json () =
     Fault.v ~target:"spec:mcf"
       (Fault.Parse { what = "magic"; detail = "bad \"magic\"" })
   in
-  let j = Fault.to_json f in
+  let j = Obs.Json.to_string (Fault.to_json f) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("json has " ^ needle) true

@@ -155,6 +155,82 @@ let test_json_reader () =
   checkb "trailing garbage is an error" true
     (match J.parse "1 x" with Error _ -> true | Ok _ -> false)
 
+(* the reader rejects nesting deeper than 64 without descending into
+   it, and our deepest document (a report's histogram buckets) is well
+   inside the bound *)
+let test_json_nesting_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  checkb "64 deep parses" true (Result.is_ok (J.parse (nested 64)));
+  checkb "65 deep is an error" true (Result.is_error (J.parse (nested 65)));
+  checkb "65 deep objects are an error" true
+    (Result.is_error
+       (J.parse
+          (String.concat "" (List.init 65 (fun _ -> {|{"a": |}))
+          ^ "1" ^ String.make 65 '}')));
+  let r = Engine.Report.create () in
+  List.iter (Obs.observe (Engine.Report.obs r) "h") [ 1; 5; 5; 300 ];
+  match J.parse (Engine.Report.to_json r) with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+    let buckets =
+      Option.bind (J.member "histograms" v) (J.member "h")
+      |> Fun.flip Option.bind (J.member "buckets")
+      |> Fun.flip Option.bind J.to_arr
+    in
+    check Alcotest.(option int) "histogram buckets read back" (Some 3)
+      (Option.map List.length buckets)
+
+(* --- the writer --------------------------------------------------------- *)
+
+(* random documents: strings of arbitrary bytes, any int, and floats
+   drawn from the values [%.6g] prints exactly (at most six significant
+   digits) *)
+let gen_json =
+  let open QCheck.Gen in
+  let num =
+    map2
+      (fun m e -> J.Num (float_of_string (Printf.sprintf "%de%d" m e)))
+      (int_range (-999_999) 999_999)
+      (int_range (-12) 12)
+  in
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let leaf =
+    oneof
+      [
+        return J.Null; map (fun b -> J.Bool b) bool; map (fun i -> J.Int i) int;
+        num; map (fun s -> J.Str s) bytes;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           let sub = list_size (int_bound 4) (self (depth - 1)) in
+           frequency
+             [
+               (2, leaf); (1, map (fun l -> J.Arr l) sub);
+               ( 1,
+                 map
+                   (fun l -> J.Obj l)
+                   (list_size (int_bound 4) (pair bytes (self (depth - 1)))) );
+             ])
+
+(* what the reader yields for a written value: [Int] comes back as [Num] *)
+let rec read_back = function
+  | J.Int i -> J.Num (float_of_int i)
+  | J.Arr l -> J.Arr (List.map read_back l)
+  | J.Obj l -> J.Obj (List.map (fun (k, v) -> (k, read_back v)) l)
+  | v -> v
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json writer round-trips through the reader"
+    (QCheck.make ~print:(J.to_string ~lines:2) gen_json)
+    (fun v ->
+      List.for_all
+        (fun lines -> J.parse (J.to_string ~lines v) = Ok (read_back v))
+        [ 0; 2 ]
+      && not (String.contains (J.to_string v) '\n'))
+
 let tests =
   [
     Alcotest.test_case "parallel merge == sequential" `Quick
@@ -164,4 +240,7 @@ let tests =
       test_chrome_roundtrip;
     Alcotest.test_case "engine trace covers stages" `Quick test_engine_trace;
     Alcotest.test_case "json reader" `Quick test_json_reader;
+    Alcotest.test_case "json reader bounds nesting" `Quick
+      test_json_nesting_bound;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
   ]

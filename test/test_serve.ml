@@ -146,7 +146,7 @@ let test_proto () =
   (* response rendering round-trips through the JSON reader *)
   let line =
     Proto.response ~id:"r9" ~op:Proto.Harden ~ok:true
-      [ ("n", Proto.I 42); ("s", Proto.S "a\"b"); ("f", Proto.F 1.5) ]
+      [ ("n", J.Int 42); ("s", J.Str "a\"b"); ("f", J.Num 1.5) ]
   in
   (match J.parse line with
   | Error e -> Alcotest.fail e
@@ -262,6 +262,22 @@ let test_fault_isolation () =
   let o = Engine.Pipeline.obs (Server.engine srv) in
   Alcotest.(check bool) "serve.fault counted" true
     (Obs.counter o "serve.fault" >= 1)
+
+(* a line of a million open brackets is a bad-JSON data error,
+   rejected at the nesting bound rather than after a million recursive
+   descents, and the next request still answers *)
+let test_deep_nesting_line () =
+  with_server @@ fun srv ->
+  let r, ok = Server.handle srv (String.make 1_000_000 '[') in
+  Alcotest.(check bool) "deep line fails" false ok;
+  Alcotest.(check bool) ("bad JSON at the nesting bound: " ^ r) true
+    (match str_field "error" r with
+     | Some e ->
+       String.starts_with ~prefix:"bad JSON" e
+       && String.ends_with ~suffix:"nesting deeper than 64" e
+     | None -> false);
+  let _, ok = Server.handle srv {|{"id":"p","op":"ping"}|} in
+  Alcotest.(check bool) "next request answers" true ok
 
 (* every registry answers an unknown name with input.target, the
    request surface and the CLI's binary resolver alike *)
@@ -451,6 +467,8 @@ let tests =
     Alcotest.test_case "lru single-flight" `Quick test_single_flight;
     Alcotest.test_case "wire protocol" `Quick test_proto;
     Alcotest.test_case "script mode end to end" `Quick test_script_mode;
+    Alcotest.test_case "deep nesting is a bad line" `Quick
+      test_deep_nesting_line;
     Alcotest.test_case "unknown targets are input.target" `Quick
       test_unknown_targets;
     Alcotest.test_case "fault isolation per request" `Quick

@@ -1,5 +1,5 @@
 (* doc_check: fail the build when the documentation drifts from the
-   code.  Seven checks:
+   code.  Eight checks:
 
    1. every CLI flag declared in bin/redfat_cli.ml appears in
       docs/MANUAL.md (and the manual doesn't document flags that no
@@ -25,6 +25,9 @@
       resolves: to lib/<dir>/<module>.ml, or to a `module Module`
       declaration in that library (ROADMAP and CHANGES narrate history
       and are not checked).
+   8. no .ml file under lib/ or bin/ other than lib/obs/obs.ml writes
+      a [\\u%04x] escape: Obs.Json is the one JSON writer, so a second
+      string escaper means a second hand-written encoder.
 
    Run from the repository root (make check / make doc-check / the CI
    docs job): exits 1 listing every violation. *)
@@ -377,6 +380,20 @@ let check_module_paths () =
         (matches span (read_file_exn "a markdown file" file)))
     docs
 
+(* --- 8. one JSON string escaper ------------------------------------- *)
+
+let check_json_escapers () =
+  let codec = "lib/obs/obs.ml" in
+  let escapes f = contains (read_file_exn "a source file" f) "\\\\u%04x" in
+  if not (escapes codec) then
+    err "%s writes no \\u%%04x escape (scraper broken?)" codec;
+  List.iter
+    (fun f ->
+      if f <> codec && escapes f then
+        err "%s escapes JSON strings itself; build an Obs.Json.v and print \
+             it with Obs.Json.to_string" f)
+    (ml_files "lib" @ ml_files "bin")
+
 let () =
   check_flags ();
   check_verbs ();
@@ -385,6 +402,7 @@ let () =
   check_bench_counters ();
   check_artifact_kinds ();
   check_module_paths ();
+  check_json_escapers ();
   match List.rev !errors with
   | [] -> print_endline "doc_check: docs/MANUAL.md and markdown links are in sync"
   | es ->
