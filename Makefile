@@ -108,7 +108,10 @@ serve-smoke: build
 # fuzzing-fleet smoke: a bounded deterministic campaign (fixed seed and
 # budget) over the seeded-bug suite on every backend, plus both parser
 # campaigns; each must find and deduplicate at least one planted bug
-# and exit cleanly.  See docs/FUZZING.md for the triage contract.
+# and exit cleanly.  The redzone campaign runs again at --jobs 1 and
+# must write the same report byte for byte: its executions share one
+# loaded image across worker domains.  See docs/FUZZING.md for the
+# triage contract.
 fuzz-smoke: build
 	@set -e; for b in redzone lowfat temporal; do \
 	  $(REDFAT) fuzz bug:oob-write bug:oob-read bug:off-by-one bug:uaf \
@@ -117,6 +120,12 @@ fuzz-smoke: build
 	    --out _build/fuzz-smoke-$$b.json > /dev/null; \
 	  echo "backend $$b: fuzz smoke OK"; \
 	done
+	$(REDFAT) fuzz bug:oob-write bug:oob-read bug:off-by-one bug:uaf \
+	  bug:double-free bug:hang --backend redzone --budget 400 --seed 7 \
+	  --jobs 1 --expect-bugs 6 \
+	  --out _build/fuzz-smoke-redzone-jobs1.json > /dev/null
+	cmp _build/fuzz-smoke-redzone-jobs1.json _build/fuzz-smoke-redzone.json
+	@echo "backend redzone: --jobs 1 report identical to --jobs 2"
 	$(REDFAT) fuzz relf minic --mode parse --budget 400 --seed 7 \
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
 	$(REDFAT) fuzz relf minic --mode parse --corpus test/corrupt --budget 400 \

@@ -148,7 +148,8 @@ let install (t : t) (cpu : Vm.Cpu.t) (binary : Binfmt.Relf.t) :
     Vm.Cpu.runtime =
   List.iter
     (fun (s : Binfmt.Relf.section) ->
-      mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
+      if Binfmt.Relf.loadable s then
+        mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
     binary.sections;
   mark t ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size
     ~accessible:true;

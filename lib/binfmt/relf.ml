@@ -107,9 +107,16 @@ let load_file path =
 
 (* --- loading into a VM --------------------------------------------- *)
 
-(** Map all sections into memory (an exec-style loader). *)
+(** Metadata sections ([.elimtab], [.traptab]) sit at address 0 and are
+    never mapped, so page 0 stays unmapped and a null dereference
+    faults in every build. *)
+let loadable s = s.addr <> 0
+
+(** Map every loadable section into memory (an exec-style loader). *)
 let load_into (mem : Vm.Mem.t) (t : t) : unit =
-  List.iter (fun s -> Vm.Mem.write_string mem ~addr:s.addr s.bytes) t.sections
+  List.iter
+    (fun s -> if loadable s then Vm.Mem.write_string mem ~addr:s.addr s.bytes)
+    t.sections
 
 (** Disassemble the text section (for the CLI and debugging). *)
 let disasm t =

@@ -47,8 +47,12 @@ val load : ?src:string -> string -> t
 val save : string -> t -> unit
 val load_file : string -> t
 
+val loadable : section -> bool
+(** Whether the loader maps the section: every section but the metadata
+    at address 0 ([.elimtab], [.traptab]), so page 0 stays unmapped. *)
+
 val load_into : Vm.Mem.t -> t -> unit
-(** Map all sections into memory (an exec-style loader). *)
+(** Map every {!loadable} section into memory (an exec-style loader). *)
 
 val disasm : t -> string
 (** Disassembly of the text section. *)

@@ -45,21 +45,83 @@ let verdict_to_string = function
 
 (* --- common VM setup ------------------------------------------------ *)
 
-let prepare ?(max_steps = 200_000_000) ?(libs = []) (binary : Binfmt.Relf.t) :
-    Vm.Cpu.t =
-  let cpu = Vm.Cpu.create ~max_steps () in
+(** The check backend recorded in a hardened binary's [.elimtab]
+    policy line.  Hardened binaries are self-describing: the runtime
+    must speak the same backend as the instrumentation, so
+    {!load_image} adopts this automatically.  Unhardened (or
+    pre-backend) binaries report {!Backend.Check_backend.default};
+    a recorded name that matches no shipped backend raises
+    {!Backend.Check_backend.Unknown}, and a malformed [.elimtab]
+    raises {!Binfmt.Reader.Error}. *)
+let backend_of_binary (binary : Binfmt.Relf.t) : Backend.Check_backend.id =
+  match Binfmt.Relf.find_section binary Dataflow.Elimtab.section_name with
+  | None -> Backend.Check_backend.default
+  | Some s ->
+    Backend.Check_backend.of_name_exn (Dataflow.Elimtab.parse s.bytes).backend
+
+(* The set-up work done once per binary.  Frozen once built: every
+   field is only read afterwards, so instances on several domains share
+   one image. *)
+type image = {
+  im_binary : Binfmt.Relf.t;
+  im_mem : Vm.Mem.template;  (* loadable sections written, stack mapped *)
+  im_traps : (int, int) Hashtbl.t;
+  im_code : Vm.Cpu.region array;
+  im_backend : (Backend.Check_backend.id, exn) result;
+      (* raised when a hardened run needs it, not when a baseline run
+         of a binary with a malformed [.elimtab] does not *)
+}
+
+let image ?(libs = []) (binary : Binfmt.Relf.t) : image =
+  let mem = Vm.Mem.create () in
+  let traps = Hashtbl.create 64 in
   (* shared objects: additional modules mapped into the same process,
      each bringing the trap-table entries of its own patches *)
+  let modules = binary :: libs in
   List.iter
     (fun b ->
-      Binfmt.Relf.load_into cpu.mem b;
+      Binfmt.Relf.load_into mem b;
       List.iter
-        (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
+        (fun (a, t) -> Hashtbl.replace traps a t)
         (Rewriter.Patch.traps_of_binary b))
-    (binary :: libs);
-  Vm.Mem.map cpu.mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
+    modules;
+  Vm.Mem.map mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
+  let code =
+    List.concat_map
+      (fun (b : Binfmt.Relf.t) ->
+        List.filter_map
+          (fun (s : Binfmt.Relf.section) ->
+            if s.executable && Binfmt.Relf.loadable s then
+              Some
+                (Vm.Cpu.predecode mem ~addr:s.addr
+                   ~len:(String.length s.bytes))
+            else None)
+          b.sections)
+      modules
+  in
+  {
+    im_binary = binary;
+    im_mem = Vm.Mem.freeze mem;
+    im_traps = traps;
+    im_code = Array.of_list code;
+    im_backend =
+      (try Ok (backend_of_binary binary)
+       with (Backend.Check_backend.Unknown _ | Binfmt.Reader.Error _) as e ->
+         Error e);
+  }
+
+let image_binary im = im.im_binary
+
+let instantiate ?(max_steps = 200_000_000) (im : image) : Vm.Cpu.t =
+  let cpu =
+    Vm.Cpu.create ~max_steps ~mem:(Vm.Mem.instantiate im.im_mem)
+      ~code:im.im_code ~trap_table:im.im_traps ()
+  in
   cpu.regs.(X64.Isa.rsp) <- Lowfat.Layout.stack_top - 64;
   cpu
+
+let prepare ?max_steps ?libs (binary : Binfmt.Relf.t) : Vm.Cpu.t =
+  instantiate ?max_steps (image ?libs binary)
 
 let collect (cpu : Vm.Cpu.t) exit_code : run_result =
   {
@@ -111,43 +173,40 @@ type hardened_run = {
   rt : Runtime.t;  (** allocator/check state: errors, coverage, ... *)
 }
 
-(** The check backend recorded in a hardened binary's [.elimtab]
-    policy line.  Hardened binaries are self-describing: the runtime
-    must speak the same backend as the instrumentation, so
-    {!load_hardened} adopts this automatically.  Unhardened (or
-    pre-backend) binaries report {!Backend.Check_backend.default};
-    a recorded name that matches no shipped backend raises
-    {!Backend.Check_backend.Unknown}, and a malformed [.elimtab]
-    raises {!Binfmt.Reader.Error}. *)
-let backend_of_binary (binary : Binfmt.Relf.t) : Backend.Check_backend.id =
-  match Binfmt.Relf.find_section binary Dataflow.Elimtab.section_name with
-  | None -> Backend.Check_backend.default
-  | Some s ->
-    Backend.Check_backend.of_name_exn (Dataflow.Elimtab.parse s.bytes).backend
-
-(** Load a hardened binary with libredfat preloaded, ready for {!exec}.
-    [acct] attaches per-site check accounting to the VM (overhead
-    attribution).  The runtime's backend is adopted from the binary's
-    own [.elimtab] record (see {!backend_of_binary}), overriding
-    [options.backend]: lock-and-key instrumentation needs the tagging
-    allocator, and the spatial backends need the untagged one. *)
-let load_hardened ?(options = Runtime.default_options) ?(profiling = false)
-    ?random ?acct ?(inputs = []) ?max_steps ?libs (binary : Binfmt.Relf.t) =
-  let options = { options with Runtime.backend = backend_of_binary binary } in
-  let cpu = prepare ?max_steps ?libs binary in
+(** Instantiate a hardened binary's image with libredfat preloaded,
+    ready for {!exec}.  [acct] attaches per-site check accounting to
+    the VM (overhead attribution).  The runtime's backend is adopted
+    from the binary's own [.elimtab] record (see {!backend_of_binary}),
+    overriding [options.backend]: lock-and-key instrumentation needs
+    the tagging allocator, and the spatial backends need the untagged
+    one. *)
+let load_image ?(options = Runtime.default_options) ?(profiling = false)
+    ?random ?acct ?(inputs = []) ?max_steps (im : image) =
+  let backend = match im.im_backend with Ok b -> b | Error e -> raise e in
+  let options = { options with Runtime.backend } in
+  let cpu = instantiate ?max_steps im in
   cpu.acct <- acct;
   cpu.inputs <- inputs;
   let rt = Runtime.create ~options ~profiling ?random cpu.mem in
   (cpu, rt, Runtime.install rt cpu)
 
+let load_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
+    (binary : Binfmt.Relf.t) =
+  load_image ?options ?profiling ?random ?acct ?inputs ?max_steps
+    (image ?libs binary)
+
+let run_image ?options ?profiling ?random ?acct ?inputs ?max_steps
+    (im : image) : hardened_run =
+  let cpu, rt, vmrt =
+    load_image ?options ?profiling ?random ?acct ?inputs ?max_steps im
+  in
+  let run, verdict = exec cpu vmrt ~entry:im.im_binary.entry in
+  { run; verdict; rt }
+
 let run_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
     (binary : Binfmt.Relf.t) : hardened_run =
-  let cpu, rt, vmrt =
-    load_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
-      binary
-  in
-  let run, verdict = exec cpu vmrt ~entry:binary.entry in
-  { run; verdict; rt }
+  run_image ?options ?profiling ?random ?acct ?inputs ?max_steps
+    (image ?libs binary)
 
 (** Run the original binary under the simulated Valgrind Memcheck. *)
 let run_memcheck ?(inputs = []) ?max_steps (binary : Binfmt.Relf.t) :
@@ -165,17 +224,17 @@ let run_memcheck ?(inputs = []) ?max_steps (binary : Binfmt.Relf.t) :
 let harden ?(opts = Rewrite.optimized) (binary : Binfmt.Relf.t) : Rewrite.t =
   Rewrite.rewrite opts binary
 
-(** One profiling-phase run: execute the (already profiling-
-    instrumented) binary on one input script; return the sites that
+(** One profiling-phase run: execute the image of an (already
+    profiling-instrumented) binary on one input script; return the sites that
     passed and the sites that failed the (LowFat) component.  Pure
     per-run — [merge_profiles] combines any number of them, so a suite
     can be run sequentially or fanned out across domains. *)
-let profile_run ?max_steps (prof_binary : Binfmt.Relf.t) (inputs : int list) :
+let profile_run ?max_steps (prof : image) (inputs : int list) :
     Allowlist.t * int list =
   let hr =
-    run_hardened ?max_steps
+    run_image ?max_steps
       ~options:{ Runtime.default_options with mode = Runtime.Log }
-      ~profiling:true ~inputs prof_binary
+      ~profiling:true ~inputs prof
   in
   (Runtime.allowlist hr.rt, Runtime.lowfat_failing_sites hr.rt)
 
@@ -196,7 +255,8 @@ let merge_profiles (runs : (Allowlist.t * int list) list) : Allowlist.t =
 let profile ?max_steps ~(test_suite : int list list) (binary : Binfmt.Relf.t)
     : Allowlist.t =
   let prof = Rewrite.rewrite Rewrite.profiling_build binary in
-  merge_profiles (List.map (profile_run ?max_steps prof.binary) test_suite)
+  let im = image prof.binary in
+  merge_profiles (List.map (profile_run ?max_steps im) test_suite)
 
 (** The full two-phase workflow of Figure 5. *)
 let profile_and_harden ?max_steps ~(test_suite : int list list)

@@ -35,11 +35,42 @@ type verdict =
 
 val verdict_to_string : verdict -> string
 
+val backend_of_binary : Binfmt.Relf.t -> Backend.Check_backend.id
+(** The check backend recorded in the binary's [.elimtab] policy line;
+    {!Backend.Check_backend.default} for unhardened or pre-backend
+    binaries.  Raises {!Backend.Check_backend.Unknown} when the
+    recorded name matches no shipped backend (the engine maps this to
+    the [run.backend] fault), and {!Binfmt.Reader.Error} when the
+    [.elimtab] is malformed ([parse.*]). *)
+
+(** {2 Images: VM set-up done once per binary}
+
+    A run of a binary starts from its image: the template memory with
+    every loadable section written and the stack mapped, the trap
+    table from every module's [.traptab], the backend the binary
+    records, and its executable sections predecoded.  Instantiating
+    the image gives a fresh machine that shares the template's pages
+    copy-on-write ({!Vm.Mem.instantiate}), so a run costs only the
+    pages it writes.  An image is frozen once built and may be shared
+    by runs on several domains. *)
+
+type image
+
+val image : ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t -> image
+(** Load the binary and any shared objects into a new image. *)
+
+val image_binary : image -> Binfmt.Relf.t
+(** The binary the image was built from (its entry, say). *)
+
+val instantiate : ?max_steps:int -> image -> Vm.Cpu.t
+(** A fresh VM over the image, stack pointer set; does not run it.
+    The VM shares the image's trap table and predecoded code: writing
+    [cpu.trap_table] would change every instance. *)
+
 val prepare : ?max_steps:int -> ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t ->
   Vm.Cpu.t
-(** Load the binary (and any shared objects) into a fresh VM with the
-    stack mapped and the trap table filled from every module's
-    [.traptab] section; does not run it.  The one VM set-up path. *)
+(** {!instantiate} the {!image} of the binary: the one-shot VM set-up
+    path, for a binary run once. *)
 
 val verdict_of_exn : exn -> (int * verdict) option
 (** How a run that raised this exception ended, with its exit code:
@@ -68,13 +99,23 @@ type hardened_run = {
   rt : Runtime.t;  (** allocator/check state: errors, coverage, ... *)
 }
 
-val backend_of_binary : Binfmt.Relf.t -> Backend.Check_backend.id
-(** The check backend recorded in the binary's [.elimtab] policy line;
-    {!Backend.Check_backend.default} for unhardened or pre-backend
-    binaries.  Raises {!Backend.Check_backend.Unknown} when the
-    recorded name matches no shipped backend (the engine maps this to
-    the [run.backend] fault), and {!Binfmt.Reader.Error} when the
-    [.elimtab] is malformed ([parse.*]). *)
+val load_image :
+  ?options:Runtime.options ->
+  ?profiling:bool ->
+  ?random:int ->
+  ?acct:Vm.Cpu.acct ->
+  ?inputs:int list ->
+  ?max_steps:int ->
+  image ->
+  Vm.Cpu.t * Runtime.t * Vm.Cpu.runtime
+(** {!instantiate} the image of a (hardened) binary with libredfat
+    preloaded: the CPU, the runtime and its VM hooks, ready for
+    {!exec}.  [random] seeds heap randomization.  [acct] attaches
+    per-site check accounting to the VM ({!Vm.Cpu.acct}): cycle and
+    execution-count attribution per guarded site, for trace exports.
+    The runtime backend in [options] is overridden by the binary's own
+    recorded backend ({!backend_of_binary}) — hardened binaries are
+    self-describing; its exceptions are raised here. *)
 
 val load_hardened :
   ?options:Runtime.options ->
@@ -86,13 +127,18 @@ val load_hardened :
   ?libs:Binfmt.Relf.t list ->
   Binfmt.Relf.t ->
   Vm.Cpu.t * Runtime.t * Vm.Cpu.runtime
-(** {!prepare} a (hardened) binary with libredfat preloaded: the CPU,
-    the runtime and its VM hooks, ready for {!exec}.  [random] seeds
-    heap randomization.  [acct] attaches per-site check accounting to
-    the VM ({!Vm.Cpu.acct}): cycle and execution-count attribution per
-    guarded site, for trace exports.  The runtime backend in [options]
-    is overridden by the binary's own recorded backend
-    ({!backend_of_binary}) — hardened binaries are self-describing. *)
+(** {!load_image} of the binary's {!image}, for a binary run once. *)
+
+val run_image :
+  ?options:Runtime.options ->
+  ?profiling:bool ->
+  ?random:int ->
+  ?acct:Vm.Cpu.acct ->
+  ?inputs:int list ->
+  ?max_steps:int ->
+  image ->
+  hardened_run
+(** {!load_image}, then {!exec} from the binary's entry. *)
 
 val run_hardened :
   ?options:Runtime.options ->
@@ -104,7 +150,7 @@ val run_hardened :
   ?libs:Binfmt.Relf.t list ->
   Binfmt.Relf.t ->
   hardened_run
-(** {!load_hardened}, then {!exec} from the binary's entry. *)
+(** {!run_image} of the binary's {!image}. *)
 
 val run_memcheck :
   ?inputs:int list ->
@@ -117,9 +163,9 @@ val harden : ?opts:Rewrite.options -> Binfmt.Relf.t -> Rewrite.t
 (** One-phase hardening: every site gets the full check. *)
 
 val profile_run :
-  ?max_steps:int -> Binfmt.Relf.t -> int list -> Allowlist.t * int list
-(** [profile_run prof_binary inputs]: one profiling-phase run of an
-    already profiling-instrumented binary; returns (passing sites,
+  ?max_steps:int -> image -> int list -> Allowlist.t * int list
+(** [profile_run (image prof_binary) inputs]: one profiling-phase run
+    of an already profiling-instrumented binary; returns (passing sites,
     (LowFat)-failing sites).  Pure per-run, so a test suite can be run
     sequentially or fanned out across domains and combined with
     [merge_profiles]. *)

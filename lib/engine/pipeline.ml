@@ -203,7 +203,9 @@ let profile t ?max_steps ~test_suite bin =
   in
   memo t ~key (fun () ->
       let prof = harden t ~opts:Rw.profiling_build bin in
-      map t (Redfat.profile_run ?max_steps prof.Rw.binary) test_suite
+      (* one image for the whole suite, shared by the workers *)
+      let im = Redfat.image prof.Rw.binary in
+      map t (Redfat.profile_run ?max_steps im) test_suite
       |> Redfat.merge_profiles)
 
 let verify t ?allow bin =

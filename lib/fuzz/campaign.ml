@@ -74,20 +74,21 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
 
 (* --- one execution of a hardened binary ----------------------------- *)
 
-(** Run [inputs] through the hardened binary with the backend the
-    binary itself records, collecting edge/site coverage and the
-    oracle's verdict.  [profiling] runs a Log-mode profiling runtime
-    instead, as {!Redfat.profile_run} does: a failed check is recorded
-    and the run continues.  Pure per call (fresh VM and runtime), so
-    executions fan out over domains safely. *)
-let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
-    (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
+(** Run [inputs] through the image of a hardened binary with the
+    backend the binary itself records, collecting edge/site coverage
+    and the oracle's verdict.  [profiling] runs a Log-mode profiling
+    runtime instead, as {!Redfat.profile_run} does: a failed check is
+    recorded and the run continues.  Pure per call (a fresh instance
+    of the frozen image, a fresh runtime), so executions fan out over
+    domains safely. *)
+let execute_image ~max_steps ~profiling (im : Redfat.image)
+    (inputs : int list) : exec_result =
   let options =
     if profiling then { Runtime.default_options with mode = Runtime.Log }
     else Runtime.default_options
   in
   let cpu, _, vmrt =
-    Redfat.load_hardened ~options ~profiling ~inputs ~max_steps binary
+    Redfat.load_image ~options ~profiling ~inputs ~max_steps im
   in
   let edges = Hashtbl.create 64 and sites = Hashtbl.create 64 in
   let prev = ref 0 in
@@ -111,13 +112,17 @@ let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
       (fun _ id ->
         visit id;
         3 (* what the VM charges a probe with no hook: cycles unchanged *));
-  let result = Redfat.exec cpu vmrt ~entry:binary.entry in
+  let result = Redfat.exec cpu vmrt ~entry:(Redfat.image_binary im).entry in
   {
     x_edges = sorted_keys edges;
     x_sites = sorted_keys sites;
     x_crash = Oracle.of_verdict ~rip:cpu.rip result;
     x_cycles = cpu.cycles;
   }
+
+let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
+    (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
+  execute_image ~max_steps ~profiling (Redfat.image binary) inputs
 
 (* --- the generic campaign loop -------------------------------------- *)
 
@@ -314,10 +319,13 @@ let minimize_bytes (still : string -> bool) (input : string) : string =
 
 (* --- exec campaigns -------------------------------------------------- *)
 
+(* one image per campaign: every execution, on any worker, starts
+   from it *)
 let input_campaign eng config ~target ~mode ~profiling ~seeds binary =
+  let im = Redfat.image binary in
   campaign_loop eng config ~target ~mode
     ~backend:(Backend.Check_backend.name (Redfat.backend_of_binary binary))
-    ~seeds ~run_one:(execute ~max_steps:config.max_steps ~profiling binary)
+    ~seeds ~run_one:(execute_image ~max_steps:config.max_steps ~profiling im)
     ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
     ~render:render_inputs ~minimize:minimize_inputs
 

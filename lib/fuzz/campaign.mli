@@ -55,7 +55,9 @@ val execute :
     consecutive check sites and consecutive {!E9afl} probe ids.
     [profiling] swaps in a Log-mode profiling runtime, as
     {!Redfat.profile_run} uses, so a failed check does not stop the
-    run.  Pure per call, so executions fan out over domains safely. *)
+    run.  Pure per call, so executions fan out over domains safely.
+    Builds the binary's {!Redfat.image} on every call; a campaign
+    builds one image and starts every execution from it. *)
 
 val run_exec :
   Engine.Pipeline.t ->

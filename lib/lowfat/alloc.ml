@@ -64,7 +64,9 @@ let create ?random (mem : Vm.Mem.t) : t =
     mem;
     bump;
     freelist = Array.make (Layout.num_classes + 1) [];
-    live = Hashtbl.create 1024;
+    (* small: never iterated, so its initial size changes no output,
+       and a 1024-bucket table would be a major-heap block per run *)
+    live = Hashtbl.create 16;
     legacy_bump = Layout.legacy_heap_base + 4096;
     legacy_size = Hashtbl.create 16;
     stats =

@@ -340,6 +340,23 @@ module Json = struct
       end
       else fail ("expected " ^ word)
     in
+    (* exactly four hex digits: [int_of_string] would also take '_' *)
+    let hex4 () =
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let code = ref 0 in
+      for k = !pos to !pos + 3 do
+        let d =
+          match s.[k] with
+          | '0' .. '9' as c -> Char.code c - 48
+          | 'a' .. 'f' as c -> Char.code c - 87
+          | 'A' .. 'F' as c -> Char.code c - 55
+          | _ -> fail "bad \\u escape"
+        in
+        code := (!code lsl 4) lor d
+      done;
+      pos := !pos + 4;
+      !code
+    in
     let parse_string () =
       expect '"';
       let b = Buffer.create 16 in
@@ -363,24 +380,24 @@ module Json = struct
           | 'r' -> Buffer.add_char b '\r'
           | 't' -> Buffer.add_char b '\t'
           | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
+            let code = hex4 () in
             let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail "bad \\u escape"
+              if code >= 0xD800 && code <= 0xDBFF then begin
+                (* a high surrogate must be followed by an escaped low
+                   one; together they name one code point *)
+                if !pos + 2 > n || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u'
+                then fail "lone surrogate in \\u escape";
+                pos := !pos + 2;
+                let lo = hex4 () in
+                if lo < 0xDC00 || lo > 0xDFFF then
+                  fail "lone surrogate in \\u escape";
+                0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+              end
+              else if code >= 0xDC00 && code <= 0xDFFF then
+                fail "lone surrogate in \\u escape"
+              else code
             in
-            (* enough for our own exports: BMP codepoints as UTF-8 *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
+            Buffer.add_utf_8_uchar b (Uchar.of_int code)
           | _ -> fail "bad escape");
           go ())
         | c ->

@@ -66,6 +66,13 @@ let acct_sites (a : acct) : (int * int * int) list =
     a.acct_sites []
   |> List.sort compare
 
+(* A predecoded executable section: [r_instrs.(a - r_base)] is the
+   instruction at address [a] with its length, or [no_instr] (length 0)
+   where the sweep that built it did not start an instruction. *)
+type region = { r_base : int; r_instrs : (X64.Isa.instr * int) array }
+
+let no_instr = (X64.Isa.Hlt, 0)
+
 type t = {
   mem : Mem.t;
   regs : int array;
@@ -87,6 +94,7 @@ type t = {
       pointers dereference transparently.  [Lea] stays unmasked: it
       computes pointer values, and masking there would strip tags. *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
+  code : region array;  (** predecoded sections, consulted before [icache] *)
   icache : (int, X64.Isa.instr * int) Hashtbl.t;
   dcache_tag : int array;
   dcache : (X64.Isa.instr * int) array;
@@ -106,9 +114,9 @@ let halt_sentinel = 0x0dead_f00d
    cache on the minor heap *)
 let dcache_size = 256
 
-let create ?(max_steps = 200_000_000) () =
+let create ?(max_steps = 200_000_000) ?mem ?(code = [||]) ?trap_table () =
   {
-    mem = Mem.create ();
+    mem = (match mem with Some m -> m | None -> Mem.create ());
     regs = Array.make X64.Isa.num_regs 0;
     rip = 0;
     flags = { fa = 0; fb = 0 };
@@ -121,7 +129,9 @@ let create ?(max_steps = 200_000_000) () =
     dispatch_cost = 0;
     acct = None;
     addr_mask = -1;
-    trap_table = Hashtbl.create 64;
+    trap_table =
+      (match trap_table with Some tt -> tt | None -> Hashtbl.create 64);
+    code;
     (* small: see Mem.create *)
     icache = Hashtbl.create 16;
     (* slot [s] starts with tag [lnot s], which no address mapping to
@@ -148,18 +158,52 @@ let ea t (m : X64.Isa.mem) =
    installed an addr_mask) *)
 let ea_data t m = ea t m land t.addr_mask
 
-(* Decoded instructions are never invalidated: no workload writes
-   code. *)
+(* The instruction at [addr] as the fetcher reads it from [mem]. *)
+let decode_at mem addr =
+  let raw = Mem.read_string mem ~addr ~len:40 in
+  if raw = "" then raise (Mem.Segfault addr);
+  X64.Decode.decode ~addr raw 0
+
+(* A linear sweep over [addr, addr+len): decode, step over the
+   instruction, repeat; a byte that does not decode is skipped.  Each
+   entry is [decode_at mem] of its address, so a hit equals what the
+   fetcher would decode there while the code bytes stay unwritten. *)
+let predecode mem ~addr ~len =
+  let instrs = Array.make (max len 0) no_instr in
+  let rec sweep off =
+    if off < len then
+      match decode_at mem (addr + off) with
+      | (_, n) as v ->
+        instrs.(off) <- v;
+        sweep (off + n)
+      | exception X64.Decode.Decode_error _ -> sweep (off + 1)
+  in
+  sweep 0;
+  { r_base = addr; r_instrs = instrs }
+
+let rec predecoded code k addr =
+  if k = Array.length code then no_instr
+  else
+    let r = Array.unsafe_get code k in
+    let off = addr - r.r_base in
+    if off >= 0 && off < Array.length r.r_instrs then
+      Array.unsafe_get r.r_instrs off
+    else predecoded code (k + 1) addr
+
+(* Decoded instructions are never invalidated: code is never written
+   (a store into a predecoded section lands in memory, but the fetcher
+   keeps the instruction decoded when the image was built). *)
 let fetch_slow t addr slot =
   let v =
-    match Hashtbl.find_opt t.icache addr with
-    | Some v -> v
-    | None ->
-      let raw = Mem.read_string t.mem ~addr ~len:40 in
-      if raw = "" then raise (Mem.Segfault addr);
-      let v = X64.Decode.decode ~addr raw 0 in
-      Hashtbl.add t.icache addr v;
-      v
+    match predecoded t.code 0 addr with
+    | (_, n) as v when n > 0 -> v
+    | _ -> (
+      match Hashtbl.find_opt t.icache addr with
+      | Some v -> v
+      | None ->
+        let v = decode_at t.mem addr in
+        Hashtbl.add t.icache addr v;
+        v)
   in
   Array.unsafe_set t.dcache_tag slot addr;
   Array.unsafe_set t.dcache slot v;

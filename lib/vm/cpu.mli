@@ -42,6 +42,21 @@ val new_acct : unit -> acct
 val acct_sites : acct -> (int * int * int) list
 (** [(site, checks, cycles)] per guarded site, sorted by site. *)
 
+(** A predecoded executable section, built once per binary and shared
+    read-only by every CPU that runs it. *)
+type region = private {
+  r_base : int;  (** address of the section's first byte *)
+  r_instrs : (X64.Isa.instr * int) array;
+      (** [r_instrs.(a - r_base)]: the instruction at [a] and its
+          length, or length 0 where the sweep started none *)
+}
+
+val predecode : Mem.t -> addr:int -> len:int -> region
+(** A linear sweep over [addr, addr+len) that decodes each instruction
+    from [mem] exactly as the fetcher does ({!Mem.read_string} of 40
+    bytes, then {!X64.Decode.decode}), steps over it, and skips a byte
+    that does not decode. *)
+
 type t = {
   mem : Mem.t;
   regs : int array;                   (** 16 general-purpose registers *)
@@ -64,6 +79,10 @@ type t = {
           (temporal lock-and-key) installs one.  [Lea] is exempt: it
           computes pointer {e values}, which must keep their tags *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
+  code : region array;
+      (** predecoded sections: a decode-cache miss looks here before
+          [icache]; an entry is never invalidated, so code that runs
+          from here must not be written *)
   icache : (int, X64.Isa.instr * int) Hashtbl.t;
       (** every decoded instruction, by address; never invalidated *)
   dcache_tag : int array;
@@ -80,7 +99,13 @@ type t = {
 val halt_sentinel : int
 (** Return address whose pop halts the machine (pushed by {!run}). *)
 
-val create : ?max_steps:int -> unit -> t
+val create :
+  ?max_steps:int -> ?mem:Mem.t -> ?code:region array ->
+  ?trap_table:(int, int) Hashtbl.t -> unit -> t
+(** A CPU over [mem] (default: a fresh empty {!Mem.t}) with the
+    predecoded [code] (default none) and the [trap_table] (default a
+    fresh empty one).  The CPU only reads [code] and [trap_table], so
+    CPUs on several domains may share them. *)
 
 val outputs : t -> int list
 (** Printed values, in program order. *)

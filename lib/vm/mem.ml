@@ -18,27 +18,61 @@ module Imap = Map.Make (Int)
    dominate the interpreter profile; a hit costs two array loads.  Tags
    start at -1, which no page number ([addr lsr page_bits] >= 0)
    matches.  Only materialized pages enter, and [unmap] evicts what it
-   removes, so a hit always names a mapped page. *)
+   removes, so a hit always names a mapped page.
+
+   A second tag array gates writes: [tlb_wtag] of a slot equals its
+   page number only when the slot's page is this machine's own.  A
+   page shared with a template enters with write tag -1, so the first
+   write to it misses and copies the page.  Every fill sets both tags,
+   so a write tag left by an earlier page of the slot can never let a
+   write through to a shared page that replaced it. *)
 let tlb_size = 64 (* a power of two *)
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;     (* materialized pages *)
+  pages : (int, Bytes.t) Hashtbl.t;     (* this machine's own pages *)
+  mutable shared : (int, Bytes.t) Hashtbl.t;
+  (* a template's pages, read-only: never written, by this machine or
+     any other; the first write to one copies it into [pages] *)
   mutable ranges : int Imap.t;
   (* mapped pages, first page -> last page; ranges neither overlap nor
      touch, and every materialized page lies inside one *)
   tlb_tag : int array;
+  tlb_wtag : int array;
   tlb_page : Bytes.t array;
 }
 
-let create () =
+type template = { tp_pages : (int, Bytes.t) Hashtbl.t; tp_ranges : int Imap.t }
+
+(* the [shared] table of a machine made by [create]: empty, and never
+   written (see [unmap]), so every machine may point at it *)
+let no_pages : (int, Bytes.t) Hashtbl.t = Hashtbl.create 1
+
+let of_template shared ranges =
   {
     (* small: a fresh machine's tables stay on the minor heap, which
        matters to workloads made of thousands of short runs *)
     pages = Hashtbl.create 16;
-    ranges = Imap.empty;
+    shared;
+    ranges;
     tlb_tag = Array.make tlb_size (-1);
+    tlb_wtag = Array.make tlb_size (-1);
     tlb_page = Array.make tlb_size Bytes.empty;
   }
+
+let create () = of_template no_pages Imap.empty
+
+let instantiate tp = of_template tp.tp_pages tp.tp_ranges
+
+(* Every page [t] holds moves into the template's table, and [t] itself
+   becomes an instance of it: its own table empties and its write tags
+   drop, so nothing can write the frozen pages afterwards. *)
+let freeze t =
+  let pages = Hashtbl.copy t.shared in
+  Hashtbl.iter (Hashtbl.replace pages) t.pages;
+  Hashtbl.reset t.pages;
+  Array.fill t.tlb_wtag 0 tlb_size (-1);
+  t.shared <- pages;
+  { tp_pages = pages; tp_ranges = t.ranges }
 
 (* the range with the largest first page <= [no], if any *)
 let range_at t no = Imap.find_last_opt (fun first -> first <= no) t.ranges
@@ -46,23 +80,49 @@ let range_at t no = Imap.find_last_opt (fun first -> first <= no) t.ranges
 let in_ranges t no =
   match range_at t no with Some (_, last) -> no <= last | None -> false
 
+let fill t slot no p ~own =
+  Array.unsafe_set t.tlb_tag slot no;
+  Array.unsafe_set t.tlb_wtag slot (if own then no else -1);
+  Array.unsafe_set t.tlb_page slot p
+
 (* Demand-zero paging: [map] only records the range; the backing bytes
    appear on first touch.  This keeps huge sparse allocations (the
    legacy heap serves multi-hundred-MB requests) cheap on the host. *)
+let fresh_page t addr no =
+  if in_ranges t no then begin
+    let p = Bytes.make page_size '\000' in
+    Hashtbl.add t.pages no p;
+    p
+  end
+  else raise (Segfault addr)
+
+(* a read may use a shared page in place *)
 let page_miss t addr no slot =
+  match Hashtbl.find_opt t.pages no with
+  | Some p -> fill t slot no p ~own:true; p
+  | None -> (
+    match Hashtbl.find_opt t.shared no with
+    | Some p -> fill t slot no p ~own:false; p
+    | None ->
+      let p = fresh_page t addr no in
+      fill t slot no p ~own:true;
+      p)
+
+(* a write needs a page of its own: the first write to a shared page
+   copies it *)
+let wpage_miss t addr no slot =
   let p =
     match Hashtbl.find_opt t.pages no with
     | Some p -> p
-    | None ->
-      if in_ranges t no then begin
-        let p = Bytes.make page_size '\000' in
+    | None -> (
+      match Hashtbl.find_opt t.shared no with
+      | Some shared ->
+        let p = Bytes.copy shared in
         Hashtbl.add t.pages no p;
         p
-      end
-      else raise (Segfault addr)
+      | None -> fresh_page t addr no)
   in
-  Array.unsafe_set t.tlb_tag slot no;
-  Array.unsafe_set t.tlb_page slot p;
+  fill t slot no p ~own:true;
   p
 
 let page_of t addr =
@@ -71,6 +131,13 @@ let page_of t addr =
   if Array.unsafe_get t.tlb_tag slot = no then
     Array.unsafe_get t.tlb_page slot
   else page_miss t addr no slot
+
+let wpage_of t addr =
+  let no = addr lsr page_bits in
+  let slot = no land (tlb_size - 1) in
+  if Array.unsafe_get t.tlb_wtag slot = no then
+    Array.unsafe_get t.tlb_page slot
+  else wpage_miss t addr no slot
 
 let is_mapped t addr =
   let no = addr lsr page_bits in
@@ -103,11 +170,24 @@ let map t ~addr ~len =
 let unmap t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
+    let hides_shared = ref false in
     for no = first to last do
       Hashtbl.remove t.pages no;
+      if Hashtbl.mem t.shared no then hides_shared := true;
       let slot = no land (tlb_size - 1) in
-      if t.tlb_tag.(slot) = no then t.tlb_tag.(slot) <- -1
+      if t.tlb_tag.(slot) = no then begin
+        t.tlb_tag.(slot) <- -1;
+        t.tlb_wtag.(slot) <- -1
+      end
     done;
+    (* the shared table is never written: drop the pages from a copy *)
+    if !hides_shared then begin
+      let shared = Hashtbl.copy t.shared in
+      Hashtbl.filter_map_inplace
+        (fun no p -> if no >= first && no <= last then None else Some p)
+        shared;
+      t.shared <- shared
+    end;
     (* keep the parts of every overlapping range outside [first, last] *)
     let rec cut () =
       match range_at t last with
@@ -126,7 +206,7 @@ let read_u8 t addr =
   Char.code (Bytes.unsafe_get p (addr land (page_size - 1)))
 
 let write_u8 t addr v =
-  let p = page_of t addr in
+  let p = wpage_of t addr in
   Bytes.unsafe_set p (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xff))
 
 (* The byte path, for accesses that straddle a page boundary: explicit
@@ -203,11 +283,11 @@ let write t ~addr ~len v =
   if off + len > page_size then write_bytes t ~addr ~len v
   else
     match len with
-    | 1 -> Bytes.unsafe_set (page_of t addr) off (Char.unsafe_chr (v land 0xff))
-    | 2 -> Bytes.set_uint16_le (page_of t addr) off v
-    | 4 -> Bytes.set_int32_le (page_of t addr) off (Int32.of_int v)
+    | 1 -> Bytes.unsafe_set (wpage_of t addr) off (Char.unsafe_chr (v land 0xff))
+    | 2 -> Bytes.set_uint16_le (wpage_of t addr) off v
+    | 4 -> Bytes.set_int32_le (wpage_of t addr) off (Int32.of_int v)
     | 8 ->
-      Bytes.set_int64_le (page_of t addr) off
+      Bytes.set_int64_le (wpage_of t addr) off
         (Int64.logand (Int64.of_int v) Int64.max_int)
     | _ -> invalid_arg "Mem.write"
 
@@ -218,7 +298,7 @@ let write_string t ~addr s =
     if k < len then begin
       let off = (addr + k) land (page_size - 1) in
       let n = min (len - k) (page_size - off) in
-      Bytes.blit_string s k (page_of t (addr + k)) off n;
+      Bytes.blit_string s k (wpage_of t (addr + k)) off n;
       fill (k + n)
     end
   in

@@ -16,6 +16,23 @@ type t
 
 val create : unit -> t
 
+(** {2 Copy-on-write instantiation}
+
+    A template is a frozen address space (a loaded binary, say) that
+    any number of machines start from, on any domain.  An instance
+    shares the template's pages read-only and copies a page on its
+    first write to it, so no write through any instance reaches the
+    template or another instance. *)
+
+type template
+
+val freeze : t -> template
+(** The current contents of [t] as a template.  [t] itself becomes an
+    instance of it: its later writes copy pages as any instance's do. *)
+
+val instantiate : template -> t
+(** A machine whose mapping and contents start as the template's. *)
+
 val map : t -> addr:int -> len:int -> unit
 (** Map every page covering [addr, addr+len), zero-filled on first
     touch.  Costs the same whatever [len] is. *)

@@ -38,11 +38,10 @@ let acct_line target (a : Vm.Cpu.acct) =
           (fun (s, n, c) -> Printf.sprintf "%#x:%d:%d" s n c)
           (Vm.Cpu.acct_sites a)))
 
-let spec (b : Workloads.Spec.bench) =
-  let target = "spec:" ^ b.name in
+(* a SPEC stand-in, its profiling build, the train-input profile run,
+   and the +merge build from that run's allow-list *)
+let spec_builds (b : Workloads.Spec.bench) =
   let bin = Workloads.Spec.binary b in
-  let refs = Workloads.Spec.ref_inputs b in
-  let base, bv = Redfat.run_baseline ~inputs:refs bin in
   let prof = Rw.rewrite Rw.profiling_build bin in
   let p =
     Redfat.run_hardened ~options:log_opts ~profiling:true
@@ -53,6 +52,13 @@ let spec (b : Workloads.Spec.bench) =
       [ (Rt.allowlist p.rt, Rt.lowfat_failing_sites p.rt) ]
   in
   let hard = Rw.rewrite { Rw.optimized with allowlist = Some allow } bin in
+  (bin, prof, p, hard)
+
+let spec (b : Workloads.Spec.bench) =
+  let target = "spec:" ^ b.name in
+  let refs = Workloads.Spec.ref_inputs b in
+  let bin, _, p, hard = spec_builds b in
+  let base, bv = Redfat.run_baseline ~inputs:refs bin in
   let acct = Vm.Cpu.new_acct () in
   let m =
     Redfat.run_hardened ~options:log_opts ~acct ~inputs:refs hard.binary
@@ -67,10 +73,13 @@ let spec (b : Workloads.Spec.bench) =
   ]
 
 (* a spatial +merge sweep's temporal counterpart, on one benchmark *)
+let temporal_build name =
+  Rw.rewrite { Rw.optimized with backend = CB.Temporal }
+    (Workloads.Spec.binary (Workloads.Spec.find name))
+
 let temporal_spec name =
   let b = Workloads.Spec.find name in
-  let bin = Workloads.Spec.binary b in
-  let hard = Rw.rewrite { Rw.optimized with backend = CB.Temporal } bin in
+  let hard = temporal_build name in
   let acct = Vm.Cpu.new_acct () in
   let r =
     Redfat.run_hardened ~options:log_opts ~acct
@@ -81,21 +90,25 @@ let temporal_spec name =
     (CB.name (Redfat.backend_of_binary hard.binary))
     acct.acct_temporal
 
-(* every planted bug's detecting input, under every backend; bug:hang
-   runs into the step limit *)
-let bugs () =
+let bug_builds () =
   List.concat_map
     (fun (c : Workloads.Fuzzbugs.case) ->
       let bin = Workloads.Fuzzbugs.binary c in
       List.map
-        (fun backend ->
-          let hard = Rw.rewrite { Rw.optimized with backend } bin in
-          let r =
-            Redfat.run_hardened ~max_steps:100_000 ~inputs:c.attack hard.binary
-          in
-          line ("bug:" ^ c.id) (CB.name backend) r.run r.verdict)
+        (fun backend -> (c, backend, Rw.rewrite { Rw.optimized with backend } bin))
         CB.all)
     Workloads.Fuzzbugs.all
+
+(* every planted bug's detecting input, under every backend; bug:hang
+   runs into the step limit *)
+let bugs () =
+  List.map
+    (fun ((c : Workloads.Fuzzbugs.case), backend, (hard : Rw.t)) ->
+      let r =
+        Redfat.run_hardened ~max_steps:100_000 ~inputs:c.attack hard.binary
+      in
+      line ("bug:" ^ c.id) (CB.name backend) r.run r.verdict)
+    (bug_builds ())
 
 (* the E9AFL block-probe build of one benchmark: [on_probe] on every
    basic block; the line records the edge map's size and hit total *)
@@ -153,3 +166,25 @@ let lines () =
   @ [ temporal_spec "mcf"; temporal_spec "omnetpp" ]
   @ bugs ()
   @ [ e9afl "bzip2"; trap () ]
+
+(** Every binary the corpus above runs, named. *)
+let binaries () =
+  List.concat_map
+    (fun (b : Workloads.Spec.bench) ->
+      let bin, prof, _, hard = spec_builds b in
+      [ ("spec:" ^ b.name, bin); ("spec:" ^ b.name ^ " profile", prof.binary);
+        ("spec:" ^ b.name ^ " merge", hard.binary) ])
+    Workloads.Spec.all
+  @ List.map
+      (fun name -> ("spec:" ^ name ^ " temporal", (temporal_build name).binary))
+      [ "mcf"; "omnetpp" ]
+  @ List.map
+      (fun ((c : Workloads.Fuzzbugs.case), backend, (hard : Rw.t)) ->
+        ("bug:" ^ c.id ^ " " ^ CB.name backend, hard.binary))
+      (bug_builds ())
+  @ [
+      ( "spec:bzip2 e9afl",
+        (Fuzz.E9afl.instrument
+           (Workloads.Spec.binary (Workloads.Spec.find "bzip2"))).binary );
+      ("asm:trap", (Rw.rewrite Rw.optimized (trap_binary ())).binary);
+    ]

@@ -193,8 +193,37 @@ let test_malformed_policy_faults () =
     Alcotest.(check string) "fault code" "parse.section"
       Engine.Fault.(code (of_exn e))
 
+(* Page 0 stays unmapped in every build: the hardened binary's
+   metadata sections sit at address 0 but are never loaded, so a null
+   load faults there as it does in the original. *)
+let test_null_deref_faults () =
+  let open Minic.Build in
+  let bin =
+    Minic.Codegen.compile
+      (Minic.Ast.program
+         [
+           Minic.Ast.func ~name:"main"
+             [
+               let_ "x" Minic.Ast.Input;
+               print_ (Minic.Ast.Load (Minic.Ast.E8, i 0, v "x"));
+             ];
+         ])
+  in
+  let segv = "fault: segfault at 0" in
+  let _, bv = Redfat.run_baseline ~inputs:[ 0 ] bin in
+  Alcotest.(check string) "baseline" segv (Redfat.verdict_to_string bv);
+  List.iter
+    (fun backend ->
+      let hard = Redfat.harden ~opts:{ Rw.optimized with backend } bin in
+      let hr = Redfat.run_hardened ~inputs:[ 0 ] hard.binary in
+      Alcotest.(check string) (CB.name backend) segv
+        (Redfat.verdict_to_string hr.verdict))
+    CB.all
+
 let tests =
   [
+    Alcotest.test_case "null dereference faults in every build" `Quick
+      test_null_deref_faults;
     Alcotest.test_case "malformed policy line faults" `Quick
       test_malformed_policy_faults;
     Alcotest.test_case "default path seed-shaped" `Quick

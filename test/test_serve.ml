@@ -279,6 +279,32 @@ let test_deep_nesting_line () =
   let _, ok = Server.handle srv {|{"id":"p","op":"ping"}|} in
   Alcotest.(check bool) "next request answers" true ok
 
+(* a \u escape pair names one code point: the request id echoes as
+   one 4-byte UTF-8 character; a lone surrogate or a \u escape that is
+   not four hex digits is a bad line *)
+let test_unicode_escapes () =
+  with_server @@ fun srv ->
+  let r, ok = Server.handle srv {|{"id":"\ud83d\ude00","op":"ping"}|} in
+  Alcotest.(check bool) "pair answers" true ok;
+  Alcotest.(check (option string)) "id is U+1F600" (Some "\xF0\x9F\x98\x80")
+    (str_field "id" r);
+  let r, ok = Server.handle srv {|{"id":"\u00e9\u20ac","op":"ping"}|} in
+  Alcotest.(check bool) "BMP answers" true ok;
+  Alcotest.(check (option string)) "BMP id" (Some "\xC3\xA9\xE2\x82\xAC")
+    (str_field "id" r);
+  List.iter
+    (fun id ->
+      let r, ok =
+        Server.handle srv (Printf.sprintf {|{"id":"%s","op":"ping"}|} id)
+      in
+      Alcotest.(check bool) (id ^ " fails") false ok;
+      Alcotest.(check bool) (id ^ " is bad JSON: " ^ r) true
+        (match str_field "error" r with
+         | Some e -> String.starts_with ~prefix:"bad JSON" e
+         | None -> false))
+    [ {|\ud83d|}; {|\ud83dx|}; {|\ud83d\u0041|}; {|\ude00|}; {|\u_123|};
+      {|\u12g4|} ]
+
 (* every registry answers an unknown name with input.target, the
    request surface and the CLI's binary resolver alike *)
 let test_unknown_targets () =
@@ -469,6 +495,8 @@ let tests =
     Alcotest.test_case "script mode end to end" `Quick test_script_mode;
     Alcotest.test_case "deep nesting is a bad line" `Quick
       test_deep_nesting_line;
+    Alcotest.test_case "unicode escapes in a request id" `Quick
+      test_unicode_escapes;
     Alcotest.test_case "unknown targets are input.target" `Quick
       test_unknown_targets;
     Alcotest.test_case "fault isolation per request" `Quick

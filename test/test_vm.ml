@@ -316,6 +316,96 @@ let test_mem_map_512mib () =
   Alcotest.(check int) "demand-zero" 0
     (Vm.Mem.read m ~addr:(addr + len - 8) ~len:8)
 
+(* --- copy-on-write instances ----------------------------------------- *)
+
+(* A template over 128 pages from [cow_base]: page P = [cow_base]
+   written (a shared page in every instance), the rest demand-zero.
+   Page Q = P + 64 maps to the same TLB slot as P. *)
+let cow_base = 0x10000
+let page_q = cow_base + (64 * Vm.Mem.page_size)
+
+let cow_template () =
+  let m = Vm.Mem.create () in
+  Vm.Mem.map m ~addr:cow_base ~len:(128 * Vm.Mem.page_size);
+  Vm.Mem.write m ~addr:cow_base ~len:8 0x1111;
+  Vm.Mem.write m ~addr:(cow_base + 8) ~len:8 0x2222;
+  Vm.Mem.freeze m
+
+let check_read what m ~addr expect =
+  Alcotest.(check int) what expect (Vm.Mem.read m ~addr ~len:8)
+
+let test_cow_isolation () =
+  let tp = cow_template () in
+  let a = Vm.Mem.instantiate tp and b = Vm.Mem.instantiate tp in
+  Vm.Mem.write a ~addr:cow_base ~len:8 42;
+  Vm.Mem.write_string b ~addr:(cow_base + 8) "\007";
+  check_read "a sees its store" a ~addr:cow_base 42;
+  check_read "a keeps the template's other word" a ~addr:(cow_base + 8) 0x2222;
+  check_read "b does not see a's store" b ~addr:cow_base 0x1111;
+  check_read "b sees its own store" b ~addr:(cow_base + 8) 0x2207;
+  let c = Vm.Mem.instantiate tp in
+  check_read "template unchanged" c ~addr:cow_base 0x1111;
+  check_read "template unchanged (2)" c ~addr:(cow_base + 8) 0x2222
+
+let test_cow_read_then_write () =
+  let tp = cow_template () in
+  let a = Vm.Mem.instantiate tp in
+  (* the read fills the TLB slot with the shared page *)
+  check_read "shared read" a ~addr:(cow_base + 8) 0x2222;
+  Vm.Mem.write a ~addr:(cow_base + 8) ~len:8 7;
+  check_read "write seen" a ~addr:(cow_base + 8) 7;
+  check_read "rest of the page copied" a ~addr:cow_base 0x1111;
+  Vm.Mem.write a ~addr:(cow_base + 16) ~len:1 9;
+  check_read "second write to the copy" a ~addr:(cow_base + 16) 9;
+  check_read "template unchanged" (Vm.Mem.instantiate tp) ~addr:(cow_base + 8)
+    0x2222
+
+(* P (shared) and Q (private) share a TLB slot: whichever was filled
+   last, a write must reach its own page, never the shared one *)
+let test_cow_tlb_aliasing () =
+  let tp = cow_template () in
+  let a = Vm.Mem.instantiate tp in
+  Vm.Mem.write a ~addr:page_q ~len:8 5;
+  check_read "shared P evicts private Q" a ~addr:cow_base 0x1111;
+  Vm.Mem.write a ~addr:page_q ~len:8 6;
+  check_read "Q holds the write" a ~addr:page_q 6;
+  check_read "P unchanged" a ~addr:cow_base 0x1111;
+  check_read "template's P unchanged" (Vm.Mem.instantiate tp) ~addr:cow_base
+    0x1111;
+  (* the other way round: P copied, then Q read, then P written *)
+  Vm.Mem.write a ~addr:cow_base ~len:8 8;
+  check_read "Q evicts private P" a ~addr:page_q 6;
+  Vm.Mem.write a ~addr:cow_base ~len:8 9;
+  check_read "P holds the write" a ~addr:cow_base 9;
+  check_read "Q unchanged" a ~addr:page_q 6;
+  check_read "template's P still unchanged" (Vm.Mem.instantiate tp)
+    ~addr:cow_base 0x1111
+
+let test_cow_unmap_shared () =
+  let tp = cow_template () in
+  let a = Vm.Mem.instantiate tp and b = Vm.Mem.instantiate tp in
+  check_read "cached in a's TLB" a ~addr:cow_base 0x1111;
+  Vm.Mem.unmap a ~addr:cow_base ~len:8;
+  Alcotest.(check bool) "unmapped in a" false (Vm.Mem.is_mapped a cow_base);
+  Alcotest.check_raises "read faults" (Vm.Mem.Segfault cow_base) (fun () ->
+      ignore (Vm.Mem.read a ~addr:cow_base ~len:8));
+  Alcotest.check_raises "write faults" (Vm.Mem.Segfault (cow_base + 8))
+    (fun () -> Vm.Mem.write a ~addr:(cow_base + 8) ~len:8 1);
+  check_read "b still maps it" b ~addr:cow_base 0x1111;
+  check_read "template still maps it" (Vm.Mem.instantiate tp) ~addr:cow_base
+    0x1111
+
+let test_cow_demand_zero () =
+  let tp = cow_template () in
+  let a = Vm.Mem.instantiate tp and b = Vm.Mem.instantiate tp in
+  check_read "unwritten template page" a ~addr:page_q 0;
+  Vm.Mem.write b ~addr:(page_q + 8) ~len:8 3;
+  check_read "b's page is b's" a ~addr:(page_q + 8) 0;
+  Vm.Mem.map a ~addr:0x900000 ~len:16;
+  check_read "page mapped after instantiation" a ~addr:0x900000 0;
+  Alcotest.check_raises "unmapped stays unmapped" (Vm.Mem.Segfault 0x900000)
+    (fun () -> ignore (Vm.Mem.read b ~addr:0x900000 ~len:8))
+
 (* --- Cpu ------------------------------------------------------------- *)
 
 let null_rt =
@@ -685,6 +775,82 @@ let test_dispatch_cost () =
     (run 0 + (3 * 5))
     (run 5)
 
+(* --- images: predecoded code ------------------------------------------ *)
+
+(* Every predecoded entry of every binary the VM golden corpus runs is
+   what the fetcher decodes at its address; the sweep starts at each
+   executable section's first byte. *)
+let test_predecoded_matches_decode () =
+  List.iter
+    (fun (name, bin) ->
+      let cpu = Redfat.instantiate (Redfat.image bin) in
+      let execs =
+        List.filter
+          (fun (s : Binfmt.Relf.section) -> s.executable)
+          bin.Binfmt.Relf.sections
+      in
+      Alcotest.(check int) (name ^ ": one region per executable section")
+        (List.length execs) (Array.length cpu.code);
+      Array.iter
+        (fun (r : Vm.Cpu.region) ->
+          if snd r.r_instrs.(0) = 0 then
+            Alcotest.failf "%s: no entry at section start %#x" name r.r_base;
+          Array.iteri
+            (fun off ((_, n) as v) ->
+              if n > 0 then begin
+                let addr = r.r_base + off in
+                let raw = Vm.Mem.read_string cpu.mem ~addr ~len:40 in
+                if X64.Decode.decode ~addr raw 0 <> v then
+                  Alcotest.failf "%s: predecoded entry at %#x differs" name addr
+              end)
+            r.r_instrs)
+        cpu.code)
+    (Vm_golden.binaries ())
+
+(* Code is never written, by choice: a store into .text lands in memory
+   (a read sees it, copy-on-write as any store), but the fetcher keeps
+   running the instruction predecoded when the image was built.  Here
+   the program overwrites the first byte of the instruction after the
+   store with a hlt and then runs on through it, printing 7. *)
+let test_store_into_text () =
+  let hlt, _ = Asm.assemble ~origin:0 [ i Isa.Hlt ] in
+  let items =
+    [
+      Asm.Mov_label (Isa.rbx, "target");
+      i (Isa.Mov_ri (Isa.rcx, Char.code hlt.[0]));
+      i (Isa.Store (Isa.W1, Isa.mem ~base:Isa.rbx (), Isa.rcx));
+      Asm.Label "target";
+      i (Isa.Mov_ri (Isa.rdi, 7));
+      i (Isa.Callrt Isa.Print);
+      i Isa.Ret;
+    ]
+  in
+  let code, labels = Asm.assemble ~origin:Lowfat.Layout.code_base items in
+  let target = Hashtbl.find labels "target" in
+  let bin =
+    {
+      Binfmt.Relf.entry = Lowfat.Layout.code_base;
+      pic = false;
+      stripped = true;
+      sections =
+        [
+          Binfmt.Relf.section ~executable:true ~name:".text"
+            ~addr:Lowfat.Layout.code_base code;
+        ];
+    }
+  in
+  let im = Redfat.image bin in
+  let cpu = Redfat.instantiate im in
+  let r, v = Redfat.exec cpu null_rt ~entry:bin.entry in
+  Alcotest.(check string) "runs to the end" "finished (exit 0)"
+    (Redfat.verdict_to_string v);
+  Alcotest.(check (list int)) "the predecoded instruction ran" [ 7 ] r.outputs;
+  Alcotest.(check int) "the store landed" (Char.code hlt.[0])
+    (Vm.Mem.read_u8 cpu.mem target);
+  Alcotest.(check int) "the image's code is unchanged"
+    (Char.code code.[target - Lowfat.Layout.code_base])
+    (Vm.Mem.read_u8 (Redfat.instantiate im).mem target)
+
 let tests =
   [
     Alcotest.test_case "mem rw widths" `Quick test_mem_rw_widths;
@@ -719,4 +885,16 @@ let tests =
     Alcotest.test_case "exit code" `Quick test_exit_code;
     Alcotest.test_case "memory access cost" `Quick test_cost_model_monotone;
     Alcotest.test_case "dispatch cost" `Quick test_dispatch_cost;
+    Alcotest.test_case "cow: instances are isolated" `Quick test_cow_isolation;
+    Alcotest.test_case "cow: read then write copies" `Quick
+      test_cow_read_then_write;
+    Alcotest.test_case "cow: shared/private TLB aliasing" `Quick
+      test_cow_tlb_aliasing;
+    Alcotest.test_case "cow: unmap of a shared page faults" `Quick
+      test_cow_unmap_shared;
+    Alcotest.test_case "cow: demand-zero pages read 0" `Quick
+      test_cow_demand_zero;
+    Alcotest.test_case "image: predecoded = decode" `Quick
+      test_predecoded_matches_decode;
+    Alcotest.test_case "image: a store into .text" `Quick test_store_into_text;
   ]
