@@ -10,7 +10,7 @@ BENCH_DIFF := _build/default/tools/bench_diff.exe
 GATED := table1 serve rebuild fuzz fig4
 
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
-	bench-baseline serve-smoke fuzz-smoke perf-check vm-golden \
+	bench-baseline serve-smoke fuzz-smoke cache-smoke perf-check vm-golden \
 	digest-golden serve-golden determinism ci clean
 
 all: build
@@ -132,6 +132,28 @@ fuzz-smoke: build
 	  --seed 7 > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
 
+# shared-cache smoke: two pipeline processes run at once on one
+# --cache-dir, each appending to its own pack; a third run over the
+# same directory must then miss nothing and print the same per-target
+# summaries (everything above the stage table) as a --no-cache run
+cache-smoke: build
+	@set -e; dir=_build/cache-smoke; rm -rf $$dir; \
+	  $(REDFAT) pipeline spec:mcf spec:bzip2 --cache-dir $$dir \
+	    > _build/cache-smoke-a.out & a=$$!; \
+	  $(REDFAT) pipeline spec:mcf spec:bzip2 --cache-dir $$dir \
+	    > _build/cache-smoke-b.out & b=$$!; \
+	  wait $$a; wait $$b; \
+	  $(REDFAT) pipeline spec:mcf spec:bzip2 --cache-dir $$dir \
+	    > _build/cache-smoke-warm.out; \
+	  $(REDFAT) pipeline spec:mcf spec:bzip2 --no-cache \
+	    > _build/cache-smoke-fresh.out; \
+	  grep -q '^cache: enabled, .* / 0 misses / ' _build/cache-smoke-warm.out \
+	    || { tail -1 _build/cache-smoke-warm.out; exit 1; }; \
+	  sed '/^stage /,$$d' _build/cache-smoke-warm.out > _build/cache-smoke-warm.sum; \
+	  sed '/^stage /,$$d' _build/cache-smoke-fresh.out > _build/cache-smoke-fresh.sum; \
+	  diff _build/cache-smoke-fresh.sum _build/cache-smoke-warm.sum; \
+	  echo "cache smoke OK: $$(ls $$dir | wc -l) pack(s), warm run missed nothing"
+
 # after an INTENTIONAL cost-model change: rewrite the exact VM results
 # table that test/test_vm_golden.ml pins (cycles, steps, accesses,
 # verdicts, outputs, per-site check accounting) and commit it with the
@@ -206,6 +228,7 @@ ci: build test determinism lint doc-check
 	$(MAKE) bench-gate
 	$(MAKE) serve-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) cache-smoke
 	$(MAKE) perf-check
 
 clean:

@@ -96,11 +96,12 @@ let registry =
        non-site-local fault)"
       "target reported and skipped; rest of the batch completes";
     i "cache.stale" Skipped
-      "a disk artifact carries an old format magic (schema change)"
-      "artifact deleted and recomputed; cache.stale counter bumped";
+      "a disk artifact file is of an older on-disk format (schema change)"
+      "file removed, artifact recomputed; cache.stale counter bumped";
     i "cache.corrupt" Skipped
-      "a disk artifact is unreadable (truncated write, bit rot)"
-      "artifact deleted and recomputed; cache.corrupt counter bumped";
+      "a disk record is damaged (garbage header, bit rot)"
+      "record marked dead, artifact recomputed; cache.corrupt counter \
+       bumped";
     i "cache.io" Degraded "the cache disk tier failed an IO operation"
       "one bounded retry, then recompute without the disk tier";
     i "verify.unsound" Fatal

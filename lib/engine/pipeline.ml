@@ -18,13 +18,15 @@ let create ?(jobs = 1) ?(cache = true) ?cache_dir ?(strict = false)
     cache =
       Cache.create ~enabled:cache ?dir:cache_dir
         ~notify:(fun ev -> Obs.add obs ("cache." ^ ev))
-        ();
+        ~obs ();
     rep;
     strict;
     inject;
   }
 
-let close t = Pool.close t.pool
+let close t =
+  Pool.close t.pool;
+  Cache.close t.cache
 let jobs t = Pool.jobs t.pool
 let report t = t.rep
 let obs t = Report.obs t.rep
@@ -123,6 +125,10 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
   hook t "harden";
   hook t "cache";
   let o = obs t in
+  (* one span per cost the engine adds around the rewriter; the cache
+     records its own (cache.mem, cache.disk, cache.unmarshal,
+     cache.append) *)
+  let span name f = Obs.span o ~cat:"engine" name f in
   let base = Option.value tramp_base ~default:Rw.default_tramp_base in
   let fixed =
     [
@@ -131,8 +137,11 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
       (if t.strict then "abort" else "degrade");
     ]
   in
-  let ser = Binfmt.Relf.serialize bin in
-  let mkey = Cache.key ~kind:"manifest" (ser :: string_of_int base :: fixed) in
+  let ser, mkey =
+    span "harden.key" @@ fun () ->
+    let ser = Binfmt.Relf.serialize bin in
+    (ser, Cache.key ~kind:"manifest" (ser :: string_of_int base :: fixed))
+  in
   match Cache.find_opt t.cache ~key:mkey with
   | Some ((r : Rw.t), nfns) ->
     Obs.add o "harden.manifest.hit";
@@ -143,14 +152,19 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
     let slices =
       if not (Cache.enabled t.cache) then [ Redfat.Shard.whole bin ]
       else
-        let skey = Cache.key ~kind:"slices" [ ser; inject_key t ] in
+        let skey =
+          span "harden.key" (fun () ->
+              Cache.key ~kind:"slices" [ ser; inject_key t ])
+        in
         match Cache.find_opt t.cache ~key:skey with
         | Some (sls : Redfat.Shard.slice list) ->
           Obs.add o "harden.slices.hit";
           sls
         | None ->
           Obs.add o "harden.slices.miss";
-          let sls = Redfat.Shard.slices bin in
+          let sls =
+            span "harden.partition" (fun () -> Redfat.Shard.slices bin)
+          in
           Cache.put t.cache ~key:skey sls;
           sls
     in
@@ -159,6 +173,7 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
     in
     let part ~tramp_base (sl : Redfat.Shard.slice) slice_bin =
       let fkey =
+        span "harden.key" @@ fun () ->
         Cache.key ~kind:"fnart"
           (fixed
           @ [
@@ -181,7 +196,12 @@ let harden t ?tramp_base ?(opts = Rw.optimized) bin =
         Cache.put t.cache ~key:fkey p;
         p
     in
-    let r = Redfat.Shard.rewrite ~tramp_base:base bin slices part in
+    (* the parts' lookups and rewrites nest inside: the splice's self
+       time is the tiling check, the slice binaries and the assembly *)
+    let r =
+      span "harden.splice" (fun () ->
+          Redfat.Shard.rewrite ~tramp_base:base bin slices part)
+    in
     Cache.put t.cache ~key:mkey (r, List.length slices);
     r
 

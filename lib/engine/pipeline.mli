@@ -26,7 +26,8 @@ val create :
     artifacts. *)
 
 val close : t -> unit
-(** Join the worker domains ({!Pool.close}): idempotent, and also run
+(** Join the worker domains ({!Pool.close}) and close the cache's
+    pack ({!Cache.close}): idempotent, and also run
     [at_exit] once the pool has spawned them.  Nothing else holds an
     engine, so a dropped one is collected with its cache's memory
     tier. *)
@@ -103,7 +104,13 @@ val harden :
     Digest(RELF bytes) + injection spec ([harden.slices.hit] /
     [harden.slices.miss]), so {!Redfat.Shard.slices} runs once per
     distinct binary however many option sets harden it; with the
-    cache disabled the text is one slice and is never partitioned. *)
+    cache disabled the text is one slice and is never partitioned.
+    Spans (category ["engine"]) split the engine's own cost:
+    [harden.key] (serialize and digest each key), [harden.partition]
+    ({!Redfat.Shard.slices}), [harden.splice] ({!Redfat.Shard.rewrite},
+    with the parts' lookups and rewrites nested inside), plus the
+    cache's [cache.mem], [cache.disk], [cache.unmarshal] and
+    [cache.append]. *)
 
 val profile :
   t -> ?max_steps:int -> test_suite:int list list -> Binfmt.Relf.t ->

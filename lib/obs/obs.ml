@@ -25,12 +25,25 @@ type hbuf = {
   hb : int array;
 }
 
+(* a span as a buffer keeps it: nanoseconds since the collector was
+   created, as ints, so the record holds no boxed float *)
+type rec_ = {
+  r_name : string;
+  r_cat : string;
+  r_start : int;
+  r_dur : int;
+  r_depth : int;
+}
+
 (* One buffer per (collector, domain): mutated only by its owning
    domain, so recording takes no lock.  The registry list is the only
-   shared state, appended under [reg] once per domain. *)
+   shared state, appended under [reg] once per domain.  It is also what
+   keeps a buffer alive: a domain's DLS slot holds its buffer weakly,
+   since a DLS key is never freed and a strong slot would keep every
+   span of every dropped collector for the domain's lifetime. *)
 type buf = {
   b_tid : int;
-  mutable b_spans : span list; (* newest first *)
+  mutable b_spans : rec_ list; (* newest first *)
   b_counters : (string, int ref) Hashtbl.t;
   b_hists : (string, hbuf) Hashtbl.t;
   mutable b_depth : int;
@@ -38,7 +51,7 @@ type buf = {
 
 type t = {
   t0 : float;
-  key : buf option ref Domain.DLS.key;
+  key : buf Weak.t Domain.DLS.key;
   reg : Mutex.t;
   mutable bufs : buf list;
 }
@@ -48,14 +61,14 @@ let now () = Unix.gettimeofday ()
 let create () =
   {
     t0 = now ();
-    key = Domain.DLS.new_key (fun () -> ref None);
+    key = Domain.DLS.new_key (fun () -> Weak.create 1);
     reg = Mutex.create ();
     bufs = [];
   }
 
 let buf t =
   let slot = Domain.DLS.get t.key in
-  match !slot with
+  match Weak.get slot 0 with
   | Some b -> b
   | None ->
     let b =
@@ -67,7 +80,7 @@ let buf t =
         b_depth = 0;
       }
     in
-    slot := Some b;
+    Weak.set slot 0 (Some b);
     Mutex.lock t.reg;
     t.bufs <- b :: t.bufs;
     Mutex.unlock t.reg;
@@ -75,39 +88,36 @@ let buf t =
 
 (* --- recording ------------------------------------------------------- *)
 
+let ns s = Float.to_int (s *. 1e9)
+let secs ns = Float.of_int ns /. 1e9
+
+let record b ~cat name ~start ~dur ~depth =
+  b.b_spans <-
+    { r_name = name; r_cat = cat; r_start = start; r_dur = dur;
+      r_depth = depth }
+    :: b.b_spans
+
 let add_span t ?(cat = "misc") name ~start ~dur =
   let b = buf t in
-  b.b_spans <-
-    {
-      sp_name = name;
-      sp_cat = cat;
-      sp_tid = b.b_tid;
-      sp_start = start -. t.t0;
-      sp_dur = dur;
-      sp_depth = b.b_depth;
-    }
-    :: b.b_spans
+  record b ~cat name ~start:(ns (start -. t.t0)) ~dur:(ns dur)
+    ~depth:b.b_depth
 
 let span t ?(cat = "misc") name f =
   let b = buf t in
   let depth = b.b_depth in
   b.b_depth <- depth + 1;
   let start = now () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dur = now () -. start in
-      b.b_depth <- depth;
-      b.b_spans <-
-        {
-          sp_name = name;
-          sp_cat = cat;
-          sp_tid = b.b_tid;
-          sp_start = start -. t.t0;
-          sp_dur = dur;
-          sp_depth = depth;
-        }
-        :: b.b_spans)
-    f
+  let finish () =
+    b.b_depth <- depth;
+    record b ~cat name ~start:(ns (start -. t.t0)) ~dur:(ns (now () -. start))
+      ~depth
+  in
+  match f () with
+  | v -> finish (); v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    finish ();
+    Printexc.raise_with_backtrace e bt
 
 let add t ?(n = 1) name =
   let b = buf t in
@@ -208,8 +218,18 @@ let histograms t =
     merged []
   |> List.sort compare
 
+let span_of b r =
+  {
+    sp_name = r.r_name;
+    sp_cat = r.r_cat;
+    sp_tid = b.b_tid;
+    sp_start = secs r.r_start;
+    sp_dur = secs r.r_dur;
+    sp_depth = r.r_depth;
+  }
+
 let spans t =
-  List.concat_map (fun b -> b.b_spans) (all_bufs t)
+  List.concat_map (fun b -> List.map (span_of b) b.b_spans) (all_bufs t)
   |> List.sort (fun a b -> compare (a.sp_start, a.sp_depth) (b.sp_start, b.sp_depth))
 
 let span_summary ?cat t =
@@ -217,12 +237,13 @@ let span_summary ?cat t =
   List.iter
     (fun b ->
       List.iter
-        (fun sp ->
-          if cat = None || cat = Some sp.sp_cat then begin
-            match Hashtbl.find_opt tbl sp.sp_name with
+        (fun r ->
+          if cat = None || cat = Some r.r_cat then begin
+            let dur = secs r.r_dur in
+            match Hashtbl.find_opt tbl r.r_name with
             | Some (calls, secs) ->
-              Hashtbl.replace tbl sp.sp_name (calls + 1, secs +. sp.sp_dur)
-            | None -> Hashtbl.replace tbl sp.sp_name (1, sp.sp_dur)
+              Hashtbl.replace tbl r.r_name (calls + 1, secs +. dur)
+            | None -> Hashtbl.replace tbl r.r_name (1, dur)
           end)
         b.b_spans)
     (all_bufs t);

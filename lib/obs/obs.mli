@@ -1,7 +1,8 @@
 (** Structured tracing and metrics for the hardening pipeline.
 
     A collector [t] owns one lock-free buffer per recording domain
-    (reached through [Domain.DLS], created on a domain's first record):
+    (reached through [Domain.DLS], created on a domain's first record,
+    and freed with the collector):
     the hot path — beginning/ending a span, bumping a counter, feeding
     a histogram — touches only the calling domain's own buffer, so no
     lock is taken and no cache line is shared between workers.  The

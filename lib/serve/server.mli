@@ -5,7 +5,8 @@
     {v
     Lru hot tier (bounded bytes, admit-on-second-touch, single-flight)
       -> Engine.Cache memory tier (unbounded, per-stage artifacts)
-        -> Engine.Cache ART7 disk tier (persistent, digest-checked)
+        -> Engine.Cache disk tier (persistent; one append-only pack
+           per engine that stores, an MD5 per record)
           -> recompute (Figure-5 workflow on the domain pool)
     v}
 

@@ -143,6 +143,44 @@ let test_warm_workflow_skips_profiling_build () =
   Alcotest.(check int) "warm disk hits" 3 disk;
   Alcotest.(check int) "warm manifest hits" 1 manifest
 
+(* two caches on two domains append overlapping keys to one directory
+   at once, each into its own pack; a third cache, opened afterwards,
+   reads every artifact back from disk byte for byte.  Some blobs are
+   larger than one write chunk. *)
+let test_disk_cache_two_writers () =
+  with_temp_dir @@ fun dir ->
+  let blob i =
+    String.init
+      (if i mod 7 = 0 then 70_000 + i else 50 + (i * 13))
+      (fun j -> Char.chr ((i + j) land 0xff))
+  in
+  let key i = Engine.Cache.key ~kind:"t" [ string_of_int i ] in
+  let writer lo hi =
+    Domain.spawn (fun () ->
+        let c = Engine.Cache.create ~dir () in
+        for i = lo to hi do Engine.Cache.put c ~key:(key i) (blob i) done;
+        let stores = (Engine.Cache.stats c).Engine.Cache.stores in
+        Engine.Cache.close c;
+        stores)
+  in
+  let a = writer 0 149 and b = writer 50 199 in
+  let sa = Domain.join a and sb = Domain.join b in
+  Alcotest.(check int) "every record appended" 300 (sa + sb);
+  Alcotest.(check int) "one pack per writer" 2
+    (List.length
+       (List.filter
+          (fun f -> Filename.check_suffix f ".pack")
+          (Array.to_list (Sys.readdir dir))));
+  let c = Engine.Cache.create ~dir () in
+  for i = 0 to 199 do
+    Alcotest.(check bool) (Printf.sprintf "artifact %d" i) true
+      (Engine.Cache.find_opt c ~key:(key i) = Some (blob i))
+  done;
+  let st = Engine.Cache.stats c in
+  Alcotest.(check int) "all from disk" 200 st.Engine.Cache.hits_disk;
+  Alcotest.(check int) "no miss" 0 st.Engine.Cache.misses;
+  Alcotest.(check int) "no damage" 0 st.Engine.Cache.corrupt
+
 let test_no_cache_engine () =
   with_engine ~cache:false @@ fun eng ->
   let spec = Workloads.Spec.find "mcf" in
@@ -542,6 +580,8 @@ let tests =
     Alcotest.test_case "cache: disk tier warm start" `Quick
       test_disk_cache_warm_start;
     Alcotest.test_case "cache: disabled engine" `Quick test_no_cache_engine;
+    Alcotest.test_case "cache: two writers, one directory" `Quick
+      test_disk_cache_two_writers;
     Alcotest.test_case "cache: concurrent memo converges" `Quick
       test_cache_memo_concurrent;
     Alcotest.test_case "cache: concurrent sharded harden converges" `Quick

@@ -406,32 +406,100 @@ let test_transient_fault_retries () =
 
 (* --- cache self-healing --------------------------------------------- *)
 
-let art_magic = "REDFAT-ART7\n"
+(* an independent reader of the pack format (see lib/engine/cache.ml):
+   the magic, then records of a state byte, key length (u16 LE), blob
+   length (u32 LE), the blob's MD5, the key and the blob *)
+let pack_magic = "REDFAT-PACK1\n"
 
 let overwrite path contents =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let packs dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pack")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+type record = { key : string; off : int; blob_off : int; blob_len : int }
+
+(* the whole records of a pack's contents, in order *)
+let records s =
+  let rec go off acc =
+    if off + 23 > String.length s then List.rev acc
+    else
+      let kl = String.get_uint16_le s (off + 1) in
+      let bl =
+        Int32.to_int (String.get_int32_le s (off + 3)) land 0xffff_ffff
+      in
+      let next = off + 23 + kl + bl in
+      if next > String.length s then List.rev acc
+      else
+        go next
+          ({ key = String.sub s (off + 23) kl; off; blob_off = off + 23 + kl;
+             blob_len = bl } :: acc)
+  in
+  go (String.length pack_magic) []
+
+let encode_record key blob =
+  let b = Bytes.create 23 in
+  Bytes.set b 0 'L';
+  Bytes.set_uint16_le b 1 (String.length key);
+  Bytes.set_int32_le b 3 (Int32.of_int (String.length blob));
+  Bytes.blit_string (Digest.string blob) 0 b 7 16;
+  Bytes.to_string b ^ key ^ blob
+
+(* every (pack, record) whose key has the [kind-] prefix *)
+let records_of_kind dir kind =
+  List.concat_map
+    (fun f ->
+      List.filter_map
+        (fun r ->
+          if String.starts_with ~prefix:(kind ^ "-") r.key then Some (f, r)
+          else None)
+        (records (read_file f)))
+    (packs dir)
+
+(* apply [f] to the bytes of pack [file] in place *)
+let edit_pack file f =
+  let b = Bytes.of_string (read_file file) in
+  f b;
+  overwrite file (Bytes.to_string b)
+
 let test_cache_selfheal () =
   with_temp_dir @@ fun dir ->
-  let file = Filename.concat dir "k1.art" in
   let c1 = Cache.create ~dir () in
   Alcotest.(check int) "computed" 41 (Cache.memo c1 ~key:"k1" (fun () -> 41));
+  let file =
+    match packs dir with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "expected one pack, found %d" (List.length fs)
+  in
   Alcotest.(check bool) "stored with current magic" true
-    (String.length (In_channel.with_open_bin file In_channel.input_all)
-     > String.length art_magic);
-  (* stale: recognizable but older format magic *)
-  overwrite file "REDFAT-ART2\nold-blob";
+    (let s = read_file file in
+     String.length s > String.length pack_magic
+     && String.starts_with ~prefix:pack_magic s);
+  (* stale: a directory an older build wrote, one file per artifact *)
+  Sys.remove file;
+  let art = Filename.concat dir "k1.art" in
+  overwrite art "REDFAT-ART7\nold-blob";
   let c2 = Cache.create ~dir () in
-  Alcotest.(check int) "stale recomputed" 42 (Cache.memo c2 ~key:"k1" (fun () -> 42));
+  Alcotest.(check int) "stale recomputed" 42
+    (Cache.memo c2 ~key:"k1" (fun () -> 42));
   Alcotest.(check int) "stale counted" 1 (Cache.stats c2).Cache.stale;
-  (* corrupt header *)
-  overwrite file "garbage";
+  Alcotest.(check bool) "stale file removed" false (Sys.file_exists art);
+  (* corrupt header: the record's header is garbage *)
+  let file = List.hd (packs dir) in
+  overwrite file (pack_magic ^ "garbage, not a record header");
   let c3 = Cache.create ~dir () in
   Alcotest.(check int) "corrupt recomputed" 43
     (Cache.memo c3 ~key:"k1" (fun () -> 43));
   Alcotest.(check int) "corrupt counted" 1 (Cache.stats c3).Cache.corrupt;
-  (* right magic, unreadable blob (torn write / bit rot) *)
-  overwrite file (art_magic ^ "not a marshal blob");
+  (* right framing and digest, unreadable blob (a build with other
+     types, or bit rot before the digest was taken) *)
+  let file = List.nth (packs dir) 1 in
+  overwrite file (pack_magic ^ encode_record "k1" "not a marshal blob");
   let c4 = Cache.create ~dir () in
   Alcotest.(check int) "torn blob recomputed" 44
     (Cache.memo c4 ~key:"k1" (fun () -> 44));
@@ -442,16 +510,13 @@ let test_cache_selfheal () =
   Alcotest.(check int) "healed artifact hits" 44
     (Cache.memo c5 ~key:"k1" (fun () -> 99));
   Alcotest.(check int) "hit counted" 1 (Cache.stats c5).Cache.hits;
-  (* a damaged partition artifact: each engine hardens under a preset
+  (* a damaged partition record: each engine hardens under a preset
      the dir has no manifest for, so it must consult the slices *)
-  let slices_file () =
-    match
-      List.filter
-        (String.starts_with ~prefix:"slices-")
-        (Array.to_list (Sys.readdir dir))
-    with
-    | [ f ] -> Filename.concat dir f
-    | fs -> Alcotest.failf "expected one slices artifact, found %d" (List.length fs)
+  let slices_record () =
+    match records_of_kind dir "slices" with
+    | [ x ] -> x
+    | xs ->
+      Alcotest.failf "expected one slices record, found %d" (List.length xs)
   in
   let harden_fresh name opts =
     with_engine ~cache:true ~cache_dir:dir @@ fun eng ->
@@ -463,21 +528,29 @@ let test_cache_selfheal () =
     (Pl.cache_stats eng).Cache.corrupt
   in
   Alcotest.(check int) "clean slices" 0 (harden_fresh "clean" Rw.optimized);
-  overwrite (slices_file ()) "garbage";
+  let file, r = slices_record () in
+  edit_pack file (fun b -> Bytes.blit_string "garbage" 0 b r.off 7);
   Alcotest.(check int) "garbage slices counted corrupt" 1
     (harden_fresh "garbage slices" Rw.unoptimized);
-  let file = slices_file () in
-  let art = In_channel.with_open_bin file In_channel.input_all in
-  let m = String.length art_magic in
-  overwrite file (String.sub art 0 (m + ((String.length art - m) / 2)));
+  (* the slices blob cut to its first half, the rest of the pack intact *)
+  let file, r = slices_record () in
+  let s = read_file file in
+  let half = r.blob_len / 2 in
+  let hdr = Bytes.of_string (String.sub s r.off (r.blob_off - r.off)) in
+  Bytes.set_int32_le hdr 3 (Int32.of_int half);
+  overwrite file
+    (String.sub s 0 r.off ^ Bytes.to_string hdr
+    ^ String.sub s r.blob_off half
+    ^ String.sub s (r.blob_off + r.blob_len)
+        (String.length s - r.blob_off - r.blob_len));
   Alcotest.(check int) "truncated slices counted corrupt" 1
     (harden_fresh "truncated slices" Rw.with_hoist)
 
-(* one flipped byte in a disk artifact of any kind is caught by the
-   header digest: the artifact is counted corrupt, deleted and
+(* one flipped byte in a disk record of any kind is caught by the
+   record's digest: the record is counted corrupt, marked dead and
    recomputed, and the answer equals the cold one.  Slices and fnart
-   artifacts are only read on a manifest miss, so their rounds delete
-   the manifests first. *)
+   records are only read on a manifest miss, so their rounds mark the
+   manifests dead first. *)
 let test_cache_digest_catches_flips () =
   with_temp_dir @@ fun dir ->
   let b = Workloads.Spec.find "mcf" in
@@ -494,30 +567,140 @@ let test_cache_digest_catches_flips () =
       Binfmt.Relf.serialize hard.Rw.binary )
   in
   let cold = with_engine ~cache:true ~cache_dir:dir answer in
-  let files kind =
+  let live kind =
     List.filter
-      (String.starts_with ~prefix:(kind ^ "-"))
-      (Array.to_list (Sys.readdir dir))
-    |> List.map (Filename.concat dir)
+      (fun (f, r) -> (read_file f).[r.off] = 'L')
+      (records_of_kind dir kind)
   in
   List.iter
     (fun kind ->
       if kind = "slices" || kind = "fnart" then
-        List.iter Sys.remove (files "manifest");
-      let targets = files kind in
-      Alcotest.(check bool) (kind ^ " artifacts on disk") true (targets <> []);
+        List.iter
+          (fun (f, r) -> edit_pack f (fun b -> Bytes.set b r.off 'D'))
+          (live "manifest");
+      let targets = live kind in
+      Alcotest.(check bool) (kind ^ " records on disk") true (targets <> []);
       List.iter
-        (fun f ->
-          let art = Bytes.of_string (In_channel.with_open_bin f In_channel.input_all) in
-          let i = Bytes.length art / 2 in
-          Bytes.set art i (Char.chr (Char.code (Bytes.get art i) lxor 0x10));
-          overwrite f (Bytes.to_string art))
+        (fun (f, r) ->
+          edit_pack f (fun b ->
+              let i = r.blob_off + (r.blob_len / 2) in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10))))
         targets;
       with_engine ~cache:true ~cache_dir:dir @@ fun eng ->
       Alcotest.(check bool) (kind ^ ": fresh answer") true (answer eng = cold);
       Alcotest.(check bool) (kind ^ ": cache.corrupt counted") true
         (Obs.counter (Pl.obs eng) "cache.corrupt" >= 1))
     [ "compile"; "profile"; "manifest"; "slices"; "fnart" ]
+
+(* a pack cut short inside its last record (a writer killed mid-write)
+   loses that record only: the others are served, the cut one reads as
+   still being written — a miss, not damage — and a later store of it
+   is served again *)
+let test_cache_truncated_pack () =
+  with_temp_dir @@ fun dir ->
+  let value k = String.make 100 k.[1] in
+  let c1 = Cache.create ~dir () in
+  List.iter (fun k -> Cache.put c1 ~key:k (value k)) [ "k1"; "k2"; "k3" ];
+  let file = List.hd (packs dir) in
+  let s = read_file file in
+  let r3 = List.nth (records s) 2 in
+  overwrite file (String.sub s 0 (r3.blob_off + (r3.blob_len / 2)));
+  let c2 = Cache.create ~dir () in
+  let get c k : string option = Cache.find_opt c ~key:k in
+  let served name c k =
+    Alcotest.(check (option string)) name (Some (value k)) (get c k)
+  in
+  served "k1 served" c2 "k1";
+  served "k2 served" c2 "k2";
+  Alcotest.(check (option string)) "cut record misses" None (get c2 "k3");
+  Alcotest.(check int) "not counted corrupt" 0 (Cache.stats c2).Cache.corrupt;
+  Alcotest.(check int) "two disk hits" 2 (Cache.stats c2).Cache.hits_disk;
+  Cache.put c2 ~key:"k3" (value "k3");
+  served "re-stored record served" (Cache.create ~dir ()) "k3"
+
+(* a store that cannot reach the disk (here the cache directory is a
+   regular file; the suite runs as root, so permission bits would not
+   stop it) is no store: it counts one retry, and the memory tier
+   still serves the artifact *)
+let test_cache_failed_store_accounting () =
+  with_temp_dir @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  let file = Filename.concat dir "not-a-dir" in
+  overwrite file "x";
+  let events = ref [] in
+  let c = Cache.create ~dir:file ~notify:(fun e -> events := e :: !events) () in
+  Cache.put c ~key:"k" 7;
+  let st = Cache.stats c in
+  Alcotest.(check int) "nothing stored" 0 st.Cache.stores;
+  Alcotest.(check int) "one retry" 1 st.Cache.retries;
+  Alcotest.(check (list string)) "store-failed notified, store not"
+    [ "store-failed" ] !events;
+  Alcotest.(check (option int)) "memory tier serves it" (Some 7)
+    (Cache.find_opt c ~key:"k");
+  Alcotest.(check int) "memory hit" 1 (Cache.stats c).Cache.hits_mem
+
+(* the directory removed and re-created under a live cache, as the
+   benchmark and the rebuild night do between runs: the next store
+   goes to a new pack, not to the unlinked one, and is found again *)
+let test_cache_dir_recreated () =
+  with_temp_dir @@ fun dir ->
+  let c = Cache.create ~dir () in
+  Cache.put c ~key:"k1" 1;
+  List.iter Sys.remove (packs dir);
+  Sys.rmdir dir;
+  Sys.mkdir dir 0o755;
+  Cache.put c ~key:"k2" 2;
+  Alcotest.(check int) "both appended" 2 (Cache.stats c).Cache.stores;
+  Alcotest.(check int) "a new pack" 1 (List.length (packs dir));
+  let get c k : int option = Cache.find_opt c ~key:k in
+  Alcotest.(check (option int)) "own lookup" (Some 2) (get c "k2");
+  let c' = Cache.create ~dir () in
+  Alcotest.(check (option int)) "k2 on disk" (Some 2) (get c' "k2");
+  Alcotest.(check (option int)) "k1 went with the directory" None
+    (get c' "k1");
+  Alcotest.(check int) "served from disk" 1 (Cache.stats c').Cache.hits_disk
+
+(* more than 16 packs are merged into the opening cache's pack, one
+   copy per key, damaged records dropped and counted; old-format
+   artifact files are removed, each counted stale once *)
+let test_cache_merges_packs () =
+  with_temp_dir @@ fun dir ->
+  for i = 1 to 17 do
+    let c = Cache.create ~dir () in
+    Cache.put c ~key:"shared" "s";
+    Cache.put c ~key:(Printf.sprintf "k%d" i) i;
+    Cache.close c
+  done;
+  Alcotest.(check int) "17 packs" 17 (List.length (packs dir));
+  (* flip a blob byte of k5 *)
+  let f, r =
+    List.find
+      (fun (_, r) -> r.key = "k5")
+      (List.concat_map
+         (fun f -> List.map (fun r -> (f, r)) (records (read_file f)))
+         (packs dir))
+  in
+  edit_pack f (fun b ->
+      let i = r.blob_off in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1)));
+  overwrite (Filename.concat dir "a.art") "REDFAT-ART7\nold";
+  overwrite (Filename.concat dir "b.art") "REDFAT-ART6\nold";
+  let c = Cache.create ~dir () in
+  let st = Cache.stats c in
+  Alcotest.(check int) "old files stale" 2 st.Cache.stale;
+  Alcotest.(check int) "damaged record dropped" 1 st.Cache.corrupt;
+  Alcotest.(check int) "merged into one pack" 1 (List.length (packs dir));
+  Alcotest.(check bool) "old files removed" false
+    (Sys.file_exists (Filename.concat dir "a.art"));
+  Alcotest.(check int) "one record per key" 17
+    (List.length (records (read_file (List.hd (packs dir)))));
+  for i = 1 to 17 do
+    Alcotest.(check (option int)) (Printf.sprintf "k%d" i)
+      (if i = 5 then None else Some i)
+      (Cache.find_opt c ~key:(Printf.sprintf "k%d" i))
+  done;
+  Alcotest.(check (option string)) "shared" (Some "s")
+    (Cache.find_opt c ~key:"shared")
 
 let test_injected_runs_do_not_pollute_cache () =
   with_temp_dir @@ fun dir ->
@@ -558,6 +741,14 @@ let tests =
     Alcotest.test_case "cache self-healing" `Quick test_cache_selfheal;
     Alcotest.test_case "cache digest catches flips" `Quick
       test_cache_digest_catches_flips;
+    Alcotest.test_case "cache: truncated pack loses one record" `Quick
+      test_cache_truncated_pack;
+    Alcotest.test_case "cache: failed store is no store" `Quick
+      test_cache_failed_store_accounting;
+    Alcotest.test_case "cache: directory re-created under a live cache"
+      `Quick test_cache_dir_recreated;
+    Alcotest.test_case "cache: too many packs are merged" `Quick
+      test_cache_merges_packs;
     Alcotest.test_case "injected runs do not pollute cache" `Quick
       test_injected_runs_do_not_pollute_cache;
   ]

@@ -231,11 +231,32 @@ let prop_json_roundtrip =
         [ 0; 2 ]
       && not (String.contains (J.to_string v) '\n'))
 
+(* a dropped collector takes its spans with it: the recording
+   domain's slot for it must not keep its buffer alive *)
+let test_dropped_collector_collected () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let[@inline never] record () =
+    let o = Obs.create () in
+    for _ = 1 to 20_000 do
+      Obs.span o "s" ignore
+    done;
+    checkb "recorded" true (List.length (Obs.spans o) = 20_000)
+  in
+  let before = live () in
+  record ();
+  (* 20,000 spans take well over 200,000 words while reachable *)
+  checkb "spans freed" true (live () - before < 20_000)
+
 let tests =
   [
     Alcotest.test_case "parallel merge == sequential" `Quick
       test_parallel_merge;
     Alcotest.test_case "span nesting well-formed" `Quick test_span_nesting;
+    Alcotest.test_case "dropped collector is collected" `Quick
+      test_dropped_collector_collected;
     Alcotest.test_case "chrome export round-trips" `Quick
       test_chrome_roundtrip;
     Alcotest.test_case "engine trace covers stages" `Quick test_engine_trace;
