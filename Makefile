@@ -107,8 +107,9 @@ serve-smoke: build
 
 # fuzzing-fleet smoke: a bounded deterministic campaign (fixed seed and
 # budget) over the seeded-bug suite on every backend, plus both parser
-# campaigns; each must find and deduplicate at least one planted bug
-# and exit cleanly.  The redzone campaign runs again at --jobs 1 and
+# campaigns and the x64 decoder campaign (run on its own, so its bug
+# does not count toward the parsers' floor); each must find and
+# deduplicate at least one planted bug and exit cleanly.  The redzone campaign runs again at --jobs 1 and
 # must write the same report byte for byte: its executions share one
 # loaded image across worker domains.  See docs/FUZZING.md for the
 # triage contract.
@@ -128,8 +129,10 @@ fuzz-smoke: build
 	@echo "backend redzone: --jobs 1 report identical to --jobs 2"
 	$(REDFAT) fuzz relf minic --mode parse --budget 400 --seed 7 \
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
-	$(REDFAT) fuzz relf minic --mode parse --corpus test/corrupt --budget 400 \
-	  --seed 7 > /dev/null
+	$(REDFAT) fuzz x64 --mode parse --budget 400 --seed 7 \
+	  --expect-bugs 1 --out _build/fuzz-smoke-parse-x64.json > /dev/null
+	$(REDFAT) fuzz relf minic x64 --mode parse --corpus test/corrupt \
+	  --budget 400 --seed 7 > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
 
 # shared-cache smoke: two pipeline processes run at once on one

@@ -658,8 +658,8 @@ let fig8 () =
   let bin = Pl.compile eng (Workloads.Chrome.program ()) in
   pf "input binary: %d bytes of code, %d instructions\n"
     (Binfmt.Relf.code_size bin)
-    (List.length
-       (X64.Disasm.sweep
+    (Array.length
+       (X64.Disasm.sweep_array
           ~addr:(Binfmt.Relf.text_exn bin).addr
           (Binfmt.Relf.text_exn bin).bytes));
   let t0 = wall () in
@@ -1118,7 +1118,7 @@ let rebuild_perturb (bin : Binfmt.Relf.t) : (Binfmt.Relf.t * int) option =
                && X64.Encode.length (X64.Isa.Mov_ri (r, v + 1)) = len ->
           Some (a, r, v, len)
         | _ -> None)
-      (X64.Disasm.sweep ~addr:text.addr text.bytes)
+      (Array.to_list (X64.Disasm.sweep_array ~addr:text.addr text.bytes))
   in
   match List.rev eligible with
   | [] -> None

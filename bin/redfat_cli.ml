@@ -169,7 +169,7 @@ let fuzz_cmd =
           ~doc:"Exec mode: workload name (e.g. bug:oob-write, spec:mcf), \
                 MiniC source (.mc) or RELF binary (.relf); repeatable — \
                 one campaign per target.  Parse mode: the parser to fuzz, \
-                relf or minic.")
+                relf, minic or x64 (the instruction decoder).")
   in
   let seeds_arg =
     Arg.(
@@ -204,9 +204,10 @@ let fuzz_cmd =
       & opt (enum [ ("exec", `Exec); ("parse", `Parse) ]) `Exec
       & info [ "mode" ]
           ~doc:"exec fuzzes hardened binaries (VM input scripts); parse \
-                fuzzes the relf/minic parsers with raw bytes (every \
-                malformed input must be rejected with a typed parse.* \
-                fault — anything else is a parser bug).")
+                fuzzes the relf/minic parsers or the x64 decoder with raw \
+                bytes (every malformed input must be rejected with a typed \
+                parse.* fault, decode.insn for x64 — anything else is a \
+                parser bug).")
   in
   let corpus_arg =
     Arg.(
@@ -245,13 +246,14 @@ let fuzz_cmd =
           match name with
           | "relf" -> Fuzz.Campaign.Relf_parser
           | "minic" -> Fuzz.Campaign.Minic_parser
+          | "x64" -> Fuzz.Campaign.X64_decoder
           | _ ->
             Fault.fail
               (Fault.Input
                  {
                    what = "target";
                    detail =
-                     "parse mode fuzzes a parser: relf or minic (got "
+                     "parse mode fuzzes a parser: relf, minic or x64 (got "
                      ^ name ^ ")";
                  })
         in
@@ -261,7 +263,8 @@ let fuzz_cmd =
             let mine (f, _) =
               match which with
               | Fuzz.Campaign.Minic_parser -> Filename.check_suffix f ".mc"
-              | Fuzz.Campaign.Relf_parser -> not (Filename.check_suffix f ".mc")
+              | Fuzz.Campaign.Relf_parser | Fuzz.Campaign.X64_decoder ->
+                not (Filename.check_suffix f ".mc")
             in
             (match List.filter mine files with
             | [] ->
@@ -280,7 +283,18 @@ let fuzz_cmd =
               let prog, _, _ = find_program "bug:oob-write" in
               [ Binfmt.Relf.serialize (Pl.compile eng prog); "" ]
             | Fuzz.Campaign.Minic_parser ->
-              [ "func main() { let x = input(); print(x); return 0; }"; "" ])
+              [ "func main() { let x = input(); print(x); return 0; }"; "" ]
+            | Fuzz.Campaign.X64_decoder ->
+              (* code and trampolines, so checks are decoded too *)
+              let prog, _, _ = find_program "bug:oob-write" in
+              let hard = Pl.harden eng (Pl.compile eng prog) in
+              List.filter_map
+                (fun name ->
+                  Option.map
+                    (fun (s : Binfmt.Relf.section) -> s.bytes)
+                    (Binfmt.Relf.find_section hard.Redfat.Rewrite.binary name))
+                [ ".text"; ".redfat" ]
+              @ [ "" ])
         in
         Fuzz.Campaign.run_parse eng ~config ~which ~seeds ()
       | `Exec ->

@@ -25,7 +25,7 @@ let () =
         | X64.Isa.Store (X64.Isa.W1, m, _) when m.idx <> None && m.disp = 0 ->
           Some (addr, instr)
         | _ -> None)
-      (X64.Disasm.sweep ~addr:text.addr text.bytes)
+      (Array.to_list (X64.Disasm.sweep_array ~addr:text.addr text.bytes))
   in
   let addr, instr = List.nth stores (List.length stores - 1) in
   Printf.printf "  %#x: %s    <- m_vc_index_array[speed-1] = 0\n" addr

@@ -14,8 +14,8 @@
     independently against the dominator tree).
 
     Check sites are not part of the instruction stream: the client
-    supplies a [gen] callback mapping an instruction index to the
-    facts its (planned or discovered) patch site establishes.  A fact
+    supplies a [gen] array mapping an instruction index to the facts
+    its (planned or discovered) patch site establishes.  A fact
     generated at index [i] holds before instruction [i] runs (the
     trampoline checks first, then executes the displaced instruction),
     so within the transfer gen precedes kill: [Load rax, (rax)]
@@ -128,12 +128,13 @@ let kills_key (defs : X64.Isa.reg list) (k : key) =
   let names r = function Some x -> Int.equal x r | None -> false in
   List.exists (fun r -> names r k.base || names r k.idx) defs
 
-let transfer_instr ~(gen : int -> (key * info) list) (index : int)
-    (instr : X64.Isa.instr) (f : fact) : fact =
-  match f with
-  | Top -> Top
-  | Facts fs ->
-    let fs = List.fold_left (fun acc (k, i) -> insert k i acc) fs (gen index) in
+let transfer_instr (gen : (key * info) list) (instr : X64.Isa.instr)
+    (f : fact) : fact =
+  match (f, gen) with
+  | Top, _ -> Top
+  | Facts [], [] -> f  (* the common case: nothing to gen or kill *)
+  | Facts fs, _ ->
+    let fs = List.fold_left (fun acc (k, i) -> insert k i acc) fs gen in
     let kill_all =
       (* a call into unknown code may free() the guarded object; of
          the known runtime entry points only the allocator pair
@@ -154,21 +155,26 @@ let transfer_instr ~(gen : int -> (key * info) list) (index : int)
          | [] -> fs
          | defs -> List.filter (fun (k, _) -> not (kills_key defs k)) fs)
 
+let step ~gen (g : Graph.t) (i : int) (f : fact) : fact =
+  let _, instr, _ = g.Graph.instrs.(i) in
+  transfer_instr gen.(i) instr f
+
 let block_transfer ~gen (g : Graph.t) (b : Graph.block) (inp : fact) : fact =
   let f = ref inp in
   for i = b.Graph.first to b.Graph.last do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    f := transfer_instr ~gen i instr !f
+    f := step ~gen g i !f
   done;
   !f
 
 type t = {
   graph : Graph.t;
-  gen : int -> (key * info) list;
+  gen : (key * info) list array;
   in_facts : fact array;
 }
 
-let solve (g : Graph.t) ~(gen : int -> (key * info) list) : t =
+let solve (g : Graph.t) ~(gen : (key * info) list array) : t =
+  if Array.length gen <> Array.length g.Graph.instrs then
+    invalid_arg "Avail.solve: one gen entry per instruction";
   let module P = struct
     type nonrec fact = fact
 
@@ -184,15 +190,42 @@ let solve (g : Graph.t) ~(gen : int -> (key * info) list) : t =
   let r = S.solve g in
   { graph = g; gen; in_facts = r.S.in_facts }
 
+let facts = function Top -> [] | Facts fs -> fs
+
 (** Facts available immediately before instruction [index] (before its
     own site's checks run: facts from the same index are excluded). *)
 let available_before (t : t) (index : int) : (key * info) list =
   let g = t.graph in
   let bid = Graph.block_of_instr g index in
-  let b = Graph.block g bid in
   let f = ref t.in_facts.(bid) in
-  for i = b.Graph.first to index - 1 do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    f := transfer_instr ~gen:t.gen i instr !f
+  for i = (Graph.block g bid).Graph.first to index - 1 do
+    f := step ~gen:t.gen g i !f
   done;
-  match !f with Top -> [] | Facts fs -> fs
+  facts !f
+
+(* The block walk: the fact before instruction [next] of block
+   [block], carried from one query to the next.  A query in the same
+   block at or after [next] steps only the instructions in between;
+   any other query restarts from its block's entry fact. *)
+type cursor = {
+  avail : t;
+  mutable block : int;
+  mutable next : int;
+  mutable fact : fact;
+}
+
+let cursor (t : t) = { avail = t; block = -1; next = 0; fact = Top }
+
+let available_at (c : cursor) (index : int) : (key * info) list =
+  let t = c.avail in
+  let bid = Graph.block_of_instr t.graph index in
+  if bid <> c.block || index < c.next then begin
+    c.block <- bid;
+    c.next <- (Graph.block t.graph bid).Graph.first;
+    c.fact <- t.in_facts.(bid)
+  end;
+  while c.next < index do
+    c.fact <- step ~gen:t.gen t.graph c.next c.fact;
+    c.next <- c.next + 1
+  done;
+  facts c.fact

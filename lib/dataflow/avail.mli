@@ -43,23 +43,33 @@ val covers : info -> variant:X64.Isa.variant -> lo:int -> hi:int -> bool
 
 val join : fact -> fact -> fact
 
-val transfer_instr :
-  gen:(int -> (key * info) list) ->
-  int ->
-  X64.Isa.instr ->
-  fact ->
-  fact
-(** One instruction: gen (the site's checks run first), then kill
-    (registers redefined; everything on a call). *)
+val transfer_instr : (key * info) list -> X64.Isa.instr -> fact -> fact
+(** One instruction: gen (the facts its own site's checks establish,
+    which run first), then kill (registers redefined; everything on a
+    call). *)
 
 type t
 
-val solve : Graph.t -> gen:(int -> (key * info) list) -> t
-(** [gen] maps an instruction index to the facts the (planned or
-    discovered) check site patched at that instruction establishes. *)
+val solve : Graph.t -> gen:(key * info) list array -> t
+(** [gen.(i)] holds the facts the (planned or discovered) check site
+    patched at instruction [i] establishes, [[]] where there is none;
+    one entry per instruction of the graph. *)
 
 val available_before : t -> int -> (key * info) list
 (** Facts available immediately before an instruction, excluding the
-    instruction's own site.  Empty for unreachable blocks. *)
+    instruction's own site.  Empty for unreachable blocks.  Replays
+    the block prefix on every call; {!available_at} walks it once. *)
+
+type cursor
+(** A walk over the blocks of a solved analysis, for queries that come
+    in increasing instruction order. *)
+
+val cursor : t -> cursor
+
+val available_at : cursor -> int -> (key * info) list
+(** [available_at c i] = [available_before t i].  Within a block a
+    query at or after the previous one steps only the instructions in
+    between, so a block's queries cost one walk of the block; any
+    other query restarts at its block's entry. *)
 
 val find : (key * info) list -> key -> info option

@@ -49,6 +49,12 @@ let invalidate (st : state) (r : X64.Isa.reg) =
     | _ -> ()
   done
 
+let rec invalidate_all st = function
+  | [] -> ()
+  | r :: rs ->
+    invalidate st r;
+    invalidate_all st rs
+
 let step (st : state) (instr : X64.Isa.instr) =
   match instr with
   | X64.Isa.Mov_rr (d, s) ->
@@ -60,18 +66,12 @@ let step (st : state) (instr : X64.Isa.instr) =
   | X64.Isa.Mov_ri (d, v) ->
     invalidate st d;
     st.konst.(d) <- Some v
-  | _ -> List.iter (invalidate st) (X64.Isa.defs instr)
+  | _ -> invalidate_all st (X64.Isa.defs instr)
 
-(** Canonical form of [m] as seen by instruction [index]. *)
-let operand (g : Graph.t) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
-  let b = Graph.block g (Graph.block_of_instr g index) in
-  let st = fresh () in
-  for i = b.Graph.first to index - 1 do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    step st instr
-  done;
-  (* constant-fold first (a register holding a known constant becomes
-     displacement), then rename what remains to canonical copies *)
+(* the canonical form of [m] under [st]: constant-fold first (a
+   register holding a known constant becomes displacement), then
+   rename what remains to canonical copies *)
+let canon_mem (st : state) (m : X64.Isa.mem) : X64.Isa.mem =
   let konst = function Some r -> st.konst.(r) | None -> None in
   let m =
     match konst m.X64.Isa.base with
@@ -98,3 +98,41 @@ let operand (g : Graph.t) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
   match m.X64.Isa.idx with
   | Some r -> { m with X64.Isa.idx = Some (canon_reg st r) }
   | None -> m
+
+(** Canonical form of [m] as seen by instruction [index]. *)
+let operand (g : Graph.t) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
+  let b = Graph.block g (Graph.block_of_instr g index) in
+  let st = fresh () in
+  for i = b.Graph.first to index - 1 do
+    let _, instr, _ = g.Graph.instrs.(i) in
+    step st instr
+  done;
+  canon_mem st m
+
+(* The block walk: the state before instruction [next] of block
+   [block], carried from one query to the next (see {!Avail.cursor},
+   which walks the same way). *)
+type cursor = {
+  graph : Graph.t;
+  st : state;
+  mutable block : int;
+  mutable next : int;
+}
+
+let cursor (g : Graph.t) = { graph = g; st = fresh (); block = -1; next = 0 }
+
+let operand_at (c : cursor) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
+  let g = c.graph in
+  let bid = Graph.block_of_instr g index in
+  if bid <> c.block || index < c.next then begin
+    c.block <- bid;
+    c.next <- (Graph.block g bid).Graph.first;
+    Array.fill c.st.copy 0 X64.Isa.num_regs None;
+    Array.fill c.st.konst 0 X64.Isa.num_regs None
+  end;
+  while c.next < index do
+    let _, instr, _ = g.Graph.instrs.(c.next) in
+    step c.st instr;
+    c.next <- c.next + 1
+  done;
+  canon_mem c.st m

@@ -32,4 +32,17 @@ val operand : Graph.t -> int -> X64.Isa.mem -> X64.Isa.mem
 (** [operand g index m]: the canonical form of [m] as seen by
     instruction [index].  Evaluates to the same address as [m] at that
     instruction, and at any earlier point of the block after which the
-    canonical registers are not redefined. *)
+    canonical registers are not redefined.  Replays the block prefix on
+    every call; {!operand_at} walks it once. *)
+
+type cursor
+(** A walk over the graph's blocks, for operand queries that come in
+    increasing instruction order. *)
+
+val cursor : Graph.t -> cursor
+
+val operand_at : cursor -> int -> X64.Isa.mem -> X64.Isa.mem
+(** [operand_at c index m] = [operand g index m].  Within a block a
+    query at or after the previous one steps only the instructions in
+    between, so a block's queries cost one walk of the block; any
+    other query restarts at its block's first instruction. *)

@@ -188,7 +188,7 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   { instrs; base; index_of; leader; roots; blocks; block_of; rpo; rpo_index }
 
 let recover ~entry code =
-  of_instrs ~entry (Array.of_list (X64.Disasm.sweep ~addr:entry code))
+  of_instrs ~entry (X64.Disasm.sweep_array ~addr:entry code)
 
 let num_blocks t = Array.length t.blocks
 let block t b = t.blocks.(b)

@@ -43,7 +43,7 @@ val of_instrs : entry:int -> (int * X64.Isa.instr * int) array -> t
     and every code-pointer constant; the constants' blocks are roots.
 
     Precondition: the stream comes from one blob, as
-    {!X64.Disasm.sweep} produces it.  The address index is one [int]
+    {!X64.Disasm.sweep_array} produces it.  The address index is one [int]
     per byte of the stream's address span (lowest address to the end
     of the highest instruction), so instructions scattered far apart
     would make it as large as the gap. *)

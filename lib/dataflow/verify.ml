@@ -63,6 +63,8 @@ type report = {
 
 let ok (r : report) = r.failures = []
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* one trampoline unit: [checks] [displaced instruction(s)] [jmp back] *)
 type tunit = {
   u_tramp : int;                   (* trampoline address of the unit *)
@@ -73,7 +75,7 @@ type tunit = {
 }
 
 let parse_units ~(rf_addr : int) ~(rf_len : int)
-    (instrs : (int * X64.Isa.instr * int) list) :
+    (instrs : (int * X64.Isa.instr * int) array) :
     tunit list * failure list =
   let in_tramp a = a >= rf_addr && a < rf_addr + rf_len in
   let units = ref [] and errs = ref [] and cur = ref [] in
@@ -107,7 +109,7 @@ let parse_units ~(rf_addr : int) ~(rf_len : int)
           :: !units
       end
   in
-  List.iter
+  Array.iter
     (fun (a, i, l) ->
       match i with
       | X64.Isa.Jmp t when not (in_tramp t) ->
@@ -146,7 +148,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       let failures = ref [] in
       let fail a m = failures := { f_addr = a; f_reason = m } :: !failures in
       (* 1. decode the trampoline section into units *)
-      let tinstrs = X64.Disasm.sweep ~addr:rf.addr rf.bytes in
+      let tinstrs = X64.Disasm.sweep_array ~addr:rf.addr rf.bytes in
       let units, uerrs =
         parse_units ~rf_addr:rf.addr ~rf_len:(String.length rf.bytes) tinstrs
       in
@@ -176,8 +178,8 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       (* 2. validate each patch entry and restore the original text *)
       let tlen = String.length text.bytes in
       let buf = Bytes.of_string text.bytes in
-      let traps_tbl = Hashtbl.create 16 in
-      List.iter (fun (a, t) -> Hashtbl.replace traps_tbl a t) traps;
+      let traps_tbl = Int_tbl.create 16 in
+      List.iter (fun (a, t) -> Int_tbl.replace traps_tbl a t) traps;
       let units =
         List.filter
           (fun u ->
@@ -188,7 +190,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
               false
             end
             else begin
-              (match Hashtbl.find_opt traps_tbl u.u_patch with
+              (match Int_tbl.find_opt traps_tbl u.u_patch with
               | Some t ->
                 if t <> u.u_tramp then
                   fail u.u_patch "trap table disagrees with trampoline unit";
@@ -223,14 +225,15 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       in
       (* 3. re-derive the program structure the rewriter saw *)
       let instrs =
-        Array.of_list
-          (X64.Disasm.sweep ~addr:text.addr (Bytes.to_string buf))
+        X64.Disasm.sweep_array ~addr:text.addr (Bytes.to_string buf)
       in
       let graph = Graph.of_instrs ~entry:text.addr instrs in
       let dom = Dom.compute graph in
-      (* checks discovered in trampolines, as availability gen facts *)
-      let gen_tbl = Hashtbl.create 64 in
-      let displaced_at = Hashtbl.create 64 in
+      (* per instruction index: the checks discovered in trampolines,
+         as availability gen facts, and the unit displacing it *)
+      let n = Array.length instrs in
+      let gen = Array.make n [] in
+      let displaced_at = Array.make n None in
       List.iter
         (fun u ->
           match Graph.index_at graph u.u_patch with
@@ -238,7 +241,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
             fail u.u_patch
               "patch address is not an instruction boundary after restoration"
           | Some i0 ->
-            Hashtbl.replace gen_tbl i0
+            gen.(i0) <-
               (List.map
                  (fun (ck : X64.Isa.check) ->
                    ( Avail.key_of_mem ck.ck_mem,
@@ -253,19 +256,36 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
             ignore
               (List.fold_left
                  (fun a i ->
-                   Hashtbl.replace displaced_at a u;
+                   (match Graph.index_at graph a with
+                   | Some k -> displaced_at.(k) <- Some u
+                   | None -> ());
                    a + X64.Encode.length i)
                  u.u_patch u.u_displaced))
         units;
-      let gen i = Option.value (Hashtbl.find_opt gen_tbl i) ~default:[] in
       let avail = Avail.solve graph ~gen in
       (* the loop forest, for re-deriving recorded hoist hulls; lazy
          so binaries without hoist records pay nothing *)
       let loops = lazy (Loops.analyze graph dom) in
-      let elims = Hashtbl.create 16 in
-      List.iter (fun (a, r) -> Hashtbl.replace elims a r) etab.entries;
-      let allowed = Hashtbl.create 16 in
-      List.iter (fun a -> Hashtbl.replace allowed a ()) allow;
+      (* records and allow-list by instruction index: an address where
+         no instruction starts names no operand *)
+      let elims = Array.make n None in
+      List.iter
+        (fun (a, r) ->
+          match Graph.index_at graph a with
+          | Some k -> elims.(k) <- Some r
+          | None -> ())
+        etab.entries;
+      let allowed = Array.make n false in
+      List.iter
+        (fun a ->
+          match Graph.index_at graph a with
+          | Some k -> allowed.(k) <- true
+          | None -> ())
+        allow;
+      (* the per-operand walks below visit indices in increasing
+         order, so each block is stepped once *)
+      let canon = Canon.cursor graph in
+      let avail_at = Avail.cursor avail in
       (* 4. the proof obligation, per memory operand *)
       let site_addr idx =
         let a, _, _ = instrs.(idx) in
@@ -294,9 +314,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
           if j < first then None
           else
             let _, instr, _ = instrs.(j) in
-            let after =
-              Avail.transfer_instr ~gen:(fun _ -> []) j instr probe
-            in
+            let after = Avail.transfer_instr [] instr probe in
             if not (Avail.equal_fact after probe) then None
             else if
               List.exists
@@ -304,7 +322,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                   Avail.equal_key k key
                   && i.lo <= m.disp
                   && i.hi >= m.disp + bytes)
-                (gen j)
+                gen.(j)
             then Some (site_addr j)
             else back (j - 1)
         in
@@ -312,7 +330,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       in
       let covered_by idx (m : X64.Isa.mem) ~bytes =
         let key = Avail.key_of_mem m in
-        match Avail.find (Avail.available_before avail idx) key with
+        match Avail.find (Avail.available_at avail_at idx) key with
         | Some info
           when info.Avail.lo <= m.disp
                && info.hi >= m.disp + bytes
@@ -364,7 +382,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
           else
             match
               Avail.find
-                (Avail.available_before avail idx)
+                (Avail.available_at avail_at idx)
                 (Avail.key_of_mem d.Loops.h_mem)
             with
             | Some info
@@ -388,12 +406,12 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
             (* the rewriter collected this operand in canonical form
                (copies renamed, constants folded — {!Canon}); the
                proof obligation must examine the same form *)
-            let m = Canon.operand graph idx m in
+            let m = Canon.operand_at canon idx m in
             let bytes = X64.Isa.width_bytes w in
             let wanted = if write then etab.writes else etab.reads in
             if not wanted then incr policy_skipped
             else
-              match Hashtbl.find_opt elims a with
+              match elims.(idx) with
               | Some (Elimtab.Hoist (s, rl, rh)) ->
                 (* a hoist record is always audited in full — being
                    incidentally covered by some other check would not
@@ -401,7 +419,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                 audit_hoist a idx m ~bytes s rl rh
               | record -> (
                 let in_unit =
-                  match Hashtbl.find_opt displaced_at a with
+                  match displaced_at.(idx) with
                   | Some u when unit_checks_cover u m ~bytes -> true
                   | _ -> false
                 in
@@ -430,7 +448,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                     | Some Elimtab.Skip -> incr degraded
                     | Some (Elimtab.Hoist _) -> assert false (* handled above *)
                     | None ->
-                      if Hashtbl.mem allowed a then incr allowlisted
+                      if allowed.(idx) then incr allowlisted
                       else fail a "unaccounted memory access"))))
         instrs;
       Ok

@@ -352,18 +352,68 @@ let run_profile (eng : Pl.t) ?(config = default_config) ~target
 
 (* --- parser campaigns ------------------------------------------------ *)
 
-type parser_target = Relf_parser | Minic_parser
+type parser_target = Relf_parser | Minic_parser | X64_decoder
 
-let parser_name = function Relf_parser -> "relf" | Minic_parser -> "minic"
+let parser_name = function
+  | Relf_parser -> "relf"
+  | Minic_parser -> "minic"
+  | X64_decoder -> "x64"
 
-(* One parse attempt as an exec_result: "coverage" is the outcome
-   signature (which typed rejection, or a success shape), so the
-   corpus keeps one representative input per distinct outcome. *)
-let parse_once (which : parser_target) (bytes : string) : exec_result =
+(* where the x64 target loads its bytes: the code base of a RELF text *)
+let x64_base = Lowfat.Layout.code_base
+
+(* The x64 target sweeps the bytes as one code blob.  A clean sweep's
+   coverage is the set of opcodes it decoded; a failed sweep's is only
+   its outcome (the failing opcode, and whether the bytes ran out), as
+   the sweep returns nothing before the first bad instruction.  So the
+   corpus keeps an input per new instruction kind among clean inputs
+   and per new way of failing. *)
+let sweep_once (bytes : string) : exec_result =
+  let ops = Hashtbl.create 16 in
   let crash =
-    match which with
-    | Relf_parser -> (
-      match Binfmt.Relf.load bytes with
+    match X64.Disasm.sweep_array ~addr:x64_base bytes with
+    | instrs ->
+      Array.iter
+        (fun (a, _, _) ->
+          Hashtbl.replace ops
+            (Hashtbl.hash ("op", bytes.[a - x64_base]))
+            ())
+        instrs;
+      None
+    | exception (X64.Decode.Decode_error { addr; byte } as exn) ->
+      let off = addr - x64_base in
+      let op = if off >= 0 && off < String.length bytes then bytes.[off] else ' ' in
+      Hashtbl.replace ops (Hashtbl.hash ("outcome", op, byte < 0)) ();
+      Some
+        { Oracle.c_code = Engine.Fault.(code (of_exn exn)); c_site = 0;
+          c_detail =
+            (if byte < 0 then Printf.sprintf "truncated instruction at %#x" addr
+             else Printf.sprintf "undecodable byte %#x at %#x" byte addr) }
+    | exception e ->
+      Some
+        { Oracle.c_code = "run.fault"; c_site = 0;
+          c_detail = "parser crash: " ^ Printexc.to_string e }
+  in
+  { x_edges = sorted_keys ops; x_sites = []; x_crash = crash; x_cycles = 0 }
+
+(* One parse attempt as an exec_result: for the two document parsers
+   "coverage" is the outcome signature (which typed rejection, or a
+   success shape), so the corpus keeps one representative input per
+   distinct outcome. *)
+let parse_once (which : parser_target) (bytes : string) : exec_result =
+  let outcome (crash : Oracle.crash option) =
+    let signature =
+      match crash with
+      | Some c -> Hashtbl.hash ("outcome", c.c_code, c.c_site)
+      | None -> Hashtbl.hash ("ok", String.length bytes / 8)
+    in
+    { x_edges = [ signature ]; x_sites = []; x_crash = crash; x_cycles = 0 }
+  in
+  match which with
+  | X64_decoder -> sweep_once bytes
+  | Relf_parser ->
+    outcome
+      (match Binfmt.Relf.load bytes with
       | (_ : Binfmt.Relf.t) -> None
       | exception (Binfmt.Reader.Error e as exn) ->
         Some
@@ -374,8 +424,9 @@ let parse_once (which : parser_target) (bytes : string) : exec_result =
         Some
           { Oracle.c_code = "run.fault"; c_site = 0;
             c_detail = "parser crash: " ^ Printexc.to_string e })
-    | Minic_parser -> (
-      match Minic.Parser.parse_program bytes with
+  | Minic_parser ->
+    outcome
+      (match Minic.Parser.parse_program bytes with
       | (_ : Minic.Ast.program) -> None
       | exception Minic.Parser.Parse_error (msg, pos) ->
         Some
@@ -389,13 +440,6 @@ let parse_once (which : parser_target) (bytes : string) : exec_result =
         Some
           { Oracle.c_code = "run.fault"; c_site = 0;
             c_detail = "parser crash: " ^ Printexc.to_string e })
-  in
-  let signature =
-    match crash with
-    | Some c -> Hashtbl.hash ("outcome", c.c_code, c.c_site)
-    | None -> Hashtbl.hash ("ok", String.length bytes / 8)
-  in
-  { x_edges = [ signature ]; x_sites = []; x_crash = crash; x_cycles = 0 }
 
 (** Fuzz a parser: inputs are raw bytes, the oracle is the typed fault
     contract — every malformed input must be rejected with a [parse.*]

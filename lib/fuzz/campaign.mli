@@ -84,14 +84,15 @@ val run_profile :
     coverage.  Returns the report (mode ["profile"]) and the kept
     corpus, oldest first, as a [test_suite] for {!Redfat.profile}. *)
 
-type parser_target = Relf_parser | Minic_parser
+type parser_target = Relf_parser | Minic_parser | X64_decoder
 
 val parser_name : parser_target -> string
 
 val parse_once : parser_target -> string -> exec_result
-(** One parse attempt; the crash is a typed [parse.*] rejection, or
-    [run.fault] when the parser escapes with anything else (a genuine
-    parser bug). *)
+(** One parse attempt; the crash is a typed rejection — [parse.*] for
+    the RELF and MiniC parsers, [decode.insn] for the x64 decoder,
+    which sweeps the bytes as one code blob — or [run.fault] when the
+    parser escapes with anything else (a genuine parser bug). *)
 
 val run_parse :
   Engine.Pipeline.t ->

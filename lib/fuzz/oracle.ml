@@ -17,7 +17,8 @@
       genuine parser bug (parsers must reject with typed [parse.*]
       faults, never crash).
     - [parse.*] codes (parser campaigns) are typed rejections: each
-      distinct code is one robustness class reached. *)
+      distinct code is one robustness class reached; [decode.insn] is
+      the x64 decoder's one typed rejection. *)
 
 type crash = {
   c_code : string;   (** stable oracle code *)
@@ -68,6 +69,7 @@ let bug_class code =
   | "run.timeout" -> "hang / livelock (CWE-835)"
   | "run.fault" -> "unclassified crash"
   | _ when has_prefix "parse." -> "malformed input rejected (typed parse fault)"
+  | "decode.insn" -> "malformed code rejected (typed decode fault)"
   | _ -> "unclassified"
 
 (** Is the code a backend detection (as opposed to a hang, an

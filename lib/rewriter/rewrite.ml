@@ -231,21 +231,41 @@ let make_batches (g : Dataflow.Graph.t) (opts : options)
 
 (* --- merging -------------------------------------------------------- *)
 
-let operand_key (m : X64.Isa.mem) = (m.seg, m.base, m.idx, m.scale)
+let variant_slot = function
+  | X64.Isa.Full -> 0
+  | X64.Isa.Redzone -> 1
+  | X64.Isa.Temporal -> 2
+
+(* A group key: an int tag (the variant's slot when merging, the
+   preheader index when hoisting) and an operand's address expression
+   (displacement dropped). *)
+module Group_tbl = Hashtbl.Make (struct
+  type t = int * Dataflow.Avail.key
+
+  let equal ((t, k) : t) ((t', k') : t) =
+    Int.equal t t' && Dataflow.Avail.equal_key k k'
+
+  let hash ((t, k) : t) =
+    let reg = function None -> 0 | Some r -> r + 1 in
+    ((((((t * 31) + k.seg) * 31) + reg k.base) * 31) + reg k.idx) * 31
+    + k.scale
+end)
 
 (* One value per key, joined in order of appearance; keys listed in
    order of first appearance. *)
-let group_by (join : 'g -> 'g -> 'g) (items : ('k * 'g) list) : 'g list =
-  let table = Hashtbl.create 8 and order = ref [] in
+let group_by (join : 'g -> 'g -> 'g) (items : (Group_tbl.key * 'g) list) :
+    'g list =
+  let table = Group_tbl.create 8 and order = ref [] in
   List.iter
     (fun (k, v) ->
-      match Hashtbl.find_opt table k with
+      match Group_tbl.find_opt table k with
       | None ->
-        Hashtbl.add table k (ref v);
-        order := k :: !order
+        let r = ref v in
+        Group_tbl.add table k r;
+        order := r :: !order
       | Some r -> r := join !r v)
     items;
-  List.rev_map (fun k -> !(Hashtbl.find table k)) !order
+  List.rev_map ( ! ) !order
 
 (* [g] widened to cover [g'] too: the hull of both ranges, a write if
    either is, Full if either is (Full covers Redzone), both member
@@ -282,7 +302,11 @@ let make_groups (opts : options) ~(variant_of : member -> X64.Isa.variant)
   if not opts.merge then groups
   else
     group_by widen
-      (List.map (fun g -> ((g.Blueprint.bg_variant, operand_key g.bg_mem), g))
+      (List.map
+         (fun g ->
+           ( ( variant_slot g.Blueprint.bg_variant,
+               Dataflow.Avail.key_of_mem g.bg_mem ),
+             g ))
          groups)
 
 (* --- planning: the address-independent blueprint --------------------- *)
@@ -333,6 +357,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
   let records = ref [] (* (instr index, reason), newest first *) in
   let members = ref [] in
   sp "rw.collect" (fun () ->
+  let canon = Dataflow.Canon.cursor g in
   for i = 0 to n - 1 do
     let addr, instr, _len = g.instrs.(i) in
     match X64.Isa.mem_operand instr with
@@ -349,7 +374,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
            registers, so without this the merge keys and availability
            facts of one logical address never coincide.  The linter
            canonicalizes identically (same shared pass). *)
-        let m = Dataflow.Canon.operand g i m in
+        let m = Dataflow.Canon.operand_at canon i m in
         let bytes = X64.Isa.width_bytes w in
         if opts.elim && Analysis.eliminable m ~len:bytes then
           records := (i, Dataflow.Elimtab.Clear) :: !records
@@ -357,13 +382,20 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
       end
   done);
   let members = List.rev !members in
+  (* the allow-list by instruction index: a site where no instruction
+     starts names no member *)
   let allow =
     match opts.allowlist with
     | None -> None
     | Some sites ->
-      let h = Hashtbl.create (List.length sites) in
-      List.iter (fun s -> Hashtbl.replace h s ()) sites;
-      Some h
+      let a = Array.make n false in
+      List.iter
+        (fun s ->
+          match Dataflow.Graph.index_at g s with
+          | Some i -> a.(i) <- true
+          | None -> ())
+        sites;
+      Some a
   in
   (* the backend makes the per-site instrumentation decision and owns
      the degradation fallback *)
@@ -372,7 +404,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
       ~allowlisted:
         (match allow with
         | None -> None
-        | Some h -> Some (Hashtbl.mem h m.addr))
+        | Some a -> Some a.(m.mi))
   in
   (* 1.5 loop hoisting: a member inside a counted loop whose iteration
      access hull is derivable — and whose backend agrees to widen the
@@ -409,7 +441,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
                      variants join to Full, so a key never carries two
                      competing hoisted checks *)
                   Either.Right
-                    ( (h.h_index, operand_key h.h_mem),
+                    ( (h.h_index, Dataflow.Avail.key_of_mem h.h_mem),
                       ( {
                           Blueprint.bg_variant = wv;
                           bg_mem = h.h_mem;
@@ -487,10 +519,10 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
     if not global_elim then plans
     else begin
       let dom = Dataflow.Dom.compute g in
-      let gen_tbl = Hashtbl.create 64 in
+      let gen = Array.make n [] in
       List.iter
         (fun (i, groups) ->
-          Hashtbl.replace gen_tbl i
+          gen.(i) <-
             (List.map
                (fun ((bg : Blueprint.bgroup), _) ->
                  ( Dataflow.Avail.key_of_mem bg.bg_mem,
@@ -502,11 +534,12 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
                    } ))
                groups))
         plans;
-      let gen i = Option.value (Hashtbl.find_opt gen_tbl i) ~default:[] in
       let avail = Dataflow.Avail.solve g ~gen in
+      (* plans come in increasing index order: one walk per block *)
+      let avail_at = Dataflow.Avail.cursor avail in
       List.map
         (fun (i, groups) ->
-          let facts = Dataflow.Avail.available_before avail i in
+          let facts = Dataflow.Avail.available_at avail_at i in
           ( i,
             List.filter
               (fun ((bg : Blueprint.bgroup), cover) ->
@@ -582,11 +615,6 @@ type outcome =
   | Emitted of { degraded : bool; checks : X64.Isa.check list }
   | Skipped
 
-let variant_slot = function
-  | X64.Isa.Full -> 0
-  | X64.Isa.Redzone -> 1
-  | X64.Isa.Temporal -> 2
-
 (** [rewrite ?tramp_base opts binary]: instrument [binary].
     [tramp_base] places the trampoline section (distinct modules of one
     process need distinct trampoline areas, still within rel32 reach of
@@ -612,7 +640,7 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
   in
   let text = Binfmt.Relf.text_exn binary in
   let instrs = sp "rw.recover" @@ fun () ->
-    Array.of_list (X64.Disasm.sweep ~addr:text.addr text.bytes)
+    X64.Disasm.sweep_array ~addr:text.addr text.bytes
   in
   let n = Array.length instrs in
   let text_end = text.addr + String.length text.bytes in

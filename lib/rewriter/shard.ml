@@ -30,7 +30,7 @@ let covers (text : Binfmt.Relf.section) fns =
 
 let slices (b : Binfmt.Relf.t) : slice list =
   let text = Binfmt.Relf.text_exn b in
-  let instrs = Array.of_list (X64.Disasm.sweep ~addr:text.addr text.bytes) in
+  let instrs = X64.Disasm.sweep_array ~addr:text.addr text.bytes in
   match Dataflow.Funs.partition ~text_addr:text.addr instrs with
   | Some fns when covers text fns ->
     List.map (fun (f : Dataflow.Funs.fn) -> slice_of text f.f_addr f.f_len) fns
@@ -52,26 +52,34 @@ let part_section (p : Rewrite.t) name =
   | Some s -> s.Binfmt.Relf.bytes
   | None -> ""
 
+(* Each part's [.elimtab] is a policy line, then its entries sorted by
+   address; the entries lie inside the part's slice and the slices come
+   in address order, so the monolithic table is the first part's policy
+   line followed by every part's entry lines in slice order.  The policy
+   line depends only on the options and the backend, so every part must
+   carry the same one. *)
 let merge_elimtabs (parts : Rewrite.t list) : string =
-  let tabs =
-    List.map
-      (fun p ->
-        Dataflow.Elimtab.parse (part_section p Dataflow.Elimtab.section_name))
-      parts
+  let split p =
+    let s = part_section p Dataflow.Elimtab.section_name in
+    let eol =
+      match String.index_opt s '\n' with
+      | Some i -> i + 1
+      | None -> String.length s
+    in
+    (String.sub s 0 eol, s, eol)
   in
-  match tabs with
+  match List.map split parts with
   | [] -> invalid_arg "Shard.rewrite: no slices"
-  | first :: _ ->
-    (* each part sorted its own entries; the monolithic table is the
-       sort of their union, and the policy line is uniform across
-       parts (same options, same backend) *)
-    Dataflow.Elimtab.render
-      {
-        first with
-        Dataflow.Elimtab.entries =
-          List.sort compare
-            (List.concat_map (fun t -> t.Dataflow.Elimtab.entries) tabs);
-      }
+  | (policy, _, _) :: _ as tabs ->
+    let b = Buffer.create 4096 in
+    Buffer.add_string b policy;
+    List.iter
+      (fun (line, s, eol) ->
+        if not (String.equal line policy) then
+          invalid_arg "Shard.rewrite: parts disagree on the .elimtab policy";
+        Buffer.add_substring b s eol (String.length s - eol))
+      tabs;
+    Buffer.contents b
 
 let add_stats (a : Rewrite.stats) (b : Rewrite.stats) : Rewrite.stats =
   {

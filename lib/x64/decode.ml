@@ -1,32 +1,44 @@
-(** Binary decoder for x64l; the exact inverse of {!Encode}. *)
+(** Binary decoder for x64l; the exact inverse of {!Encode}.
+
+    One call decodes one instruction with no cursor record and no
+    closures: every field is read at an explicit offset from the
+    instruction's first byte, and the opcode is matched as a literal
+    byte.  The literals are checked against {!Encode}'s opcode
+    constants when the module is loaded.  Fields are read, and
+    validated, in encoding order, so the first bad or missing byte is
+    the one reported. *)
 
 exception Decode_error of { addr : int; byte : int }
 
-type cursor = { buf : string; mutable pos : int }
+(* a field runs past the end of the buffer: reported at the
+   instruction's address, with no byte to show *)
+let truncated addr = raise (Decode_error { addr; byte = -1 })
 
-let u8 c =
-  if c.pos >= String.length c.buf then
-    raise (Decode_error { addr = c.pos; byte = -1 });
-  let v = Char.code c.buf.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
+(* byte [p] of [buf]; [p >= 0] holds because [decode] checks [off] *)
+let u8 buf p addr =
+  if p < String.length buf then Char.code (String.unsafe_get buf p)
+  else truncated addr
 
-let i8 c =
-  let v = u8 c in
+let i8 buf p addr =
+  let v = u8 buf p addr in
   if v > 127 then v - 256 else v
 
-let i32 c =
-  let b0 = u8 c and b1 = u8 c and b2 = u8 c and b3 = u8 c in
-  let v = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
-  if v > 0x7fff_ffff then v - (1 lsl 32) else v
+let i32 buf p addr =
+  if p + 4 > String.length buf then truncated addr
+  else
+    let v =
+      Char.code (String.unsafe_get buf p)
+      lor (Char.code (String.unsafe_get buf (p + 1)) lsl 8)
+      lor (Char.code (String.unsafe_get buf (p + 2)) lsl 16)
+      lor (Char.code (String.unsafe_get buf (p + 3)) lsl 24)
+    in
+    if v > 0x7fff_ffff then v - (1 lsl 32) else v
 
-let i64 c =
-  let lo = Int64.of_int (i32 c) in
-  let hi = Int64.of_int (i32 c) in
-  Int64.to_int
-    (Int64.logor
-       (Int64.logand lo 0xffff_ffffL)
-       (Int64.shift_left hi 32))
+(* two little-endian halves; the high bit of the 64-bit value is lost,
+   as [Int64.to_int] loses it *)
+let i64 buf p addr =
+  if p + 8 > String.length buf then truncated addr
+  else (i32 buf p addr land 0xffff_ffff) lor (i32 buf (p + 4) addr lsl 32)
 
 let alu_of = function
   | 0 -> Isa.Add | 1 -> Isa.Sub | 2 -> Isa.And | 3 -> Isa.Or | _ -> Isa.Xor
@@ -44,145 +56,173 @@ let rtfn_of addr = function
 
 let width_of = function 0 -> Isa.W1 | 1 -> Isa.W2 | 2 -> Isa.W4 | _ -> Isa.W8
 
-(* full-byte register fields must name a real register *)
-let reg_checked addr b =
+(* a full-byte register field must name a real register *)
+let reg buf p addr =
+  let b = u8 buf p addr in
   if b < Isa.num_regs then b else raise (Decode_error { addr; byte = b })
 
-let get_mem c : Isa.mem =
-  let flags = u8 c in
-  let has_base = flags land 1 <> 0 in
-  let has_idx = flags land 2 <> 0 in
-  let scale = 1 lsl ((flags lsr 2) land 3) in
-  let disp_code = (flags lsr 4) land 3 in
-  let has_seg = flags land 0x40 <> 0 in
-  let base, idx =
-    if has_base || has_idx then begin
-      let rb = u8 c in
-      ( (if has_base then Some (rb lsr 4) else None),
-        if has_idx then Some (rb land 0xf) else None )
-    end
-    else (None, None)
+(* A memory operand at [p]: a flags byte, then a packed base/index
+   byte, a segment byte and 0, 1 or 4 displacement bytes, each only
+   when the flags call for it. *)
+let mem_len flags =
+  1
+  + (if flags land 3 <> 0 then 1 else 0)
+  + (if flags land 0x40 <> 0 then 1 else 0)
+  + match (flags lsr 4) land 3 with 0 -> 0 | 1 -> 1 | _ -> 4
+
+let mem buf p addr : Isa.mem =
+  let flags = u8 buf p addr in
+  let has_base = flags land 1 <> 0 and has_idx = flags land 2 <> 0 in
+  let rb = if has_base || has_idx then u8 buf (p + 1) addr else 0 in
+  let q = if has_base || has_idx then p + 2 else p + 1 in
+  let seg = if flags land 0x40 <> 0 then u8 buf q addr else 0 in
+  let q = if flags land 0x40 <> 0 then q + 1 else q in
+  let disp =
+    match (flags lsr 4) land 3 with
+    | 0 -> 0
+    | 1 -> i8 buf q addr
+    | _ -> i32 buf q addr
   in
-  let seg = if has_seg then u8 c else 0 in
-  let disp = match disp_code with 0 -> 0 | 1 -> i8 c | _ -> i32 c in
-  { Isa.seg; disp; base; idx; scale }
+  {
+    Isa.seg;
+    disp;
+    base = (if has_base then Some (rb lsr 4) else None);
+    idx = (if has_idx then Some (rb land 0xf) else None);
+    scale = 1 lsl ((flags lsr 2) land 3);
+  }
+
+(* the flags byte of the operand at [p], once [mem] has read it *)
+let mem_bytes buf p = mem_len (Char.code (String.unsafe_get buf p))
 
 (** [decode ~addr buf off] decodes one instruction whose first byte is
     [buf.[off]] and whose virtual address is [addr].  Returns the
     instruction and its encoded length. *)
 let decode ~(addr : int) (buf : string) (off : int) : Isa.instr * int =
-  let c = { buf; pos = off } in
-  let op = u8 c in
-  let regpair () =
-    let b = u8 c in
-    (b lsr 4, b land 0xf)
-  in
-  let rel32 pre_len =
-    (* instruction length = 1 + pre_len + 4 *)
-    let _ = pre_len in
-    let r = i32 c in
-    addr + (c.pos - off) + r
-  in
-  let i : Isa.instr =
-    if op >= Encode.op_push && op < Encode.op_push + 16 then
-      Push (op - Encode.op_push)
-    else if op >= Encode.op_pop && op < Encode.op_pop + 16 then
-      Pop (op - Encode.op_pop)
-    else if op >= Encode.op_alu_rr && op < Encode.op_alu_rr + 5 then begin
-      let d, s = regpair () in
-      Alu_rr (alu_of (op - Encode.op_alu_rr), d, s)
-    end
-    else if op >= Encode.op_alu_ri && op < Encode.op_alu_ri + 5 then begin
-      let d = reg_checked addr (u8 c) in
-      let v = i32 c in
-      Alu_ri (alu_of (op - Encode.op_alu_ri), d, v)
-    end
-    else if op >= Encode.op_shift_ri && op < Encode.op_shift_ri + 3 then begin
-      let r = reg_checked addr (u8 c) in
-      let n = u8 c in
-      if n > 63 then raise (Decode_error { addr; byte = n });
-      Shift_ri (shift_of (op - Encode.op_shift_ri), r, n)
-    end
-    else
-      match op with
-      | o when o = Encode.op_mov_rr ->
-        let d, s = regpair () in
-        Mov_rr (d, s)
-      | o when o = Encode.op_mov_ri32 ->
-        let d = reg_checked addr (u8 c) in
-        Mov_ri (d, i32 c)
-      | o when o = Encode.op_mov_ri64 ->
-        let d = reg_checked addr (u8 c) in
-        Mov_ri (d, i64 c)
-      | o when o = Encode.op_load ->
-        let w, r = regpair () in
-        Load (width_of w, r, get_mem c)
-      | o when o = Encode.op_store ->
-        let w, r = regpair () in
-        let m = get_mem c in
-        Store (width_of w, m, r)
-      | o when o = Encode.op_store_i ->
-        let w, _ = regpair () in
-        let m = get_mem c in
-        Store_i (width_of w, m, i32 c)
-      | o when o = Encode.op_lea ->
-        let d = reg_checked addr (u8 c) in
-        Lea (d, get_mem c)
-      | o when o = Encode.op_mul_rr ->
-        let d, s = regpair () in
-        Mul_rr (d, s)
-      | o when o = Encode.op_div_rr ->
-        let d, s = regpair () in
-        Div_rr (d, s)
-      | o when o = Encode.op_rem_rr ->
-        let d, s = regpair () in
-        Rem_rr (d, s)
-      | o when o = Encode.op_neg -> Neg (reg_checked addr (u8 c))
-      | o when o = Encode.op_not -> Not (reg_checked addr (u8 c))
-      | o when o = Encode.op_cmp_rr ->
-        let a, b = regpair () in
-        Cmp_rr (a, b)
-      | o when o = Encode.op_cmp_ri ->
-        let a = reg_checked addr (u8 c) in
-        Cmp_ri (a, i32 c)
-      | o when o = Encode.op_test_rr ->
-        let a, b = regpair () in
-        Test_rr (a, b)
-      | o when o = Encode.op_setcc ->
-        let cc, r = regpair () in
-        Setcc (cc_of cc, r)
-      | o when o = Encode.op_jmp -> Jmp (rel32 0)
-      | o when o = Encode.op_jcc ->
-        let cc = cc_of (u8 c) in
-        Jcc (cc, rel32 1)
-      | o when o = Encode.op_call -> Call (rel32 0)
-      | o when o = Encode.op_call_ind -> Call_ind (reg_checked addr (u8 c))
-      | o when o = Encode.op_jmp_ind -> Jmp_ind (reg_checked addr (u8 c))
-      | o when o = Encode.op_ret -> Ret
-      | o when o = Encode.op_callrt -> Callrt (rtfn_of addr (u8 c))
-      | o when o = Encode.op_nop -> Nop 1
-      | o when o = Encode.op_hlt -> Hlt
-      | o when o = Encode.op_trap -> Trap
-      | o when o = Encode.op_probe -> Probe (i32 c)
-      | o when o = Encode.op_check ->
-        let flags = u8 c in
-        let nsaves = u8 c in
-        let m = get_mem c in
-        let lo = i32 c in
-        let hi = i32 c in
-        let site = i32 c in
-        Check
-          { ck_variant =
-              (if flags land 1 <> 0 then Isa.Full
-               else if flags land 8 <> 0 then Isa.Temporal
-               else Isa.Redzone);
-            ck_mem = m;
-            ck_lo = lo;
-            ck_hi = hi;
-            ck_write = flags land 2 <> 0;
-            ck_site = site;
-            ck_nsaves = nsaves;
-            ck_save_flags = flags land 4 <> 0 }
-      | b -> raise (Decode_error { addr; byte = b })
-  in
-  (i, c.pos - off)
+  if off < 0 then invalid_arg "index out of bounds";
+  let op = u8 buf off addr in
+  let p = off + 1 in
+  match Char.unsafe_chr op with
+  | '\x50' .. '\x5f' -> (Push (op - 0x50), 1)
+  | '\x60' .. '\x6f' -> (Pop (op - 0x60), 1)
+  | '\x10' .. '\x14' ->
+    let b = u8 buf p addr in
+    (Alu_rr (alu_of (op - 0x10), b lsr 4, b land 0xf), 2)
+  | '\x18' .. '\x1c' ->
+    let d = reg buf p addr in
+    (Alu_ri (alu_of (op - 0x18), d, i32 buf (p + 1) addr), 6)
+  | '\x28' .. '\x2a' ->
+    let r = reg buf p addr in
+    let n = u8 buf (p + 1) addr in
+    if n > 63 then raise (Decode_error { addr; byte = n });
+    (Shift_ri (shift_of (op - 0x28), r, n), 3)
+  | '\x01' ->
+    let b = u8 buf p addr in
+    (Mov_rr (b lsr 4, b land 0xf), 2)
+  | '\x02' ->
+    let d = reg buf p addr in
+    (Mov_ri (d, i32 buf (p + 1) addr), 6)
+  | '\x03' ->
+    let d = reg buf p addr in
+    (Mov_ri (d, i64 buf (p + 1) addr), 10)
+  | '\x04' ->
+    let b = u8 buf p addr in
+    let m = mem buf (p + 1) addr in
+    (Load (width_of (b lsr 4), b land 0xf, m), 2 + mem_bytes buf (p + 1))
+  | '\x05' ->
+    let b = u8 buf p addr in
+    let m = mem buf (p + 1) addr in
+    (Store (width_of (b lsr 4), m, b land 0xf), 2 + mem_bytes buf (p + 1))
+  | '\x06' ->
+    let b = u8 buf p addr in
+    let m = mem buf (p + 1) addr in
+    let q = p + 1 + mem_bytes buf (p + 1) in
+    (Store_i (width_of (b lsr 4), m, i32 buf q addr), q + 4 - off)
+  | '\x07' ->
+    let d = reg buf p addr in
+    let m = mem buf (p + 1) addr in
+    (Lea (d, m), 2 + mem_bytes buf (p + 1))
+  | '\x20' ->
+    let b = u8 buf p addr in
+    (Mul_rr (b lsr 4, b land 0xf), 2)
+  | '\x21' ->
+    let b = u8 buf p addr in
+    (Div_rr (b lsr 4, b land 0xf), 2)
+  | '\x22' ->
+    let b = u8 buf p addr in
+    (Rem_rr (b lsr 4, b land 0xf), 2)
+  | '\x23' -> (Neg (reg buf p addr), 2)
+  | '\x24' -> (Not (reg buf p addr), 2)
+  | '\x30' ->
+    let b = u8 buf p addr in
+    (Cmp_rr (b lsr 4, b land 0xf), 2)
+  | '\x31' ->
+    let a = reg buf p addr in
+    (Cmp_ri (a, i32 buf (p + 1) addr), 6)
+  | '\x32' ->
+    let b = u8 buf p addr in
+    (Test_rr (b lsr 4, b land 0xf), 2)
+  | '\x38' ->
+    let b = u8 buf p addr in
+    (Setcc (cc_of (b lsr 4), b land 0xf), 2)
+  | '\x40' -> (Jmp (addr + 5 + i32 buf p addr), 5)
+  | '\x41' ->
+    let cc = cc_of (u8 buf p addr) in
+    (Jcc (cc, addr + 6 + i32 buf (p + 1) addr), 6)
+  | '\x42' -> (Call (addr + 5 + i32 buf p addr), 5)
+  | '\x46' -> (Call_ind (reg buf p addr), 2)
+  | '\x47' -> (Jmp_ind (reg buf p addr), 2)
+  | '\x43' -> (Ret, 1)
+  | '\x45' -> (Callrt (rtfn_of addr (u8 buf p addr)), 2)
+  | '\x90' -> (Nop 1, 1)
+  | '\xf4' -> (Hlt, 1)
+  | '\xcc' -> (Trap, 1)
+  | '\xe2' -> (Probe (i32 buf p addr), 5)
+  | '\xe0' ->
+    let flags = u8 buf p addr in
+    let nsaves = u8 buf (p + 1) addr in
+    let m = mem buf (p + 2) addr in
+    let q = p + 2 + mem_bytes buf (p + 2) in
+    let lo = i32 buf q addr in
+    let hi = i32 buf (q + 4) addr in
+    let site = i32 buf (q + 8) addr in
+    ( Check
+        {
+          ck_variant =
+            (if flags land 1 <> 0 then Isa.Full
+             else if flags land 8 <> 0 then Isa.Temporal
+             else Isa.Redzone);
+          ck_mem = m;
+          ck_lo = lo;
+          ck_hi = hi;
+          ck_write = flags land 2 <> 0;
+          ck_site = site;
+          ck_nsaves = nsaves;
+          ck_save_flags = flags land 4 <> 0;
+        },
+      q + 12 - off )
+  | _ -> raise (Decode_error { addr; byte = op })
+
+(* [decode]'s literal opcodes (each range's first and last byte) are
+   {!Encode}'s: the opcode map has one source *)
+let () =
+  assert (
+    List.for_all
+      (fun (lit, op) -> Char.code lit = op)
+      Encode.
+        [
+          ('\x50', op_push); ('\x5f', op_push + Isa.num_regs - 1);
+          ('\x60', op_pop); ('\x6f', op_pop + Isa.num_regs - 1);
+          ('\x10', op_alu_rr); ('\x14', op_alu_rr + 4);
+          ('\x18', op_alu_ri); ('\x1c', op_alu_ri + 4);
+          ('\x28', op_shift_ri); ('\x2a', op_shift_ri + 2);
+          ('\x01', op_mov_rr); ('\x02', op_mov_ri32); ('\x03', op_mov_ri64);
+          ('\x04', op_load); ('\x05', op_store); ('\x06', op_store_i);
+          ('\x07', op_lea); ('\x20', op_mul_rr); ('\x21', op_div_rr);
+          ('\x22', op_rem_rr); ('\x23', op_neg); ('\x24', op_not);
+          ('\x30', op_cmp_rr); ('\x31', op_cmp_ri); ('\x32', op_test_rr);
+          ('\x38', op_setcc); ('\x40', op_jmp); ('\x41', op_jcc);
+          ('\x42', op_call); ('\x46', op_call_ind); ('\x47', op_jmp_ind);
+          ('\x43', op_ret); ('\x45', op_callrt); ('\x90', op_nop);
+          ('\xf4', op_hlt); ('\xcc', op_trap); ('\xe2', op_probe);
+          ('\xe0', op_check);
+        ])

@@ -84,17 +84,27 @@ let to_string (i : Isa.instr) : string =
       (mem_to_string c.ck_mem) c.ck_lo c.ck_hi c.ck_site
 
 (** Linear sweep over a code blob starting at virtual address [addr];
-    returns [(address, instruction, length)] triples. *)
-let sweep ~(addr : int) (code : string) : (int * Isa.instr * int) list =
-  let rec go off acc =
-    if off >= String.length code then List.rev acc
-    else begin
-      let a = addr + off in
-      let i, len = Decode.decode ~addr:a code off in
-      go (off + len) ((a, i, len) :: acc)
-    end
-  in
-  go 0 []
+    returns [(address, instruction, length)] triples, grown in place
+    (about one instruction per 3 bytes of x64l code). *)
+let sweep_array ~(addr : int) (code : string) : (int * Isa.instr * int) array =
+  let n = String.length code in
+  let out = ref (Array.make ((n / 3) + 16) (addr, Isa.Hlt, 0)) in
+  let k = ref 0 and off = ref 0 in
+  while !off < n do
+    let a = addr + !off in
+    let i, len = Decode.decode ~addr:a code !off in
+    if !k = Array.length !out then begin
+      let bigger = Array.make (2 * !k) (addr, Isa.Hlt, 0) in
+      Array.blit !out 0 bigger 0 !k;
+      out := bigger
+    end;
+    !out.(!k) <- (a, i, len);
+    incr k;
+    off := !off + len
+  done;
+  Array.sub !out 0 !k
+
+let sweep ~addr code = Array.to_list (sweep_array ~addr code)
 
 (** Tolerant dump for human consumption: undecodable bytes (stale
     bytes left behind by patch tactics, data in text, ...) print as

@@ -9,9 +9,13 @@ val width_suffix : Isa.width -> string
 
 val to_string : Isa.instr -> string
 
-val sweep : addr:int -> string -> (int * Isa.instr * int) list
+val sweep_array : addr:int -> string -> (int * Isa.instr * int) array
 (** Linear sweep over a code blob at virtual address [addr]:
-    [(address, instruction, length)] triples. *)
+    [(address, instruction, length)] triples.  Raises
+    {!Decode.Decode_error} at the first undecodable instruction. *)
+
+val sweep : addr:int -> string -> (int * Isa.instr * int) list
+(** [sweep_array] as a list. *)
 
 val dump : addr:int -> string -> string
 (** Tolerant pretty dump: undecodable bytes become [.byte] lines (for

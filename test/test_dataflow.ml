@@ -12,7 +12,7 @@ let i x = Asm.I x
 
 let graph_of items =
   let code, labels = Asm.assemble ~origin:Lowfat.Layout.code_base items in
-  let instrs = Array.of_list (Disasm.sweep ~addr:Lowfat.Layout.code_base code) in
+  let instrs = Disasm.sweep_array ~addr:Lowfat.Layout.code_base code in
   let g = Df.Graph.of_instrs ~entry:Lowfat.Layout.code_base instrs in
   let block_at name =
     match Df.Graph.index_at g (Hashtbl.find labels name) with
@@ -332,6 +332,66 @@ let test_graph_invariants_workloads () =
         (graph_ok (Df.Graph.recover ~entry:text.addr text.bytes)))
     Workloads.Spec.all
 
+(* --- the block walks ----------------------------------------------------- *)
+
+(* [Canon.operand_at] and [Avail.available_at] walk each block once;
+   they must answer exactly what the per-index replays [Canon.operand]
+   and [Avail.available_before] answer, at every memory operand of the
+   Chrome-scale binary and of the kernels.  The gen facts stand for a
+   plan that checks every canonical operand with the variant each
+   backend plans, so kills, covering and the backends' variants all
+   come into play. *)
+let test_block_walks_match_replay () =
+  let fleet =
+    ("chrome", Workloads.Chrome.binary ())
+    :: List.map
+         (fun (b : Workloads.Spec.bench) -> (b.name, Workloads.Spec.binary b))
+         Workloads.Spec.all
+  in
+  List.iter
+    (fun (name, bin) ->
+      let text = Binfmt.Relf.text_exn bin in
+      let g = Df.Graph.recover ~entry:text.addr text.bytes in
+      let n = Array.length g.Df.Graph.instrs in
+      let canon = Df.Canon.cursor g in
+      let ops = ref [] in
+      Array.iteri
+        (fun i (_, ins, _) ->
+          match Isa.mem_operand ins with
+          | None -> ()
+          | Some (m, w, _) ->
+            let c = Df.Canon.operand_at canon i m in
+            if c <> Df.Canon.operand g i m then
+              Alcotest.failf "%s: canonical operand of instruction %d" name i;
+            ops := (i, c, Isa.width_bytes w) :: !ops)
+        g.Df.Graph.instrs;
+      let ops = List.rev !ops in
+      List.iter
+        (fun backend ->
+          let variant =
+            Backend.Check_backend.plan backend ~profiling:false
+              ~allowlisted:None
+          in
+          let gen = Array.make n [] in
+          List.iter
+            (fun (i, (m : Isa.mem), bytes) ->
+              gen.(i) <-
+                [ ( Df.Avail.key_of_mem m,
+                    { Df.Avail.lo = m.disp; hi = m.disp + bytes; site = i;
+                      variant } ) ])
+            ops;
+          let avail = Df.Avail.solve g ~gen in
+          let walk = Df.Avail.cursor avail in
+          List.iter
+            (fun (i, _, _) ->
+              if Df.Avail.available_at walk i <> Df.Avail.available_before avail i
+              then
+                Alcotest.failf "%s/%s: facts before instruction %d" name
+                  (Backend.Check_backend.name backend) i)
+            ops)
+        Backend.Check_backend.all)
+    fleet
+
 (* --- monomorphic comparisons ------------------------------------------ *)
 
 (* small domains, so equal keys and equal fact lists come up often *)
@@ -610,7 +670,7 @@ let test_verify_same_block_kill () =
       List.filter
         (fun (_, ins, _) ->
           match ins with Isa.Alu_ri (Isa.Add, r, 3) -> r = Isa.r11 | _ -> false)
-        (Disasm.sweep ~addr:text.addr text.bytes)
+        (Array.to_list (Disasm.sweep_array ~addr:text.addr text.bytes))
     with
     | [ (a, _, _) ] ->
       (a, Encode.encode_seq ~addr:a [ Isa.Alu_ri (Isa.Add, Isa.r9, 3) ])
@@ -658,7 +718,7 @@ let test_verify_unreachable_batch_runs () =
   let f = List.assoc "fn_f" syms in
   let delta = f - List.assoc "fn_g" syms in
   let text = Binfmt.Relf.text_exn bin in
-  let instrs = Array.of_list (Disasm.sweep ~addr:text.addr text.bytes) in
+  let instrs = Disasm.sweep_array ~addr:text.addr text.bytes in
   let g = Df.Graph.of_instrs ~entry:bin.Binfmt.Relf.entry instrs in
   let block_at a =
     Df.Graph.block_of_instr g (Option.get (Df.Graph.index_at g a))
@@ -782,6 +842,8 @@ let tests =
     Alcotest.test_case "clobbers at a call boundary" `Quick
       test_clobbers_call_boundary;
     Alcotest.test_case "operand canonicalization" `Quick test_canon_operand;
+    Alcotest.test_case "block walks = per-index replays (Chrome, SPEC)" `Quick
+      test_block_walks_match_replay;
     Alcotest.test_case "dense index: stream with a gap" `Quick
       test_dense_index_gap;
     Alcotest.test_case "dense index: one instruction" `Quick

@@ -53,10 +53,9 @@ let test_block_instrumentation_counts () =
     match Binfmt.Relf.find_section t.binary ".e9tool" with
     | None -> 0
     | Some s ->
-      List.length
-        (List.filter
-           (fun (_, i, _) -> match i with X64.Isa.Probe _ -> true | _ -> false)
-           (X64.Disasm.sweep ~addr:s.addr s.bytes))
+      Array.fold_left
+        (fun n (_, i, _) -> match i with X64.Isa.Probe _ -> n + 1 | _ -> n)
+        0 (X64.Disasm.sweep_array ~addr:s.addr s.bytes)
   in
   Alcotest.(check bool) "several blocks" true (t.blocks >= 6);
   Alcotest.(check int) "one probe per block" t.blocks probes

@@ -376,6 +376,33 @@ let test_parse_campaign_never_crashes_parser () =
         (String.length b.b_code > 6 && String.sub b.b_code 0 6 = "parse."))
     r.r_bugs
 
+(* the x64 decoder target: a clean sweep is no crash, a cut or garbled
+   blob is the typed decode.insn rejection, and a campaign from real
+   code finds nothing else *)
+let test_x64_campaign_stays_typed () =
+  let code =
+    (Binfmt.Relf.text_exn (Workloads.Spec.binary (Workloads.Spec.find "mcf")))
+      .bytes
+  in
+  let clean = Campaign.parse_once Campaign.X64_decoder code in
+  Alcotest.(check bool) "real code sweeps clean" true (clean.x_crash = None);
+  Alcotest.(check bool) "opcodes are coverage" true
+    (List.length clean.x_edges > 10);
+  let code_of (r : Campaign.exec_result) =
+    Option.map (fun (c : Fuzz.Oracle.crash) -> c.c_code) r.x_crash
+  in
+  Alcotest.(check (option string)) "a cut instruction" (Some "decode.insn")
+    (code_of (Campaign.parse_once Campaign.X64_decoder "\x02\x00\x01"));
+  Alcotest.(check (option string)) "an unknown opcode" (Some "decode.insn")
+    (code_of (Campaign.parse_once Campaign.X64_decoder "\x90\xff"));
+  with_engine @@ fun eng ->
+  let r =
+    Campaign.run_parse eng ~config ~which:Campaign.X64_decoder
+      ~seeds:[ String.sub code 0 64; "" ] ()
+  in
+  Alcotest.(check (list string)) "only typed rejections" [ "decode.insn" ]
+    (List.map (fun (b : Campaign.bug) -> b.b_code) r.r_bugs)
+
 (* --- profile campaigns: growing the allow-list test suite ----------- *)
 
 let test_profile_deterministic () =
@@ -519,4 +546,6 @@ let tests =
       test_corrupt_corpus_classified;
     Alcotest.test_case "parser campaign stays typed" `Quick
       test_parse_campaign_never_crashes_parser;
+    Alcotest.test_case "x64 decoder campaign stays typed" `Quick
+      test_x64_campaign_stays_typed;
   ]

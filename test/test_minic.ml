@@ -344,13 +344,13 @@ let test_codegen_emits_indexed_operands () =
   in
   let text = Binfmt.Relf.text_exn bin in
   let found =
-    List.exists
+    Array.exists
       (fun (_, instr, _) ->
         match instr with
         | X64.Isa.Store (X64.Isa.W8, m, _) ->
           m.base <> None && m.idx <> None && m.scale = 8
         | _ -> false)
-      (X64.Disasm.sweep ~addr:text.addr text.bytes)
+      (X64.Disasm.sweep_array ~addr:text.addr text.bytes)
   in
   Alcotest.(check bool) "indexed store present" true found
 

@@ -407,7 +407,7 @@ let test_allowlist_splits_variants () =
     List.filter_map
       (fun (a, instr, _) ->
         match Isa.mem_operand instr with Some _ -> Some a | None -> None)
-      (Disasm.sweep ~addr:text.addr text.bytes)
+      (Array.to_list (Disasm.sweep_array ~addr:text.addr text.bytes))
   in
   (match sites with
    | first :: _ ->

@@ -25,8 +25,8 @@ let prop_sweep_covers =
     QCheck.(make Gen.(list_size (int_range 1 30) Test_x64.gen_instr))
     (fun is ->
       let code = Encode.encode_seq ~addr:0x400000 is in
-      let swept = Disasm.sweep ~addr:0x400000 code in
-      List.fold_left (fun acc (_, _, len) -> acc + len) 0 swept
+      let swept = Disasm.sweep_array ~addr:0x400000 code in
+      Array.fold_left (fun acc (_, _, len) -> acc + len) 0 swept
       = String.length code)
 
 (* 3. disassembly text is non-empty for every instruction *)
@@ -206,9 +206,45 @@ let test_negative_displacement () =
     Alcotest.(check (list int)) "output" [ 77 ] hr.run.outputs
   | v -> Alcotest.failf "neg disp: %s" (Redfat.verdict_to_string v)
 
+(* the array sweep against the reference list sweep, over the code of
+   the Chrome-scale binary and the SPEC kernels: their plain text, and
+   the text and trampolines of their hardened builds (a patched text
+   may not sweep to its end; both must then fail alike) *)
+let test_sweep_matches_reference () =
+  let fleet =
+    ("chrome", Workloads.Chrome.binary ())
+    :: List.map
+         (fun (b : Workloads.Spec.bench) -> (b.name, Workloads.Spec.binary b))
+         Workloads.Spec.all
+  in
+  let same what (s : Binfmt.Relf.section) =
+    let sweep f =
+      match f ~addr:s.addr s.bytes with
+      | l -> Ok l
+      | exception Decode.Decode_error { addr; byte } -> Error (addr, byte)
+    in
+    if
+      sweep (fun ~addr b -> Array.to_list (Disasm.sweep_array ~addr b))
+      <> sweep Test_x64.Ref_decode.sweep
+    then Alcotest.failf "%s: the sweeps differ" what
+  in
+  List.iter
+    (fun (name, bin) ->
+      same (name ^ " .text") (Binfmt.Relf.text_exn bin);
+      let hard = (Redfat.Rewrite.rewrite Redfat.Rewrite.optimized bin).binary in
+      List.iter
+        (fun sec ->
+          match Binfmt.Relf.find_section hard sec with
+          | Some s -> same (Printf.sprintf "%s hardened %s" name sec) s
+          | None -> Alcotest.failf "%s: no %s" name sec)
+        [ ".text"; ".redfat" ])
+    fleet
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_decoder_total;
+    Alcotest.test_case "array sweep = reference sweep (Chrome, SPEC)" `Quick
+      test_sweep_matches_reference;
     QCheck_alcotest.to_alcotest prop_sweep_covers;
     QCheck_alcotest.to_alcotest prop_disasm_prints;
     Alcotest.test_case "pipeline determinism" `Quick test_pipeline_determinism;

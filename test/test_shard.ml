@@ -196,6 +196,27 @@ let test_rewrite_rejects_bad_tiling () =
     ];
   check_parity "mcf/accepted" Rw.optimized bin sls
 
+(* the spliced [.elimtab] keeps the first part's policy line, so parts
+   hardened under different policies (here: reads instrumented in the
+   first slice only) must be refused, not spliced under the first
+   one's *)
+let test_rewrite_rejects_mixed_policies () =
+  let b = Workloads.Spec.find "mcf" in
+  let bin = Workloads.Spec.binary b in
+  let sls = partitioned b.name bin in
+  let first = (List.hd sls).Shard.sl_addr in
+  match
+    Shard.rewrite ~tramp_base:Rw.default_tramp_base bin sls
+      (fun ~tramp_base sl sbin ->
+        let opts =
+          if sl.Shard.sl_addr = first then Rw.optimized
+          else { Rw.optimized with instrument_reads = false }
+        in
+        Rw.rewrite ~tramp_base opts sbin)
+  with
+  | _ -> Alcotest.fail "parts with different policy lines were spliced"
+  | exception Invalid_argument _ -> ()
+
 let tests =
   [
     Alcotest.test_case "slices: deterministic" `Quick test_slices_deterministic;
@@ -208,4 +229,6 @@ let tests =
     Alcotest.test_case "parity: whole-text slice" `Quick test_whole_slice;
     Alcotest.test_case "rewrite: rejects slices that do not tile" `Quick
       test_rewrite_rejects_bad_tiling;
+    Alcotest.test_case "rewrite: rejects parts of mixed policies" `Quick
+      test_rewrite_rejects_mixed_policies;
   ]
