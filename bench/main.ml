@@ -658,8 +658,8 @@ let fig8 () =
   let bin = Pl.compile eng (Workloads.Chrome.program ()) in
   pf "input binary: %d bytes of code, %d instructions\n"
     (Binfmt.Relf.code_size bin)
-    (Array.length
-       (X64.Disasm.sweep_array
+    (X64.Disasm.length
+       (X64.Disasm.sweep_stream
           ~addr:(Binfmt.Relf.text_exn bin).addr
           (Binfmt.Relf.text_exn bin).bytes));
   let t0 = wall () in
@@ -1107,10 +1107,12 @@ let rebuild_perturb (bin : Binfmt.Relf.t) : (Binfmt.Relf.t * int) option =
   let text = Binfmt.Relf.text_exn bin in
   let text_end = text.addr + String.length text.bytes in
   let in_text v = v >= text.addr && v < text_end in
+  let s = X64.Disasm.sweep_stream ~addr:text.addr text.bytes in
   let eligible =
     List.filter_map
-      (fun (a, ins, len) ->
-        match ins with
+      (fun k ->
+        let a = s.addrs.(k) and len = s.lens.(k) in
+        match s.instrs.(k) with
         | X64.Isa.Mov_ri (r, v)
           when v >= 0 && v < 0x10000
                && (not (in_text v))
@@ -1118,7 +1120,7 @@ let rebuild_perturb (bin : Binfmt.Relf.t) : (Binfmt.Relf.t * int) option =
                && X64.Encode.length (X64.Isa.Mov_ri (r, v + 1)) = len ->
           Some (a, r, v, len)
         | _ -> None)
-      (Array.to_list (X64.Disasm.sweep_array ~addr:text.addr text.bytes))
+      (List.init (X64.Disasm.length s) Fun.id)
   in
   match List.rev eligible with
   | [] -> None
@@ -1278,6 +1280,23 @@ let rebuild () =
     rebuild_min_reuse;
   if !worst < rebuild_min_reuse then
     rebuild_fail "artifact reuse below the %d permille floor" rebuild_min_reuse;
+  (* the rewriter's allocation per instruction: one direct rewrite and
+     audit of the Chrome-scale binary, counted on this domain so that
+     [--jobs] cannot move it.  No other experiment plans Chrome's whole
+     text under [optimized], so the rewrite plans cold *)
+  let chrome = Workloads.Chrome.binary () in
+  let w0 = Gc.minor_words () in
+  let r = Rw.rewrite Rw.optimized chrome in
+  let audited = Rw.verify r.Rw.binary in
+  let words = Gc.minor_words () -. w0 in
+  (match audited with
+   | Ok rep when Redfat.Verify.ok rep -> ()
+   | _ -> rebuild_fail "the Chrome-scale rewrite fails its audit");
+  let words_per_instr =
+    Float.to_int (Float.round (words /. float r.Rw.stats.instrs_total))
+  in
+  pf "allocation: %d minor words per instruction (Chrome rewrite + audit)\n"
+    words_per_instr;
   target "rebuild:fleet"
     ~counters:
       [
@@ -1286,6 +1305,7 @@ let rebuild () =
         ("rebuild.fns_reused_permille", !worst);
         ("rebuild.blueprint_hits", counter "blueprint.hit");
         ("rebuild.blueprint_unique", counter "blueprint.unique");
+        ("rebuild.minor_words_per_instr", words_per_instr);
         (* wall-clock facts: reported, never gated *)
         ("rebuild.cold_ms", int_of_float (cold_s *. 1000.));
         ("rebuild.warm_ms", int_of_float (!warm_last *. 1000.));

@@ -14,7 +14,7 @@ let () =
   let text = Binfmt.Relf.text_exn binary in
   Printf.printf "input: %d KiB of stripped code, %d instructions\n"
     (String.length text.bytes / 1024)
-    (Array.length (X64.Disasm.sweep_array ~addr:text.addr text.bytes));
+    (X64.Disasm.length (X64.Disasm.sweep_stream ~addr:text.addr text.bytes));
 
   let opts =
     { Redfat.Rewrite.optimized with instrument_reads = false (* writes only *) }

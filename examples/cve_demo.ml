@@ -18,14 +18,16 @@ let () =
      byte store of fill() is m_vc_index_array[speed-1] = 0 *)
   print_endline "the compiled fill() function contains the vulnerable store:";
   let text = Binfmt.Relf.text_exn binary in
+  let s = X64.Disasm.sweep_stream ~addr:text.addr text.bytes in
   let stores =
     List.filter_map
-      (fun (addr, instr, _) ->
-        match instr with
-        | X64.Isa.Store (X64.Isa.W1, m, _) when m.idx <> None && m.disp = 0 ->
-          Some (addr, instr)
+      (fun k ->
+        match s.instrs.(k) with
+        | X64.Isa.Store (X64.Isa.W1, m, _) as instr
+          when m.idx <> None && m.disp = 0 ->
+          Some (s.addrs.(k), instr)
         | _ -> None)
-      (Array.to_list (X64.Disasm.sweep_array ~addr:text.addr text.bytes))
+      (List.init (X64.Disasm.length s) Fun.id)
   in
   let addr, instr = List.nth stores (List.length stores - 1) in
   Printf.printf "  %#x: %s    <- m_vc_index_array[speed-1] = 0\n" addr

@@ -124,17 +124,21 @@ let rec insert (k : key) (i : info) = function
       else (k, i) :: rest
     else (k', i') :: insert k i rest
 
-let kills_key (defs : X64.Isa.reg list) (k : key) =
-  let names r = function Some x -> Int.equal x r | None -> false in
-  List.exists (fun r -> names r k.base || names r k.idx) defs
+(* does a def mask (bit [r] for register [r]) name a register of [k]? *)
+let names defs = function Some r -> defs land (1 lsl r) <> 0 | None -> false
+let kills_key (defs : int) (k : key) = names defs k.base || names defs k.idx
+
+let rec any_killed defs = function
+  | [] -> false
+  | (k, _) :: rest -> kills_key defs k || any_killed defs rest
 
 let transfer_instr (gen : (key * info) list) (instr : X64.Isa.instr)
     (f : fact) : fact =
   match (f, gen) with
   | Top, _ -> Top
   | Facts [], [] -> f  (* the common case: nothing to gen or kill *)
-  | Facts fs, _ ->
-    let fs = List.fold_left (fun acc (k, i) -> insert k i acc) fs gen in
+  | Facts fs0, _ ->
+    let fs = List.fold_left (fun acc (k, i) -> insert k i acc) fs0 gen in
     let kill_all =
       (* a call into unknown code may free() the guarded object; of
          the known runtime entry points only the allocator pair
@@ -143,21 +147,20 @@ let transfer_instr (gen : (key * info) list) (instr : X64.Isa.instr)
       match instr with
       | X64.Isa.Callrt (X64.Isa.Malloc | X64.Isa.Free) -> true
       | X64.Isa.Callrt _ -> false
-      | _ -> (
-        match X64.Isa.flow_of instr with
-        | To_call _ | Dyn_call -> true
-        | _ -> false)
+      | _ -> X64.Isa.is_call instr
     in
-    Facts
-      (if kill_all then []
-       else
-         match X64.Isa.defs instr with
-         | [] -> fs
-         | defs -> List.filter (fun (k, _) -> not (kills_key defs k)) fs)
+    let fs =
+      if kill_all then []
+      else
+        let defs = X64.Isa.def_mask instr in
+        if defs <> 0 && any_killed defs fs then
+          List.filter (fun (k, _) -> not (kills_key defs k)) fs
+        else fs
+    in
+    if fs == fs0 then f else Facts fs
 
 let step ~gen (g : Graph.t) (i : int) (f : fact) : fact =
-  let _, instr, _ = g.Graph.instrs.(i) in
-  transfer_instr gen.(i) instr f
+  transfer_instr gen.(i) (Graph.instr g i) f
 
 let block_transfer ~gen (g : Graph.t) (b : Graph.block) (inp : fact) : fact =
   let f = ref inp in
@@ -173,7 +176,7 @@ type t = {
 }
 
 let solve (g : Graph.t) ~(gen : (key * info) list array) : t =
-  if Array.length gen <> Array.length g.Graph.instrs then
+  if Array.length gen <> Graph.num_instrs g then
     invalid_arg "Avail.solve: one gen entry per instruction";
   let module P = struct
     type nonrec fact = fact

@@ -49,11 +49,12 @@ let invalidate (st : state) (r : X64.Isa.reg) =
     | _ -> ()
   done
 
-let rec invalidate_all st = function
-  | [] -> ()
-  | r :: rs ->
-    invalidate st r;
-    invalidate_all st rs
+(* every register of a def mask (bit [r] for register [r]) *)
+let invalidate_mask st defs =
+  if defs <> 0 then
+    for r = 0 to X64.Isa.num_regs - 1 do
+      if defs land (1 lsl r) <> 0 then invalidate st r
+    done
 
 let step (st : state) (instr : X64.Isa.instr) =
   match instr with
@@ -61,12 +62,12 @@ let step (st : state) (instr : X64.Isa.instr) =
     let c = canon_reg st s in
     let k = st.konst.(s) in
     invalidate st d;
-    if c <> d then st.copy.(d) <- Some c;
+    if c <> d then st.copy.(d) <- X64.Isa.some_reg c;
     st.konst.(d) <- k
   | X64.Isa.Mov_ri (d, v) ->
     invalidate st d;
     st.konst.(d) <- Some v
-  | _ -> invalidate_all st (X64.Isa.defs instr)
+  | _ -> invalidate_mask st (X64.Isa.def_mask instr)
 
 (* the canonical form of [m] under [st]: constant-fold first (a
    register holding a known constant becomes displacement), then
@@ -92,11 +93,15 @@ let canon_mem (st : state) (m : X64.Isa.mem) : X64.Isa.mem =
   in
   let m =
     match m.X64.Isa.base with
-    | Some r -> { m with X64.Isa.base = Some (canon_reg st r) }
+    | Some r ->
+      let c = canon_reg st r in
+      if c = r then m else { m with X64.Isa.base = X64.Isa.some_reg c }
     | None -> m
   in
   match m.X64.Isa.idx with
-  | Some r -> { m with X64.Isa.idx = Some (canon_reg st r) }
+  | Some r ->
+    let c = canon_reg st r in
+    if c = r then m else { m with X64.Isa.idx = X64.Isa.some_reg c }
   | None -> m
 
 (** Canonical form of [m] as seen by instruction [index]. *)
@@ -104,8 +109,7 @@ let operand (g : Graph.t) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
   let b = Graph.block g (Graph.block_of_instr g index) in
   let st = fresh () in
   for i = b.Graph.first to index - 1 do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    step st instr
+    step st (Graph.instr g i)
   done;
   canon_mem st m
 
@@ -131,8 +135,7 @@ let operand_at (c : cursor) (index : int) (m : X64.Isa.mem) : X64.Isa.mem =
     Array.fill c.st.konst 0 X64.Isa.num_regs None
   end;
   while c.next < index do
-    let _, instr, _ = g.Graph.instrs.(c.next) in
-    step c.st instr;
+    step c.st (Graph.instr g c.next);
     c.next <- c.next + 1
   done;
   canon_mem c.st m

@@ -62,16 +62,42 @@ let render (t : t) : string =
      else
        Printf.sprintf "!policy backend=%s reads=%d writes=%d\n" t.backend
          (Bool.to_int t.reads) (Bool.to_int t.writes));
+  (* [%x] by hand: one line per eliminated site, so no format is
+     interpreted per line *)
+  let rec hex n =
+    if n < 0 then Buffer.add_string b (Printf.sprintf "%x" n)
+    else begin
+      if n >= 16 then hex (n lsr 4);
+      Buffer.add_char b (String.unsafe_get "0123456789abcdef" (n land 15))
+    end
+  in
+  let word w =
+    Buffer.add_char b ' ';
+    Buffer.add_string b w
+  in
   List.iter
     (fun (a, r) ->
-      Buffer.add_string b
-        (match r with
-        | Clear -> Printf.sprintf "%x clear\n" a
-        | Dom s -> Printf.sprintf "%x dom %x\n" a s
-        | Skip -> Printf.sprintf "%x skip\n" a
-        | Hoist (s, lo, hi) -> Printf.sprintf "%x hoist %x %d %d\n" a s lo hi))
+      hex a;
+      (match r with
+      | Clear -> word "clear"
+      | Dom s ->
+        word "dom ";
+        hex s
+      | Skip -> word "skip"
+      | Hoist (s, lo, hi) ->
+        word "hoist ";
+        hex s;
+        word (string_of_int lo);
+        word (string_of_int hi));
+      Buffer.add_char b '\n')
     t.entries;
   Buffer.contents b
+
+(* the order of polymorphic [compare] on (address, reason) pairs,
+   without its C call on the address *)
+let compare_entry ((a, r) : int * reason) ((a', r') : int * reason) =
+  let c = Int.compare a a' in
+  if c <> 0 then c else compare r r'
 
 let parse (s : string) : t =
   let module R = Binfmt.Reader in

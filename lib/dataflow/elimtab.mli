@@ -40,6 +40,11 @@ val default : t
     table. *)
 
 val render : t -> string
+
+val compare_entry : int * reason -> int * reason -> int
+(** Polymorphic [compare]'s order on entries: by address, then
+    reason. *)
+
 val parse : string -> t
 (** Raises {!Binfmt.Reader.Error}: [Int] for an unreadable address or
     hull bound, [Section] for any other malformed line. *)

@@ -9,34 +9,31 @@ type fn = {
   f_len : int;
 }
 
-let partition ~text_addr (instrs : (int * X64.Isa.instr * int) array) :
-    fn list option =
-  let n = Array.length instrs in
+let partition ~text_addr (stream : X64.Disasm.stream) : fn list option =
+  let addrs = stream.addrs and instrs = stream.instrs and lens = stream.lens in
+  let n = Array.length addrs in
   if n = 0 then None
   else begin
-    let a0, _, _ = instrs.(0) in
     (* the stream must start at the text base and cover it gaplessly
        (a desynchronized sweep leaves bytes no region owns) *)
     let contiguous =
-      a0 = text_addr
+      addrs.(0) = text_addr
       && (let ok = ref true in
           for i = 1 to n - 1 do
-            let a, _, _ = instrs.(i) in
-            let pa, _, pl = instrs.(i - 1) in
-            if a <> pa + pl then ok := false
+            if addrs.(i) <> addrs.(i - 1) + lens.(i - 1) then ok := false
           done;
           !ok)
     in
     if not contiguous then None
     else begin
-      let g = Graph.of_instrs ~entry:text_addr instrs in
+      let g = Graph.of_instrs ~entry:text_addr stream in
       (* region starts: entry, aligned call targets, aligned
          code-pointer constants (the same instructions the graph
          treats as indirect-transfer targets) *)
       let is_start = Array.make n false in
       is_start.(0) <- true;
       Array.iter
-        (fun (_, ins, _) ->
+        (fun ins ->
           let mark t =
             match Graph.index_at g t with
             | Some i -> is_start.(i) <- true
@@ -65,10 +62,10 @@ let partition ~text_addr (instrs : (int * X64.Isa.instr * int) array) :
         done;
         let ok = ref true in
         Array.iteri
-          (fun i (_, ins, _) ->
+          (fun i ins ->
             (* aligned jump targets stay within their region *)
-            (match X64.Isa.flow_of ins with
-            | X64.Isa.Goto t | X64.Isa.Branch t -> (
+            (match ins with
+            | X64.Isa.Jmp t | X64.Isa.Jcc (_, t) -> (
               match Graph.index_at g t with
               | Some ti -> if fn_of.(ti) <> fn_of.(i) then ok := false
               | None -> ())
@@ -109,11 +106,10 @@ let partition ~text_addr (instrs : (int * X64.Isa.instr * int) array) :
                    let count =
                      (if f + 1 < nf then starts.(f + 1) else n) - first
                    in
-                   let addr, _, _ = instrs.(first) in
+                   let addr = addrs.(first) in
                    let last = first + count - 1 in
-                   let la, _, ll = instrs.(last) in
                    { f_first = first; f_count = count; f_addr = addr;
-                     f_len = la + ll - addr }))
+                     f_len = addrs.(last) + lens.(last) - addr }))
         end
       end
     end

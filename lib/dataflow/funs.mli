@@ -33,7 +33,6 @@ type fn = {
   f_len : int;    (** region length in bytes *)
 }
 
-val partition :
-  text_addr:int -> (int * X64.Isa.instr * int) array -> fn list option
+val partition : text_addr:int -> X64.Disasm.stream -> fn list option
 (** [None] when the text has fewer than two regions or any
     isolation condition fails. *)

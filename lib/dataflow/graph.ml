@@ -40,7 +40,7 @@ type block = {
 }
 
 type t = {
-  instrs : (int * X64.Isa.instr * int) array;
+  stream : X64.Disasm.stream;
   base : int;                        (* lowest instruction address *)
   index_of : int array;              (* addr - base -> instr index; -1 if none *)
   leader : bool array;               (* instr index -> starts a leader *)
@@ -55,22 +55,35 @@ let lookup ~base index_of addr =
   let o = addr - base in
   if o >= 0 && o < Array.length index_of then index_of.(o) else -1
 
+(* successor lists of at most two blocks, [-1] standing for "no
+   instruction starts there": sorted and duplicate-free *)
+let one x = if x < 0 then [] else [ x ]
+
+let two x y =
+  if x < 0 then one y
+  else if y < 0 || y = x then [ x ]
+  else if x < y then [ x; y ]
+  else [ y; x ]
+
 (** Leaders are the entry, direct branch/call targets, fall-throughs of
     branches, calls and block-ending transfers, and every code-pointer
     constant; the constants are also potential indirect-transfer
     targets, hence roots.  An address only counts when an instruction
     starts there. *)
-let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
-  let n = Array.length instrs in
+let of_instrs ~(entry : int) (stream : X64.Disasm.stream) : t =
+  let addrs = stream.addrs and instrs = stream.instrs and lens = stream.lens in
+  let n = Array.length addrs in
   let lo = ref max_int and hi = ref min_int in
-  Array.iter
-    (fun (a, _, len) ->
-      if a < !lo then lo := a;
-      if a + len > !hi then hi := a + len)
-    instrs;
+  for k = 0 to n - 1 do
+    let a = addrs.(k) in
+    if a < !lo then lo := a;
+    if a + lens.(k) > !hi then hi := a + lens.(k)
+  done;
   let base = if n = 0 then 0 else !lo in
   let index_of = Array.make (if n = 0 then 0 else !hi - base) (-1) in
-  Array.iteri (fun i (a, _, _) -> index_of.(a - base) <- i) instrs;
+  for k = 0 to n - 1 do
+    index_of.(addrs.(k) - base) <- k
+  done;
   let at addr = lookup ~base index_of addr in
   (* one pass: leaders, indirect targets, and which instructions end a
      block by their own flow *)
@@ -81,29 +94,26 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
     if i >= 0 then leader.(i) <- true
   in
   mark entry;
-  Array.iteri
-    (fun k (a, ins, len) ->
-      (match ins with
-      | X64.Isa.Mov_ri (_, v) ->
-        let i = at v in
-        if i >= 0 then begin
-          leader.(i) <- true;
-          indirect.(i) <- true
-        end
-      | _ -> ());
-      match X64.Isa.flow_of ins with
-      | Fall -> ()
-      | Goto t ->
-        ends.(k) <- true;
-        mark t
-      | Branch t | To_call t ->
-        ends.(k) <- true;
-        mark t;
-        mark (a + len)
-      | Dyn_call | Dyn_goto | Stop ->
-        ends.(k) <- true;
-        mark (a + len))
-    instrs;
+  for k = 0 to n - 1 do
+    match instrs.(k) with
+    | X64.Isa.Mov_ri (_, v) ->
+      let i = at v in
+      if i >= 0 then begin
+        leader.(i) <- true;
+        indirect.(i) <- true
+      end
+    | Jmp t ->
+      ends.(k) <- true;
+      mark t
+    | Jcc (_, t) | Call t ->
+      ends.(k) <- true;
+      mark t;
+      mark (addrs.(k) + lens.(k))
+    | Call_ind _ | Jmp_ind _ | Ret | Hlt ->
+      ends.(k) <- true;
+      mark (addrs.(k) + lens.(k))
+    | _ -> ()
+  done;
   (* block boundaries: a block starts at a leader or after a
      terminator (so unreachable straight-line code still forms blocks) *)
   let starts = ref [] in
@@ -120,14 +130,12 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
         for i = first to last do
           block_of.(i) <- b
         done;
-        let addr, _, _ = instrs.(first) in
-        let _, ti, _ = instrs.(last) in
         {
           id = b;
           first;
           last;
-          addr;
-          term = X64.Isa.flow_of ti;
+          addr = addrs.(first);
+          term = X64.Isa.flow_of instrs.(last);
           succs = [];
           fall_succs = [];
           preds = [];
@@ -135,27 +143,26 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   in
   let block_at addr =
     let i = at addr in
-    if i >= 0 then Some block_of.(i) else None
+    if i >= 0 then block_of.(i) else -1
   in
   Array.iter
     (fun b ->
-      let la, _, ll = instrs.(b.last) in
-      let next () = block_at (la + ll) in
-      let tgt t = block_at t in
-      let fall, call_only =
-        match b.term with
-        | X64.Isa.Fall -> ([ next () ], [])
-        | Branch t -> ([ tgt t; next () ], [])
-        | Goto t -> ([ tgt t ], [])
-        | To_call t -> ([ next () ], [ tgt t ])
-        | Dyn_call -> ([ next () ], [])
-        | Dyn_goto | Stop -> ([], [])
-      in
-      let dedup l =
-        List.sort_uniq Int.compare (List.filter_map (fun x -> x) l)
-      in
-      b.fall_succs <- dedup fall;
-      b.succs <- dedup (fall @ call_only))
+      let next () = block_at (addrs.(b.last) + lens.(b.last)) in
+      match instrs.(b.last) with
+      | X64.Isa.Jmp t ->
+        b.fall_succs <- one (block_at t);
+        b.succs <- b.fall_succs
+      | Jcc (_, t) ->
+        b.fall_succs <- two (block_at t) (next ());
+        b.succs <- b.fall_succs
+      | Call t ->
+        let nx = next () in
+        b.fall_succs <- one nx;
+        b.succs <- two nx (block_at t)
+      | Jmp_ind _ | Ret | Hlt -> ()
+      | _ ->
+        b.fall_succs <- one (next ());
+        b.succs <- b.fall_succs)
     blocks;
   Array.iter
     (fun b -> List.iter (fun s -> blocks.(s).preds <- b.id :: blocks.(s).preds) b.succs)
@@ -164,7 +171,8 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   (* roots: the entry block plus every indirect-target block, collected
      per block so the list comes out sorted and duplicate-free *)
   let is_root = Array.make nb false in
-  (match block_at entry with Some b -> is_root.(b) <- true | None -> ());
+  (let e = block_at entry in
+   if e >= 0 then is_root.(e) <- true);
   Array.iteri (fun i ind -> if ind then is_root.(block_of.(i)) <- true) indirect;
   let roots = ref [] in
   for b = nb - 1 downto 0 do
@@ -185,10 +193,16 @@ let of_instrs ~(entry : int) (instrs : (int * X64.Isa.instr * int) array) : t =
   let rpo = Array.of_list !post in
   let rpo_index = Array.make nb (-1) in
   Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  { instrs; base; index_of; leader; roots; blocks; block_of; rpo; rpo_index }
+  { stream; base; index_of; leader; roots; blocks; block_of; rpo; rpo_index }
 
 let recover ~entry code =
-  of_instrs ~entry (X64.Disasm.sweep_array ~addr:entry code)
+  of_instrs ~entry (X64.Disasm.sweep_stream ~addr:entry code)
+
+let stream t = t.stream
+let num_instrs t = Array.length t.stream.addrs
+let instr t i = t.stream.instrs.(i)
+let addr t i = t.stream.addrs.(i)
+let len t i = t.stream.lens.(i)
 
 let num_blocks t = Array.length t.blocks
 let block t b = t.blocks.(b)

@@ -22,7 +22,7 @@ type block = {
 }
 
 type t = {
-  instrs : (int * X64.Isa.instr * int) array;
+  stream : X64.Disasm.stream;
   base : int;  (** lowest instruction address *)
   index_of : int array;
       (** [addr - base] -> instruction index, [-1] where no instruction
@@ -35,24 +35,33 @@ type t = {
   rpo_index : int array;
 }
 
-val of_instrs : entry:int -> (int * X64.Isa.instr * int) array -> t
-(** The graph over an already-swept instruction array (the rewriter
-    sweeps once and reuses the array for blueprint keying and
+val of_instrs : entry:int -> X64.Disasm.stream -> t
+(** The graph over an already-swept instruction stream (the rewriter
+    sweeps once and reuses the stream for blueprint keying and
     emission).  Leaders are the entry, direct branch and call targets,
     the fall-throughs of branches, calls and block-ending transfers,
     and every code-pointer constant; the constants' blocks are roots.
 
     Precondition: the stream comes from one blob, as
-    {!X64.Disasm.sweep_array} produces it.  The address index is one [int]
-    per byte of the stream's address span (lowest address to the end
-    of the highest instruction), so instructions scattered far apart
-    would make it as large as the gap. *)
+    {!X64.Disasm.sweep_stream} produces it.  The address index is one
+    [int] per byte of the stream's address span (lowest address to the
+    end of the highest instruction), so instructions scattered far
+    apart would make it as large as the gap. *)
 
 val recover : entry:int -> string -> t
 (** Linear-sweep [code] loaded at [entry] and build its graph.
     Recovery over-approximates leaders (paper §6): a spurious leader
     only splits a batch, while a missed one could move a check onto a
     path that never runs it. *)
+
+val stream : t -> X64.Disasm.stream
+
+val num_instrs : t -> int
+val instr : t -> int -> X64.Isa.instr
+(** The instruction at an index of the stream. *)
+
+val addr : t -> int -> int
+val len : t -> int -> int
 
 val num_blocks : t -> int
 val block : t -> int -> block

@@ -6,6 +6,9 @@
     trampolines can use it as scratch without a save.
 
     Facts are bitmasks: bits 0..15 the registers, bit 16 the flags.
+    Each instruction's transfer is a [(kill, gen)] pair of masks, so a
+    block's transfer composes into one pair and the fixpoint runs on
+    [int] arrays.
     Calls are summarized by the SysV-style ABI this toolchain's
     codegen follows (arguments on the stack, results in %rax,
     caller-saved clobbered, flags clobbered) instead of being
@@ -17,29 +20,35 @@ let all_live = (1 lsl 17) - 1
 
 let mask_of_regs = List.fold_left (fun m r -> m lor reg_bit r) 0
 
-let caller_saved_regs =
-  X64.Isa.[ rax; rcx; rdx; rsi; rdi; r8; r9; r10; r11 ]
-
-let caller_saved_mask = mask_of_regs caller_saved_regs
+let caller_saved_mask =
+  mask_of_regs X64.Isa.[ rax; rcx; rdx; rsi; rdi; r8; r9; r10; r11 ]
 let callee_saved_mask =
   mask_of_regs X64.Isa.[ rbx; rbp; r12; r13; r14; r15 ] lor reg_bit X64.Isa.rsp
 
+(* An instruction's transfer is [before = (after land lnot kill) lor
+   gen].  A call first applies the ABI summary — the callee clobbers
+   caller-saved registers and the flags, receives arguments on the
+   stack, and preserves the rest — and then its own defs and uses;
+   the two steps compose into one pair. *)
+let call_kill = caller_saved_mask lor flags_bit
+let rsp_bit = reg_bit X64.Isa.rsp
+
+let defs_of (i : X64.Isa.instr) =
+  X64.Isa.def_mask i lor if X64.Isa.writes_flags i then flags_bit else 0
+
+let uses_of (i : X64.Isa.instr) =
+  X64.Isa.use_mask i lor if X64.Isa.reads_flags i then flags_bit else 0
+
+let kill_of (i : X64.Isa.instr) =
+  if X64.Isa.is_call i then defs_of i lor call_kill else defs_of i
+
+let gen_of (i : X64.Isa.instr) =
+  if X64.Isa.is_call i then (rsp_bit land lnot (defs_of i)) lor uses_of i
+  else uses_of i
+
 (* live-before from live-after for one instruction *)
 let transfer_instr (i : X64.Isa.instr) (live : int) : int =
-  let live =
-    match X64.Isa.flow_of i with
-    | To_call _ | Dyn_call ->
-      (* ABI summary: the callee clobbers caller-saved registers and
-         the flags, receives arguments on the stack, and preserves the
-         rest *)
-      (live land lnot caller_saved_mask land lnot flags_bit)
-      lor reg_bit X64.Isa.rsp
-    | _ -> live
-  in
-  let live = List.fold_left (fun m r -> m land lnot (reg_bit r)) live (X64.Isa.defs i) in
-  let live = if X64.Isa.writes_flags i then live land lnot flags_bit else live in
-  let live = List.fold_left (fun m r -> m lor reg_bit r) live (X64.Isa.uses i) in
-  if X64.Isa.reads_flags i then live lor flags_bit else live
+  (live land lnot (kill_of i)) lor gen_of i
 
 let exit_live (b : Graph.block) : int =
   match b.Graph.term with
@@ -53,40 +62,94 @@ let exit_live (b : Graph.block) : int =
        assume everything live *)
     all_live
 
-module Problem = struct
-  type fact = int
-
-  let equal = Int.equal
-  let direction = `Backward
-  let init = 0
-  let boundary = 0 (* unused: exits are handled in [transfer] *)
-  let join = ( lor )
-  let succs _ (b : Graph.block) = b.Graph.fall_succs
-
-  let transfer (g : Graph.t) (b : Graph.block) (out : int) : int =
-    let live = ref (if b.Graph.fall_succs = [] then exit_live b else out) in
-    for i = b.Graph.last downto b.Graph.first do
-      let _, instr, _ = g.Graph.instrs.(i) in
-      live := transfer_instr instr !live
-    done;
-    !live
-end
-
-module S = Solver.Make (Problem)
-
 type t = { graph : Graph.t; live_in : int array; live_out : int array }
 
+(* Each block's instructions compose, in one backward pass, into one
+   [(kill, gen)] pair, so the fixpoint below touches one pair per
+   block visit instead of replaying the block.  Transfers are
+   monotone and the lattice finite, so the worklist order does not
+   change the least fixpoint it reaches. *)
 let solve (g : Graph.t) : t =
-  let r = S.solve g in
-  (* recompute out-facts with the exit boundary applied, for clients
-     reading [live_out] directly *)
-  let live_out =
-    Array.map
-      (fun (b : Graph.block) ->
-        if b.Graph.fall_succs = [] then exit_live b else r.S.out_facts.(b.Graph.id))
-      g.Graph.blocks
+  let nb = Graph.num_blocks g in
+  let instrs = (Graph.stream g).instrs in
+  let kill = Array.make nb 0 and gen = Array.make nb 0 in
+  let live_in = Array.make nb 0 and live_out = Array.make nb 0 in
+  let exit = Array.make nb false in
+  (* flow predecessors under [fall_succs], as one array sliced by
+     [pstart] *)
+  let pstart = Array.make (nb + 1) 0 in
+  Array.iter
+    (fun (b : Graph.block) ->
+      (* the pair of instructions [i..last]: [i]'s transfer after
+         the rest's *)
+      let k = ref 0 and gn = ref 0 in
+      for i = b.Graph.last downto b.Graph.first do
+        let ki = kill_of instrs.(i) in
+        gn := (!gn land lnot ki) lor gen_of instrs.(i);
+        k := !k lor ki
+      done;
+      kill.(b.Graph.id) <- !k;
+      gen.(b.Graph.id) <- !gn;
+      match b.Graph.fall_succs with
+      | [] ->
+        exit.(b.Graph.id) <- true;
+        live_out.(b.Graph.id) <- exit_live b
+      | ss -> List.iter (fun s -> pstart.(s + 1) <- pstart.(s + 1) + 1) ss)
+    g.Graph.blocks;
+  for b = 1 to nb do
+    pstart.(b) <- pstart.(b) + pstart.(b - 1)
+  done;
+  let preds = Array.make pstart.(nb) 0 in
+  let fill = Array.sub pstart 0 (max nb 1) in
+  Array.iter
+    (fun (b : Graph.block) ->
+      List.iter
+        (fun s ->
+          preds.(fill.(s)) <- b.Graph.id;
+          fill.(s) <- fill.(s) + 1)
+        b.Graph.fall_succs)
+    g.Graph.blocks;
+  (* the worklist: a ring of block ids, each queued at most once;
+     seeded with every block, unreachable ones first and the
+     reachable ones in postorder, so most facts settle in one sweep *)
+  let ring = Array.make (max nb 1) 0 and queued = Array.make nb true in
+  let head = ref 0 and size = ref 0 in
+  let push b =
+    ring.((!head + !size) mod nb) <- b;
+    incr size
   in
-  { graph = g; live_in = r.S.in_facts; live_out }
+  let seen = Array.make nb false in
+  Array.iter (fun b -> seen.(b) <- true) g.Graph.rpo;
+  for b = nb - 1 downto 0 do
+    if not seen.(b) then push b
+  done;
+  for k = Array.length g.Graph.rpo - 1 downto 0 do
+    push g.Graph.rpo.(k)
+  done;
+  let rec join_in acc = function
+    | [] -> acc
+    | s :: rest -> join_in (acc lor live_in.(s)) rest
+  in
+  while !size > 0 do
+    let b = ring.(!head) in
+    head := (!head + 1) mod nb;
+    decr size;
+    queued.(b) <- false;
+    if not exit.(b) then
+      live_out.(b) <- join_in 0 (Graph.block g b).Graph.fall_succs;
+    let inp = (live_out.(b) land lnot kill.(b)) lor gen.(b) in
+    if inp <> live_in.(b) then begin
+      live_in.(b) <- inp;
+      for k = pstart.(b) to pstart.(b + 1) - 1 do
+        let p = preds.(k) in
+        if not queued.(p) then begin
+          queued.(p) <- true;
+          push p
+        end
+      done
+    end
+  done;
+  { graph = g; live_in; live_out }
 
 let live_in t b = t.live_in.(b)
 let live_out t b = t.live_out.(b)
@@ -98,8 +161,7 @@ let live_before t (index : int) : int =
   let b = Graph.block g bid in
   let live = ref t.live_out.(bid) in
   for i = b.Graph.last downto index do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    live := transfer_instr instr !live
+    live := transfer_instr (Graph.instr g i) !live
   done;
   !live
 

@@ -11,7 +11,6 @@ val flags_bit : int
 val reg_bit : X64.Isa.reg -> int
 val all_live : int
 
-val caller_saved_regs : X64.Isa.reg list
 val caller_saved_mask : int
 val callee_saved_mask : int
 

@@ -195,16 +195,14 @@ type guard = {
 let state_through (g : Graph.t) ~(first : int) ~(last : int) : Canon.state =
   let st = Canon.fresh () in
   for i = first to last do
-    let _, instr, _ = g.Graph.instrs.(i) in
-    Canon.step st instr
+    Canon.step st (Graph.instr g i)
   done;
   st
 
 let recognize_guard (t : t) (l : loop) : guard option =
   let g = t.graph in
   let hb = Graph.block g l.header in
-  let _, term, _ = g.Graph.instrs.(hb.Graph.last) in
-  match term with
+  match Graph.instr g hb.Graph.last with
   | X64.Isa.Jcc (cc, target) -> (
     let target_block =
       match Graph.index_at g target with
@@ -229,15 +227,14 @@ let recognize_guard (t : t) (l : loop) : guard option =
            it may clobber the flags before the branch *)
         let cmp = ref None in
         for i = hb.Graph.first to hb.Graph.last - 1 do
-          let _, instr, _ = g.Graph.instrs.(i) in
+          let instr = Graph.instr g i in
           if X64.Isa.writes_flags instr then cmp := Some (i, instr)
         done;
         match !cmp with
         | Some (ci, (X64.Isa.Cmp_rr _ | X64.Isa.Cmp_ri _)) -> (
           let st = state_through g ~first:hb.Graph.first ~last:(ci - 1) in
-          let _, cmp_instr, _ = g.Graph.instrs.(ci) in
           let operands =
-            match cmp_instr with
+            match Graph.instr g ci with
             | X64.Isa.Cmp_rr (a, b) -> (
               match (st.Canon.konst.(a), st.Canon.konst.(b)) with
               | None, Some n -> Some (Canon.canon_reg st a, n)
@@ -286,8 +283,9 @@ let find_increment (t : t) (l : loop) (li : int) (iv : X64.Isa.reg) :
     (fun b ->
       let blk = Graph.block g b in
       for i = blk.Graph.first to blk.Graph.last do
-        let _, instr, _ = g.Graph.instrs.(i) in
-        if List.mem iv (X64.Isa.defs instr) then defs := (b, i, instr) :: !defs
+        let instr = Graph.instr g i in
+        if X64.Isa.def_mask instr land (1 lsl iv) <> 0 then
+          defs := (b, i, instr) :: !defs
       done)
     l.body;
   match !defs with
@@ -322,31 +320,27 @@ let body_well_formed (t : t) (l : loop) : bool =
       &&
       let ok = ref true in
       for i = blk.Graph.first to blk.Graph.last do
-        let _, instr, _ = g.Graph.instrs.(i) in
-        (match instr with
-         | X64.Isa.Callrt (X64.Isa.Malloc | X64.Isa.Free | X64.Isa.Exit) ->
-           ok := false
-         | _ -> ());
-        match X64.Isa.flow_of instr with
-        | X64.Isa.To_call _ | X64.Isa.Dyn_call | X64.Isa.Dyn_goto
-        | X64.Isa.Stop -> ok := false
+        match Graph.instr g i with
+        | X64.Isa.Callrt (X64.Isa.Malloc | X64.Isa.Free | X64.Isa.Exit)
+        | X64.Isa.Call _ | X64.Isa.Call_ind _ | X64.Isa.Jmp_ind _
+        | X64.Isa.Ret | X64.Isa.Hlt ->
+          ok := false
         | _ -> ()
       done;
       !ok)
     l.body
 
-(* no instruction of the body redefines [r]; the hoisted operand's
-   registers must hold the same values at the preheader and at every
-   member execution *)
-let invariant_reg (t : t) (l : loop) (r : X64.Isa.reg) : bool =
+(* no instruction of the body redefines a register of the mask
+   [regs]; the hoisted operand's registers must hold the same values
+   at the preheader and at every member execution *)
+let invariant_regs (t : t) (l : loop) (regs : int) : bool =
   let g = t.graph in
   List.for_all
     (fun b ->
       let blk = Graph.block g b in
       let ok = ref true in
       for i = blk.Graph.first to blk.Graph.last do
-        let _, instr, _ = g.Graph.instrs.(i) in
-        if List.mem r (X64.Isa.defs instr) then ok := false
+        if X64.Isa.def_mask (Graph.instr g i) land regs <> 0 then ok := false
       done;
       !ok)
     l.body
@@ -442,8 +436,8 @@ let member_hoist (t : t) ~(index : int) ~(mem : X64.Isa.mem) ~(bytes : int) :
                   (match hull with
                    | None -> None
                    | Some (wmem, lo, hi) ->
-                     let regs = X64.Isa.mem_uses wmem in
-                     let _, last_instr, _ = g.Graph.instrs.(pb.Graph.last) in
+                     let regs = X64.Isa.mem_use_mask wmem in
+                     let last_instr = Graph.instr g pb.Graph.last in
                      let patch_ok =
                        (* the check runs before the preheader's last
                           instruction: that instruction must not change
@@ -453,22 +447,18 @@ let member_hoist (t : t) ~(index : int) ~(mem : X64.Isa.mem) ~(bytes : int) :
                             (X64.Isa.Malloc | X64.Isa.Free | X64.Isa.Exit) ->
                           false
                         | _ -> true)
-                       && List.for_all
-                            (fun r ->
-                              not (List.mem r (X64.Isa.defs last_instr)))
-                            regs
+                       && X64.Isa.def_mask last_instr land regs = 0
                      in
                      if
                        patch_ok && lo < hi
                        && X64.Encode.fits_i32 lo
                        && X64.Encode.fits_i32 hi
-                       && List.for_all (invariant_reg t l) regs
+                       && invariant_regs t l regs
                      then
-                       let h_addr, _, _ = g.Graph.instrs.(pb.Graph.last) in
                        Some
                          {
                            h_index = pb.Graph.last;
-                           h_addr;
+                           h_addr = Graph.addr g pb.Graph.last;
                            h_mem = wmem;
                            h_lo = lo;
                            h_hi = hi;

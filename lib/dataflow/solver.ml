@@ -1,6 +1,7 @@
 (** Generic worklist fixpoint solver, functorized over the lattice.
 
-    One engine for every analysis in this library: a problem supplies
+    The engine of the forward analyses (availability), and of the
+    test suite's reference liveness: a problem supplies
     the fact type, the join, the boundary fact for roots (forward) or
     exits (backward), and a per-block transfer; the solver seeds the
     worklist in reverse postorder (forward) or its reverse (backward)

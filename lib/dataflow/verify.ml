@@ -74,52 +74,66 @@ type tunit = {
   u_displaced : X64.Isa.instr list;
 }
 
-let parse_units ~(rf_addr : int) ~(rf_len : int)
-    (instrs : (int * X64.Isa.instr * int) array) :
+let parse_units ~(rf_addr : int) ~(rf_len : int) (s : X64.Disasm.stream) :
     tunit list * failure list =
   let in_tramp a = a >= rf_addr && a < rf_addr + rf_len in
-  let units = ref [] and errs = ref [] and cur = ref [] in
+  let units = ref [] and errs = ref [] in
   let fail a m = errs := { f_addr = a; f_reason = m } :: !errs in
-  let finish back (body : (int * X64.Isa.instr * int) list) =
-    match body with
-    | [] -> fail back "trampoline unit with no body"
-    | (u_tramp, _, _) :: _ ->
-      let rec split_checks acc = function
-        | (_, X64.Isa.Check ck, _) :: rest -> split_checks (ck :: acc) rest
-        | rest -> (List.rev acc, rest)
+  (* the unit whose body is instructions [first, stop), closed by a
+     back-jump to [back] *)
+  let finish back first stop =
+    if first = stop then fail back "trampoline unit with no body"
+    else begin
+      let u_tramp = s.addrs.(first) in
+      let checks = ref [] and d = ref first in
+      let rec leading_checks () =
+        if !d < stop then
+          match s.instrs.(!d) with
+          | X64.Isa.Check ck ->
+            checks := ck :: !checks;
+            incr d;
+            leading_checks ()
+          | _ -> ()
       in
-      let checks, disp = split_checks [] body in
-      if
-        List.exists
-          (function _, X64.Isa.Check _, _ -> true | _ -> false)
-          disp
-      then fail u_tramp "check after displaced instruction in trampoline unit"
-      else if disp = [] then
+      leading_checks ();
+      let rec check_after k =
+        k < stop
+        && match s.instrs.(k) with
+           | X64.Isa.Check _ -> true
+           | _ -> check_after (k + 1)
+      in
+      if check_after !d then
+        fail u_tramp "check after displaced instruction in trampoline unit"
+      else if !d = stop then
         fail u_tramp "trampoline unit displaces no instruction"
       else begin
-        let span = List.fold_left (fun s (_, _, l) -> s + l) 0 disp in
+        let span = ref 0 in
+        for k = !d to stop - 1 do
+          span := !span + s.lens.(k)
+        done;
         units :=
           {
             u_tramp;
-            u_patch = back - span;
-            u_span = span;
-            u_checks = checks;
-            u_displaced = List.map (fun (_, i, _) -> i) disp;
+            u_patch = back - !span;
+            u_span = !span;
+            u_checks = List.rev !checks;
+            u_displaced = List.init (stop - !d) (fun j -> s.instrs.(!d + j));
           }
           :: !units
       end
+    end
   in
-  Array.iter
-    (fun (a, i, l) ->
-      match i with
-      | X64.Isa.Jmp t when not (in_tramp t) ->
-        finish t (List.rev !cur);
-        cur := []
-      | _ -> cur := (a, i, l) :: !cur)
-    instrs;
-  (match !cur with
-  | [] -> ()
-  | (a, _, _) :: _ -> fail a "trailing trampoline code without a back-jump");
+  let n = X64.Disasm.length s in
+  let start = ref 0 in
+  for k = 0 to n - 1 do
+    match s.instrs.(k) with
+    | X64.Isa.Jmp t when not (in_tramp t) ->
+      finish t !start k;
+      start := k + 1
+    | _ -> ()
+  done;
+  if !start < n then
+    fail s.addrs.(n - 1) "trailing trampoline code without a back-jump";
   (List.rev !units, List.rev !errs)
 
 (* the syntactic elimination rule, re-verified independently of the
@@ -148,7 +162,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       let failures = ref [] in
       let fail a m = failures := { f_addr = a; f_reason = m } :: !failures in
       (* 1. decode the trampoline section into units *)
-      let tinstrs = X64.Disasm.sweep_array ~addr:rf.addr rf.bytes in
+      let tinstrs = X64.Disasm.sweep_stream ~addr:rf.addr rf.bytes in
       let units, uerrs =
         parse_units ~rf_addr:rf.addr ~rf_len:(String.length rf.bytes) tinstrs
       in
@@ -224,14 +238,14 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
           units
       in
       (* 3. re-derive the program structure the rewriter saw *)
-      let instrs =
-        X64.Disasm.sweep_array ~addr:text.addr (Bytes.to_string buf)
+      let graph =
+        Graph.of_instrs ~entry:text.addr
+          (X64.Disasm.sweep_stream ~addr:text.addr (Bytes.to_string buf))
       in
-      let graph = Graph.of_instrs ~entry:text.addr instrs in
       let dom = Dom.compute graph in
       (* per instruction index: the checks discovered in trampolines,
          as availability gen facts, and the unit displacing it *)
-      let n = Array.length instrs in
+      let n = Graph.num_instrs graph in
       let gen = Array.make n [] in
       let displaced_at = Array.make n None in
       List.iter
@@ -252,14 +266,19 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                        variant = ck.ck_variant;
                      } ))
                  u.u_checks);
-            (* original addresses occupied by the displaced run *)
+            (* original addresses occupied by the displaced run: each
+               step is the length of the instruction the restored
+               sweep decoded there, or, where none starts, of the
+               displaced instruction re-encoded *)
+            let some_u = Some u in
             ignore
               (List.fold_left
                  (fun a i ->
-                   (match Graph.index_at graph a with
-                   | Some k -> displaced_at.(k) <- Some u
-                   | None -> ());
-                   a + X64.Encode.length i)
+                   match Graph.index_at graph a with
+                   | Some k ->
+                     displaced_at.(k) <- some_u;
+                     a + Graph.len graph k
+                   | None -> a + X64.Encode.length i)
                  u.u_patch u.u_displaced))
         units;
       let avail = Avail.solve graph ~gen in
@@ -287,10 +306,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
       let canon = Canon.cursor graph in
       let avail_at = Avail.cursor avail in
       (* 4. the proof obligation, per memory operand *)
-      let site_addr idx =
-        let a, _, _ = instrs.(idx) in
-        a
-      in
+      let site_addr idx = Graph.addr graph idx in
       (* the same-block fallback.  [Avail] keeps one fact per address
          key: of an unmerged batch's several checks on one key only
          one survives, and an older covering fact beats a fresh one
@@ -313,8 +329,7 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
         let rec back j =
           if j < first then None
           else
-            let _, instr, _ = instrs.(j) in
-            let after = Avail.transfer_instr [] instr probe in
+            let after = Avail.transfer_instr [] (Graph.instr graph j) probe in
             if not (Avail.equal_fact after probe) then None
             else if
               List.exists
@@ -397,9 +412,9 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                     access"
                    s)
       in
-      Array.iteri
-        (fun idx (a, instr, _len) ->
-          match X64.Isa.mem_operand instr with
+      for idx = 0 to n - 1 do
+          let a = Graph.addr graph idx in
+          match X64.Isa.mem_operand (Graph.instr graph idx) with
           | None -> ()
           | Some (m, w, write) -> (
             incr total;
@@ -449,8 +464,8 @@ let run ?(allow : int list = []) ~(traps : (int * int) list)
                     | Some (Elimtab.Hoist _) -> assert false (* handled above *)
                     | None ->
                       if allowed.(idx) then incr allowlisted
-                      else fail a "unaccounted memory access"))))
-        instrs;
+                      else fail a "unaccounted memory access")))
+      done;
       Ok
         {
           total = !total;

@@ -288,32 +288,43 @@ let minimize_inputs (still : int list -> bool) (input : int list) : int list =
   done;
   !cur
 
-(** Byte-string minimizer: cut chunks (halves, quarters, single bytes
-    from the tail) while the typed rejection reproduces. *)
+(** Byte-string minimizer: cut chunks while the typed rejection
+    reproduces.  Trailing chunks go first (keep the first half, three
+    quarters, all but the last byte) until none can go; then leading
+    ones (drop the first half, quarter, byte), as ddmin's complement
+    step removes a chunk wherever it sits; and again while either
+    shrinks the input. *)
 let minimize_bytes (still : string -> bool) (input : string) : string =
   let tries = ref 0 in
   let still cand = !tries < minimize_budget && (incr tries; still cand) in
   let cur = ref input in
   let changed = ref true in
-  while !changed do
-    changed := false;
+  let cuts l n =
+    List.sort_uniq compare (List.filter (fun k -> k >= 0 && k < n) l)
+  in
+  (* one pass of [keep k s] over the cut points of the current length;
+     [!cur] may have shrunk since the cut list was computed *)
+  let pass points keep =
     let n = String.length !cur in
-    let cuts =
-      [ n / 2; (3 * n) / 4; n - 1 ]
-      |> List.filter (fun k -> k >= 0 && k < n)
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun k ->
-        (* !cur may have shrunk since the cut list was computed *)
-        if k < String.length !cur then begin
-          let cand = String.sub !cur 0 k in
-          if still cand then begin
-            cur := cand;
-            changed := true
-          end
-        end)
-      cuts
+    List.fold_left
+      (fun shrunk k ->
+        match keep k !cur with
+        | Some cand when still cand ->
+          cur := cand;
+          true
+        | _ -> shrunk)
+      false (cuts (points n) n)
+  in
+  let prefix k s = if k < String.length s then Some (String.sub s 0 k) else None in
+  let suffix k s =
+    let m = String.length s in
+    if k > 0 && k < m then Some (String.sub s k (m - k)) else None
+  in
+  while !changed do
+    while pass (fun n -> [ n / 2; (3 * n) / 4; n - 1 ]) prefix do
+      ()
+    done;
+    changed := pass (fun n -> [ n / 2; n / 4; 1 ]) suffix
   done;
   !cur
 
@@ -371,14 +382,14 @@ let x64_base = Lowfat.Layout.code_base
 let sweep_once (bytes : string) : exec_result =
   let ops = Hashtbl.create 16 in
   let crash =
-    match X64.Disasm.sweep_array ~addr:x64_base bytes with
-    | instrs ->
+    match X64.Disasm.sweep_stream ~addr:x64_base bytes with
+    | s ->
       Array.iter
-        (fun (a, _, _) ->
+        (fun a ->
           Hashtbl.replace ops
             (Hashtbl.hash ("op", bytes.[a - x64_base]))
             ())
-        instrs;
+        s.addrs;
       None
     | exception (X64.Decode.Decode_error { addr; byte } as exn) ->
       let off = addr - x64_base in

@@ -34,14 +34,13 @@ let instrument (binary : Binfmt.Relf.t) : t =
   let g = Graph.recover ~entry:text.addr text.bytes in
   let leaders =
     List.filter
-      (fun i ->
-        let a, _, _ = g.instrs.(i) in
-        Graph.is_leader g a)
-      (List.init (Array.length g.instrs) Fun.id)
+      (fun i -> Graph.is_leader g (Graph.addr g i))
+      (List.init (Graph.num_instrs g) Fun.id)
   in
   let blocks = List.length leaders in
   let p =
-    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text g.instrs
+    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text
+      (Graph.stream g)
   in
   List.iteri
     (fun rank i ->

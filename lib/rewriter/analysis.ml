@@ -49,32 +49,30 @@ let conservative = { nsaves = scratch_needed; save_flags = true }
    or stays conservatively live. *)
 let clobbers ?(live : Dataflow.Live.t option) (g : Dataflow.Graph.t)
     ~(start : int) ~(limit : int) : spec =
-  let read = Array.make X64.Isa.num_regs false in
-  let dead = Array.make X64.Isa.num_regs false in
+  (* register masks: bit [r] for register [r] *)
+  let read = ref 0 and dead = ref 0 in
   let flags = ref `Unknown in
-  let n = Array.length g.instrs in
-  let stop = ref None in
+  let n = Dataflow.Graph.num_instrs g in
+  let stop = ref `Scanning in
   let i = ref start and steps = ref 0 in
-  while !stop = None do
-    if !i >= n then stop := Some `End
+  while !stop = `Scanning do
+    if !i >= n then stop := `End
     else begin
-      let addr, instr, _len = g.instrs.(!i) in
-      if !i > start && Dataflow.Graph.is_leader g addr then stop := Some `Edge
-      else if !steps >= limit then stop := Some `Edge
+      let instr = Dataflow.Graph.instr g !i in
+      if !i > start && Dataflow.Graph.is_leader g (Dataflow.Graph.addr g !i)
+      then stop := `Edge
+      else if !steps >= limit then stop := `Edge
       else
-        match X64.Isa.flow_of instr with
-        | To_call _ | Dyn_call | Dyn_goto ->
+        match instr with
+        | X64.Isa.Call _ | Call_ind _ | Jmp_ind _ ->
           (* ABI boundary: the transfer's own operands are read first
              (e.g. [call *%rax]), then the callee clobbers *)
-          List.iter (fun r -> if not dead.(r) then read.(r) <- true)
-            (X64.Isa.uses instr);
-          stop := Some `Call
-        | Branch _ | Goto _ | Stop -> stop := Some `Edge
-        | Fall ->
-          List.iter (fun r -> if not dead.(r) then read.(r) <- true)
-            (X64.Isa.uses instr);
-          List.iter (fun r -> if not read.(r) then dead.(r) <- true)
-            (X64.Isa.defs instr);
+          read := !read lor (X64.Isa.use_mask instr land lnot !dead);
+          stop := `Call
+        | Jmp _ | Jcc _ | Ret | Hlt -> stop := `Edge
+        | _ ->
+          read := !read lor (X64.Isa.use_mask instr land lnot !dead);
+          dead := !dead lor (X64.Isa.def_mask instr land lnot !read);
           if !flags = `Unknown then begin
             if X64.Isa.reads_flags instr then flags := `Read
             else if X64.Isa.writes_flags instr then flags := `Written
@@ -84,14 +82,12 @@ let clobbers ?(live : Dataflow.Live.t option) (g : Dataflow.Graph.t)
     end
   done;
   (* resolve what the scan left unclassified *)
-  (match !stop with
-   | Some `Call ->
-     (* the call (or tail transfer) writes every caller-saved register
-        and the flags before anything can read them *)
-     List.iter (fun r -> if not read.(r) then dead.(r) <- true)
-       Dataflow.Live.caller_saved_regs;
-     if !flags = `Unknown then flags := `Written
-   | _ -> ());
+  if !stop = `Call then begin
+    (* the call (or tail transfer) writes every caller-saved register
+       and the flags before anything can read them *)
+    dead := !dead lor (Dataflow.Live.caller_saved_mask land lnot !read);
+    if !flags = `Unknown then flags := `Written
+  end;
   (match live with
    | Some lv when !i < n ->
      (* the stop-point instruction was not consumed by the scan, so the
@@ -99,15 +95,16 @@ let clobbers ?(live : Dataflow.Live.t option) (g : Dataflow.Graph.t)
         scan's frontier; a register untouched between [start] and the
         frontier has the same liveness at both points *)
      let mask = Dataflow.Live.live_before lv !i in
-     for r = 0 to X64.Isa.num_regs - 1 do
-       if (not read.(r)) && (not dead.(r)) && not (Dataflow.Live.is_live mask r)
-       then dead.(r) <- true
-     done;
+     let regs = (1 lsl X64.Isa.num_regs) - 1 in
+     dead := !dead lor (regs land lnot (!read lor mask));
      if !flags = `Unknown && not (Dataflow.Live.flags_live mask) then
        flags := `Written
    | _ -> ());
-  let ndead = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dead in
+  let ndead = ref 0 in
+  for r = 0 to X64.Isa.num_regs - 1 do
+    if !dead land (1 lsl r) <> 0 then incr ndead
+  done;
   {
-    nsaves = max 0 (scratch_needed - ndead);
+    nsaves = max 0 (scratch_needed - !ndead);
     save_flags = (match !flags with `Written -> false | _ -> true);
   }

@@ -39,33 +39,40 @@ type t = {
    and a Mov_ri constant pointing into the text pins the key to the
    exact text_addr: its folded value reaches merge keys and range
    analysis, so such a shape may only be shared at the same address. *)
-let shape_key ~opts_key ~text_addr ~text_end
-    (instrs : (int * X64.Isa.instr * int) array) : string =
+let shape_key ~opts_key ~text_addr ~text_end (s : X64.Disasm.stream) :
+    string =
   let in_range v = v >= text_addr && v < text_end in
   let pinned = ref (-1) in
+  let tags = Bytes.make (X64.Disasm.length s) 'v' in
   let abstract =
-    Array.map
-      (fun (_, instr, len) ->
-        let tag, instr' =
-          match instr with
-          | X64.Isa.Jmp t when in_range t -> ('o', X64.Isa.Jmp (t - text_addr))
-          | X64.Isa.Jcc (cc, t) when in_range t ->
-            ('o', X64.Isa.Jcc (cc, t - text_addr))
-          | X64.Isa.Call t ->
-            if in_range t then ('o', X64.Isa.Call (t - text_addr))
-            else ('x', X64.Isa.Call 0)
-          | X64.Isa.Mov_ri (r, v) when in_range v ->
-            pinned := text_addr;
-            ('c', X64.Isa.Mov_ri (r, v - text_addr))
-          | i -> ('v', i)
-        in
-        (tag, instr', len))
-      instrs
+    Array.mapi
+      (fun k instr ->
+        match instr with
+        | X64.Isa.Jmp t when in_range t ->
+          Bytes.set tags k 'o';
+          X64.Isa.Jmp (t - text_addr)
+        | X64.Isa.Jcc (cc, t) when in_range t ->
+          Bytes.set tags k 'o';
+          X64.Isa.Jcc (cc, t - text_addr)
+        | X64.Isa.Call t when in_range t ->
+          Bytes.set tags k 'o';
+          X64.Isa.Call (t - text_addr)
+        | X64.Isa.Call _ ->
+          Bytes.set tags k 'x';
+          X64.Isa.Call 0
+        | X64.Isa.Mov_ri (r, v) when in_range v ->
+          pinned := text_addr;
+          Bytes.set tags k 'c';
+          X64.Isa.Mov_ri (r, v - text_addr)
+        | i -> i)
+      s.instrs
   in
   (* the abstracted stream is acyclic, so marshalling it without
      sharing terminates and makes the key a function of its structure
      alone; the key never leaves this process's table *)
-  Marshal.to_string (opts_key, !pinned, abstract) [ Marshal.No_sharing ]
+  Marshal.to_string
+    (opts_key, !pinned, tags, abstract, s.lens)
+    [ Marshal.No_sharing ]
 
 (* --- the interning table --------------------------------------------- *)
 
@@ -80,8 +87,17 @@ let cap = 8192
 let bump obs name =
   match obs with Some o -> Obs.add o name | None -> ()
 
+(* the table's own work — hashing the key, comparing it on a hit,
+   inserting it after a build — is span [rw.blueprint]; the build
+   records its own spans *)
+let sp obs f =
+  match obs with
+  | Some o -> Obs.span o ~cat:"rewrite" "rw.blueprint" f
+  | None -> f ()
+
 let find_or_build ?obs ~key build =
   let cached =
+    sp obs @@ fun () ->
     Mutex.lock lock;
     let r = Hashtbl.find_opt table key in
     Mutex.unlock lock;
@@ -95,6 +111,7 @@ let find_or_build ?obs ~key build =
     bump obs "blueprint.miss";
     let bp = build () in
     let fresh =
+      sp obs @@ fun () ->
       Mutex.lock lock;
       let f =
         (not (Hashtbl.mem table key)) && Hashtbl.length table < cap

@@ -81,7 +81,7 @@ val shape_key :
   opts_key:string ->
   text_addr:int ->
   text_end:int ->
-  (int * X64.Isa.instr * int) array ->
+  X64.Disasm.stream ->
   string
 (** The interning key for a text's instruction stream under an options
     rendering ([opts_key] must determine every planning decision,

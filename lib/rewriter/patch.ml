@@ -6,24 +6,24 @@ type tactic = Jump | Trap
 let jmp_len = 5
 
 let decide (g : Dataflow.Graph.t) ~is_start i =
-  let n = Array.length g.instrs in
-  let _, _, l0 = g.instrs.(i) in
+  let n = Dataflow.Graph.num_instrs g in
+  let l0 = Dataflow.Graph.len g i in
   (* successor eviction (E9Patch tactic T3) until the run spans a jump *)
   let rec evict k span run =
     if span >= jmp_len then (Jump, List.rev run)
     else if k >= n then (Trap, [ i ])
     else
-      let ak, ik, lk = g.instrs.(k) in
       if
-        Dataflow.Graph.is_leader g ak || is_start k
-        || X64.Isa.flow_of ik <> X64.Isa.Fall
+        Dataflow.Graph.is_leader g (Dataflow.Graph.addr g k)
+        || is_start k
+        || not (X64.Isa.falls_through (Dataflow.Graph.instr g k))
       then (Trap, [ i ])
-      else evict (k + 1) (span + lk) (k :: run)
+      else evict (k + 1) (span + Dataflow.Graph.len g k) (k :: run)
   in
   evict (i + 1) l0 [ i ]
 
 type t = {
-  instrs : (int * X64.Isa.instr * int) array;
+  stream : X64.Disasm.stream;
   text_addr : int;
   text : Bytes.t;
   tramp_base : int;
@@ -34,9 +34,9 @@ type t = {
   mutable trap_patches : int;
 }
 
-let create ~tramp_base (text : Binfmt.Relf.section) instrs =
+let create ~tramp_base (text : Binfmt.Relf.section) stream =
   {
-    instrs;
+    stream;
     text_addr = text.addr;
     text = Bytes.of_string text.bytes;
     tramp_base;
@@ -49,12 +49,8 @@ let create ~tramp_base (text : Binfmt.Relf.section) instrs =
 
 (* start address and byte length of a displaced run *)
 let run p displaced =
-  let a0, _, _ = p.instrs.(List.hd displaced) in
-  let len k =
-    let _, _, l = p.instrs.(k) in
-    l
-  in
-  (a0, List.fold_left (fun s k -> s + len k) 0 displaced)
+  ( p.stream.addrs.(List.hd displaced),
+    List.fold_left (fun s k -> s + p.stream.lens.(k)) 0 displaced )
 
 let trampoline p ~payload ~displaced =
   let at = Buffer.length p.tramp in
@@ -64,7 +60,7 @@ let trampoline p ~payload ~displaced =
   let a0, span = run p displaced in
   (try
      List.iter put payload;
-     List.iter (fun k -> let _, ik, _ = p.instrs.(k) in put ik) displaced;
+     List.iter (fun k -> put p.stream.instrs.(k)) displaced;
      put (X64.Isa.Jmp (a0 + span))
    with e ->
      Buffer.truncate p.tramp at;

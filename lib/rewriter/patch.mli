@@ -32,14 +32,9 @@ type t
 (** One patch session over a text section: the patched text, the
     trampoline buffer, the trap entries and per-tactic counts. *)
 
-val create :
-  tramp_base:int ->
-  Binfmt.Relf.section ->
-  (int * X64.Isa.instr * int) array ->
-  t
-(** A session over a text section and its swept instructions
-    (address, instruction, length), laying trampolines out from
-    [tramp_base]. *)
+val create : tramp_base:int -> Binfmt.Relf.section -> X64.Disasm.stream -> t
+(** A session over a text section and its swept instruction stream,
+    laying trampolines out from [tramp_base]. *)
 
 val trampoline : t -> payload:X64.Isa.instr list -> displaced:int list -> int
 (** Append one trampoline unit: [payload], the displaced run

@@ -169,7 +169,8 @@ let make_batches (g : Dataflow.Graph.t) (opts : options)
   if not opts.batch then List.map (fun m -> [ m ]) members
   else begin
     let batches = ref [] and current = ref [] in
-    let defined = Array.make X64.Isa.num_regs false in
+    (* registers defined since the batch began, bit [r] for register [r] *)
+    let defined = ref 0 in
     let scanned = ref 0 (* next instr index to scan *) in
     let flush () =
       if !current <> [] then begin
@@ -180,10 +181,8 @@ let make_batches (g : Dataflow.Graph.t) (opts : options)
     let start_fresh (m : member) =
       flush ();
       current := [ m ];
-      Array.fill defined 0 X64.Isa.num_regs false;
       (* the first member's own defs matter for later members *)
-      let _, i0, _ = g.instrs.(m.mi) in
-      List.iter (fun r -> defined.(r) <- true) (X64.Isa.defs i0);
+      defined := X64.Isa.def_mask (Dataflow.Graph.instr g m.mi);
       scanned := m.mi + 1
     in
     let try_extend (m : member) =
@@ -191,27 +190,25 @@ let make_batches (g : Dataflow.Graph.t) (opts : options)
       let ok = ref true in
       let k = ref !scanned in
       while !ok && !k < m.mi do
-        let addr, i, _ = g.instrs.(!k) in
-        if Dataflow.Graph.is_leader g addr then ok := false
+        let i = Dataflow.Graph.instr g !k in
+        if Dataflow.Graph.is_leader g (Dataflow.Graph.addr g !k) then
+          ok := false
         else begin
-          (match X64.Isa.flow_of i with
-           | Fall -> ()
-           | _ -> ok := false);
-          (match i with X64.Isa.Callrt _ -> ok := false | _ -> ());
-          List.iter (fun r -> defined.(r) <- true) (X64.Isa.defs i);
+          (match i with
+           | X64.Isa.Callrt _ -> ok := false
+           | _ -> if not (X64.Isa.falls_through i) then ok := false);
+          defined := !defined lor X64.Isa.def_mask i;
           incr k
         end
       done;
       (* the member's own address must not start a new basic block *)
       if Dataflow.Graph.is_leader g m.addr then ok := false;
       if !ok then begin
-        let operand_ok =
-          List.for_all (fun r -> not defined.(r)) (X64.Isa.mem_uses m.m)
-        in
+        let operand_ok = X64.Isa.mem_use_mask m.m land !defined = 0 in
         if operand_ok then begin
           current := m :: !current;
-          let _, im, _ = g.instrs.(m.mi) in
-          List.iter (fun r -> defined.(r) <- true) (X64.Isa.defs im);
+          defined :=
+            !defined lor X64.Isa.def_mask (Dataflow.Graph.instr g m.mi);
           scanned := m.mi + 1;
           true
         end
@@ -351,7 +348,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
     | Some o -> Obs.span o ~cat:"rewrite" name f
     | None -> f ()
   in
-  let n = Array.length g.instrs in
+  let n = Dataflow.Graph.num_instrs g in
   (* 1. collect instrumentable members *)
   let mem_ops = ref 0 in
   let records = ref [] (* (instr index, reason), newest first *) in
@@ -359,8 +356,7 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
   sp "rw.collect" (fun () ->
   let canon = Dataflow.Canon.cursor g in
   for i = 0 to n - 1 do
-    let addr, instr, _len = g.instrs.(i) in
-    match X64.Isa.mem_operand instr with
+    match X64.Isa.mem_operand (Dataflow.Graph.instr g i) with
     | None -> ()
     | Some (m, w, write) ->
       incr mem_ops;
@@ -378,7 +374,10 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
         let bytes = X64.Isa.width_bytes w in
         if opts.elim && Analysis.eliminable m ~len:bytes then
           records := (i, Dataflow.Elimtab.Clear) :: !records
-        else members := { mi = i; addr; m; bytes; write } :: !members
+        else
+          members :=
+            { mi = i; addr = Dataflow.Graph.addr g i; m; bytes; write }
+            :: !members
       end
   done);
   let members = List.rev !members in
@@ -571,9 +570,10 @@ let plan ?obs (module B : Backend.Check_backend.S) (opts : options)
      starts (fully eliminated plans included); the clobber scan on
      registers and flow — all shape properties *)
   let live =
-    if opts.scratch_opt then Some (Dataflow.Live.solve g) else None
+    if opts.scratch_opt then Some (sp "rw.live" (fun () -> Dataflow.Live.solve g))
+    else None
   in
-  let b_plans =
+  let b_plans = sp "rw.tactics" @@ fun () ->
     List.filter_map
       (fun (i, groups) ->
         if groups = [] then None
@@ -639,10 +639,10 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
     | None -> f ()
   in
   let text = Binfmt.Relf.text_exn binary in
-  let instrs = sp "rw.recover" @@ fun () ->
-    X64.Disasm.sweep_array ~addr:text.addr text.bytes
+  let stream = sp "rw.recover" @@ fun () ->
+    X64.Disasm.sweep_stream ~addr:text.addr text.bytes
   in
-  let n = Array.length instrs in
+  let n = X64.Disasm.length stream in
   let text_end = text.addr + String.length text.bytes in
   let (module B) = Backend.Check_backend.of_id opts.backend in
   (* the plan: interned by text shape, built on a miss (a blueprint
@@ -650,22 +650,19 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
   let bkey = sp "rw.shape" @@ fun () ->
     Blueprint.shape_key
       ~opts_key:(shape_opts_key opts ~text_addr:text.addr ~text_end)
-      ~text_addr:text.addr ~text_end instrs
+      ~text_addr:text.addr ~text_end stream
   in
   let bp =
     Blueprint.find_or_build ?obs ~key:bkey (fun () ->
         let g = sp "rw.graph" @@ fun () ->
-          Dataflow.Graph.of_instrs ~entry:text.addr instrs
+          Dataflow.Graph.of_instrs ~entry:text.addr stream
         in
         plan ?obs (module B : Backend.Check_backend.S) opts g)
   in
   (* 4. emission: instantiate the blueprint's indices at this text's
      concrete addresses and build trampolines and patches *)
-  let addr_of i =
-    let a, _, _ = instrs.(i) in
-    a
-  in
-  let patcher = Patch.create ~tramp_base text instrs in
+  let addr_of i = stream.addrs.(i) in
+  let patcher = Patch.create ~tramp_base text stream in
   let emit (p : Blueprint.bplan) =
     (* one emission attempt.  Everything fallible — the injection hook,
        the backend's check emission, encoding — happens before the text
@@ -811,7 +808,7 @@ let rewrite ?(tramp_base = default_tramp_base) ?obs
         Dataflow.Elimtab.backend = B.name;
         reads = opts.instrument_reads;
         writes = opts.instrument_writes;
-        entries = List.sort compare entries;
+        entries = List.sort Dataflow.Elimtab.compare_entry entries;
       }
   in
   let jump_patches = Patch.jump_patches patcher in

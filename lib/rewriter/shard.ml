@@ -30,8 +30,8 @@ let covers (text : Binfmt.Relf.section) fns =
 
 let slices (b : Binfmt.Relf.t) : slice list =
   let text = Binfmt.Relf.text_exn b in
-  let instrs = X64.Disasm.sweep_array ~addr:text.addr text.bytes in
-  match Dataflow.Funs.partition ~text_addr:text.addr instrs with
+  let stream = X64.Disasm.sweep_stream ~addr:text.addr text.bytes in
+  match Dataflow.Funs.partition ~text_addr:text.addr stream with
   | Some fns when covers text fns ->
     List.map (fun (f : Dataflow.Funs.fn) -> slice_of text f.f_addr f.f_len) fns
   | _ -> [ whole b ]

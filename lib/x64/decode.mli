@@ -8,4 +8,6 @@ exception Decode_error of { addr : int; byte : int }
 val decode : addr:int -> string -> int -> Isa.instr * int
 (** [decode ~addr buf off] decodes one instruction whose first byte is
     [buf.[off]] and whose virtual address is [addr]; returns the
-    instruction and its encoded length.  Allocates only the result. *)
+    instruction and its encoded length.  Allocates only the result;
+    [push], [pop] and register-to-register [mov], and the register
+    options of memory operands, are shared values built once. *)

@@ -83,28 +83,54 @@ let to_string (i : Isa.instr) : string =
       (if c.ck_write then ".w" else ".r")
       (mem_to_string c.ck_mem) c.ck_lo c.ck_hi c.ck_site
 
-(** Linear sweep over a code blob starting at virtual address [addr];
-    returns [(address, instruction, length)] triples, grown in place
-    (about one instruction per 3 bytes of x64l code). *)
-let sweep_array ~(addr : int) (code : string) : (int * Isa.instr * int) array =
+type stream = {
+  addrs : int array;
+  instrs : Isa.instr array;
+  lens : int array;
+}
+
+(** Linear sweep over a code blob starting at virtual address [addr],
+    into three parallel arrays grown in place (about one instruction
+    per 3 bytes of x64l code).  Only the decoded instructions are
+    allocated: no per-instruction tuple survives the sweep. *)
+let sweep_stream ~(addr : int) (code : string) : stream =
   let n = String.length code in
-  let out = ref (Array.make ((n / 3) + 16) (addr, Isa.Hlt, 0)) in
+  let cap = (n / 3) + 16 in
+  let addrs = ref (Array.make cap 0) in
+  let instrs = ref (Array.make cap Isa.Hlt) in
+  let lens = ref (Array.make cap 0) in
   let k = ref 0 and off = ref 0 in
   while !off < n do
     let a = addr + !off in
     let i, len = Decode.decode ~addr:a code !off in
-    if !k = Array.length !out then begin
-      let bigger = Array.make (2 * !k) (addr, Isa.Hlt, 0) in
-      Array.blit !out 0 bigger 0 !k;
-      out := bigger
+    if !k = Array.length !addrs then begin
+      let grow arr fill =
+        let bigger = Array.make (2 * !k) fill in
+        Array.blit arr 0 bigger 0 !k;
+        bigger
+      in
+      addrs := grow !addrs 0;
+      instrs := grow !instrs Isa.Hlt;
+      lens := grow !lens 0
     end;
-    !out.(!k) <- (a, i, len);
+    Array.unsafe_set !addrs !k a;
+    Array.unsafe_set !instrs !k i;
+    Array.unsafe_set !lens !k len;
     incr k;
     off := !off + len
   done;
-  Array.sub !out 0 !k
+  let trim arr = if Array.length arr = !k then arr else Array.sub arr 0 !k in
+  { addrs = trim !addrs; instrs = trim !instrs; lens = trim !lens }
 
-let sweep ~addr code = Array.to_list (sweep_array ~addr code)
+let length (s : stream) = Array.length s.addrs
+
+let sweep ~addr code =
+  let s = sweep_stream ~addr code in
+  let l = ref [] in
+  for k = length s - 1 downto 0 do
+    l := (s.addrs.(k), s.instrs.(k), s.lens.(k)) :: !l
+  done;
+  !l
 
 (** Tolerant dump for human consumption: undecodable bytes (stale
     bytes left behind by patch tactics, data in text, ...) print as

@@ -9,13 +9,24 @@ val width_suffix : Isa.width -> string
 
 val to_string : Isa.instr -> string
 
-val sweep_array : addr:int -> string -> (int * Isa.instr * int) array
-(** Linear sweep over a code blob at virtual address [addr]:
-    [(address, instruction, length)] triples.  Raises
+type stream = {
+  addrs : int array;  (** address of each instruction *)
+  instrs : Isa.instr array;
+  lens : int array;  (** encoded length of each instruction *)
+}
+(** A decoded instruction stream as three parallel arrays, one entry
+    per instruction in address order. *)
+
+val sweep_stream : addr:int -> string -> stream
+(** Linear sweep over a code blob at virtual address [addr].  Raises
     {!Decode.Decode_error} at the first undecodable instruction. *)
 
+val length : stream -> int
+(** Number of instructions. *)
+
 val sweep : addr:int -> string -> (int * Isa.instr * int) list
-(** [sweep_array] as a list. *)
+(** [sweep_stream] as a list of (address, instruction, length)
+    triples. *)
 
 val dump : addr:int -> string -> string
 (** Tolerant pretty dump: undecodable bytes become [.byte] lines (for

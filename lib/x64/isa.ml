@@ -152,54 +152,72 @@ let mem_operand = function
   | Store_i (w, m, _) -> Some (m, w, true)
   | _ -> None
 
-let mem_uses (m : mem) : reg list =
-  let add acc = function Some r -> r :: acc | None -> acc in
-  add (add [] m.base) m.idx
+(* [Some r] for every register, shared: decoders and operand rewriters
+   name a register without allocating an option *)
+let some_regs = Array.init num_regs Option.some
 
-(** Registers read by the instruction (excluding implicit rsp of
-    push/pop, which is handled specially where it matters). *)
-let uses = function
-  | Mov_rr (_, s) -> [ s ]
-  | Mov_ri _ -> []
-  | Load (_, _, m) -> mem_uses m
-  | Store (_, m, s) -> s :: mem_uses m
-  | Store_i (_, m, _) -> mem_uses m
-  | Lea (_, m) -> mem_uses m
-  | Alu_rr (_, d, s) -> [ d; s ]
-  | Alu_ri (_, d, _) -> [ d ]
-  | Mul_rr (d, s) | Div_rr (d, s) | Rem_rr (d, s) -> [ d; s ]
-  | Neg r | Not r -> [ r ]
-  | Shift_ri (_, r, _) -> [ r ]
-  | Cmp_rr (a, b) | Test_rr (a, b) -> [ a; b ]
-  | Cmp_ri (a, _) -> [ a ]
-  | Setcc _ -> []
-  | Jmp _ | Jcc _ | Call _ | Ret -> []
-  | Call_ind r | Jmp_ind r -> [ r ]
-  | Push r -> [ r; rsp ]
-  | Pop _ -> [ rsp ]
-  | Callrt _ -> [ rdi; rsi ]
-  | Nop _ | Hlt | Trap -> []
-  | Probe _ -> []
-  | Check c -> mem_uses c.ck_mem
+let some_reg (r : reg) : reg option = some_regs.(r)
 
-(** Registers written by the instruction. *)
-let defs = function
-  | Mov_rr (d, _) | Mov_ri (d, _) | Load (_, d, _) | Lea (d, _) -> [ d ]
-  | Store _ | Store_i _ -> []
-  | Alu_rr (_, d, _) | Alu_ri (_, d, _) -> [ d ]
-  | Mul_rr (d, _) | Div_rr (d, _) | Rem_rr (d, _) -> [ d ]
-  | Neg d | Not d -> [ d ]
-  | Shift_ri (_, d, _) -> [ d ]
-  | Cmp_rr _ | Cmp_ri _ | Test_rr _ -> []
-  | Setcc (_, d) -> [ d ]
-  | Jmp _ | Jcc _ | Call _ | Ret -> []
-  | Call_ind _ | Jmp_ind _ -> []
-  | Push _ -> [ rsp ]
-  | Pop d -> [ d; rsp ]
-  | Callrt _ -> [ rax ]
-  | Nop _ | Hlt | Trap -> []
-  | Probe _ -> []
-  | Check _ -> []
+let bit (r : reg) = 1 lsl r
+
+let mem_use_mask (m : mem) : int =
+  (match m.base with Some r -> bit r | None -> 0)
+  lor match m.idx with Some r -> bit r | None -> 0
+
+(** Registers read by the instruction, as a mask with bit [r] for
+    register [r] (excluding implicit rsp of push/pop, which is handled
+    specially where it matters).  Allocates nothing. *)
+let use_mask = function
+  | Mov_rr (_, s) -> bit s
+  | Mov_ri _ -> 0
+  | Load (_, _, m) -> mem_use_mask m
+  | Store (_, m, s) -> bit s lor mem_use_mask m
+  | Store_i (_, m, _) -> mem_use_mask m
+  | Lea (_, m) -> mem_use_mask m
+  | Alu_rr (_, d, s) -> bit d lor bit s
+  | Alu_ri (_, d, _) -> bit d
+  | Mul_rr (d, s) | Div_rr (d, s) | Rem_rr (d, s) -> bit d lor bit s
+  | Neg r | Not r -> bit r
+  | Shift_ri (_, r, _) -> bit r
+  | Cmp_rr (a, b) | Test_rr (a, b) -> bit a lor bit b
+  | Cmp_ri (a, _) -> bit a
+  | Setcc _ -> 0
+  | Jmp _ | Jcc _ | Call _ | Ret -> 0
+  | Call_ind r | Jmp_ind r -> bit r
+  | Push r -> bit r lor bit rsp
+  | Pop _ -> bit rsp
+  | Callrt _ -> bit rdi lor bit rsi
+  | Nop _ | Hlt | Trap -> 0
+  | Probe _ -> 0
+  | Check c -> mem_use_mask c.ck_mem
+
+(** Registers written by the instruction, as a mask like {!use_mask}. *)
+let def_mask = function
+  | Mov_rr (d, _) | Mov_ri (d, _) | Load (_, d, _) | Lea (d, _) -> bit d
+  | Store _ | Store_i _ -> 0
+  | Alu_rr (_, d, _) | Alu_ri (_, d, _) -> bit d
+  | Mul_rr (d, _) | Div_rr (d, _) | Rem_rr (d, _) -> bit d
+  | Neg d | Not d -> bit d
+  | Shift_ri (_, d, _) -> bit d
+  | Cmp_rr _ | Cmp_ri _ | Test_rr _ -> 0
+  | Setcc (_, d) -> bit d
+  | Jmp _ | Jcc _ | Call _ | Ret -> 0
+  | Call_ind _ | Jmp_ind _ -> 0
+  | Push _ -> bit rsp
+  | Pop d -> bit d lor bit rsp
+  | Callrt _ -> bit rax
+  | Nop _ | Hlt | Trap -> 0
+  | Probe _ -> 0
+  | Check _ -> 0
+
+(** Control continues at the next instruction and nowhere else: the
+    instructions whose {!flow_of} is [Fall], without building it. *)
+let falls_through = function
+  | Jmp _ | Jcc _ | Call _ | Call_ind _ | Jmp_ind _ | Ret | Hlt -> false
+  | _ -> true
+
+(** A call into program code, direct or indirect (not [Callrt]). *)
+let is_call = function Call _ | Call_ind _ -> true | _ -> false
 
 let writes_flags = function
   | Alu_rr _ | Alu_ri _ | Mul_rr _ | Div_rr _ | Rem_rr _ | Neg _

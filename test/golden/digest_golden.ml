@@ -51,11 +51,11 @@ let probe_build ~evict (binary : Binfmt.Relf.t) =
   let text = Binfmt.Relf.text_exn binary in
   let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   let p =
-    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text cfg.instrs
+    Patch.create ~tramp_base:Lowfat.Layout.trampoline_base text
+      (Dataflow.Graph.stream cfg)
   in
   let next = ref 0 in
-  Array.iteri
-    (fun i _ ->
+  for i = 0 to Dataflow.Graph.num_instrs cfg - 1 do
       if i >= !next then begin
         let tactic, displaced =
           Patch.decide cfg ~is_start:(fun _ -> not evict) i
@@ -65,8 +65,8 @@ let probe_build ~evict (binary : Binfmt.Relf.t) =
         in
         Patch.patch p tactic ~displaced ~tramp;
         next := i + List.length displaced
-      end)
-    cfg.instrs;
+      end
+  done;
   (p, Patch.finish p ~name:".e9tool" binary)
 
 let digest name (b : Binfmt.Relf.t) =

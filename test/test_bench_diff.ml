@@ -38,7 +38,8 @@ let base =
       cycles = None;
       overheads = [];
       counters =
-        [ ("rebuild.fns_reused_permille", 990); ("rebuild.cold_ms", 33) ];
+        [ ("rebuild.fns_reused_permille", 990); ("rebuild.cold_ms", 33);
+          ("rebuild.minor_words_per_instr", 94) ];
     };
     {
       name = "fuzz:redzone";
@@ -112,6 +113,8 @@ let test_within_bounds () =
          { t with overheads = [ ("merge", 2.18); ("memcheck", 10.0) ] }));
   check_exit "fewer checks" 0 (set_counter "spec:a" "checks_emitted" 9);
   check_exit "more bugs" 0 (set_counter "fuzz:redzone" "fuzz.unique_bugs" 9);
+  check_exit "less allocation" 0
+    (set_counter "rebuild:fleet" "rebuild.minor_words_per_instr" 60);
   check_exit "ungated counters move" 0
     (List.map
        (fun t ->
@@ -143,6 +146,11 @@ let test_emitted_up () =
     [ "checks_emitted"; "emit.full.w"; "backend.temporal.checks_emitted";
       "hoist.checks_emitted" ]
 
+(* allocation per rewritten instruction is a cost: it may not grow *)
+let test_alloc_up () =
+  check_exit "minor words per instruction up" 1
+    (set_counter "rebuild:fleet" "rebuild.minor_words_per_instr" 95)
+
 let test_gains_down () =
   List.iter
     (fun (name, k, v) -> check_exit (k ^ " down") 1 (set_counter name k v))
@@ -157,6 +165,7 @@ let test_gated_missing () =
     [ ("spec:a", "checks_emitted"); ("spec:a", "hoisted_checks");
       ("serve:fleet", "serve.warm.hit_permille");
       ("rebuild:fleet", "rebuild.fns_reused_permille");
+      ("rebuild:fleet", "rebuild.minor_words_per_instr");
       ("fuzz:redzone", "fuzz.unique_bugs") ]
 
 let test_usage () =
@@ -198,6 +207,7 @@ let tests =
       ("cycles over 10% fail", test_cycles);
       ("overhead over 10% or missing fails", test_overhead);
       ("emitted checks up fail", test_emitted_up);
+      ("allocation per instruction up fails", test_alloc_up);
       ("gains down fail", test_gains_down);
       ("gated counter missing fails", test_gated_missing);
       ("bad command line exits 2", test_usage);

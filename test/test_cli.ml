@@ -182,6 +182,17 @@ let test_fuzz_parse_mode () =
   Alcotest.(check int) "unknown parser fails" 2 c;
   Alcotest.(check bool) "typed failure" true (contains out "FAILED")
 
+(* the minimizer drops leading bytes as well as trailing ones: the
+   decoder bug of this campaign first crashes on bytes that start with
+   clean instructions, and its one-byte witness is the cut [mov] *)
+let test_fuzz_x64_minimizes_to_one_byte () =
+  skip_unless_available ();
+  let c, out = run_cli "fuzz x64 --mode parse --seed 7" in
+  Alcotest.(check int) "x64 parse campaign" 0 c;
+  Alcotest.(check bool) "minimized to the cut mov" true
+    (contains out "BUG decode.insn at site 0 [none]"
+     && contains out "(min input: \\x02)")
+
 (* the stage table lists each primitive once, under its own name: the
    workflow adds no second timing layer *)
 let test_pipeline_stage_rows () =
@@ -249,6 +260,8 @@ let tests =
       test_trace_bad_free;
     Alcotest.test_case "fuzz campaign" `Quick test_fuzz_campaign;
     Alcotest.test_case "fuzz parse mode" `Quick test_fuzz_parse_mode;
+    Alcotest.test_case "fuzz x64 minimizes to one byte" `Quick
+      test_fuzz_x64_minimizes_to_one_byte;
     Alcotest.test_case "pipeline stage rows" `Quick test_pipeline_stage_rows;
     Alcotest.test_case "trace runs the audit" `Quick test_trace_runs_audit;
     Alcotest.test_case "outside integers strict" `Quick

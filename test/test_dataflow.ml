@@ -12,8 +12,8 @@ let i x = Asm.I x
 
 let graph_of items =
   let code, labels = Asm.assemble ~origin:Lowfat.Layout.code_base items in
-  let instrs = Disasm.sweep_array ~addr:Lowfat.Layout.code_base code in
-  let g = Df.Graph.of_instrs ~entry:Lowfat.Layout.code_base instrs in
+  let stream = Disasm.sweep_stream ~addr:Lowfat.Layout.code_base code in
+  let g = Df.Graph.of_instrs ~entry:Lowfat.Layout.code_base stream in
   let block_at name =
     match Df.Graph.index_at g (Hashtbl.find labels name) with
     | Some idx -> Df.Graph.block_of_instr g idx
@@ -226,7 +226,7 @@ let test_canon_operand () =
    the stream in order with [block_of] matching their ranges, and the
    roots are sorted and duplicate-free *)
 let index_ok (g : Df.Graph.t) =
-  let instrs = g.Df.Graph.instrs in
+  let instrs = Reference.triples (Df.Graph.stream g) in
   let reference = Hashtbl.create 64 in
   Array.iteri (fun i (a, _, _) -> Hashtbl.replace reference a i) instrs;
   let lo, hi =
@@ -244,7 +244,7 @@ let index_ok (g : Df.Graph.t) =
   !ok
 
 let blocks_ok (g : Df.Graph.t) =
-  let n = Array.length g.Df.Graph.instrs in
+  let n = Df.Graph.num_instrs g in
   let next = ref 0 and ok = ref true in
   for b = 0 to Df.Graph.num_blocks g - 1 do
     let blk = Df.Graph.block g b in
@@ -273,7 +273,7 @@ let test_dense_index_gap () =
       (0x1014, Isa.Ret, 1);
     |]
   in
-  let g = Df.Graph.of_instrs ~entry:0x1000 instrs in
+  let g = Df.Graph.of_instrs ~entry:0x1000 (Reference.stream_of_triples instrs) in
   Array.iteri
     (fun k (a, _, _) ->
       Alcotest.(check (option int)) "start maps to its index" (Some k)
@@ -296,7 +296,9 @@ let test_dense_index_gap () =
   Alcotest.(check bool) "graph invariants" true (graph_ok g)
 
 let test_dense_index_single () =
-  let g = Df.Graph.of_instrs ~entry:0x2000 [| (0x2000, Isa.Ret, 1) |] in
+  let g = Df.Graph.of_instrs ~entry:0x2000
+      (Reference.stream_of_triples [| (0x2000, Isa.Ret, 1) |])
+  in
   Alcotest.(check (option int)) "the instruction" (Some 0)
     (Df.Graph.index_at g 0x2000);
   Alcotest.(check (option int)) "before it" None (Df.Graph.index_at g 0x1fff);
@@ -305,7 +307,7 @@ let test_dense_index_single () =
   Alcotest.(check bool) "graph invariants" true (graph_ok g)
 
 let test_dense_index_empty () =
-  let g = Df.Graph.of_instrs ~entry:0x3000 [||] in
+  let g = Df.Graph.of_instrs ~entry:0x3000 (Reference.stream_of_triples [||]) in
   Alcotest.(check int) "no blocks" 0 (Df.Graph.num_blocks g);
   Alcotest.(check (list int)) "no roots" [] (Df.Graph.roots g);
   List.iter
@@ -352,11 +354,11 @@ let test_block_walks_match_replay () =
     (fun (name, bin) ->
       let text = Binfmt.Relf.text_exn bin in
       let g = Df.Graph.recover ~entry:text.addr text.bytes in
-      let n = Array.length g.Df.Graph.instrs in
+      let n = Df.Graph.num_instrs g in
       let canon = Df.Canon.cursor g in
       let ops = ref [] in
       Array.iteri
-        (fun i (_, ins, _) ->
+        (fun i ins ->
           match Isa.mem_operand ins with
           | None -> ()
           | Some (m, w, _) ->
@@ -364,7 +366,7 @@ let test_block_walks_match_replay () =
             if c <> Df.Canon.operand g i m then
               Alcotest.failf "%s: canonical operand of instruction %d" name i;
             ops := (i, c, Isa.width_bytes w) :: !ops)
-        g.Df.Graph.instrs;
+        (Df.Graph.stream g).instrs;
       let ops = List.rev !ops in
       List.iter
         (fun backend ->
@@ -670,7 +672,7 @@ let test_verify_same_block_kill () =
       List.filter
         (fun (_, ins, _) ->
           match ins with Isa.Alu_ri (Isa.Add, r, 3) -> r = Isa.r11 | _ -> false)
-        (Array.to_list (Disasm.sweep_array ~addr:text.addr text.bytes))
+        (Reference.sweep_list ~addr:text.addr text.bytes)
     with
     | [ (a, _, _) ] ->
       (a, Encode.encode_seq ~addr:a [ Isa.Alu_ri (Isa.Add, Isa.r9, 3) ])
@@ -718,8 +720,9 @@ let test_verify_unreachable_batch_runs () =
   let f = List.assoc "fn_f" syms in
   let delta = f - List.assoc "fn_g" syms in
   let text = Binfmt.Relf.text_exn bin in
-  let instrs = Disasm.sweep_array ~addr:text.addr text.bytes in
-  let g = Df.Graph.of_instrs ~entry:bin.Binfmt.Relf.entry instrs in
+  let stream = Disasm.sweep_stream ~addr:text.addr text.bytes in
+  let instrs = Reference.triples stream in
+  let g = Df.Graph.of_instrs ~entry:bin.Binfmt.Relf.entry stream in
   let block_at a =
     Df.Graph.block_of_instr g (Option.get (Df.Graph.index_at g a))
   in

@@ -54,8 +54,8 @@ let test_block_instrumentation_counts () =
     | None -> 0
     | Some s ->
       Array.fold_left
-        (fun n (_, i, _) -> match i with X64.Isa.Probe _ -> n + 1 | _ -> n)
-        0 (X64.Disasm.sweep_array ~addr:s.addr s.bytes)
+        (fun n i -> match i with X64.Isa.Probe _ -> n + 1 | _ -> n)
+        0 (X64.Disasm.sweep_stream ~addr:s.addr s.bytes).instrs
   in
   Alcotest.(check bool) "several blocks" true (t.blocks >= 6);
   Alcotest.(check int) "one probe per block" t.blocks probes

@@ -12,8 +12,8 @@ let i x = Asm.I x
 
 let graph_of items =
   let code, labels = Asm.assemble ~origin:Lowfat.Layout.code_base items in
-  let instrs = Disasm.sweep_array ~addr:Lowfat.Layout.code_base code in
-  let g = Df.Graph.of_instrs ~entry:Lowfat.Layout.code_base instrs in
+  let stream = Disasm.sweep_stream ~addr:Lowfat.Layout.code_base code in
+  let g = Df.Graph.of_instrs ~entry:Lowfat.Layout.code_base stream in
   let block_at name =
     match Df.Graph.index_at g (Hashtbl.find labels name) with
     | Some idx -> Df.Graph.block_of_instr g idx

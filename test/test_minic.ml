@@ -345,12 +345,12 @@ let test_codegen_emits_indexed_operands () =
   let text = Binfmt.Relf.text_exn bin in
   let found =
     Array.exists
-      (fun (_, instr, _) ->
+      (fun instr ->
         match instr with
         | X64.Isa.Store (X64.Isa.W8, m, _) ->
           m.base <> None && m.idx <> None && m.scale = 8
         | _ -> false)
-      (X64.Disasm.sweep_array ~addr:text.addr text.bytes)
+      (X64.Disasm.sweep_stream ~addr:text.addr text.bytes).instrs
   in
   Alcotest.(check bool) "indexed store present" true found
 

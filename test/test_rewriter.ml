@@ -40,8 +40,8 @@ let test_cfg_leaders () =
   let text = Binfmt.Relf.text_exn bin in
   let cfg = Dataflow.Graph.recover ~entry:text.addr text.bytes in
   let leaders =
-    Array.to_list cfg.instrs
-    |> List.filter (fun (a, _, _) -> Dataflow.Graph.is_leader cfg a)
+    Array.to_list (Dataflow.Graph.stream cfg).addrs
+    |> List.filter (fun a -> Dataflow.Graph.is_leader cfg a)
     |> List.length
   in
   Alcotest.(check int) "leader count" 5 leaders
@@ -407,7 +407,7 @@ let test_allowlist_splits_variants () =
     List.filter_map
       (fun (a, instr, _) ->
         match Isa.mem_operand instr with Some _ -> Some a | None -> None)
-      (Array.to_list (Disasm.sweep_array ~addr:text.addr text.bytes))
+      (Reference.sweep_list ~addr:text.addr text.bytes)
   in
   (match sites with
    | first :: _ ->

@@ -25,8 +25,8 @@ let prop_sweep_covers =
     QCheck.(make Gen.(list_size (int_range 1 30) Test_x64.gen_instr))
     (fun is ->
       let code = Encode.encode_seq ~addr:0x400000 is in
-      let swept = Disasm.sweep_array ~addr:0x400000 code in
-      Array.fold_left (fun acc (_, _, len) -> acc + len) 0 swept
+      let swept = Disasm.sweep_stream ~addr:0x400000 code in
+      Array.fold_left ( + ) 0 swept.lens
       = String.length code)
 
 (* 3. disassembly text is non-empty for every instruction *)
@@ -224,7 +224,7 @@ let test_sweep_matches_reference () =
       | exception Decode.Decode_error { addr; byte } -> Error (addr, byte)
     in
     if
-      sweep (fun ~addr b -> Array.to_list (Disasm.sweep_array ~addr b))
+      sweep Reference.sweep_list
       <> sweep Test_x64.Ref_decode.sweep
     then Alcotest.failf "%s: the sweeps differ" what
   in

@@ -128,11 +128,10 @@ let test_assembler_labels () =
   Alcotest.(check bool) "start at origin" true
     (Hashtbl.find labels "start" = 0x400000);
   (* decode the whole stream back *)
-  let instrs = Disasm.sweep_array ~addr:0x400000 code in
-  Alcotest.(check int) "instruction count" 7 (Array.length instrs);
+  let s = Disasm.sweep_stream ~addr:0x400000 code in
+  Alcotest.(check int) "instruction count" 7 (Disasm.length s);
   (* the backward branch must target the loop label *)
-  let _, jcc, _ = instrs.(3) in
-  (match jcc with
+  (match s.instrs.(3) with
    | Isa.Jcc (Isa.Lt, t) ->
      Alcotest.(check int) "jcc target" (Hashtbl.find labels "loop") t
    | i -> Alcotest.failf "expected jcc, got %s" (Disasm.to_string i))
@@ -213,7 +212,7 @@ let prop_seq_roundtrip =
     QCheck.(make Gen.(list_size (int_range 1 40) gen_instr))
     (fun is ->
       let code = Encode.encode_seq ~addr:0x400000 is in
-      let swept = Array.to_list (Disasm.sweep_array ~addr:0x400000 code) in
+      let swept = Reference.sweep_list ~addr:0x400000 code in
       List.length swept = List.length is
       && List.for_all2 (fun (_, i', _) i -> i = i') swept is)
 

@@ -14,6 +14,9 @@
        counter, or hoist.checks_emitted (more emitted checks means
        the eliminators lost ground, under any backend or with loop
        hoisting enabled);
+     - any *minor_words_per_instr counter went up (the rewriter and
+       its audit allocate more per instruction: a deterministic cost
+       proxy, counted on the calling domain);
      - the hoisted_checks counter went down (the loop hoister proved
        fewer loops than before: lost static-analysis ground);
      - any *hit_permille counter went down (a cache tier -- e.g. the
@@ -126,6 +129,7 @@ let check_target name base fresh =
         k = "checks_emitted" || k = "hoist.checks_emitted"
         || (String.length k >= 5 && String.sub k 0 5 = "emit.")
         || (String.length k >= 8 && String.sub k 0 8 = "backend.")
+        || has_suffix k "minor_words_per_instr"
       in
       if gated then
         match List.assoc_opt k fresh_counters with
