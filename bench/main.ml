@@ -27,6 +27,8 @@ module Rt = Redfat_rt.Runtime
 module Rw = Redfat.Rewrite
 module Pl = Engine.Pipeline
 
+let libredfat = Redfat.Hardened Rt.default_options
+
 let log_opts = { Rt.default_options with mode = Rt.Log }
 
 let pf fmt = Printf.printf fmt
@@ -130,7 +132,9 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
   let t0 = wall () in
   let bin = Pl.compile eng (Workloads.Spec.program b) in
   let refs = Workloads.Spec.ref_inputs b in
-  let base, bv = Pl.run_baseline eng ~inputs:refs bin in
+  let { Redfat.run = base; verdict = bv; _ } =
+    Pl.run eng ~inputs:refs bin Baseline
+  in
   (match bv with
    | Redfat.Finished _ -> ()
    | v -> failwith (b.name ^ ": baseline " ^ Redfat.verdict_to_string v));
@@ -142,7 +146,7 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
     let hard =
       Pl.harden eng ~opts:{ opts with Rw.allowlist = Some allow } bin
     in
-    let hr = Pl.run_hardened eng ~options:rt ~inputs:refs hard.binary in
+    let hr = Pl.run eng ~inputs:refs hard.binary (Hardened rt) in
     (match hr.verdict with
      | Redfat.Finished _ -> ()
      | v -> failwith (b.name ^ ": " ^ Redfat.verdict_to_string v));
@@ -159,15 +163,15 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
       ~rt:{ log_opts with size_harden = false; check_reads = false }
       { Rw.optimized with instrument_reads = false }
   in
-  let mc, _, _ = Pl.run_memcheck eng ~inputs:refs bin in
-  let ov (hrun : Redfat.hardened_run) =
+  let mc = (Pl.run eng ~inputs:refs bin Memcheck).run in
+  let ov (hrun : Redfat.Runtime.t Redfat.outcome) =
     float_of_int hrun.run.cycles /. float_of_int base.cycles
   in
   let row =
     {
       r_name = b.name;
       r_lang = b.lang;
-      r_cov = Rt.coverage_percent nosize.rt;
+      r_cov = Rt.coverage_percent nosize.state;
       r_base = base.cycles;
       r_unopt = ov unopt;
       r_elim = ov elim;
@@ -270,17 +274,13 @@ let table2 () =
         let t0 = wall () in
         let bin = Pl.compile eng c.program in
         let hard = Pl.harden eng bin in
-        let benign =
-          Pl.run_hardened eng hard.binary ~inputs:c.benign_inputs
-        in
+        let benign = Pl.run eng hard.binary ~inputs:c.benign_inputs libredfat in
         (match benign.verdict with
          | Redfat.Finished _ -> ()
          | v -> failwith (c.name ^ " benign: " ^ Redfat.verdict_to_string v));
-        let attack =
-          Pl.run_hardened eng hard.binary ~inputs:c.attack_inputs
-        in
+        let attack = Pl.run eng hard.binary ~inputs:c.attack_inputs libredfat in
         let rf = match attack.verdict with Redfat.Detected _ -> 1 | _ -> 0 in
-        let _, _, mc = Pl.run_memcheck eng bin ~inputs:c.attack_inputs in
+        let mc = (Pl.run eng bin ~inputs:c.attack_inputs Memcheck).state in
         let mcd = if Baselines.Memcheck.errors mc <> [] then 1 else 0 in
         target ("cve:" ^ c.name) t0;
         (c, mcd, rf))
@@ -298,13 +298,11 @@ let table2 () =
       (fun (c : Workloads.Juliet.case) ->
         let bin = Pl.compile eng c.program in
         let hard = Pl.harden eng bin in
-        let attack =
-          Pl.run_hardened eng hard.binary ~inputs:c.attack_inputs
-        in
+        let attack = Pl.run eng hard.binary ~inputs:c.attack_inputs libredfat in
         let rf =
           match attack.verdict with Redfat.Detected _ -> true | _ -> false
         in
-        let _, _, mc = Pl.run_memcheck eng bin ~inputs:c.attack_inputs in
+        let mc = (Pl.run eng bin ~inputs:c.attack_inputs Memcheck).state in
         (rf, Baselines.Memcheck.errors mc <> []))
       Workloads.Juliet.all
   in
@@ -332,11 +330,11 @@ let t2x_classify hard_binary ~benign ~attack =
   (match benign with
   | None -> ()
   | Some inputs -> (
-    let b = Pl.run_hardened eng ~inputs hard_binary in
+    let b = Pl.run eng ~inputs hard_binary libredfat in
     match b.Redfat.verdict with
     | Redfat.Finished _ -> ()
     | v -> failwith ("table2x benign run: " ^ Redfat.verdict_to_string v)));
-  let a = Pl.run_hardened eng ~inputs:attack hard_binary in
+  let a = Pl.run eng ~inputs:attack hard_binary libredfat in
   match a.Redfat.verdict with
   | Redfat.Detected _ -> `Det
   | Redfat.Fault _ -> `Abort
@@ -350,7 +348,7 @@ let table2x () =
       Pl.map eng
         (fun (prog, benign, attack) ->
           let bin = Pl.compile eng prog in
-          let _, _, m = Pl.run_memcheck eng ~inputs:attack bin in
+          let m = (Pl.run eng ~inputs:attack bin Memcheck).state in
           let mc = Baselines.Memcheck.errors m <> [] in
           let per_backend =
             List.map
@@ -425,16 +423,16 @@ let fig1 () =
   let c = Workloads.Cve.wireshark in
   let bin = Pl.compile eng c.program in
   pf "model: %s\n" c.description;
-  let base, _ = Pl.run_baseline eng ~inputs:c.benign_inputs bin in
+  let base = (Pl.run eng ~inputs:c.benign_inputs bin Baseline).run in
   pf "benign run (speed=%d): outputs %s\n"
     (List.nth c.benign_inputs 1)
     (String.concat "," (List.map string_of_int base.outputs));
   let hard = Pl.harden eng bin in
-  let attack = Pl.run_hardened eng hard.binary ~inputs:c.attack_inputs in
+  let attack = Pl.run eng hard.binary ~inputs:c.attack_inputs libredfat in
   pf "attack run (speed=%d) under RedFat: %s\n"
     (List.nth c.attack_inputs 1)
     (Redfat.verdict_to_string attack.verdict);
-  let _, _, mc = Pl.run_memcheck eng bin ~inputs:c.attack_inputs in
+  let mc = (Pl.run eng bin ~inputs:c.attack_inputs Memcheck).state in
   pf "attack run under Memcheck: %d errors reported (redzone skipped)\n"
     (List.length (Baselines.Memcheck.errors mc))
 
@@ -541,11 +539,9 @@ let fig5 () =
   let bin = Pl.compile eng prog in
   pf "step (1) profiling phase: instrument prog.orig, run the test suite\n";
   let prof = Pl.harden eng ~opts:Rw.profiling_build bin in
-  let hrun =
-    Pl.run_hardened eng ~options:log_opts ~profiling:true prof.binary
-  in
-  let allow = Rt.allowlist hrun.rt in
-  let failing = Rt.lowfat_failing_sites hrun.rt in
+  let hrun = Pl.run eng prof.binary Profiling in
+  let allow = Rt.allowlist hrun.state in
+  let failing = Rt.lowfat_failing_sites hrun.state in
   pf "  allow.lst: %d sites pass (LowFat); %d sites fail -> excluded: %s\n"
     (List.length allow) (List.length failing)
     (String.concat ", " (List.map (Printf.sprintf "%#x") failing));
@@ -553,7 +549,7 @@ let fig5 () =
   let hard = Pl.harden eng ~opts:(Rw.production ~allowlist:allow) bin in
   pf "  %d sites get (Redzone)+(LowFat), %d get (Redzone)-only\n"
     hard.stats.full_sites hard.stats.redzone_sites;
-  let prod = Pl.run_hardened eng hard.binary in
+  let prod = Pl.run eng hard.binary libredfat in
   pf "  production run: %s (no false positive)\n"
     (Redfat.verdict_to_string prod.verdict)
 
@@ -606,7 +602,7 @@ let fig67 () =
       name r.stats.trampolines r.stats.checks_emitted r.stats.jump_patches
       (r.stats.jump_patches * 2)
       r.stats.trap_patches;
-    let hrun = Pl.run_hardened eng r.binary in
+    let hrun = Pl.run eng r.binary libredfat in
     (match hrun.verdict with
      | Redfat.Finished _ -> ()
      | v -> pf "  unexpected: %s\n" (Redfat.verdict_to_string v))
@@ -633,11 +629,9 @@ let fig8 () =
         let t0 = wall () in
         let bin = Pl.compile eng (Workloads.Kraken.program b) in
         let inputs = Workloads.Kraken.inputs b in
-        let base, _ = Pl.run_baseline eng ~inputs bin in
+        let base = (Pl.run eng ~inputs bin Baseline).run in
         let hard = Pl.harden eng ~opts:chrome_opts bin in
-        let hrun =
-          Pl.run_hardened eng ~options:chrome_rt ~inputs hard.binary
-        in
+        let hrun = Pl.run eng ~inputs hard.binary (Hardened chrome_rt) in
         (match hrun.verdict with
          | Redfat.Finished _ -> ()
          | v -> failwith (b.name ^ ": " ^ Redfat.verdict_to_string v));
@@ -670,10 +664,8 @@ let fig8 () =
   Format.printf "%a@." Rw.pp_stats hard.stats;
   List.iter
     (fun (name, inputs) ->
-      let base, _ = Pl.run_baseline eng ~inputs bin in
-      let hrun =
-        Pl.run_hardened eng ~options:chrome_rt ~inputs hard.binary
-      in
+      let base = (Pl.run eng ~inputs bin Baseline).run in
+      let hrun = Pl.run eng ~inputs hard.binary (Hardened chrome_rt) in
       pf "workload %-8s: %s, overhead %.2fx\n" name
         (Redfat.verdict_to_string hrun.verdict)
         (float_of_int hrun.run.cycles /. float_of_int base.cycles))
@@ -691,23 +683,19 @@ let fp_and_bug_sites (b : Workloads.Spec.bench) =
   let bin = Pl.compile eng (Workloads.Spec.program b) in
   let refs = Workloads.Spec.ref_inputs b in
   let prof = Pl.harden eng ~opts:Rw.profiling_build bin in
-  let fpr =
-    Pl.run_hardened eng ~options:log_opts ~profiling:true ~inputs:refs
-      prof.binary
-  in
-  let lf_fail = Rt.lowfat_failing_sites fpr.rt in
+  let fpr = Pl.run eng ~inputs:refs prof.binary Profiling in
+  let lf_fail = Rt.lowfat_failing_sites fpr.state in
   (* sites that also fail redzone-only checking are real bugs, not FPs *)
   let rz =
-    Pl.run_hardened eng
-      ~options:{ log_opts with lowfat = false }
-      ~inputs:refs prof.binary
+    Pl.run eng ~inputs:refs prof.binary
+      (Hardened { log_opts with lowfat = false })
   in
   let bugs =
-    List.map (fun (e : Rt.access_error) -> e.site) (Rt.errors rz.rt)
+    List.map (fun (e : Rt.access_error) -> e.site) (Rt.errors rz.state)
     |> List.sort_uniq compare
   in
   let fps = List.filter (fun s -> not (List.mem s bugs)) lf_fail in
-  (fps, bugs, Rt.errors rz.rt)
+  (fps, bugs, Rt.errors rz.state)
 
 let fps () =
   hr "Sec 7.1 false positives with full checking (no allow-list)";
@@ -799,19 +787,19 @@ let uaf () =
         let bin = Pl.compile eng c.program in
         let hard = Pl.harden eng bin in
         let b =
-          Pl.run_hardened eng ~inputs:Workloads.Uaf.benign_inputs hard.binary
+          Pl.run eng ~inputs:Workloads.Uaf.benign_inputs hard.binary libredfat
         in
         let benign_ok =
           match b.verdict with Redfat.Finished 0 -> true | _ -> false
         in
         let a =
-          Pl.run_hardened eng ~inputs:Workloads.Uaf.attack_inputs hard.binary
+          Pl.run eng ~inputs:Workloads.Uaf.attack_inputs hard.binary libredfat
         in
         let rf =
           match a.verdict with Redfat.Detected _ -> true | _ -> false
         in
-        let _, _, m =
-          Pl.run_memcheck eng ~inputs:Workloads.Uaf.attack_inputs bin
+        let m =
+          (Pl.run eng ~inputs:Workloads.Uaf.attack_inputs bin Memcheck).state
         in
         (benign_ok, rf, Baselines.Memcheck.errors m <> []))
       Workloads.Uaf.all
@@ -828,14 +816,14 @@ let uaf () =
   (* the slot-reuse case: spatial state word vs lock-and-key *)
   let bin = Pl.compile eng Workloads.Uaf.reuse_case in
   let hard = Pl.harden eng bin in
-  let r = Pl.run_hardened eng hard.binary in
+  let r = Pl.run eng hard.binary libredfat in
   let hard_t =
     Pl.harden eng
       ~opts:{ Rw.optimized with Rw.backend = Backend.Check_backend.Temporal }
       bin
   in
-  let rt = Pl.run_hardened eng hard_t.binary in
-  let _, _, m = Pl.run_memcheck eng bin in
+  let rt = Pl.run eng hard_t.binary libredfat in
+  let m = (Pl.run eng bin Memcheck).state in
   let show v missed =
     match v with Redfat.Detected _ -> "detected" | _ -> missed
   in
@@ -880,7 +868,7 @@ let sec74 () =
   in
   let attack = [ 12 ] in
   let show name main lib =
-    let hrun = Redfat.run_hardened ~libs:[ lib ] ~inputs:attack main in
+    let hrun = Redfat.run ~libs:[ lib ] ~inputs:attack main libredfat in
     pf "%-44s %s\n" name (Redfat.verdict_to_string hrun.verdict)
   in
   let hard_main = (Pl.harden eng main_bin).binary in
@@ -909,10 +897,12 @@ let ablation () =
       let b = Workloads.Spec.find name in
       let bin = Pl.compile eng (Workloads.Spec.program b) in
       let refs = Workloads.Spec.ref_inputs b in
-      let base, _ = Pl.run_baseline eng ~inputs:refs bin in
+      let base = (Pl.run eng ~inputs:refs bin Baseline).run in
       let hard = Pl.harden eng bin in
       let cyc ?random rt =
-        let hrun = Pl.run_hardened eng ~options:rt ?random ~inputs:refs hard.binary in
+        let hrun =
+          Pl.run eng ~inputs:refs hard.binary (Hardened { rt with random })
+        in
         (match hrun.verdict with
          | Redfat.Finished _ -> ()
          | v -> failwith (Redfat.verdict_to_string v));
@@ -928,7 +918,7 @@ let ablation () =
       let rand, _ = cyc ~random:1337 log_opts in
       pf "%-10s %9d | meta %.2fx shadow %.2fx (%dKiB) | %.2fx vs %.2fx | %.2fx vs %.2fx\n%!"
         name base.cycles meta shadow_ov
-        (shr.rt.shadow.shadow_bytes / 1024)
+        (shr.state.shadow.shadow_bytes / 1024)
         merged branchy plain rand)
     benches;
   pf "(lowfat-meta shares base(ptr) with the LowFat check and needs no\n";

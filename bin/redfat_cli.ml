@@ -621,9 +621,8 @@ let pipeline_cmd =
       let w = Pl.workflow eng ~opts ~train ~inputs bin in
       let acct = Vm.Cpu.new_acct () in
       let hrun =
-        Pl.run_hardened eng
-          ~options:{ Redfat_rt.Runtime.default_options with mode = Log }
-          ~acct ~inputs w.Pl.hard.Redfat.Rewrite.binary
+        Pl.run eng ~acct ~inputs w.Pl.hard.Redfat.Rewrite.binary
+          (Hardened { Redfat_rt.Runtime.default_options with mode = Log })
       in
       Pl.record_vm_acct eng acct;
       Pl.summary w hrun
@@ -697,49 +696,48 @@ let run_cmd =
   let run file inputs env log random =
     let bin = Binfmt.Relf.load_file file in
     let inputs = parse_inputs inputs in
-    let report (r : Redfat.run_result) verdict =
-      List.iter (fun v -> Printf.printf "%d\n" v) r.outputs;
+    (* one run, then what each runtime has to say about it *)
+    let go (type s) (runtime : s Redfat.runtime)
+        (explain : s Redfat.outcome -> unit) =
+      let o = Redfat.run ~inputs bin runtime in
+      List.iter (fun v -> Printf.printf "%d\n" v) o.run.outputs;
       Printf.printf "[%s; %d instructions, %d cycles]\n"
-        (Redfat.verdict_to_string verdict)
-        r.steps r.cycles
+        (Redfat.verdict_to_string o.verdict)
+        o.run.steps o.run.cycles;
+      explain o
     in
     match env with
-    | `Baseline ->
-      let r, v = Redfat.run_baseline ~inputs bin in
-      report r v
+    | `Baseline -> go Baseline ignore
     | `Redfat ->
-      let options =
-        if log then { Redfat_rt.Runtime.default_options with mode = Log }
-        else Redfat_rt.Runtime.default_options
-      in
-      let hr = Redfat.run_hardened ~options ?random ~inputs bin in
-      report hr.run hr.verdict;
-      (match hr.verdict with
-       | Redfat.Detected e ->
-         Printf.printf "%s\n" (Redfat_rt.Runtime.explain hr.rt e)
-       | _ -> ());
-      let errs = Redfat_rt.Runtime.errors hr.rt in
-      if errs <> [] then begin
-        Printf.printf "%d unique error site(s):\n" (List.length errs);
-        List.iter
-          (fun (e : Redfat_rt.Runtime.access_error) ->
-            Printf.printf "  %s\n" (Redfat_rt.Runtime.explain hr.rt e))
-          errs
-      end;
-      Printf.printf
-        "coverage: %.1f%% of heap accesses under the %s backend's primary \
-         check\n"
-        (Redfat_rt.Runtime.coverage_percent hr.rt)
-        (Backend.Check_backend.name (Redfat.backend_of_binary bin))
+      let mode = if log then Redfat_rt.Runtime.Log else Harden in
+      go (Hardened { Redfat_rt.Runtime.default_options with mode; random })
+        (fun o ->
+          let rt = o.state in
+          (match o.verdict with
+           | Redfat.Detected e ->
+             Printf.printf "%s\n" (Redfat_rt.Runtime.explain rt e)
+           | _ -> ());
+          let errs = Redfat_rt.Runtime.errors rt in
+          if errs <> [] then begin
+            Printf.printf "%d unique error site(s):\n" (List.length errs);
+            List.iter
+              (fun (e : Redfat_rt.Runtime.access_error) ->
+                Printf.printf "  %s\n" (Redfat_rt.Runtime.explain rt e))
+              errs
+          end;
+          Printf.printf
+            "coverage: %.1f%% of heap accesses under the %s backend's primary \
+             check\n"
+            (Redfat_rt.Runtime.coverage_percent rt)
+            (Backend.Check_backend.name (Redfat.backend_of_binary bin)))
     | `Memcheck ->
-      let r, v, mc = Redfat.run_memcheck ~inputs bin in
-      report r v;
-      List.iter
-        (fun (e : Baselines.Memcheck.error) ->
-          Printf.printf "memcheck: invalid %s of size %d at %#x (rip %#x)\n"
-            (if e.write then "write" else "read")
-            e.len e.addr e.rip)
-        (Baselines.Memcheck.errors mc)
+      go Memcheck (fun o ->
+          List.iter
+            (fun (e : Baselines.Memcheck.error) ->
+              Printf.printf "memcheck: invalid %s of size %d at %#x (rip %#x)\n"
+                (if e.write then "write" else "read")
+                e.len e.addr e.rip)
+            (Baselines.Memcheck.errors o.state))
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ input_file $ inputs_arg $ env_arg $ log_flag $ random_arg)
@@ -757,12 +755,10 @@ let trace_cmd =
   let run file inputs limit =
     let bin = Binfmt.Relf.load_file file in
     let cpu, _, vmrt =
-      Redfat.load_hardened ~inputs:(parse_inputs inputs) bin
+      Redfat.load ~inputs:(parse_inputs inputs) (Redfat.image bin)
+        (Hardened Redfat_rt.Runtime.default_options)
     in
-    cpu.rip <- bin.entry;
-    cpu.regs.(X64.Isa.rsp) <- cpu.regs.(X64.Isa.rsp) - 8;
-    Vm.Mem.write cpu.mem ~addr:cpu.regs.(X64.Isa.rsp) ~len:8
-      Vm.Cpu.halt_sentinel;
+    Vm.Cpu.enter cpu ~entry:bin.entry;
     match
       for _ = 1 to limit do
         let i, _ = X64.Decode.decode ~addr:cpu.rip

@@ -35,8 +35,8 @@ let () =
   print_endline "\nrunning browser workloads through the hardened binary:";
   List.iter
     (fun (name, inputs) ->
-      let base, _ = Redfat.run_baseline ~inputs binary in
-      let hr = Redfat.run_hardened ~options:rt_opts ~inputs hard.binary in
+      let base = (Redfat.run ~inputs binary Baseline).run in
+      let hr = Redfat.run ~inputs hard.binary (Hardened rt_opts) in
       Printf.printf "  %-8s %-22s overhead %.2fx\n" name
         (Redfat.verdict_to_string hr.verdict)
         (float_of_int hr.run.cycles /. float_of_int base.cycles))
@@ -47,9 +47,9 @@ let () =
     (fun (b : Workloads.Kraken.bench) ->
       let bin = Workloads.Kraken.binary b in
       let inputs = Workloads.Kraken.inputs b in
-      let base, _ = Redfat.run_baseline ~inputs bin in
+      let base = (Redfat.run ~inputs bin Baseline).run in
       let h = Redfat.harden ~opts bin in
-      let hr = Redfat.run_hardened ~options:rt_opts ~inputs h.binary in
+      let hr = Redfat.run ~inputs h.binary (Hardened rt_opts) in
       Printf.printf "  %-26s %.0f%%\n" b.name
         (100. *. float_of_int hr.run.cycles /. float_of_int base.cycles))
     [ Workloads.Kraken.find "ai-astar"; Workloads.Kraken.find "crypto-aes";

@@ -9,6 +9,8 @@
    exactly the class of error (Redzone)-only tools miss and the
    (LowFat) component of the complementary check catches. *)
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let () =
   print_endline "== CVE-2012-4295 (wireshark) ==\n";
   let case = Workloads.Cve.wireshark in
@@ -40,14 +42,14 @@ let () =
   List.iter
     (fun speed ->
       let inputs = [ 4; speed ] in
-      let hr = Redfat.run_hardened ~inputs hard.binary in
+      let hr = Redfat.run ~inputs hard.binary libredfat in
       let rf =
         match hr.verdict with
         | Redfat.Detected e -> Redfat_rt.Runtime.kind_name e.kind
         | Redfat.Finished _ -> "ok"
         | Redfat.Fault m -> m
       in
-      let _, _, mc = Redfat.run_memcheck ~inputs binary in
+      let mc = (Redfat.run ~inputs binary Memcheck).state in
       let mcs =
         if Baselines.Memcheck.errors mc <> [] then "detected" else "ok"
       in

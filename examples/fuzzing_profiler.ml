@@ -11,6 +11,8 @@
 
 open Minic.Build
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 (* input-dependent phases, like a real program's modes *)
 let program =
   Minic.Ast.program
@@ -46,18 +48,19 @@ let () =
   let binary = Minic.Codegen.compile program in
 
   (* naive: profile with one seed input *)
-  let naive_allow = Redfat.profile ~test_suite:[ [ 0; 0 ] ] binary in
+  let eng = Engine.Pipeline.create ~jobs:1 ~cache:false () in
+  let naive_allow =
+    Engine.Pipeline.profile eng ~test_suite:[ [ 0; 0 ] ] binary
+  in
   Printf.printf "naive test suite (one input): %d allow-listed sites\n"
     (List.length naive_allow);
 
   (* fuzzed: grow the suite first (the budget counts the seed) *)
-  let eng = Engine.Pipeline.create ~jobs:1 ~cache:false () in
   let config = { Fuzz.Campaign.default_config with budget = 401; seed = 11 } in
   let report, suite =
     Fuzz.Campaign.run_profile eng ~config ~target:"gated" ~seeds:[ [ 0; 0 ] ]
       binary
   in
-  Engine.Pipeline.close eng;
   let total_sites =
     (Redfat.Rewrite.rewrite Redfat.Rewrite.profiling_build binary).stats
       .checks_emitted
@@ -65,7 +68,8 @@ let () =
   Printf.printf
     "fuzzer: %d executions, corpus of %d inputs, %d/%d sites reached\n"
     report.r_execs (List.length suite) report.r_cov_sites total_sites;
-  let fuzzed_allow = Redfat.profile ~test_suite:suite binary in
+  let fuzzed_allow = Engine.Pipeline.profile eng ~test_suite:suite binary in
+  Engine.Pipeline.close eng;
   Printf.printf "fuzzed test suite: %d allow-listed sites\n"
     (List.length fuzzed_allow);
 
@@ -74,8 +78,8 @@ let () =
     let hard =
       Redfat.harden ~opts:(Redfat.Rewrite.production ~allowlist:allow) binary
     in
-    let hr = Redfat.run_hardened ~inputs:[ 5; 7 ] hard.binary in
-    Redfat.Runtime.coverage_percent hr.rt
+    let hr = Redfat.run ~inputs:[ 5; 7 ] hard.binary libredfat in
+    Redfat.Runtime.coverage_percent hr.state
   in
   Printf.printf
     "\nproduction coverage on a full-featured input (mode=5, x=7):\n";

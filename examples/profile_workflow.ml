@@ -12,6 +12,8 @@
 
 open Minic.Build
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 (* REAL, DIMENSION(4:36) :: fqy — indexed from 4, normalized base *)
 let program =
   Minic.Ast.program
@@ -40,13 +42,14 @@ let () =
 
   (* what happens WITHOUT the workflow: full checking everywhere *)
   let naive = Redfat.harden binary in
-  let hr = Redfat.run_hardened naive.binary in
+  let hr = Redfat.run naive.binary libredfat in
   Printf.printf "naive full checking: %s   <- a FALSE POSITIVE\n"
     (Redfat.verdict_to_string hr.verdict);
 
   (* phase 1: profile against a test suite (Figure 5, step 1) *)
   print_endline "\nphase 1: profiling against the test suite...";
-  let allowlist = Redfat.profile ~test_suite:[ [] ] binary in
+  let eng = Engine.Pipeline.create ~jobs:1 ~cache:false () in
+  let allowlist = Engine.Pipeline.profile eng ~test_suite:[ [] ] binary in
   Printf.printf "  allow.lst has %d sites\n" (List.length allowlist);
   Profile.Allowlist.save "/tmp/redfat_allow.lst" allowlist;
   print_endline "  (saved to /tmp/redfat_allow.lst, one hex site per line)";
@@ -61,7 +64,7 @@ let () =
   in
   Printf.printf "  %d sites -> (Redzone)+(LowFat), %d sites -> (Redzone)-only\n"
     prod.stats.full_sites prod.stats.redzone_sites;
-  let hr = Redfat.run_hardened prod.binary in
+  let hr = Redfat.run prod.binary libredfat in
   Printf.printf "  production run: %s   <- no false positive\n"
     (Redfat.verdict_to_string hr.verdict);
 
@@ -80,15 +83,16 @@ let () =
       ]
   in
   let abin = Minic.Codegen.compile attack_prog in
-  let allow = Redfat.profile ~test_suite:[ [ 5 ] ] abin in
+  let allow = Engine.Pipeline.profile eng ~test_suite:[ [ 5 ] ] abin in
+  Engine.Pipeline.close eng;
   let ahard =
     Redfat.harden ~opts:(Redfat.Rewrite.production ~allowlist:allow) abin
   in
   (* k=5 writes a[1]: fine; k=200 overflows through the same site, and
      even though the site is (Redzone)-only, the incremental redzone
      check still fires when the access hits poisoned memory *)
-  let ok = Redfat.run_hardened ~inputs:[ 5 ] ahard.binary in
-  let bad = Redfat.run_hardened ~inputs:[ 12 ] ahard.binary in
+  let ok = Redfat.run ~inputs:[ 5 ] ahard.binary libredfat in
+  let bad = Redfat.run ~inputs:[ 12 ] ahard.binary libredfat in
   Printf.printf
     "\nexcluded site, benign input:  %s\nexcluded site, overflow input: %s\n"
     (Redfat.verdict_to_string ok.verdict)

@@ -10,6 +10,8 @@
 
 open Minic.Build
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let victim_program =
   Minic.Ast.program
     [
@@ -36,14 +38,14 @@ let () =
     (Binfmt.Relf.code_size binary);
 
   (* 2. native baseline run, benign input *)
-  let run, verdict = Redfat.run_baseline ~inputs:[ 3 ] binary in
+  let { Redfat.run; verdict; _ } = Redfat.run ~inputs:[ 3 ] binary Baseline in
   Printf.printf "baseline, idx=3:  secret=%d  (%s)\n"
     (List.hd run.outputs)
     (Redfat.verdict_to_string verdict);
 
   (* 3. the attack works natively: idx=12 silently corrupts 'secret'
      (12 * 8 bytes skips the redzone gap between the two objects) *)
-  let run, _ = Redfat.run_baseline ~inputs:[ 12 ] binary in
+  let run = (Redfat.run ~inputs:[ 12 ] binary Baseline).run in
   Printf.printf "baseline, idx=12: secret=%d  <- silently corrupted!\n"
     (List.hd run.outputs);
 
@@ -53,18 +55,18 @@ let () =
     hard.stats.instrumented hard.stats.tramp_bytes;
 
   (* 5. benign input still works... *)
-  let hr = Redfat.run_hardened ~inputs:[ 3 ] hard.binary in
+  let hr = Redfat.run ~inputs:[ 3 ] hard.binary libredfat in
   Printf.printf "hardened, idx=3:  secret=%d  (%s)\n"
     (List.hd hr.run.outputs)
     (Redfat.verdict_to_string hr.verdict);
 
   (* 6. ...and the attack is stopped before the write lands *)
-  let hr = Redfat.run_hardened ~inputs:[ 12 ] hard.binary in
+  let hr = Redfat.run ~inputs:[ 12 ] hard.binary libredfat in
   Printf.printf "hardened, idx=12: %s\n" (Redfat.verdict_to_string hr.verdict);
 
   (* 7. overhead of the protection on this program *)
-  let base, _ = Redfat.run_baseline ~inputs:[ 3 ] binary in
-  let hr = Redfat.run_hardened ~inputs:[ 3 ] hard.binary in
+  let base = (Redfat.run ~inputs:[ 3 ] binary Baseline).run in
+  let hr = Redfat.run ~inputs:[ 3 ] hard.binary libredfat in
   Printf.printf "\noverhead on the benign run: %.2fx (%d -> %d cycles)\n"
     (float_of_int hr.run.cycles /. float_of_int base.cycles)
     base.cycles hr.run.cycles

@@ -140,17 +140,20 @@ let on_mem t (cpu : Vm.Cpu.t) ~addr ~len ~write =
 
 let errors t = List.rev t.errors
 
-(** Put a VM that already holds [binary] and a mapped stack (see
-    [Redfat.prepare]) under the simulated Memcheck: marks statics and
-    the stack addressable, installs hooks.  Returns the runtime to pass
-    to [Cpu.run]. *)
-let install (t : t) (cpu : Vm.Cpu.t) (binary : Binfmt.Relf.t) :
+(** Put a VM that already holds [modules] (a binary and its shared
+    objects) and a mapped stack (see [Redfat.load]) under the simulated
+    Memcheck: marks every module's statics and the stack addressable,
+    installs hooks.  Returns the runtime to pass to [Cpu.run]. *)
+let install (t : t) (cpu : Vm.Cpu.t) (modules : Binfmt.Relf.t list) :
     Vm.Cpu.runtime =
   List.iter
-    (fun (s : Binfmt.Relf.section) ->
-      if Binfmt.Relf.loadable s then
-        mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
-    binary.sections;
+    (fun (b : Binfmt.Relf.t) ->
+      List.iter
+        (fun (s : Binfmt.Relf.section) ->
+          if Binfmt.Relf.loadable s then
+            mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
+        b.sections)
+    modules;
   mark t ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size
     ~accessible:true;
   cpu.dispatch_cost <- dispatch_cost;

@@ -26,8 +26,9 @@ val errors : t -> error list
 (** Logged invalid accesses (one per guest instruction, like the real
     tool's deduplication), in discovery order. *)
 
-val install : t -> Vm.Cpu.t -> Binfmt.Relf.t -> Vm.Cpu.runtime
-(** For a VM that already holds the binary and a mapped stack (see
-    [Redfat.prepare]): mark statics/stack addressable, set the dispatch
-    cost and the per-access hook; returns the runtime dispatch table
-    for [Cpu.run]. *)
+val install : t -> Vm.Cpu.t -> Binfmt.Relf.t list -> Vm.Cpu.runtime
+(** For a VM that already holds these modules (a binary and its shared
+    objects) and a mapped stack (see [Redfat.load]): mark every
+    module's statics and the stack addressable, set the dispatch cost
+    and the per-access hook; returns the runtime dispatch table for
+    [Cpu.run]. *)

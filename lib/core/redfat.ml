@@ -3,13 +3,17 @@
     The lifecycle mirrors the paper's tool exactly:
 
     {[
-      let hard = Redfat.harden binary in                    (* one-phase *)
-      let hard = Redfat.profile_and_harden ~train binary in (* two-phase *)
-      let hrun = Redfat.run_hardened hard.binary ~inputs in
+      let hard = Redfat.harden binary in
+      let hrun =
+        Redfat.run ~inputs hard.binary (Hardened Runtime.default_options)
+      in
       match hrun.verdict with
       | Detected e -> (* attack stopped *)
       | Finished _ -> ...
     ]}
+
+    The two-phase workflow of Figure 5 (profile, then harden with the
+    allow-list) is [Engine.Pipeline.workflow].
 
     Every run returns deterministic cycle counts from the VM cost
     model, so overheads are computed as [cycles_hardened /
@@ -48,7 +52,7 @@ let verdict_to_string = function
 (** The check backend recorded in a hardened binary's [.elimtab]
     policy line.  Hardened binaries are self-describing: the runtime
     must speak the same backend as the instrumentation, so
-    {!load_image} adopts this automatically.  Unhardened (or
+    {!load} adopts this automatically.  Unhardened (or
     pre-backend) binaries report {!Backend.Check_backend.default};
     a recorded name that matches no shipped backend raises
     {!Backend.Check_backend.Unknown}, and a malformed [.elimtab]
@@ -64,6 +68,7 @@ let backend_of_binary (binary : Binfmt.Relf.t) : Backend.Check_backend.id =
    one image. *)
 type image = {
   im_binary : Binfmt.Relf.t;
+  im_modules : Binfmt.Relf.t list;  (* the binary, then its libs *)
   im_mem : Vm.Mem.template;  (* loadable sections written, stack mapped *)
   im_traps : (int, int) Hashtbl.t;
   im_code : Vm.Cpu.region array;
@@ -101,6 +106,7 @@ let image ?(libs = []) (binary : Binfmt.Relf.t) : image =
   in
   {
     im_binary = binary;
+    im_modules = modules;
     im_mem = Vm.Mem.freeze mem;
     im_traps = traps;
     im_code = Array.of_list code;
@@ -112,6 +118,7 @@ let image ?(libs = []) (binary : Binfmt.Relf.t) : image =
 
 let image_binary im = im.im_binary
 
+(* a fresh machine over the image, stack pointer set *)
 let instantiate ?(max_steps = 200_000_000) (im : image) : Vm.Cpu.t =
   let cpu =
     Vm.Cpu.create ~max_steps ~mem:(Vm.Mem.instantiate im.im_mem)
@@ -120,6 +127,8 @@ let instantiate ?(max_steps = 200_000_000) (im : image) : Vm.Cpu.t =
   cpu.regs.(X64.Isa.rsp) <- Lowfat.Layout.stack_top - 64;
   cpu
 
+(* bench/perf's [vm.prepare_us] probe is its last caller; the benchmark
+   change of ROADMAP item 1 removes it *)
 let prepare ?max_steps ?libs (binary : Binfmt.Relf.t) : Vm.Cpu.t =
   instantiate ?max_steps (image ?libs binary)
 
@@ -157,109 +166,54 @@ let exec (cpu : Vm.Cpu.t) rt ~entry : run_result * verdict =
     | Some (code, v) -> (collect cpu code, v)
     | None -> Printexc.raise_with_backtrace e bt)
 
-(* --- the three execution environments ------------------------------- *)
+(* --- the execution environments ------------------------------------- *)
 
-(** Run the original binary natively (glibc allocator, no checks). *)
-let run_baseline ?(inputs = []) ?max_steps ?libs (binary : Binfmt.Relf.t) :
-    run_result * verdict =
-  let cpu = prepare ?max_steps ?libs binary in
-  cpu.inputs <- inputs;
-  let alloc = Baselines.Sysalloc.create cpu.mem in
-  exec cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:binary.entry
+type _ runtime =
+  | Baseline : unit runtime
+  | Hardened : Runtime.options -> Runtime.t runtime
+  | Profiling : Runtime.t runtime
+  | Memcheck : Baselines.Memcheck.t runtime
 
-type hardened_run = {
-  run : run_result;
-  verdict : verdict;
-  rt : Runtime.t;  (** allocator/check state: errors, coverage, ... *)
-}
-
-(** Instantiate a hardened binary's image with libredfat preloaded,
-    ready for {!exec}.  [acct] attaches per-site check accounting to
-    the VM (overhead attribution).  The runtime's backend is adopted
-    from the binary's own [.elimtab] record (see {!backend_of_binary}),
-    overriding [options.backend]: lock-and-key instrumentation needs
-    the tagging allocator, and the spatial backends need the untagged
-    one. *)
-let load_image ?(options = Runtime.default_options) ?(profiling = false)
-    ?random ?acct ?(inputs = []) ?max_steps (im : image) =
+(* libredfat preloaded.  The runtime speaks the backend the binary
+   records (see {!backend_of_binary}), whatever [options.backend] says:
+   lock-and-key instrumentation needs the tagging allocator, and the
+   spatial backends need the untagged one. *)
+let libredfat im (cpu : Vm.Cpu.t) options ~profiling =
   let backend = match im.im_backend with Ok b -> b | Error e -> raise e in
-  let options = { options with Runtime.backend } in
+  let rt =
+    Runtime.create ~options:{ options with Runtime.backend } ~profiling
+      cpu.mem
+  in
+  (cpu, rt, Runtime.install rt cpu)
+
+let load (type s) ?(inputs = []) ?max_steps ?acct (im : image)
+    (runtime : s runtime) : Vm.Cpu.t * s * Vm.Cpu.runtime =
   let cpu = instantiate ?max_steps im in
   cpu.acct <- acct;
   cpu.inputs <- inputs;
-  let rt = Runtime.create ~options ~profiling ?random cpu.mem in
-  (cpu, rt, Runtime.install rt cpu)
+  match runtime with
+  | Baseline ->
+    (cpu, (), Baselines.Sysalloc.(vm_runtime (create cpu.mem)))
+  | Hardened options -> libredfat im cpu options ~profiling:false
+  | Profiling ->
+    libredfat im cpu
+      { Runtime.default_options with mode = Runtime.Log }
+      ~profiling:true
+  | Memcheck ->
+    let mc = Baselines.Memcheck.create cpu.mem in
+    (cpu, mc, Baselines.Memcheck.install mc cpu im.im_modules)
 
-let load_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
-    (binary : Binfmt.Relf.t) =
-  load_image ?options ?profiling ?random ?acct ?inputs ?max_steps
-    (image ?libs binary)
+type 's outcome = { run : run_result; verdict : verdict; state : 's }
 
-let run_image ?options ?profiling ?random ?acct ?inputs ?max_steps
-    (im : image) : hardened_run =
-  let cpu, rt, vmrt =
-    load_image ?options ?profiling ?random ?acct ?inputs ?max_steps im
+let run ?inputs ?max_steps ?acct ?libs (binary : Binfmt.Relf.t) runtime =
+  let cpu, state, vmrt =
+    load ?inputs ?max_steps ?acct (image ?libs binary) runtime
   in
-  let run, verdict = exec cpu vmrt ~entry:im.im_binary.entry in
-  { run; verdict; rt }
-
-let run_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
-    (binary : Binfmt.Relf.t) : hardened_run =
-  run_image ?options ?profiling ?random ?acct ?inputs ?max_steps
-    (image ?libs binary)
-
-(** Run the original binary under the simulated Valgrind Memcheck. *)
-let run_memcheck ?(inputs = []) ?max_steps (binary : Binfmt.Relf.t) :
-    run_result * verdict * Baselines.Memcheck.t =
-  let cpu = prepare ?max_steps binary in
-  cpu.inputs <- inputs;
-  let mc = Baselines.Memcheck.create cpu.mem in
-  let rt = Baselines.Memcheck.install mc cpu binary in
-  let run, verdict = exec cpu rt ~entry:binary.entry in
-  (run, verdict, mc)
+  let run, verdict = exec cpu vmrt ~entry:binary.entry in
+  { run; verdict; state }
 
 (* --- hardening ------------------------------------------------------ *)
 
 (** One-phase hardening (no profile): every site gets the full check. *)
 let harden ?(opts = Rewrite.optimized) (binary : Binfmt.Relf.t) : Rewrite.t =
   Rewrite.rewrite opts binary
-
-(** One profiling-phase run: execute the image of an (already
-    profiling-instrumented) binary on one input script; return the sites that
-    passed and the sites that failed the (LowFat) component.  Pure
-    per-run — [merge_profiles] combines any number of them, so a suite
-    can be run sequentially or fanned out across domains. *)
-let profile_run ?max_steps (prof : image) (inputs : int list) :
-    Allowlist.t * int list =
-  let hr =
-    run_image ?max_steps
-      ~options:{ Runtime.default_options with mode = Runtime.Log }
-      ~profiling:true ~inputs prof
-  in
-  (Runtime.allowlist hr.rt, Runtime.lowfat_failing_sites hr.rt)
-
-(** Combine per-run profiles: a site makes the allow-list when it
-    executed in some run and never failed the (LowFat) component in
-    any run. *)
-let merge_profiles (runs : (Allowlist.t * int list) list) : Allowlist.t =
-  let failed = Hashtbl.create 64 in
-  List.iter
-    (fun (_, fs) -> List.iter (fun s -> Hashtbl.replace failed s ()) fs)
-    runs;
-  List.concat_map fst runs
-  |> List.sort_uniq compare
-  |> List.filter (fun s -> not (Hashtbl.mem failed s))
-
-(** Profiling phase of Figure 5: instrument with the profiling variant,
-    run the test suite, extract the allow-list. *)
-let profile ?max_steps ~(test_suite : int list list) (binary : Binfmt.Relf.t)
-    : Allowlist.t =
-  let prof = Rewrite.rewrite Rewrite.profiling_build binary in
-  let im = image prof.binary in
-  merge_profiles (List.map (profile_run ?max_steps im) test_suite)
-
-(** The full two-phase workflow of Figure 5. *)
-let profile_and_harden ?max_steps ~(test_suite : int list list)
-    ?(opts = Rewrite.optimized) (binary : Binfmt.Relf.t) : Rewrite.t =
-  let allowlist = profile ?max_steps ~test_suite binary in
-  Rewrite.rewrite { opts with allowlist = Some allowlist } binary

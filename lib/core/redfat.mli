@@ -1,13 +1,17 @@
 (** RedFat: the public API of the binary-hardening pipeline.
 
     {[
-      let hard = Redfat.harden binary in                    (* one-phase *)
-      let hard = Redfat.profile_and_harden ~test_suite binary in (* two-phase *)
-      let hrun = Redfat.run_hardened hard.binary ~inputs in
+      let hard = Redfat.harden binary in
+      let hrun =
+        Redfat.run ~inputs hard.binary (Hardened Runtime.default_options)
+      in
       match hrun.verdict with
       | Detected e -> (* attack stopped *)
       | Finished _ -> ...
     ]}
+
+    The two-phase workflow of Figure 5 (profile, then harden with the
+    allow-list) is [Engine.Pipeline.workflow].
 
     Every run returns deterministic cycle counts from the VM cost
     model, so overheads are [cycles_hardened / cycles_baseline]. *)
@@ -62,15 +66,12 @@ val image : ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t -> image
 val image_binary : image -> Binfmt.Relf.t
 (** The binary the image was built from (its entry, say). *)
 
-val instantiate : ?max_steps:int -> image -> Vm.Cpu.t
-(** A fresh VM over the image, stack pointer set; does not run it.
-    The VM shares the image's trap table and predecoded code: writing
-    [cpu.trap_table] would change every instance. *)
-
 val prepare : ?max_steps:int -> ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t ->
   Vm.Cpu.t
-(** {!instantiate} the {!image} of the binary: the one-shot VM set-up
-    path, for a binary run once. *)
+(** A fresh machine over the binary's {!image}, stack pointer set, no
+    runtime attached.  Only bench/perf's [vm.prepare_us] probe calls
+    it; the benchmark change of ROADMAP item 1 removes that caller and
+    then this value. *)
 
 val verdict_of_exn : exn -> (int * verdict) option
 (** How a run that raised this exception ended, with its exit code:
@@ -82,109 +83,64 @@ val verdict_of_exn : exn -> (int * verdict) option
     run (a decoder error, say). *)
 
 val exec : Vm.Cpu.t -> Vm.Cpu.runtime -> entry:int -> run_result * verdict
-(** Run a prepared VM from [entry] and classify how the run ended with
+(** Run a loaded VM from [entry] and classify how the run ended with
     {!verdict_of_exn}; any other exception escapes. *)
 
-val run_baseline :
+(** {2 Runtimes: what a run executes under}
+
+    The paper's three environments, plus the profiling run of Figure 5.
+    The type parameter is the state a run leaves behind, so a hardened
+    run's caller gets its {!Runtime.t} with no option to unwrap. *)
+
+type _ runtime =
+  | Baseline : unit runtime
+      (** the original binary natively: glibc allocator, no checks *)
+  | Hardened : Runtime.options -> Runtime.t runtime
+      (** libredfat preloaded.  The runtime's backend is the one the
+          binary records ({!backend_of_binary}), overriding
+          [options.backend]: hardened binaries are self-describing,
+          and its exceptions are raised by {!load}.  [options.random]
+          seeds heap randomization. *)
+  | Profiling : Runtime.t runtime
+      (** the profiling run of Figure 5, for a binary built with
+          [Rewrite.profiling_build]: libredfat in [Log] mode with site
+          statistics, so a failed check is recorded and the run
+          continues *)
+  | Memcheck : Baselines.Memcheck.t runtime
+      (** the simulated Valgrind Memcheck; every module of the image
+          is addressable *)
+
+val load :
   ?inputs:int list ->
   ?max_steps:int ->
-  ?libs:Binfmt.Relf.t list ->
-  Binfmt.Relf.t ->
-  run_result * verdict
-(** Run the original binary natively (glibc allocator, no checks). *)
+  ?acct:Vm.Cpu.acct ->
+  image ->
+  's runtime ->
+  Vm.Cpu.t * 's * Vm.Cpu.runtime
+(** A fresh machine over the image under the runtime: the CPU, the
+    runtime's state and its VM hooks, ready for {!exec} from the
+    binary's entry.  [acct] attaches per-site check accounting to the
+    VM ({!Vm.Cpu.acct}): cycle and execution-count attribution per
+    guarded site, for trace exports.  The VM shares the image's trap
+    table and predecoded code: writing [cpu.trap_table] would change
+    every instance. *)
 
-type hardened_run = {
+type 's outcome = {
   run : run_result;
   verdict : verdict;
-  rt : Runtime.t;  (** allocator/check state: errors, coverage, ... *)
+  state : 's;  (** e.g. a {!Runtime.t}: errors, coverage, ... *)
 }
 
-val load_image :
-  ?options:Runtime.options ->
-  ?profiling:bool ->
-  ?random:int ->
-  ?acct:Vm.Cpu.acct ->
+val run :
   ?inputs:int list ->
   ?max_steps:int ->
-  image ->
-  Vm.Cpu.t * Runtime.t * Vm.Cpu.runtime
-(** {!instantiate} the image of a (hardened) binary with libredfat
-    preloaded: the CPU, the runtime and its VM hooks, ready for
-    {!exec}.  [random] seeds heap randomization.  [acct] attaches
-    per-site check accounting to the VM ({!Vm.Cpu.acct}): cycle and
-    execution-count attribution per guarded site, for trace exports.
-    The runtime backend in [options] is overridden by the binary's own
-    recorded backend ({!backend_of_binary}) — hardened binaries are
-    self-describing; its exceptions are raised here. *)
-
-val load_hardened :
-  ?options:Runtime.options ->
-  ?profiling:bool ->
-  ?random:int ->
   ?acct:Vm.Cpu.acct ->
-  ?inputs:int list ->
-  ?max_steps:int ->
   ?libs:Binfmt.Relf.t list ->
   Binfmt.Relf.t ->
-  Vm.Cpu.t * Runtime.t * Vm.Cpu.runtime
-(** {!load_image} of the binary's {!image}, for a binary run once. *)
-
-val run_image :
-  ?options:Runtime.options ->
-  ?profiling:bool ->
-  ?random:int ->
-  ?acct:Vm.Cpu.acct ->
-  ?inputs:int list ->
-  ?max_steps:int ->
-  image ->
-  hardened_run
-(** {!load_image}, then {!exec} from the binary's entry. *)
-
-val run_hardened :
-  ?options:Runtime.options ->
-  ?profiling:bool ->
-  ?random:int ->
-  ?acct:Vm.Cpu.acct ->
-  ?inputs:int list ->
-  ?max_steps:int ->
-  ?libs:Binfmt.Relf.t list ->
-  Binfmt.Relf.t ->
-  hardened_run
-(** {!run_image} of the binary's {!image}. *)
-
-val run_memcheck :
-  ?inputs:int list ->
-  ?max_steps:int ->
-  Binfmt.Relf.t ->
-  run_result * verdict * Baselines.Memcheck.t
-(** Run the original binary under the simulated Valgrind Memcheck. *)
+  's runtime ->
+  's outcome
+(** {!load} the {!image} of the binary (with its shared objects
+    [libs]), then {!exec} it from its entry: for a binary run once. *)
 
 val harden : ?opts:Rewrite.options -> Binfmt.Relf.t -> Rewrite.t
 (** One-phase hardening: every site gets the full check. *)
-
-val profile_run :
-  ?max_steps:int -> image -> int list -> Allowlist.t * int list
-(** [profile_run (image prof_binary) inputs]: one profiling-phase run
-    of an already profiling-instrumented binary; returns (passing sites,
-    (LowFat)-failing sites).  Pure per-run, so a test suite can be run
-    sequentially or fanned out across domains and combined with
-    [merge_profiles]. *)
-
-val merge_profiles : (Allowlist.t * int list) list -> Allowlist.t
-(** Combine per-run profiles: a site makes the allow-list when it
-    executed in some run and never failed the (LowFat) component in
-    any run. *)
-
-val profile :
-  ?max_steps:int -> test_suite:int list list -> Binfmt.Relf.t -> Allowlist.t
-(** Profiling phase of Figure 5: run the instrumented binary against
-    the test suite; [merge_profiles] of one [profile_run] per suite
-    entry. *)
-
-val profile_and_harden :
-  ?max_steps:int ->
-  test_suite:int list list ->
-  ?opts:Rewrite.options ->
-  Binfmt.Relf.t ->
-  Rewrite.t
-(** The full two-phase workflow of Figure 5. *)

@@ -223,32 +223,53 @@ let profile t ?max_steps ~test_suite bin =
   in
   memo t ~key (fun () ->
       let prof = harden t ~opts:Rw.profiling_build bin in
-      (* one image for the whole suite, shared by the workers *)
+      (* one image for the whole suite, shared by the workers; each run
+         yields the sites it executed and those that failed the
+         (LowFat) component *)
       let im = Redfat.image prof.Rw.binary in
-      map t (Redfat.profile_run ?max_steps im) test_suite
-      |> Redfat.merge_profiles)
+      let runs =
+        map t
+          (fun inputs ->
+            let cpu, rt, vmrt =
+              Redfat.load ~inputs ?max_steps im Redfat.Profiling
+            in
+            ignore (Redfat.exec cpu vmrt ~entry:prof.Rw.binary.entry);
+            (Redfat.Runtime.allowlist rt,
+             Redfat.Runtime.lowfat_failing_sites rt))
+          test_suite
+      in
+      (* a site makes the allow-list when it executed in some run and
+         never failed the (LowFat) component in any run *)
+      let failed = Hashtbl.create 64 in
+      List.iter
+        (fun (_, fs) -> List.iter (fun s -> Hashtbl.replace failed s ()) fs)
+        runs;
+      List.concat_map fst runs
+      |> List.sort_uniq compare
+      |> List.filter (fun s -> not (Hashtbl.mem failed s)))
 
 let verify t ?allow bin =
   Report.timed t.rep "verify" @@ fun () ->
   hook t "verify";
   Rw.verify ?allow bin
 
-let run_baseline t ?inputs ?max_steps ?libs bin =
+let run t ?inputs ?max_steps ?acct ?libs bin runtime =
   Report.timed t.rep "run" @@ fun () ->
   hook t "run";
-  Redfat.run_baseline ?inputs ?max_steps ?libs bin
+  Redfat.run ?inputs ?max_steps ?acct ?libs bin runtime
 
-let run_hardened t ?options ?profiling ?random ?acct ?inputs ?max_steps ?libs
-    bin =
-  Report.timed t.rep "run" @@ fun () ->
-  hook t "run";
-  Redfat.run_hardened ?options ?profiling ?random ?acct ?inputs ?max_steps
-    ?libs bin
+(* bench/perf's table1 workload is the last caller of these three; the
+   benchmark change of ROADMAP item 1 moves it to [run] *)
+let run_baseline t ~inputs bin =
+  let o = run t ~inputs bin Redfat.Baseline in
+  (o.run, o.verdict)
 
-let run_memcheck t ?inputs ?max_steps bin =
-  Report.timed t.rep "run" @@ fun () ->
-  hook t "run";
-  Redfat.run_memcheck ?inputs ?max_steps bin
+let run_hardened t ~options ~inputs bin =
+  run t ~inputs bin (Redfat.Hardened options)
+
+let run_memcheck t ~inputs bin =
+  let o = run t ~inputs bin Redfat.Memcheck in
+  (o.run, o.verdict, o.state)
 
 let emit_json t ?extra () =
   Report.to_json ~cache:(cache_stats t) ~cache_enabled:(cache_enabled t)
@@ -304,7 +325,9 @@ let workflow t ?(opts = Rw.optimized) ~train ~inputs bin =
                  Redfat.Verify.pp_report r;
            })
   in
-  let base, bv = run_baseline t ~inputs bin in
+  let { Redfat.run = base; verdict = bv; _ } =
+    run t ~inputs bin Redfat.Baseline
+  in
   (match bv with
   | Redfat.Finished _ -> ()
   | v ->
@@ -312,20 +335,20 @@ let workflow t ?(opts = Rw.optimized) ~train ~inputs bin =
       (Fault.Run { what = "baseline"; detail = Redfat.verdict_to_string v }));
   { hard; audit; base }
 
-let summary { hard; base; _ } (hrun : Redfat.hardened_run) =
+let summary { hard; base; _ } (hrun : Redfat.Runtime.t Redfat.outcome) =
   let b = Buffer.create 256 in
   Printf.bprintf b "verdict:  %s\n"
     (Redfat.verdict_to_string hrun.Redfat.verdict);
   (* the hardened run executes in Log mode, so errors the hardening
      caught (and skipped past) show up here, not as an abort *)
-  (match Redfat.Runtime.errors hrun.Redfat.rt with
+  let rt = hrun.Redfat.state in
+  (match Redfat.Runtime.errors rt with
   | [] -> ()
   | errs ->
     Printf.bprintf b "detected: %d unique memory error(s)\n"
       (List.length errs);
     List.iter
-      (fun e ->
-        Printf.bprintf b "  - %s\n" (Redfat.Runtime.explain hrun.Redfat.rt e))
+      (fun e -> Printf.bprintf b "  - %s\n" (Redfat.Runtime.explain rt e))
       errs);
   Printf.bprintf b "backend:  %s\n"
     (Backend.Check_backend.name (Redfat.backend_of_binary hard.Rw.binary));
@@ -335,7 +358,7 @@ let summary { hard; base; _ } (hrun : Redfat.hardened_run) =
     (float_of_int hrun.Redfat.run.Redfat.cycles
     /. float_of_int base.Redfat.cycles);
   Printf.bprintf b "coverage: %.1f%% of heap accesses primary-checked\n"
-    (Redfat.Runtime.coverage_percent hrun.Redfat.rt);
+    (Redfat.Runtime.coverage_percent hrun.Redfat.state);
   Printf.bprintf b
     "sites:    %d full, %d redzone-only, %d temporal; %d trampolines"
     hard.Rw.stats.Rw.full_sites hard.Rw.stats.Rw.redzone_sites

@@ -76,7 +76,7 @@ val record_fault : t -> Fault.t -> unit
 
 val hook : t -> string -> unit
 (** [hook t point] runs the injection point [point] under the current
-    {!protect} label — what {!verify} or {!run_hardened} runs before
+    {!protect} label — what {!verify} or {!run} run before
     their work — for a caller that answers from its own cache and must
     fail the same requests as a fresh run would. *)
 
@@ -125,28 +125,37 @@ val verify :
 (** Timed run of the rewrite-soundness linter ({!Redfat.Verify}) on a
     hardened binary. *)
 
+val run :
+  t -> ?inputs:int list -> ?max_steps:int -> ?acct:Vm.Cpu.acct ->
+  ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t -> 's Redfat.runtime ->
+  's Redfat.outcome
+(** Timed (never cached) {!Redfat.run}: runs are the measurements
+    themselves. *)
+
+(** {3 bench/perf's call shapes}
+
+    One-liners over {!run} for the table1 workload of bench/perf, their
+    last caller; the benchmark change of ROADMAP item 1 moves it to
+    {!run} and removes them. *)
+
 val run_baseline :
-  t -> ?inputs:int list -> ?max_steps:int -> ?libs:Binfmt.Relf.t list ->
-  Binfmt.Relf.t -> Redfat.run_result * Redfat.verdict
+  t -> inputs:int list -> Binfmt.Relf.t -> Redfat.run_result * Redfat.verdict
 
 val run_hardened :
-  t -> ?options:Redfat.Runtime.options -> ?profiling:bool -> ?random:int ->
-  ?acct:Vm.Cpu.acct -> ?inputs:int list -> ?max_steps:int ->
-  ?libs:Binfmt.Relf.t list -> Binfmt.Relf.t -> Redfat.hardened_run
+  t -> options:Redfat.Runtime.options -> inputs:int list -> Binfmt.Relf.t ->
+  Redfat.Runtime.t Redfat.outcome
 
 val run_memcheck :
-  t -> ?inputs:int list -> ?max_steps:int -> Binfmt.Relf.t ->
+  t -> inputs:int list -> Binfmt.Relf.t ->
   Redfat.run_result * Redfat.verdict * Baselines.Memcheck.t
-(** Timed (never cached): runs are the measurements themselves. *)
 
 val emit_json : t -> ?extra:(string * string) list -> unit -> string
 (** The run's report (stages, targets, cache counters, obs counters
     and histograms, jobs, wall) as JSON. *)
 
 val record_vm_acct : t -> Vm.Cpu.acct -> unit
-(** Fold a VM per-site check-accounting table ({!run_hardened}'s
-    [acct]) into the collector: [vm.check.*] counters and [vm.site.*]
-    histograms. *)
+(** Fold a VM per-site check-accounting table ({!run}'s [acct]) into
+    the collector: [vm.check.*] counters and [vm.site.*] histograms. *)
 
 val trace_json : t -> string
 (** The engine's collector as Chrome trace-event JSON (merge point:
@@ -168,11 +177,11 @@ val workflow :
     place it is written: {!profile} on [train], {!harden} with the
     resulting allow-list added to [opts] (default
     {!Redfat.Rewrite.optimized}), {!verify} of the hardened binary,
-    then {!run_baseline} of the original on [inputs].  A failed audit
+    then a baseline {!run} of the original on [inputs].  A failed audit
     raises [verify.unsound]; a baseline that does not finish raises
     [run.baseline].  Each primitive records its own stage span. *)
 
-val summary : workflow -> Redfat.hardened_run -> string
+val summary : workflow -> Redfat.Runtime.t Redfat.outcome -> string
 (** The per-target text report over a workflow and the hardened
     binary's Log-mode run: verdict, detections, backend, cycles and
     overhead, coverage and site counts. *)

@@ -74,22 +74,16 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
 
 (* --- one execution of a hardened binary ----------------------------- *)
 
-(** Run [inputs] through the image of a hardened binary with the
-    backend the binary itself records, collecting edge/site coverage
-    and the oracle's verdict.  [profiling] runs a Log-mode profiling
-    runtime instead, as {!Redfat.profile_run} does: a failed check is
-    recorded and the run continues.  Pure per call (a fresh instance
-    of the frozen image, a fresh runtime), so executions fan out over
-    domains safely. *)
-let execute_image ~max_steps ~profiling (im : Redfat.image)
-    (inputs : int list) : exec_result =
-  let options =
-    if profiling then { Runtime.default_options with mode = Runtime.Log }
-    else Runtime.default_options
-  in
-  let cpu, _, vmrt =
-    Redfat.load_image ~options ~profiling ~inputs ~max_steps im
-  in
+(** Run [inputs] through the image of a hardened binary under
+    [runtime] (its backend is the one the binary records), collecting
+    edge/site coverage and the oracle's verdict.  Under
+    {!Redfat.Profiling}, as in [Engine.Pipeline.profile], a failed
+    check is recorded and the run continues.  Pure per call (a fresh
+    instance of the frozen image, a fresh runtime), so executions fan
+    out over domains safely. *)
+let execute_image ~max_steps runtime (im : Redfat.image) (inputs : int list)
+    : exec_result =
+  let cpu, _, vmrt = Redfat.load ~inputs ~max_steps im runtime in
   let edges = Hashtbl.create 64 and sites = Hashtbl.create 64 in
   let prev = ref 0 in
   let visit id =
@@ -120,9 +114,13 @@ let execute_image ~max_steps ~profiling (im : Redfat.image)
     x_cycles = cpu.cycles;
   }
 
-let execute ?(max_steps = default_config.max_steps) ?(profiling = false)
-    (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
-  execute_image ~max_steps ~profiling (Redfat.image binary) inputs
+let exec_runtime = Redfat.Hardened Runtime.default_options
+
+(* bench/perf's [fuzz.exec_us] probe is the last caller; the benchmark
+   change of ROADMAP item 1 times executions of one image instead *)
+let execute ?(max_steps = default_config.max_steps) (binary : Binfmt.Relf.t)
+    (inputs : int list) : exec_result =
+  execute_image ~max_steps exec_runtime (Redfat.image binary) inputs
 
 (* --- the generic campaign loop -------------------------------------- *)
 
@@ -332,11 +330,11 @@ let minimize_bytes (still : string -> bool) (input : string) : string =
 
 (* one image per campaign: every execution, on any worker, starts
    from it *)
-let input_campaign eng config ~target ~mode ~profiling ~seeds binary =
+let input_campaign eng config ~target ~mode ~runtime ~seeds binary =
   let im = Redfat.image binary in
   campaign_loop eng config ~target ~mode
     ~backend:(Backend.Check_backend.name (Redfat.backend_of_binary binary))
-    ~seeds ~run_one:(execute_image ~max_steps:config.max_steps ~profiling im)
+    ~seeds ~run_one:(execute_image ~max_steps:config.max_steps runtime im)
     ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
     ~render:render_inputs ~minimize:minimize_inputs
 
@@ -346,20 +344,20 @@ let input_campaign eng config ~target ~mode ~profiling ~seeds binary =
 let run_exec (eng : Pl.t) ?(config = default_config) ~target
     ?(seeds = [ []; [ 0 ] ]) (hard : Binfmt.Relf.t) : report =
   fst
-    (input_campaign eng config ~target ~mode:"exec" ~profiling:false ~seeds
-       hard)
+    (input_campaign eng config ~target ~mode:"exec" ~runtime:exec_runtime
+       ~seeds hard)
 
 (** Grow a profiling test suite (paper §5's coverage booster): fuzz the
     profiling build of [binary] under a Log-mode profiling runtime, so
     coverage is the check sites reached.  Returns the report and the
     kept corpus, oldest first, as a [test_suite] for
-    {!Redfat.profile}. *)
+    [Engine.Pipeline.profile]. *)
 let run_profile (eng : Pl.t) ?(config = default_config) ~target
     ?(seeds = [ []; [ 0 ] ]) (binary : Binfmt.Relf.t) :
     report * int list list =
   let prof = Pl.harden eng ~opts:Redfat.Rewrite.profiling_build binary in
-  input_campaign eng config ~target ~mode:"profile" ~profiling:true ~seeds
-    prof.binary
+  input_campaign eng config ~target ~mode:"profile"
+    ~runtime:Redfat.Profiling ~seeds prof.binary
 
 (* --- parser campaigns ------------------------------------------------ *)
 

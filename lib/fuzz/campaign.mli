@@ -47,17 +47,22 @@ type exec_result = {
   x_cycles : int;
 }
 
-val execute :
-  ?max_steps:int -> ?profiling:bool -> Binfmt.Relf.t -> int list ->
+val execute_image :
+  max_steps:int -> 's Redfat.runtime -> Redfat.image -> int list ->
   exec_result
-(** One execution of a hardened binary under the backend it records,
-    with AFL edge/site coverage and the oracle's verdict.  Edges hash
-    consecutive check sites and consecutive {!E9afl} probe ids.
-    [profiling] swaps in a Log-mode profiling runtime, as
-    {!Redfat.profile_run} uses, so a failed check does not stop the
-    run.  Pure per call, so executions fan out over domains safely.
-    Builds the binary's {!Redfat.image} on every call; a campaign
-    builds one image and starts every execution from it. *)
+(** One execution from the image of a hardened binary under the
+    runtime (whose backend is the one the binary records), with AFL
+    edge/site coverage and the oracle's verdict.  Edges hash
+    consecutive check sites and consecutive {!E9afl} probe ids.  Under
+    {!Redfat.Profiling}, the runtime {!Engine.Pipeline.profile} runs,
+    a failed check does not stop the run.  Pure per call, so
+    executions fan out over domains safely; a campaign builds one
+    image and starts every execution from it. *)
+
+val execute : ?max_steps:int -> Binfmt.Relf.t -> int list -> exec_result
+(** {!execute_image} of a fresh image of the binary under libredfat in
+    Harden mode.  bench/perf's [fuzz.exec_us] probe is the last
+    caller; the benchmark change of ROADMAP item 1 removes it. *)
 
 val run_exec :
   Engine.Pipeline.t ->
@@ -82,7 +87,8 @@ val run_profile :
     §5's coverage booster): fuzz its [Rewrite.profiling_build] under a
     Log-mode profiling runtime, with the check sites reached as
     coverage.  Returns the report (mode ["profile"]) and the kept
-    corpus, oldest first, as a [test_suite] for {!Redfat.profile}. *)
+    corpus, oldest first, as a [test_suite] for
+    {!Engine.Pipeline.profile}. *)
 
 type parser_target = Relf_parser | Minic_parser | X64_decoder
 

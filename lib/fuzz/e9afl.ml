@@ -63,8 +63,9 @@ type run = {
 
 (** Run the instrumented binary, collecting the edge map. *)
 let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
-  let cpu = Redfat.prepare ~max_steps t.binary in
-  cpu.inputs <- inputs;
+  let cpu, (), vmrt =
+    Redfat.load ~inputs ~max_steps (Redfat.image t.binary) Redfat.Baseline
+  in
   let edges = Hashtbl.create 256 in
   let prev = ref 0 in
   cpu.on_probe <-
@@ -74,10 +75,7 @@ let run (t : t) ?(inputs = []) ?(max_steps = 2_000_000) () : run =
         Hashtbl.replace edges e (1 + Option.value ~default:0 (Hashtbl.find_opt edges e));
         prev := id;
         3 (* shared-memory counter update *));
-  let alloc = Baselines.Sysalloc.create cpu.mem in
-  let r, verdict =
-    Redfat.exec cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:t.binary.entry
-  in
+  let r, verdict = Redfat.exec cpu vmrt ~entry:t.binary.entry in
   {
     edges;
     outputs = r.outputs;

@@ -56,12 +56,15 @@ type options = {
           provides.  [Temporal] switches the allocator to lock-and-key
           mode: malloc returns tagged pointers and records a key in the
           lock table, free validates and invalidates the key. *)
+  random : int option;
+      (** heap randomization seed (paper §8); [None] places objects
+          deterministically *)
 }
 
 let default_options =
   { lowfat = true; size_harden = true; merged_ub = true; check_reads = true;
     state_impl = Lowfat_meta; mode = Harden;
-    backend = Backend.Check_backend.default }
+    backend = Backend.Check_backend.default; random = None }
 
 type profile_entry = { mutable executed : int; mutable lowfat_failed : int }
 
@@ -86,10 +89,10 @@ type t = {
   mutable next_key : int;  (** temporal: next allocation key (cycles) *)
 }
 
-let create ?(options = default_options) ?(profiling = false) ?random
+let create ?(options = default_options) ?(profiling = false)
     (mem : Vm.Mem.t) : t =
   {
-    alloc = Lowfat.Alloc.create ?random mem;
+    alloc = Lowfat.Alloc.create ?random:options.random mem;
     mem;
     opts = options;
     errors = [];

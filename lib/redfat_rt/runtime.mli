@@ -50,6 +50,7 @@ type options = {
       (** which backend's runtime semantics to provide; [Temporal]
           switches the allocator to lock-and-key mode (tagged pointers,
           lock table, key validation on free) *)
+  random : int option;  (** heap randomization seed (paper §8) *)
 }
 
 val default_options : options
@@ -73,8 +74,7 @@ type t = {
   mutable next_key : int;
 }
 
-val create :
-  ?options:options -> ?profiling:bool -> ?random:int -> Vm.Mem.t -> t
+val create : ?options:options -> ?profiling:bool -> Vm.Mem.t -> t
 
 val errors : t -> access_error list
 (** Unique logged errors, in discovery order. *)

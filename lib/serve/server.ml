@@ -104,16 +104,15 @@ let trace t (rq : Proto.request) (a : artifact) : trace =
     Lru.get t.traces ~key:(artifact_key t rq) (fun () ->
         let hrun =
           Engine.Report.timed (Pl.report t.eng) "run" @@ fun () ->
-          Redfat.run_hardened
-            ~options:{ Redfat.Runtime.default_options with mode = Log }
-            ~inputs:a.a_inputs
+          Redfat.run ~inputs:a.a_inputs
             (Binfmt.Relf.parse a.a_binary)
+            (Hardened { Redfat.Runtime.default_options with mode = Log })
         in
         Marshal.to_string
           {
             verdict = Redfat.verdict_to_string hrun.Redfat.verdict;
             hardened_cycles = hrun.Redfat.run.Redfat.cycles;
-            detected = List.length (Redfat.Runtime.errors hrun.Redfat.rt);
+            detected = List.length (Redfat.Runtime.errors hrun.Redfat.state);
           }
           [])
   in

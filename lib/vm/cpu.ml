@@ -436,13 +436,17 @@ let step t (rt : runtime) =
      | None -> t.cycles <- t.cycles + 3);
     t.rip <- next
 
+(** Point the machine at [entry] and push the final return address:
+    popping it halts the machine. *)
+let enter t ~entry =
+  t.rip <- entry;
+  t.regs.(X64.Isa.rsp) <- t.regs.(X64.Isa.rsp) - 8;
+  Mem.write t.mem ~addr:t.regs.(X64.Isa.rsp) ~len:8 halt_sentinel
+
 (** Run from [entry] until the program halts (final ret, hlt, or
     Exit runtime call).  Returns the exit code (0 unless [Exit]). *)
 let run t (rt : runtime) ~entry =
-  t.rip <- entry;
-  (* final return address: popping it halts the machine *)
-  t.regs.(X64.Isa.rsp) <- t.regs.(X64.Isa.rsp) - 8;
-  Mem.write t.mem ~addr:t.regs.(X64.Isa.rsp) ~len:8 halt_sentinel;
+  enter t ~entry;
   try
     while true do
       step t rt

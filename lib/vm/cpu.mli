@@ -96,9 +96,6 @@ type t = {
   mutable mem_writes : int;
 }
 
-val halt_sentinel : int
-(** Return address whose pop halts the machine (pushed by {!run}). *)
-
 val create :
   ?max_steps:int -> ?mem:Mem.t -> ?code:region array ->
   ?trap_table:(int, int) Hashtbl.t -> unit -> t
@@ -123,6 +120,11 @@ type runtime = {
 
 val step : t -> runtime -> unit
 (** Execute one instruction; raises {!Halt} on hlt or final ret. *)
+
+val enter : t -> entry:int -> unit
+(** Start the program at [entry]: set [rip] and push the return
+    address whose pop halts the machine.  {!run} begins with it; a
+    stepper that drives {!step} itself calls it first. *)
 
 val run : t -> runtime -> entry:int -> int
 (** Run from [entry] until the program halts; returns the exit code

@@ -19,6 +19,8 @@ module Rw = Redfat.Rewrite
 module Rt = Redfat.Runtime
 module CB = Backend.Check_backend
 
+let libredfat = Redfat.Hardened Rt.default_options
+
 let log_opts = { Rt.default_options with mode = Rt.Log }
 
 let ints l = String.concat "," (List.map string_of_int l)
@@ -44,13 +46,9 @@ let spec_builds (b : Workloads.Spec.bench) =
   let bin = Workloads.Spec.binary b in
   let prof = Rw.rewrite Rw.profiling_build bin in
   let p =
-    Redfat.run_hardened ~options:log_opts ~profiling:true
-      ~inputs:(Workloads.Spec.train_inputs b) prof.binary
+    Redfat.run ~inputs:(Workloads.Spec.train_inputs b) prof.binary Profiling
   in
-  let allow =
-    Redfat.merge_profiles
-      [ (Rt.allowlist p.rt, Rt.lowfat_failing_sites p.rt) ]
-  in
+  let allow = Rt.allowlist p.state in
   let hard = Rw.rewrite { Rw.optimized with allowlist = Some allow } bin in
   (bin, prof, p, hard)
 
@@ -58,12 +56,14 @@ let spec (b : Workloads.Spec.bench) =
   let target = "spec:" ^ b.name in
   let refs = Workloads.Spec.ref_inputs b in
   let bin, _, p, hard = spec_builds b in
-  let base, bv = Redfat.run_baseline ~inputs:refs bin in
-  let acct = Vm.Cpu.new_acct () in
-  let m =
-    Redfat.run_hardened ~options:log_opts ~acct ~inputs:refs hard.binary
+  let { Redfat.run = base; verdict = bv; _ } =
+    Redfat.run ~inputs:refs bin Baseline
   in
-  let mc, mv, _ = Redfat.run_memcheck ~inputs:refs bin in
+  let acct = Vm.Cpu.new_acct () in
+  let m = Redfat.run ~acct ~inputs:refs hard.binary (Hardened log_opts) in
+  let { Redfat.run = mc; verdict = mv; _ } =
+    Redfat.run ~inputs:refs bin Memcheck
+  in
   [
     line target "baseline" base bv;
     line target "profile" p.run p.verdict;
@@ -82,8 +82,8 @@ let temporal_spec name =
   let hard = temporal_build name in
   let acct = Vm.Cpu.new_acct () in
   let r =
-    Redfat.run_hardened ~options:log_opts ~acct
-      ~inputs:(Workloads.Spec.ref_inputs b) hard.binary
+    Redfat.run ~acct ~inputs:(Workloads.Spec.ref_inputs b) hard.binary
+      (Hardened log_opts)
   in
   Printf.sprintf "%s backend=%s temporal_checks=%d"
     (line ("spec:" ^ name) "temporal" r.run r.verdict)
@@ -105,7 +105,7 @@ let bugs () =
   List.map
     (fun ((c : Workloads.Fuzzbugs.case), backend, (hard : Rw.t)) ->
       let r =
-        Redfat.run_hardened ~max_steps:100_000 ~inputs:c.attack hard.binary
+        Redfat.run ~max_steps:100_000 ~inputs:c.attack hard.binary libredfat
       in
       line ("bug:" ^ c.id) (CB.name backend) r.run r.verdict)
     (bug_builds ())
@@ -157,7 +157,7 @@ let trap_binary () =
 
 let trap () =
   let hard = Rw.rewrite Rw.optimized (trap_binary ()) in
-  let r = Redfat.run_hardened hard.binary in
+  let r = Redfat.run hard.binary libredfat in
   line "asm:trap" (Printf.sprintf "traps=%d" hard.stats.trap_patches) r.run
     r.verdict
 

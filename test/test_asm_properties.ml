@@ -18,6 +18,8 @@ type access = {
   seg : int;              (* 0 or 1 (segments resolve to 0 in the VM) *)
 }
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let gen_access =
   QCheck.Gen.(
     let* off = int_range 0 31 >|= fun k -> k * 8 in
@@ -88,12 +90,12 @@ let prop_asm_preservation =
     arb_program
     (fun accs ->
       let bin = program_of accs in
-      let base, bv = Redfat.run_baseline bin in
+      let { Redfat.run = base; verdict = bv; _ } = Redfat.run bin Baseline in
       (match bv with Redfat.Finished _ -> () | _ -> QCheck.assume_fail ());
       List.for_all
         (fun opts ->
           let hard = Redfat.harden ~opts bin in
-          let hr = Redfat.run_hardened hard.binary in
+          let hr = Redfat.run hard.binary libredfat in
           match hr.verdict with
           | Redfat.Finished _ -> hr.run.outputs = base.outputs
           | _ -> false)
@@ -121,7 +123,7 @@ let prop_asm_oob_detected =
         List.for_all
           (fun opts ->
             let hard = Redfat.harden ~opts bin in
-            match (Redfat.run_hardened hard.binary).verdict with
+            match (Redfat.run hard.binary libredfat).verdict with
             | Redfat.Detected _ -> true
             | _ -> false)
           [ Rewriter.Rewrite.unoptimized; Rewriter.Rewrite.optimized ])

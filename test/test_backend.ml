@@ -6,6 +6,8 @@
 module Rw = Rewriter.Rewrite
 module CB = Backend.Check_backend
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let kernels () =
   List.map
     (fun (b : Workloads.Spec.bench) -> (b.name, Workloads.Spec.binary b))
@@ -96,7 +98,7 @@ let test_backends_run_clean () =
       Alcotest.(check bool) (CB.name id ^ " self-describing") true
         (Redfat.backend_of_binary hard.binary = id);
       let r =
-        Redfat.run_hardened ~inputs:(Workloads.Spec.ref_inputs b) hard.binary
+        Redfat.run ~inputs:(Workloads.Spec.ref_inputs b) hard.binary libredfat
       in
       match r.verdict with
       | Redfat.Finished 0 -> ()
@@ -115,13 +117,13 @@ let test_temporal_detects_suite () =
     (fun (c : Workloads.Uaf.case) ->
       let hard = temporal_harden (Workloads.Uaf.binary c) in
       let b =
-        Redfat.run_hardened ~inputs:Workloads.Uaf.benign_inputs hard.binary
+        Redfat.run ~inputs:Workloads.Uaf.benign_inputs hard.binary libredfat
       in
       (match b.verdict with
        | Redfat.Finished 0 -> ()
        | v -> Alcotest.failf "%s benign: %s" c.id (Redfat.verdict_to_string v));
       let a =
-        Redfat.run_hardened ~inputs:Workloads.Uaf.attack_inputs hard.binary
+        Redfat.run ~inputs:Workloads.Uaf.attack_inputs hard.binary libredfat
       in
       match a.verdict with
       | Redfat.Detected e ->
@@ -136,7 +138,7 @@ let test_temporal_detects_suite () =
 let test_temporal_detects_reuse () =
   let bin = Minic.Codegen.compile Workloads.Uaf.reuse_case in
   let hard = temporal_harden bin in
-  match (Redfat.run_hardened hard.binary).verdict with
+  match (Redfat.run hard.binary libredfat).verdict with
   | Redfat.Detected e ->
     Alcotest.(check string) "kind" "key mismatch (stale pointer)"
       (Redfat_rt.Runtime.kind_name e.kind)
@@ -147,11 +149,11 @@ let test_temporal_detects_reuse () =
 let test_temporal_detects_double_free () =
   let bin = Minic.Codegen.compile Workloads.Uaf.double_free_case in
   let hard = temporal_harden bin in
-  let safe = Redfat.run_hardened ~inputs:[ 0 ] hard.binary in
+  let safe = Redfat.run ~inputs:[ 0 ] hard.binary libredfat in
   (match safe.verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "safe ordering: %s" (Redfat.verdict_to_string v));
-  match (Redfat.run_hardened ~inputs:[ 1 ] hard.binary).verdict with
+  match (Redfat.run ~inputs:[ 1 ] hard.binary libredfat).verdict with
   | Redfat.Detected e ->
     Alcotest.(check string) "kind" "double free"
       (Redfat_rt.Runtime.kind_name e.kind)
@@ -187,7 +189,7 @@ let test_malformed_policy_faults () =
       { s with bytes = Bytes.to_string b }
   in
   let bad = { hard.binary with sections = List.map flip hard.binary.sections } in
-  match Redfat.run_hardened ~inputs:[ 3 ] bad with
+  match Redfat.run ~inputs:[ 3 ] bad libredfat with
   | r -> Alcotest.failf "ran: %s" (Redfat.verdict_to_string r.verdict)
   | exception e ->
     Alcotest.(check string) "fault code" "parse.section"
@@ -210,12 +212,12 @@ let test_null_deref_faults () =
          ])
   in
   let segv = "fault: segfault at 0" in
-  let _, bv = Redfat.run_baseline ~inputs:[ 0 ] bin in
+  let bv = (Redfat.run ~inputs:[ 0 ] bin Baseline).verdict in
   Alcotest.(check string) "baseline" segv (Redfat.verdict_to_string bv);
   List.iter
     (fun backend ->
       let hard = Redfat.harden ~opts:{ Rw.optimized with backend } bin in
-      let hr = Redfat.run_hardened ~inputs:[ 0 ] hard.binary in
+      let hr = Redfat.run ~inputs:[ 0 ] hard.binary libredfat in
       Alcotest.(check string) (CB.name backend) segv
         (Redfat.verdict_to_string hr.verdict))
     CB.all

@@ -64,6 +64,35 @@ let test_compile_and_detect () =
   Alcotest.(check bool) "detected" true (contains out "DETECTED");
   Alcotest.(check bool) "explained" true (contains out "non-incremental")
 
+(* the baseline and Memcheck environments of [redfat run]: an
+   incremental overflow one element past a 4-element array, then a
+   read through the freed pointer *)
+let test_run_baseline_and_memcheck () =
+  skip_unless_available ();
+  let src = tmp "cli_m.mc" and relf = tmp "cli_m.relf" in
+  let oc = open_out src in
+  output_string oc
+    "fn main() { var a = alloc(4); a[0] = 5; var i = input(); a[i] = 9;\n\
+     print(a[0]); free(a); print(a[input()]); return 0; }\n";
+  close_out oc;
+  let c, _ = run_cli (Printf.sprintf "compile %s -o %s" src relf) in
+  Alcotest.(check int) "compile" 0 c;
+  let c, out =
+    run_cli (Printf.sprintf "run %s --inputs 4,0 --env baseline" relf)
+  in
+  Alcotest.(check int) "baseline exit" 0 c;
+  Alcotest.(check string) "baseline output"
+    "5\n5\n[finished (exit 0); 40 instructions, 99 cycles]\n" out;
+  let c, out =
+    run_cli (Printf.sprintf "run %s --inputs 4,0 --env memcheck" relf)
+  in
+  Alcotest.(check int) "memcheck exit" 0 c;
+  Alcotest.(check string) "memcheck output"
+    "5\n5\n[finished (exit 0); 40 instructions, 581 cycles]\n\
+     memcheck: invalid write of size 8 at 0x20000030 (rip 0x40003a)\n\
+     memcheck: invalid read of size 8 at 0x20000010 (rip 0x40005a)\n"
+    out
+
 let test_compile_error_position () =
   skip_unless_available ();
   let src = tmp "cli_bad.mc" in
@@ -248,6 +277,8 @@ let tests =
   [
     Alcotest.test_case "full workflow" `Slow test_full_workflow;
     Alcotest.test_case "compile and detect" `Quick test_compile_and_detect;
+    Alcotest.test_case "run baseline and memcheck" `Quick
+      test_run_baseline_and_memcheck;
     Alcotest.test_case "compile error position" `Quick
       test_compile_error_position;
     Alcotest.test_case "double harden refused" `Quick

@@ -8,6 +8,8 @@ open X64
 module Df = Dataflow
 module Rw = Rewriter.Rewrite
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let i x = Asm.I x
 
 let graph_of items =
@@ -537,7 +539,7 @@ let test_global_elim_reduces_checks () =
 
 let run_outcome bin opts inputs =
   let hard = Rw.rewrite opts bin in
-  let hr = Redfat.run_hardened ~inputs hard.Rw.binary in
+  let hr = Redfat.run ~inputs hard.Rw.binary libredfat in
   let verdict =
     match hr.Redfat.verdict with
     | Redfat.Finished c -> Printf.sprintf "finished:%d" c
@@ -745,7 +747,7 @@ let test_verify_unreachable_batch_runs () =
         Alcotest.(check bool) (pname ^ " verifies") true (Df.Verify.ok r)
       | Error e -> Alcotest.fail e);
       let acct = Vm.Cpu.new_acct () in
-      let run j = Redfat.run_hardened ~acct ~inputs:[ delta; j ] hard in
+      let run j = Redfat.run ~acct ~inputs:[ delta; j ] hard libredfat in
       (match (run 0).verdict with
       | Redfat.Finished 0 -> ()
       | v -> Alcotest.failf "%s benign: %s" pname (Redfat.verdict_to_string v));

@@ -3,6 +3,8 @@
 open X64
 module Rt = Redfat_rt.Runtime
 
+let libredfat = Redfat.Hardened Rt.default_options
+
 (* --- encoder limits -------------------------------------------------- *)
 
 let test_encode_disp_limits () =
@@ -112,8 +114,8 @@ let test_juliet_variants_equivalent () =
   List.iter
     (fun (c : Workloads.Juliet.case) ->
       let hard = Redfat.harden (Workloads.Juliet.binary c) in
-      let benign = Redfat.run_hardened ~inputs:c.benign_inputs hard.binary in
-      let attack = Redfat.run_hardened ~inputs:c.attack_inputs hard.binary in
+      let benign = Redfat.run ~inputs:c.benign_inputs hard.binary libredfat in
+      let attack = Redfat.run ~inputs:c.attack_inputs hard.binary libredfat in
       match (benign.verdict, attack.verdict) with
       | Redfat.Finished 0, Redfat.Detected _ -> ()
       | b, a ->

@@ -9,12 +9,8 @@ module Patch = Rewriter.Patch
 let binary = Minic.Codegen.compile Digest_golden.branchy
 
 let run_probed (b : Binfmt.Relf.t) inputs =
-  let cpu = Redfat.prepare b in
-  cpu.inputs <- inputs;
-  let alloc = Baselines.Sysalloc.create cpu.mem in
-  let (_ : int) =
-    Vm.Cpu.run cpu (Baselines.Sysalloc.vm_runtime alloc) ~entry:b.entry
-  in
+  let cpu, (), vmrt = Redfat.load ~inputs (Redfat.image b) Baseline in
+  let (_ : int) = Vm.Cpu.run cpu vmrt ~entry:b.entry in
   Vm.Cpu.outputs cpu
 
 let test_generic_instrumentation_preserves () =
@@ -39,7 +35,7 @@ let test_generic_instrumentation_preserves () =
   Alcotest.(check bool) "greedy: eviction" true (Patch.evictions greedy > 0);
   List.iter
     (fun inputs ->
-      let base, _ = Redfat.run_baseline ~inputs binary in
+      let base = (Redfat.run ~inputs binary Baseline).run in
       List.iter
         (fun b ->
           Alcotest.(check (list int)) "outputs preserved" base.outputs
@@ -103,9 +99,8 @@ let test_generic_on_spec_binary () =
   let t = Fuzz.E9afl.instrument bin in
   let r = Fuzz.E9afl.run t ~inputs:(Workloads.Spec.train_inputs b) () in
   Alcotest.(check bool) "ran" true r.verdict_ok;
-  let base, _ =
-    Redfat.run_baseline ~inputs:(Workloads.Spec.train_inputs b) bin
-  in
+  let inputs = Workloads.Spec.train_inputs b in
+  let base = (Redfat.run ~inputs bin Baseline).run in
   Alcotest.(check (list int)) "outputs preserved" base.outputs r.outputs;
   Alcotest.(check bool) "edges recorded" true (Hashtbl.length r.edges > 5)
 

@@ -10,6 +10,8 @@ module Pl = Engine.Pipeline
 module Rw = Redfat.Rewrite
 module Rt = Redfat_rt.Runtime
 
+let libredfat = Redfat.Hardened Rt.default_options
+
 let log_opts = { Rt.default_options with mode = Rt.Log }
 
 let with_engine ?(jobs = 1) ?(cache = true) ?cache_dir f =
@@ -348,14 +350,14 @@ let table1_fragment eng name =
   let b = Workloads.Spec.find name in
   let bin = Pl.compile eng (Workloads.Spec.program b) in
   let refs = Workloads.Spec.ref_inputs b in
-  let base, _ = Pl.run_baseline eng ~inputs:refs bin in
+  let base = (Pl.run eng ~inputs:refs bin Baseline).run in
   let allow =
     Pl.profile eng ~test_suite:[ Workloads.Spec.train_inputs b ] bin
   in
   let hard =
     Pl.harden eng ~opts:{ Rw.optimized with allowlist = Some allow } bin
   in
-  let hr = Pl.run_hardened eng ~options:log_opts ~inputs:refs hard.Rw.binary in
+  let hr = Pl.run eng ~inputs:refs hard.Rw.binary (Hardened log_opts) in
   Printf.sprintf "%s base=%d hard=%d allow=[%s] sites=%d/%d out=[%s]" name
     base.Redfat.cycles hr.Redfat.run.Redfat.cycles
     (String.concat ";" (List.map string_of_int allow))
@@ -380,7 +382,7 @@ let test_juliet_parallel_eq_sequential () =
         let bin = Pl.compile eng c.program in
         let hard = Pl.harden eng bin in
         let attack =
-          Pl.run_hardened eng ~inputs:c.attack_inputs hard.Rw.binary
+          Pl.run eng ~inputs:c.attack_inputs hard.Rw.binary libredfat
         in
         ( c.id,
           match attack.Redfat.verdict with
@@ -427,9 +429,9 @@ let test_workflow_matches_direct () =
           | Ok r -> r
           | Error e -> Alcotest.fail e
         in
-        let base, _ = Pl.run_baseline eng ~inputs bin in
+        let base = (Pl.run eng ~inputs bin Baseline).run in
         ( { Pl.hard; audit; base },
-          Pl.run_hardened eng ~options:log_opts ~inputs hard.Rw.binary )
+          Pl.run eng ~inputs hard.Rw.binary (Hardened log_opts) )
       in
       with_engine ~cache:false (fun eng ->
           let w =
@@ -442,9 +444,7 @@ let test_workflow_matches_direct () =
             direct.audit.Redfat.Verify.total w.audit.Redfat.Verify.total;
           Alcotest.(check int) (name ^ ": baseline cycles")
             direct.base.Redfat.cycles w.base.Redfat.cycles;
-          let hrun =
-            Pl.run_hardened eng ~options:log_opts ~inputs w.hard.Rw.binary
-          in
+          let hrun = Pl.run eng ~inputs w.hard.Rw.binary (Hardened log_opts) in
           Alcotest.(check string) (name ^ ": summary")
             (Pl.summary direct direct_run) (Pl.summary w hrun);
           Alcotest.(check (list (pair string int)))

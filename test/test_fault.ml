@@ -210,9 +210,8 @@ let synth_bin eng = Pl.compile eng (Workloads.Synth.program ~seed:11 ())
 
 let run_outputs eng hard =
   let hr =
-    Pl.run_hardened eng
-      ~options:{ Rt.default_options with mode = Rt.Log }
-      ~inputs:[] hard.Rw.binary
+    Pl.run eng ~inputs:[] hard.Rw.binary
+      (Hardened { Rt.default_options with mode = Rt.Log })
   in
   (hr.Redfat.run.Redfat.outputs, hr.Redfat.verdict)
 

@@ -155,11 +155,12 @@ let oracle_rows () =
       (List.length res.x_edges)
       (List.length res.x_sites)
   in
-  let exec ?profiling name bin inputs =
+  let exec runtime name bin inputs =
     row name
-      (Campaign.execute ~max_steps:config.Campaign.max_steps ?profiling bin
-         inputs)
+      (Campaign.execute_image ~max_steps:config.Campaign.max_steps runtime
+         (Redfat.image bin) inputs)
   in
+  let libredfat = Redfat.Hardened Redfat.Runtime.default_options in
   let planted =
     List.concat_map
       (fun backend ->
@@ -172,8 +173,8 @@ let oracle_rows () =
                 kind
             in
             [
-              exec (name "benign") bin c.benign;
-              exec (name "attack") bin c.attack;
+              exec libredfat (name "benign") bin c.benign;
+              exec libredfat (name "attack") bin c.attack;
             ])
           Workloads.Fuzzbugs.all)
       Backend.Check_backend.all
@@ -185,8 +186,8 @@ let oracle_rows () =
         .Rw.binary
     in
     [
-      exec ~profiling:true ("profiling/" ^ id ^ "/benign") prof c.benign;
-      exec ~profiling:true ("profiling/" ^ id ^ "/attack") prof c.attack;
+      exec Redfat.Profiling ("profiling/" ^ id ^ "/benign") prof c.benign;
+      exec Redfat.Profiling ("profiling/" ^ id ^ "/attack") prof c.attack;
     ]
   in
   planted @ profiling "oob-write" @ profiling "double-free"
@@ -428,9 +429,10 @@ let test_profile_beats_seed_coverage () =
 
 let test_profile_allowlist_grows () =
   (* the grown corpus yields a bigger allow-list than the naive seed *)
-  let naive = Redfat.profile ~test_suite:[ [ 0 ] ] gated in
+  with_engine @@ fun eng ->
+  let naive = Pl.profile eng ~test_suite:[ [ 0 ] ] gated in
   let _, suite = profile_campaign ~seed:7 ~budget:301 gated in
-  let fuzzed = Redfat.profile ~test_suite:suite gated in
+  let fuzzed = Pl.profile eng ~test_suite:suite gated in
   Alcotest.(check bool)
     (Printf.sprintf "allow-list grew (%d -> %d)" (List.length naive)
        (List.length fuzzed))
@@ -439,10 +441,13 @@ let test_profile_allowlist_grows () =
 
 let test_profile_production_runs_clean () =
   let _, suite = profile_campaign ~seed:3 ~budget:201 gated in
-  let hard = Redfat.profile_and_harden ~test_suite:suite gated in
+  with_engine @@ fun eng ->
+  let w = Pl.workflow eng ~train:suite ~inputs:[ 0; 0 ] gated in
   List.iter
     (fun inputs ->
-      let hr = Redfat.run_hardened ~inputs hard.binary in
+      let hr =
+        Redfat.(run ~inputs w.hard.binary (Hardened Runtime.default_options))
+      in
       match hr.verdict with
       | Redfat.Finished 0 -> ()
       | v ->
@@ -488,7 +493,8 @@ let test_profile_survives_false_positive () =
     r.r_cov_sites;
   Alcotest.(check int) "no detect.* bug" 0 (List.length (detects r));
   Alcotest.(check int) "all but the anti-idiom site allow-listed" 3
-    (List.length (Redfat.profile ~test_suite:suite anti_idiom));
+    (List.length
+       (with_engine (fun e -> Pl.profile e ~test_suite:suite anti_idiom)));
   (* the contrast: a Harden-mode campaign over the same profiling build
      stops at the false positive, never reaches the store behind it, and
      reports the false positive as a bug *)

@@ -8,6 +8,8 @@ module Df = Dataflow
 module Rw = Rewriter.Rewrite
 module CB = Backend.Check_backend
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let i x = Asm.I x
 
 let graph_of items =
@@ -202,8 +204,8 @@ let test_hoist_effectiveness () =
     hoisted.Rw.stats.hoisted_checks;
   Alcotest.(check int) "both members hoisted" 2
     (List.assoc "elide.hoist" hoisted.Rw.stats.checks_by_kind);
-  let r1 = Redfat.run_hardened seed.Rw.binary in
-  let r2 = Redfat.run_hardened hoisted.Rw.binary in
+  let r1 = Redfat.run seed.Rw.binary libredfat in
+  let r2 = Redfat.run hoisted.Rw.binary libredfat in
   Alcotest.(check bool) "seed run finishes" true
     (r1.Redfat.verdict = Redfat.Finished 0);
   Alcotest.(check bool) "hoisted run finishes" true

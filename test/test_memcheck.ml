@@ -5,8 +5,8 @@ open Minic.Build
 module Mc = Baselines.Memcheck
 
 let run prog inputs =
-  let bin = Minic.Codegen.compile prog in
-  Redfat.run_memcheck ~inputs bin
+  let o = Redfat.run ~inputs (Minic.Codegen.compile prog) Memcheck in
+  (o.run, o.verdict, o.state)
 
 let simple body = Minic.Ast.program [ Minic.Ast.func ~name:"main" body ]
 
@@ -138,8 +138,8 @@ let test_dispatch_overhead_charged () =
       ]
   in
   let bin = Minic.Codegen.compile prog in
-  let base, _ = Redfat.run_baseline bin in
-  let mc_run, _, _ = Redfat.run_memcheck bin in
+  let base = (Redfat.run bin Baseline).run in
+  let mc_run = (Redfat.run bin Memcheck).run in
   Alcotest.(check (list int)) "same output" base.outputs mc_run.outputs;
   Alcotest.(check bool) "DBI is much slower" true
     (mc_run.cycles > base.cycles * 4)
@@ -217,9 +217,7 @@ let test_partial_mark_keeps_other_pages () =
    unaddressable one is one error, however many pages it touches *)
 let test_straddling_access_logged_once () =
   let bin = Minic.Codegen.compile (simple [ return_ (i 0) ]) in
-  let cpu = Redfat.prepare bin in
-  let mc = Mc.create cpu.mem in
-  let (_ : Vm.Cpu.runtime) = Mc.install mc cpu bin in
+  let cpu, mc, _ = Redfat.load (Redfat.image bin) Memcheck in
   let hook = Option.get cpu.on_mem in
   let lo = 0x40_0000 in
   Mc.mark mc ~addr:lo ~len:page ~accessible:true;

@@ -6,7 +6,7 @@ open Minic.Build
 
 let run ?(inputs = []) prog =
   let bin = Minic.Codegen.compile prog in
-  let r, v = Redfat.run_baseline ~inputs bin in
+  let { Redfat.run = r; verdict = v; _ } = Redfat.run ~inputs bin Baseline in
   match v with
   | Redfat.Finished _ -> r.outputs
   | v -> Alcotest.failf "run failed: %s" (Redfat.verdict_to_string v)
@@ -302,7 +302,7 @@ let test_exit_code () =
   let bin =
     Minic.Codegen.compile (main_prog [ return_ (i 42) ])
   in
-  let _, v = Redfat.run_baseline bin in
+  let v = (Redfat.run bin Baseline).verdict in
   (* main's return value is not the process exit code in our ABI (the
      final ret halts with code 0), like _start ignoring main's rax *)
   match v with
@@ -365,7 +365,7 @@ let test_hot_locals_in_registers () =
            print_ (v "s");
          ])
   in
-  let r, _ = Redfat.run_baseline bin in
+  let r = (Redfat.run bin Baseline).run in
   (* a stack-allocated loop would do >= 3 memory ops per iteration *)
   Alcotest.(check bool) "register-allocated loop" true
     (r.mem_reads + r.mem_writes < 100)

@@ -1,8 +1,10 @@
 (* The MiniC front-end: lexer + parser + source-to-binary pipeline. *)
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let run_src ?(inputs = []) src =
   let bin = Minic.Parser.compile_source src in
-  let r, v = Redfat.run_baseline ~inputs bin in
+  let { Redfat.run = r; verdict = v; _ } = Redfat.run ~inputs bin Baseline in
   match v with
   | Redfat.Finished _ -> r.outputs
   | v -> Alcotest.failf "run: %s" (Redfat.verdict_to_string v)
@@ -175,11 +177,11 @@ let test_source_hardening_end_to_end () =
   in
   let bin = Minic.Parser.compile_source src in
   let hard = Redfat.harden bin in
-  let ok = Redfat.run_hardened ~inputs:[ 3 ] hard.binary in
+  let ok = Redfat.run ~inputs:[ 3 ] hard.binary libredfat in
   (match ok.verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "benign: %s" (Redfat.verdict_to_string v));
-  let bad = Redfat.run_hardened ~inputs:[ 12 ] hard.binary in
+  let bad = Redfat.run ~inputs:[ 12 ] hard.binary libredfat in
   match bad.verdict with
   | Redfat.Detected _ -> ()
   | v -> Alcotest.failf "attack: %s" (Redfat.verdict_to_string v)

@@ -3,6 +3,8 @@
 
 open Minic.Build
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 (* sum of squares below n, via a heap array *)
 let sum_squares_prog n =
   Minic.Ast.program
@@ -28,7 +30,7 @@ let expected_sum_squares n =
 
 let test_baseline_run () =
   let binary = Minic.Codegen.compile (sum_squares_prog 100) in
-  let run, verdict = Redfat.run_baseline binary in
+  let { Redfat.run; verdict; _ } = Redfat.run binary Baseline in
   (match verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "baseline: %s" (Redfat.verdict_to_string v));
@@ -36,7 +38,7 @@ let test_baseline_run () =
 
 let run_all_levels prog =
   let binary = Minic.Codegen.compile prog in
-  let base, bv = Redfat.run_baseline binary in
+  let { Redfat.run = base; verdict = bv; _ } = Redfat.run binary Baseline in
   (match bv with
    | Redfat.Finished _ -> ()
    | v -> Alcotest.failf "baseline: %s" (Redfat.verdict_to_string v));
@@ -51,7 +53,7 @@ let run_all_levels prog =
   List.map
     (fun (name, opts) ->
       let hard = Redfat.harden ~opts binary in
-      let hr = Redfat.run_hardened hard.binary in
+      let hr = Redfat.run hard.binary libredfat in
       (match hr.verdict with
        | Redfat.Finished _ -> ()
        | v -> Alcotest.failf "%s: %s" name (Redfat.verdict_to_string v));
@@ -97,12 +99,12 @@ let test_detect_non_incremental_overflow () =
   let binary = Minic.Codegen.compile oob_write_prog in
   (* benign input runs fine *)
   let hard = Redfat.harden binary in
-  let ok = Redfat.run_hardened hard.binary ~inputs:[ 3 ] in
+  let ok = Redfat.run hard.binary ~inputs:[ 3 ] libredfat in
   (match ok.verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "benign: %s" (Redfat.verdict_to_string v));
   (* attack input skipping far past the redzone *)
-  let bad = Redfat.run_hardened hard.binary ~inputs:[ 100 ] in
+  let bad = Redfat.run hard.binary ~inputs:[ 100 ] libredfat in
   (match bad.verdict with
    | Redfat.Detected e ->
      Alcotest.(check string) "kind" "out-of-bounds (upper)"
@@ -125,7 +127,7 @@ let test_detect_use_after_free () =
   in
   let binary = Minic.Codegen.compile prog in
   let hard = Redfat.harden binary in
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary libredfat in
   match hr.verdict with
   | Redfat.Detected e ->
     Alcotest.(check string) "kind" "use-after-free"
@@ -134,7 +136,7 @@ let test_detect_use_after_free () =
 
 let test_memcheck_runs () =
   let binary = Minic.Codegen.compile (sum_squares_prog 100) in
-  let run, verdict, mc = Redfat.run_memcheck binary in
+  let { Redfat.run; verdict; state = mc } = Redfat.run binary Memcheck in
   (match verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "memcheck: %s" (Redfat.verdict_to_string v));
@@ -155,7 +157,7 @@ let test_memcheck_detects_incremental_overflow () =
       ]
   in
   let binary = Minic.Codegen.compile prog in
-  let _, _, mc = Redfat.run_memcheck binary in
+  let mc = (Redfat.run binary Memcheck).state in
   Alcotest.(check bool) "memcheck flags redzone hit" true
     (List.length (Baselines.Memcheck.errors mc) > 0)
 

@@ -4,6 +4,9 @@ open Minic.Ast
 open Minic.Build
 module Rw = Redfat.Rewrite
 module Rt = Redfat_rt.Runtime
+module Pl = Engine.Pipeline
+
+let eng = Pl.create ~cache:false ()
 
 let log_opts = { Rt.default_options with mode = Rt.Log }
 
@@ -56,7 +59,7 @@ let test_allowlist_set_ops () =
 let test_naive_full_checking_false_positive () =
   let bin = Minic.Codegen.compile mixed_prog in
   let hard = Redfat.harden bin in
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary (Hardened Rt.default_options) in
   match hr.verdict with
   | Redfat.Detected _ -> () (* the anti-idiom trips naive full checking *)
   | v -> Alcotest.failf "expected a false positive, got %s"
@@ -64,18 +67,17 @@ let test_naive_full_checking_false_positive () =
 
 let test_workflow_removes_false_positive () =
   let bin = Minic.Codegen.compile mixed_prog in
-  let hard = Redfat.profile_and_harden ~test_suite:[ [] ] bin in
+  let { Pl.hard; base; _ } = Pl.workflow eng ~train:[ [] ] ~inputs:[] bin in
   (* the anti-idiom site fell back to redzone-only *)
   Alcotest.(check bool) "some site excluded" true
     (hard.stats.redzone_sites >= 1);
   Alcotest.(check bool) "idiomatic sites kept" true
     (hard.stats.full_sites >= 1);
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary (Hardened Rt.default_options) in
   (match hr.verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "production run: %s" (Redfat.verdict_to_string v));
   (* output identical to baseline *)
-  let base, _ = Redfat.run_baseline bin in
   Alcotest.(check (list int)) "output" base.outputs hr.run.outputs
 
 let test_unexecuted_sites_not_allowed () =
@@ -96,8 +98,8 @@ let test_unexecuted_sites_not_allowed () =
       ]
   in
   let bin = Minic.Codegen.compile prog in
-  let allow_skip = Redfat.profile ~test_suite:[ [ 0 ] ] bin in
-  let allow_take = Redfat.profile ~test_suite:[ [ 1 ] ] bin in
+  let allow_skip = Pl.profile eng ~test_suite:[ [ 0 ] ] bin in
+  let allow_take = Pl.profile eng ~test_suite:[ [ 1 ] ] bin in
   Alcotest.(check bool) "branch-gated site missing when skipped" true
     (List.length allow_skip < List.length allow_take)
 
@@ -119,8 +121,8 @@ let test_multi_run_union () =
       ]
   in
   let bin = Minic.Codegen.compile prog in
-  let one = Redfat.profile ~test_suite:[ [ 0 ] ] bin in
-  let both = Redfat.profile ~test_suite:[ [ 0 ]; [ 1 ] ] bin in
+  let one = Pl.profile eng ~test_suite:[ [ 0 ] ] bin in
+  let both = Pl.profile eng ~test_suite:[ [ 0 ]; [ 1 ] ] bin in
   Alcotest.(check bool) "union grows" true
     (List.length both > List.length one)
 
@@ -142,12 +144,12 @@ let test_sporadic_failure_excluded_across_runs () =
       ]
   in
   let bin = Minic.Codegen.compile prog in
-  let allow = Redfat.profile ~test_suite:[ [ 0 ]; [ 5 ] ] bin in
+  let allow = Pl.profile eng ~test_suite:[ [ 0 ]; [ 5 ] ] bin in
   (* production build with that allow-list must not flag k=5 *)
   let hard =
     Redfat.harden ~opts:(Rw.production ~allowlist:allow) bin
   in
-  let hr = Redfat.run_hardened ~inputs:[ 5 ] hard.binary in
+  let hr = Redfat.run ~inputs:[ 5 ] hard.binary (Hardened Rt.default_options) in
   match hr.verdict with
   | Redfat.Finished 0 -> ()
   | v -> Alcotest.failf "sporadic FP not suppressed: %s"
@@ -183,7 +185,7 @@ let test_incomplete_allowlist_still_protects () =
   let hard = Redfat.harden ~opts:(Rw.production ~allowlist:[]) bin in
   Alcotest.(check int) "no full sites" 0 hard.stats.full_sites;
   (* a[8] hits the next slot's metadata redzone: still detected *)
-  let hr = Redfat.run_hardened ~inputs:[ 8 ] hard.binary in
+  let hr = Redfat.run ~inputs:[ 8 ] hard.binary (Hardened Rt.default_options) in
   match hr.verdict with
   | Redfat.Detected _ -> ()
   | v -> Alcotest.failf "redzone fallback failed: %s"
@@ -192,11 +194,11 @@ let test_incomplete_allowlist_still_protects () =
 let test_log_mode_records_and_continues () =
   let bin = Minic.Codegen.compile mixed_prog in
   let hard = Redfat.harden bin in
-  let hr = Redfat.run_hardened ~options:log_opts hard.binary in
+  let hr = Redfat.run hard.binary (Hardened log_opts) in
   (match hr.verdict with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "log mode aborted: %s" (Redfat.verdict_to_string v));
-  Alcotest.(check bool) "errors recorded" true (Rt.errors hr.rt <> [])
+  Alcotest.(check bool) "errors recorded" true (Rt.errors hr.state <> [])
 
 let tests =
   [

@@ -4,11 +4,13 @@
 module Rw = Redfat.Rewrite
 module Rt = Redfat_rt.Runtime
 
+let libredfat = Redfat.Hardened Rt.default_options
+
 let compile_seed seed =
   Minic.Codegen.compile (Workloads.Synth.program ~seed ())
 
 let baseline_outputs bin =
-  let r, v = Redfat.run_baseline bin in
+  let { Redfat.run = r; verdict = v; _ } = Redfat.run bin Baseline in
   match v with
   | Redfat.Finished _ -> r.outputs
   | v -> failwith (Redfat.verdict_to_string v)
@@ -25,7 +27,7 @@ let prop_semantic_preservation =
       List.for_all
         (fun opts ->
           let hard = Redfat.harden ~opts bin in
-          let hr = Redfat.run_hardened hard.binary in
+          let hr = Redfat.run hard.binary libredfat in
           match hr.verdict with
           | Redfat.Finished _ -> hr.run.outputs = base
           | _ -> false)
@@ -41,11 +43,9 @@ let prop_no_false_positives =
       let bin = compile_seed seed in
       let hard = Redfat.harden bin in
       let hr =
-        Redfat.run_hardened
-          ~options:{ Rt.default_options with mode = Rt.Log }
-          hard.binary
+        Redfat.run hard.binary (Hardened { Rt.default_options with mode = Log })
       in
-      Rt.errors hr.rt = [])
+      Rt.errors hr.state = [])
 
 (* 3. profiling allow-lists every executed site of an idiomatic program *)
 let prop_profile_allows_everything_idiomatic =
@@ -54,12 +54,8 @@ let prop_profile_allows_everything_idiomatic =
     (fun seed ->
       let bin = compile_seed seed in
       let prof = Rw.rewrite Rw.profiling_build bin in
-      let hr =
-        Redfat.run_hardened
-          ~options:{ Rt.default_options with mode = Rt.Log }
-          ~profiling:true prof.binary
-      in
-      Rt.lowfat_failing_sites hr.rt = [])
+      let hr = Redfat.run prof.binary Profiling in
+      Rt.lowfat_failing_sites hr.state = [])
 
 (* 4. memcheck agrees with the baseline on outputs and reports nothing *)
 let prop_memcheck_clean =
@@ -68,7 +64,9 @@ let prop_memcheck_clean =
     (fun seed ->
       let bin = compile_seed seed in
       let base = baseline_outputs bin in
-      let r, v, mc = Redfat.run_memcheck bin in
+      let { Redfat.run = r; verdict = v; state = mc } =
+        Redfat.run bin Memcheck
+      in
       match v with
       | Redfat.Finished _ ->
         r.outputs = base && Baselines.Memcheck.errors mc = []
@@ -81,10 +79,10 @@ let prop_cost_monotone =
     seed_gen
     (fun seed ->
       let bin = compile_seed seed in
-      let rb, _ = Redfat.run_baseline bin in
+      let rb = (Redfat.run bin Baseline).run in
       let cycles opts =
         let hard = Redfat.harden ~opts bin in
-        let hr = Redfat.run_hardened hard.binary in
+        let hr = Redfat.run hard.binary libredfat in
         hr.run.cycles
       in
       let unopt = cycles Rw.unoptimized in
@@ -124,7 +122,7 @@ let prop_skip_always_detected =
       let bin = Minic.Codegen.compile prog in
       let hard = Redfat.harden bin in
       let idx = elems + skip in
-      let hr = Redfat.run_hardened ~inputs:[ idx ] hard.binary in
+      let hr = Redfat.run ~inputs:[ idx ] hard.binary libredfat in
       match hr.verdict with
       | Redfat.Detected _ -> true
       | Redfat.Finished _ -> false

@@ -4,6 +4,8 @@
 open X64
 module Rw = Rewriter.Rewrite
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let i x = Asm.I x
 
 let assemble_binary items : Binfmt.Relf.t =
@@ -385,11 +387,11 @@ let test_hardened_function_pointers_preserved () =
       :: Workloads.Kernels.interp_funcs "vm")
   in
   let bin = Minic.Codegen.compile prog in
-  let base, _ = Redfat.run_baseline bin in
+  let base = (Redfat.run bin Baseline).run in
   List.iter
     (fun opts ->
       let hard = Redfat.harden ~opts bin in
-      let hr = Redfat.run_hardened hard.binary in
+      let hr = Redfat.run hard.binary libredfat in
       match hr.verdict with
       | Redfat.Finished 0 ->
         Alcotest.(check (list int)) "outputs equal" base.outputs
@@ -420,12 +422,14 @@ let test_allowlist_splits_variants () =
 
 let run_hardened_outputs ?(opts = Rw.optimized) items inputs =
   let bin = assemble_binary items in
-  let base, bv = Redfat.run_baseline ~inputs bin in
+  let { Redfat.run = base; verdict = bv; _ } =
+    Redfat.run ~inputs bin Baseline
+  in
   (match bv with
    | Redfat.Finished _ -> ()
    | v -> Alcotest.failf "baseline: %s" (Redfat.verdict_to_string v));
   let hard = Redfat.harden ~opts bin in
-  let hr = Redfat.run_hardened ~inputs hard.binary in
+  let hr = Redfat.run ~inputs hard.binary libredfat in
   (match hr.verdict with
    | Redfat.Finished _ -> ()
    | v -> Alcotest.failf "hardened: %s" (Redfat.verdict_to_string v));
@@ -452,7 +456,7 @@ let test_trap_patch_preserves_semantics () =
   let bin = assemble_binary items in
   let r = Rw.rewrite Rw.optimized bin in
   Alcotest.(check bool) "uses a trap patch" true (r.stats.trap_patches >= 1);
-  let hr = Redfat.run_hardened r.binary in
+  let hr = Redfat.run r.binary libredfat in
   match hr.verdict with
   | Redfat.Finished _ ->
     Alcotest.(check (list int)) "output preserved" [ 77 ] hr.run.outputs

@@ -2,6 +2,8 @@
 
 open X64
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 (* 1. the decoder never crashes on arbitrary bytes: it either decodes
    an instruction of positive length or raises Decode_error *)
 let prop_decoder_total =
@@ -47,8 +49,8 @@ let test_pipeline_determinism () =
     (Binfmt.Relf.serialize h1.binary)
     (Binfmt.Relf.serialize h2.binary);
   let inputs = Workloads.Spec.ref_inputs b in
-  let r1 = Redfat.run_hardened ~inputs h1.binary in
-  let r2 = Redfat.run_hardened ~inputs h2.binary in
+  let r1 = Redfat.run ~inputs h1.binary libredfat in
+  let r2 = Redfat.run ~inputs h2.binary libredfat in
   Alcotest.(check int) "cycles identical" r1.run.cycles r2.run.cycles;
   Alcotest.(check int) "steps identical" r1.run.steps r2.run.steps
 
@@ -72,7 +74,7 @@ let test_legacy_allocation_through_wrapper () =
   in
   let bin = Minic.Codegen.compile prog in
   let hard = Redfat.harden bin in
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary libredfat in
   match hr.verdict with
   | Redfat.Finished 0 ->
     Alcotest.(check (list int)) "output" [ 15 ] hr.run.outputs
@@ -84,7 +86,7 @@ let test_reads_flag_controls_read_detection () =
   let c = Workloads.Cve.php_gd_rotate in
   let bin = Workloads.Cve.binary c in
   let full = Redfat.harden bin in
-  let hr = Redfat.run_hardened ~inputs:c.attack_inputs full.binary in
+  let hr = Redfat.run ~inputs:c.attack_inputs full.binary libredfat in
   (match hr.verdict with
    | Redfat.Detected _ -> ()
    | v -> Alcotest.failf "full: %s" (Redfat.verdict_to_string v));
@@ -93,9 +95,8 @@ let test_reads_flag_controls_read_detection () =
       bin
   in
   let hr =
-    Redfat.run_hardened
-      ~options:{ Redfat_rt.Runtime.default_options with check_reads = false }
-      ~inputs:c.attack_inputs wo.binary
+    Redfat.run ~inputs:c.attack_inputs wo.binary
+      (Hardened { Redfat.Runtime.default_options with check_reads = false })
   in
   match hr.verdict with
   | Redfat.Finished _ -> () (* the read leak is the cost of -reads *)
@@ -122,7 +123,7 @@ let test_merged_bounds_exact () =
   in
   let verdict elems =
     let hard = Redfat.harden (Minic.Codegen.compile (prog elems)) in
-    (Redfat.run_hardened hard.binary).verdict
+    (Redfat.run hard.binary libredfat).verdict
   in
   (match verdict 3 with
    | Redfat.Finished 0 -> ()
@@ -136,15 +137,17 @@ let test_randomization_preserves_semantics () =
   let b = Workloads.Spec.find "perlbench" in
   let bin = Workloads.Spec.binary b in
   let inputs = Workloads.Spec.train_inputs b in
-  let hard = Redfat.profile_and_harden ~test_suite:[ inputs ] bin in
-  let plain = Redfat.run_hardened ~inputs hard.binary in
-  let rand = Redfat.run_hardened ~random:99 ~inputs hard.binary in
+  let eng = Engine.Pipeline.create ~cache:false () in
+  let w = Engine.Pipeline.workflow eng ~train:[ inputs ] ~inputs bin in
+  let seeded = Redfat.Runtime.{ default_options with random = Some 99 } in
+  let plain = Redfat.run ~inputs w.hard.binary libredfat in
+  let rand = Redfat.run ~inputs w.hard.binary (Hardened seeded) in
   Alcotest.(check (list int)) "same outputs" plain.run.outputs rand.run.outputs;
   (* detection still works under randomization *)
   let c = List.hd Workloads.Juliet.all in
   let jb = Workloads.Juliet.binary c in
   let jh = Redfat.harden jb in
-  let hr = Redfat.run_hardened ~random:99 ~inputs:c.attack_inputs jh.binary in
+  let hr = Redfat.run ~inputs:c.attack_inputs jh.binary (Hardened seeded) in
   match hr.verdict with
   | Redfat.Detected _ -> ()
   | v -> Alcotest.failf "randomized detection: %s" (Redfat.verdict_to_string v)
@@ -171,7 +174,7 @@ let test_codegen_torture () =
       ]
   in
   let bin = Minic.Codegen.compile prog in
-  let r, v = Redfat.run_baseline bin in
+  let { Redfat.run = r; verdict = v; _ } = Redfat.run bin Baseline in
   (match v with
    | Redfat.Finished 0 -> ()
    | v -> Alcotest.failf "torture: %s" (Redfat.verdict_to_string v));
@@ -179,7 +182,7 @@ let test_codegen_torture () =
   Alcotest.(check (list int)) "nested calls" [ 33 + 456 ] r.outputs;
   (* and hardened agrees *)
   let hard = Redfat.harden bin in
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary libredfat in
   Alcotest.(check (list int)) "hardened agrees" r.outputs hr.run.outputs
 
 (* 10. storek with negative folded displacement *)
@@ -200,7 +203,7 @@ let test_negative_displacement () =
   in
   let bin = Minic.Codegen.compile prog in
   let hard = Redfat.harden bin in
-  let hr = Redfat.run_hardened hard.binary in
+  let hr = Redfat.run hard.binary libredfat in
   match hr.verdict with
   | Redfat.Finished 0 ->
     Alcotest.(check (list int)) "output" [ 77 ] hr.run.outputs

@@ -397,11 +397,8 @@ let test_answers_cached_equal_fresh () =
                 | Error e -> Alcotest.fail (what ^ ": " ^ e)
               in
               let hrun =
-                Engine.Pipeline.run_hardened fresh
-                  ~options:
-                    { Redfat.Runtime.default_options with
-                      mode = Redfat.Runtime.Log }
-                  ~inputs bin'
+                Engine.Pipeline.run fresh ~inputs bin'
+                  (Hardened { Redfat.Runtime.default_options with mode = Log })
               in
               let req op =
                 Printf.sprintf
@@ -421,7 +418,7 @@ let test_answers_cached_equal_fresh () =
                 Alcotest.(check int) (what ^ ": hardened cycles")
                   hrun.Redfat.run.Redfat.cycles (num "hardened_cycles" tr);
                 Alcotest.(check int) (what ^ ": detected")
-                  (List.length (Redfat.Runtime.errors hrun.Redfat.rt))
+                  (List.length (Redfat.Runtime.errors hrun.Redfat.state))
                   (num "detected" tr)
               done)
             [ false; true ])

@@ -11,19 +11,22 @@ open Minic.Build
 let lib_origin = Lowfat.Layout.code_base + 0x10_0000
 let lib_tramp = Lowfat.Layout.trampoline_base + 0x100_0000
 
-(* libdecoder.so: a vulnerable write primitive *)
+(* libdecoder.so: a vulnerable write primitive that counts its calls
+   in a global of its own *)
 let lib_program =
-  Minic.Ast.program
+  Minic.Ast.program ~globals:[ ("calls", 8) ]
     [
       func ~name:"decode" ~params:[ "buf"; "idx" ]
         [
+          set (v "calls") (i 0) (idx (v "calls") (i 0) +: i 1);
           Store (E8, v "buf", v "idx", i 0x41);
           return_ (i 1);
         ];
     ]
 
 let lib_binary, lib_symbols =
-  Minic.Codegen.compile_with_symbols ~origin:lib_origin ~shared:true
+  Minic.Codegen.compile_with_symbols ~origin:lib_origin
+    ~data_origin:(Lowfat.Layout.data_base + 0x10_0000) ~shared:true
     lib_program
 
 (* the main executable calls into the library; it also has its own
@@ -53,16 +56,27 @@ let main_binary = Minic.Codegen.compile ~externs:lib_symbols main_program
 let skip = 12 (* elements: past the redzone, into live neighbour data *)
 
 let run ~main ~lib ~inputs =
-  Redfat.run_hardened ~libs:[ lib ] ~inputs main
+  Redfat.run ~libs:[ lib ] ~inputs main
+    (Hardened Redfat.Runtime.default_options)
 
 let test_cross_module_call_works () =
   List.iter
     (fun inputs ->
-      let r, v = Redfat.run_baseline ~libs:[ lib_binary ] ~inputs main_binary in
+      let { Redfat.run = r; verdict = v; _ } =
+        Redfat.run ~libs:[ lib_binary ] ~inputs main_binary Baseline
+      in
       (match v with
        | Redfat.Finished 0 -> ()
        | v -> Alcotest.failf "baseline: %s" (Redfat.verdict_to_string v));
-      Alcotest.(check (list int)) "benign output" [ 7 ] r.outputs)
+      Alcotest.(check (list int)) "benign output" [ 7 ] r.outputs;
+      (* Memcheck marks every module of the image addressable, the
+         library's sections as well as the executable's *)
+      let mc = Redfat.run ~libs:[ lib_binary ] ~inputs main_binary Memcheck in
+      (match mc.verdict with
+       | Redfat.Finished 0 -> ()
+       | v -> Alcotest.failf "memcheck: %s" (Redfat.verdict_to_string v));
+      Alcotest.(check int) "no memcheck errors" 0
+        (List.length (Baselines.Memcheck.errors mc.state)))
     [ [ 0; 3 ]; [ 1; 3 ] ]
 
 let test_only_instrumented_module_protected () =

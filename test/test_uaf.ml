@@ -1,5 +1,7 @@
 (* The CWE-416 use-after-free extension suite. *)
 
+let libredfat = Redfat.Hardened Redfat.Runtime.default_options
+
 let test_suite_shape () =
   Alcotest.(check int) "32 cases" 32 (List.length Workloads.Uaf.all);
   let ids = List.map (fun (c : Workloads.Uaf.case) -> c.id) Workloads.Uaf.all in
@@ -12,13 +14,13 @@ let test_all_cases () =
       let bin = Workloads.Uaf.binary c in
       let hard = Redfat.harden bin in
       let b =
-        Redfat.run_hardened ~inputs:Workloads.Uaf.benign_inputs hard.binary
+        Redfat.run ~inputs:Workloads.Uaf.benign_inputs hard.binary libredfat
       in
       (match b.verdict with
        | Redfat.Finished 0 -> ()
        | v -> Alcotest.failf "%s benign: %s" c.id (Redfat.verdict_to_string v));
       let a =
-        Redfat.run_hardened ~inputs:Workloads.Uaf.attack_inputs hard.binary
+        Redfat.run ~inputs:Workloads.Uaf.attack_inputs hard.binary libredfat
       in
       match a.verdict with
       | Redfat.Detected e ->
@@ -33,9 +35,8 @@ let test_memcheck_also_detects () =
     (fun (c : Workloads.Uaf.case) ->
       if c.variant = 0 then begin
         let bin = Workloads.Uaf.binary c in
-        let _, _, m =
-          Redfat.run_memcheck ~inputs:Workloads.Uaf.attack_inputs bin
-        in
+        let inputs = Workloads.Uaf.attack_inputs in
+        let m = (Redfat.run ~inputs bin Memcheck).state in
         Alcotest.(check bool) (c.id ^ " memcheck") true
           (Baselines.Memcheck.errors m <> [])
       end)
@@ -47,13 +48,13 @@ let test_reuse_limitation () =
      comparator *)
   let bin = Minic.Codegen.compile Workloads.Uaf.reuse_case in
   let hard = Redfat.harden bin in
-  let r = Redfat.run_hardened hard.binary in
+  let r = Redfat.run hard.binary libredfat in
   (match r.verdict with
    | Redfat.Finished 0 ->
      (* the dangling write really did corrupt the new object *)
      Alcotest.(check (list int)) "silent corruption" [ 7 ] r.run.outputs
    | v -> Alcotest.failf "expected a miss, got %s" (Redfat.verdict_to_string v));
-  let _, _, m = Redfat.run_memcheck bin in
+  let m = (Redfat.run bin Memcheck).state in
   Alcotest.(check bool) "memcheck quarantine catches it" true
     (Baselines.Memcheck.errors m <> [])
 

@@ -783,7 +783,7 @@ let test_dispatch_cost () =
 let test_predecoded_matches_decode () =
   List.iter
     (fun (name, bin) ->
-      let cpu = Redfat.instantiate (Redfat.image bin) in
+      let cpu, (), _ = Redfat.load (Redfat.image bin) Baseline in
       let execs =
         List.filter
           (fun (s : Binfmt.Relf.section) -> s.executable)
@@ -840,7 +840,8 @@ let test_store_into_text () =
     }
   in
   let im = Redfat.image bin in
-  let cpu = Redfat.instantiate im in
+  let instance () = let cpu, (), _ = Redfat.load im Baseline in cpu in
+  let cpu = instance () in
   let r, v = Redfat.exec cpu null_rt ~entry:bin.entry in
   Alcotest.(check string) "runs to the end" "finished (exit 0)"
     (Redfat.verdict_to_string v);
@@ -849,7 +850,7 @@ let test_store_into_text () =
     (Vm.Mem.read_u8 cpu.mem target);
   Alcotest.(check int) "the image's code is unchanged"
     (Char.code code.[target - Lowfat.Layout.code_base])
-    (Vm.Mem.read_u8 (Redfat.instantiate im).mem target)
+    (Vm.Mem.read_u8 (instance ()).mem target)
 
 let tests =
   [

@@ -3,8 +3,12 @@
    bench/main.exe). *)
 
 module Rt = Redfat_rt.Runtime
+module Pl = Engine.Pipeline
+
+let libredfat = Redfat.Hardened Rt.default_options
 
 let log_opts = { Rt.default_options with mode = Rt.Log }
+let eng = Pl.create ~cache:false ()
 
 (* every SPEC stand-in: baseline and production-hardened runs agree on
    the train workload, and the hardened ref run completes *)
@@ -13,13 +17,15 @@ let test_spec_semantics () =
     (fun (b : Workloads.Spec.bench) ->
       let bin = Workloads.Spec.binary b in
       let train = Workloads.Spec.train_inputs b in
-      let base, bv = Redfat.run_baseline ~inputs:train bin in
+      let { Redfat.run = base; verdict = bv; _ } =
+        Redfat.run ~inputs:train bin Baseline
+      in
       (match bv with
        | Redfat.Finished 0 -> ()
        | v -> Alcotest.failf "%s baseline: %s" b.name
                 (Redfat.verdict_to_string v));
-      let hard = Redfat.profile_and_harden ~test_suite:[ train ] bin in
-      let hr = Redfat.run_hardened ~options:log_opts ~inputs:train hard.binary in
+      let hard = (Pl.workflow eng ~train:[ train ] ~inputs:train bin).hard in
+      let hr = Redfat.run ~inputs:train hard.binary (Hardened log_opts) in
       (match hr.verdict with
        | Redfat.Finished 0 -> ()
        | v -> Alcotest.failf "%s hardened: %s" b.name
@@ -29,7 +35,7 @@ let test_spec_semantics () =
       (* no false positives in the production configuration, beyond the
          benchmark's known real bugs *)
       let nonbug =
-        List.length (Rt.errors hr.rt) - List.length b.bugs
+        List.length (Rt.errors hr.state) - List.length b.bugs
       in
       if nonbug > 0 then
         Alcotest.failf "%s: %d unexpected production errors" b.name nonbug)
@@ -53,12 +59,12 @@ let test_cve_cases () =
       let bin = Workloads.Cve.binary c in
       let hard = Redfat.harden bin in
       (* benign: identical output to baseline *)
-      let base, _ = Redfat.run_baseline ~inputs:c.benign_inputs bin in
-      let hr = Redfat.run_hardened ~inputs:c.benign_inputs hard.binary in
+      let base = (Redfat.run ~inputs:c.benign_inputs bin Baseline).run in
+      let hr = Redfat.run ~inputs:c.benign_inputs hard.binary libredfat in
       Alcotest.(check (list int)) (c.name ^ " benign") base.outputs
         hr.run.outputs;
       (* attack: detected *)
-      let hr = Redfat.run_hardened ~inputs:c.attack_inputs hard.binary in
+      let hr = Redfat.run ~inputs:c.attack_inputs hard.binary libredfat in
       (match hr.verdict with
        | Redfat.Detected _ -> ()
        | v -> Alcotest.failf "%s attack: %s" c.name
@@ -84,17 +90,17 @@ let test_juliet_sample () =
       if c.variant = 0 then begin
         let bin = Workloads.Juliet.binary c in
         let hard = Redfat.harden bin in
-        let b = Redfat.run_hardened ~inputs:c.benign_inputs hard.binary in
+        let b = Redfat.run ~inputs:c.benign_inputs hard.binary libredfat in
         (match b.verdict with
          | Redfat.Finished 0 -> ()
          | v -> Alcotest.failf "%s benign: %s" c.id
                   (Redfat.verdict_to_string v));
-        let a = Redfat.run_hardened ~inputs:c.attack_inputs hard.binary in
+        let a = Redfat.run ~inputs:c.attack_inputs hard.binary libredfat in
         (match a.verdict with
          | Redfat.Detected _ -> ()
          | v -> Alcotest.failf "%s attack: %s" c.id
                   (Redfat.verdict_to_string v));
-        let _, _, mc = Redfat.run_memcheck ~inputs:c.attack_inputs bin in
+        let mc = (Redfat.run ~inputs:c.attack_inputs bin Memcheck).state in
         Alcotest.(check int) (c.id ^ " memcheck misses") 0
           (List.length (Baselines.Memcheck.errors mc))
       end)
@@ -106,16 +112,15 @@ let test_kraken_write_hardening () =
     (fun (b : Workloads.Kraken.bench) ->
       let bin = Workloads.Kraken.binary b in
       let inputs = [ 2 ] (* tiny for the test *) in
-      let base, _ = Redfat.run_baseline ~inputs bin in
+      let base = (Redfat.run ~inputs bin Baseline).run in
       let hard =
         Redfat.harden
           ~opts:{ Redfat.Rewrite.optimized with instrument_reads = false }
           bin
       in
       let hr =
-        Redfat.run_hardened
-          ~options:{ Rt.default_options with check_reads = false }
-          ~inputs hard.binary
+        Redfat.run ~inputs hard.binary
+          (Hardened { Rt.default_options with check_reads = false })
       in
       (match hr.verdict with
        | Redfat.Finished 0 -> ()
@@ -136,11 +141,10 @@ let test_chrome_binary_scales () =
   (* the hardened big binary still runs every dispatcher workload *)
   List.iter
     (fun (_, inputs) ->
-      let base, _ = Redfat.run_baseline ~inputs bin in
+      let base = (Redfat.run ~inputs bin Baseline).run in
       let hr =
-        Redfat.run_hardened
-          ~options:{ Rt.default_options with check_reads = false }
-          ~inputs hard.binary
+        Redfat.run ~inputs hard.binary
+          (Hardened { Rt.default_options with check_reads = false })
       in
       (match hr.verdict with
        | Redfat.Finished 0 -> ()

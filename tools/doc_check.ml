@@ -23,8 +23,9 @@
    7. every backticked `Lib.Module` path in README, DESIGN, EXPERIMENTS
       and docs/*.md whose first part names a dune library under lib/
       resolves: to lib/<dir>/<module>.ml, or to a `module Module`
-      declaration in that library (ROADMAP and CHANGES narrate history
-      and are not checked).
+      declaration in that library; and every backticked
+      `Redfat.value` there is a `val` of lib/core/redfat.mli (ROADMAP
+      and CHANGES narrate history and are not checked).
    8. no .ml file under lib/ or bin/ other than lib/obs/obs.ml writes
       a [\\u%04x] escape: Obs.Json is the one JSON writer, so a second
       string escaper means a second hand-written encoder.
@@ -342,9 +343,26 @@ let resolves dir m =
          | exception Not_found -> false)
        (ml_files dir)
 
+(* an identifier character or a dot before [p]: the match is the tail
+   of a longer path *)
+let qualified code p =
+  p > 0
+  &&
+  match code.[p - 1] with
+  | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true
+  | _ -> false
+
 let check_module_paths () =
   let libs = libraries () in
   if libs = [] then err "no dune libraries found under lib/ (scanner broken?)";
+  let api = "lib/core/redfat.mli" in
+  let vals =
+    matches
+      (Str.regexp "^val \\([a-z_][A-Za-z0-9_']*\\)")
+      (read_file_exn "the API interface" api)
+  in
+  if vals = [] then err "no val scraped from %s (scraper broken?)" api;
+  let value = Str.regexp "Redfat\\.\\([a-z_][A-Za-z0-9_']*\\)" in
   let docs =
     [ "README.md"; "DESIGN.md"; "EXPERIMENTS.md" ]
     @ List.filter (String.starts_with ~prefix:"docs/") (md_files ())
@@ -361,22 +379,25 @@ let check_module_paths () =
               let lib = Str.matched_group 1 code
               and m = Str.matched_group 2 code in
               let next = Str.match_end () in
-              let qualified =
-                p > 0
-                &&
-                match code.[p - 1] with
-                | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true
-                | _ -> false
-              in
               (match List.assoc_opt lib libs with
-               | Some dir when (not qualified) && not (resolves dir m) ->
+               | Some dir when (not (qualified code p)) && not (resolves dir m) ->
                  err "%s names `%s.%s`, which %s does not define" file lib m
                    dir
                | _ -> ());
               scan next
             | exception Not_found -> ()
           in
-          scan 0)
+          scan 0;
+          let rec scan_values i =
+            match Str.search_forward value code i with
+            | p ->
+              let v = Str.matched_group 1 code and next = Str.match_end () in
+              if (not (qualified code p)) && not (List.mem v vals) then
+                err "%s names `Redfat.%s`, which %s does not declare" file v api;
+              scan_values next
+            | exception Not_found -> ()
+          in
+          scan_values 0)
         (matches span (read_file_exn "a markdown file" file)))
     docs
 
